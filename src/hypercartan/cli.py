@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import (
-    PolygonDatum,
+    GeometricRealizationTable,
     TableDecodeError,
     cartan_matrix,
     classify_flags,
@@ -64,18 +64,15 @@ def _record_json(rec: CatalogRecord) -> str:
     return json.dumps(payload)
 
 
-def _record_table_block(rec: CatalogRecord) -> str:
-    lines = [f"r = {format_rational(rec.r)}"]
-    lines.extend(" ".join(str(v) for v in row) for row in rec.table)
-    return "\n".join(lines)
-
-
 def _emit_records(records, fmt: str, out) -> None:
     if fmt == "records":
         for rec in records:
             out.write(_record_json(rec) + "\n")
     else:
-        blocks = [_record_table_block(rec) for rec in records]
+        blocks = [
+            format_golden_block(rec.r, GeometricRealizationTable(rec.table))
+            for rec in records
+        ]
         if blocks:
             out.write("\n\n".join(blocks) + "\n")
 
@@ -119,7 +116,7 @@ def cmd_enumerate(args) -> int:
     if r_filter not in (None, Fraction(0)):
         print("error: parabolic mode runs at r = 0 only", file=sys.stderr)
         return EXIT_USAGE
-    report = run_parabolic(args.lambda_max, args.max_sides, jobs=args.jobs)
+    report = run_parabolic(args.lambda_max, args.max_sides)
     records = _filtered(report.records, args.untwisted_only, args.noncompact_only)
     if args.format == "records":
         _emit_records(records, "records", out)
@@ -162,8 +159,10 @@ def cmd_verify(args) -> int:
     golden_rows = None
     if args.catalog is not None:
         try:
-            golden_rows = tuple(parse_golden_text(Path(args.catalog).read_text()))
-        except (OSError, GoldenFormatError) as exc:
+            golden_rows = tuple(
+                parse_golden_text(Path(args.catalog).read_text(encoding="utf-8"))
+            )
+        except (OSError, UnicodeDecodeError, GoldenFormatError) as exc:
             print(f"error: cannot read golden file: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
@@ -213,8 +212,8 @@ def _matrix_lines(name: str, rows) -> list[str]:
 
 def cmd_check(args) -> int:
     try:
-        text = Path(args.path).read_text()
-    except OSError as exc:
+        text = Path(args.path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -318,6 +317,9 @@ def main(argv=None) -> int:
     if getattr(args, "lambda_max", 1) < 1 or getattr(args, "max_sides", 3) < 3:
         print("error: --lambda-max must be >= 1 and --max-sides >= 3",
               file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "jobs", 1) < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     return args.func(args)
 

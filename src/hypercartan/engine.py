@@ -1,13 +1,20 @@
 """Classification search for rank-3 realizations with a lattice Weyl vector.
 
-The search works radius by radius.  It first collects every Weyl square
-r < 0 attainable by a 3-window of consecutive sides within fixed bounds,
-then seeds, for each fixed r, all 3-windows whose Weyl vector has square
-exactly r, scanning the long pairing upward and relying on the monotone
-growth of the square.  From there it repeatedly glues overlapping open
-chains, computing the single unknown pairing from the Weyl-vector
-equation (length 4) or by composing coordinates across the shared
-window (length >= 5), until every chain has closed or died.
+The search runs on Python integers and works radius by radius.  A
+3-window of consecutive sides has pairings -a, -b, -c and lambdas
+(l1, l2, l3); its Weyl square is r = num / det, where det < 0 is the
+window's Gram determinant and num = lam^T adj(g) lam.  The search first
+collects every square r < 0 attained by a window within fixed bounds,
+then seeds, for each radius, every window whose square is exactly r.  The
+long pairing b of a seed is bounded in closed form: r <= r_max is a
+quadratic inequality in b whose leading coefficient is negative, so b
+never exceeds the floor of its larger root.  From the seeds it repeatedly
+glues overlapping open chains.  The single unknown pairing
+(delta_1, delta_n) comes from the integer adjugate of one window: through
+the Weyl-vector equation on the chain's first window at length 4, by
+composing coordinates across the shared window at length >= 5.  An exact
+division is the integrality test.  Gluing stops when every chain has
+closed or died.
 
 Closed polygons are deduplicated by dihedral canonical form, re-verified
 and decorated; the final catalog depends only on (lambda_max, mode).
@@ -16,43 +23,36 @@ and decorated; the final catalog depends only on (lambda_max, mode).
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import Callable, Iterator
 
 from .canonical import PackedDatum, canonical_form
 from .core import (
     PolygonDatum,
-    Rational,
-    WeylData,
     cartan_matrix,
     classify_flags,
     pack_index,
-    pair_count,
     polygon_table,
     symmetrized_cartan,
     symmetry_group,
     verify_realization,
 )
-from .linalg import QMatrix, SingularMatrixError, det_int_rows, solve
+from .linalg import det_int_rows
 
 # Radius-collection window bounds: adjacent pairings in [-2, 0], long
 # pairing in (-15, 0].
 ADJACENT_MAX = 2
 RADIUS_B_MAX = 14
-# Guard on the monotone scan of the long pairing; far beyond anything reachable.
-B_HARD_CAP = 10000
 
 DEFAULT_MAX_SIDES = 32
 
 
 class EngineError(RuntimeError):
     pass
-
-
-class MonotonicityCapError(EngineError):
-    """The long-pairing scan ran past the hard cap without crossing the target."""
 
 
 class InvariantViolation(EngineError):
@@ -63,15 +63,12 @@ class InvariantViolation(EngineError):
 class ChainState:
     """An open chain of consecutive sides delta_1..delta_length.
 
-    ``pairings`` is the packed strict upper triangle (signed values);
-    ``weyl`` carries rho in the basis of the first three sides together
-    with the run's fixed square r.
+    ``pairings`` is the packed strict upper triangle (signed values).
     """
 
     length: int
     pairings: tuple[int, ...]
     lam: tuple[int, ...]
-    weyl: WeylData
 
     @property
     def size(self) -> int:
@@ -93,7 +90,7 @@ class ChainState:
 class CatalogRecord:
     """One classified solution, canonical under dihedral relabelling."""
 
-    r: Rational
+    r: Fraction
     n: int
     body: tuple[int, ...]
     lam: tuple[int, ...]
@@ -113,7 +110,7 @@ class CatalogRecord:
 
 @dataclass(frozen=True)
 class CapEvent:
-    r: Rational
+    r: Fraction
     length: int
 
 
@@ -140,7 +137,7 @@ class ParabolicReport:
 
 
 # ---------------------------------------------------------------------------
-# 3-window arithmetic (integer fast path)
+# 3-window arithmetic
 #
 # A window has pairings (delta_1,delta_2) = -a, (delta_1,delta_3) = -b,
 # (delta_2,delta_3) = -c with a, b, c >= 0.  Its Gram determinant and the
@@ -156,6 +153,17 @@ def _window_det(a: int, b: int, c: int) -> int:
 def _window_adjugate(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int]:
     """(adj11, adj12, adj13, adj22, adj23, adj33) of the window Gram."""
     return (4 - c * c, 2 * a + b * c, a * c + 2 * b, 4 - b * b, 2 * c + a * b, 4 - a * a)
+
+
+def _adj_mul(a: int, b: int, c: int, v: tuple[int, ...]) -> tuple[int, int, int]:
+    """adj(g) v for the window Gram g."""
+    a11, a12, a13, a22, a23, a33 = _window_adjugate(a, b, c)
+    v1, v2, v3 = v
+    return (
+        a11 * v1 + a12 * v2 + a13 * v3,
+        a12 * v1 + a22 * v2 + a23 * v3,
+        a13 * v1 + a23 * v2 + a33 * v3,
+    )
 
 
 def _window_square_num(a: int, b: int, c: int, l1: int, l2: int, l3: int) -> int:
@@ -183,24 +191,35 @@ def _long_divisible(b: int, l1: int, l3: int) -> bool:
 
 
 def _window_chain(a: int, b: int, c: int, lam: tuple[int, int, int]) -> ChainState:
-    l1, l2, l3 = lam
-    d = _window_det(a, b, c)
-    a11, a12, a13, a22, a23, a33 = _window_adjugate(a, b, c)
-    adj_lam = (
-        a11 * l1 + a12 * l2 + a13 * l3,
-        a12 * l1 + a22 * l2 + a23 * l3,
-        a13 * l1 + a23 * l2 + a33 * l3,
-    )
-    coords = tuple(Fraction(-v, d) for v in adj_lam)
-    r = Fraction(_window_square_num(a, b, c, l1, l2, l3), d)
-    return ChainState(3, (-a, -b, -c), lam, WeylData(coords, r))
+    return ChainState(3, (-a, -b, -c), lam)
 
 
-def _lambda_triples(lambda_max: int):
-    return itertools.product(range(1, lambda_max + 1), repeat=3)
+BMax = Callable[[int, int, tuple[int, int, int]], int]
 
 
-def collect_radii(lambda_max: int) -> tuple[Rational, ...]:
+def _windows(
+    lambda_max: int, b_max: BMax
+) -> Iterator[tuple[int, int, int, tuple[int, int, int], int, int]]:
+    """Admissible hyperbolic 3-windows (a, b, c, lam, num, det), in search order.
+
+    Adjacent pairings run over [0, ADJACENT_MAX], lambdas over
+    [1, lambda_max]^3 with the twisting divisibility for every ordered
+    pair, and the long pairing upward from 0 to b_max(a, c, lam).  The
+    Weyl square of a window is num / det, with det < 0.
+    """
+    for a in range(ADJACENT_MAX + 1):
+        for c in range(ADJACENT_MAX + 1):
+            for lam in itertools.product(range(1, lambda_max + 1), repeat=3):
+                l1, l2, l3 = lam
+                if not _adjacent_divisible(a, c, l1, l2, l3):
+                    continue
+                for b in range(b_max(a, c, lam) + 1):
+                    d = _window_det(a, b, c)
+                    if d < 0 and _long_divisible(b, l1, l3):
+                        yield a, b, c, lam, _window_square_num(a, b, c, l1, l2, l3), d
+
+
+def collect_radii(lambda_max: int) -> tuple[Fraction, ...]:
     """All Weyl squares r < 0 attainable by a bounded admissible 3-window.
 
     The long pairing is scanned over [0, 14]; adjacent pairings over
@@ -209,112 +228,61 @@ def collect_radii(lambda_max: int) -> tuple[Rational, ...]:
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    radii: set[Fraction] = set()
-    for a in range(ADJACENT_MAX + 1):
-        for c in range(ADJACENT_MAX + 1):
-            for l1, l2, l3 in _lambda_triples(lambda_max):
-                if not _adjacent_divisible(a, c, l1, l2, l3):
-                    continue
-                for b in range(RADIUS_B_MAX + 1):
-                    if not _long_divisible(b, l1, l3):
-                        continue
-                    d = _window_det(a, b, c)
-                    if d >= 0:
-                        continue
-                    num = _window_square_num(a, b, c, l1, l2, l3)
-                    if num <= 0:  # r = num/d with d < 0, so r < 0 iff num > 0
-                        continue
-                    radii.add(Fraction(num, d))
-    return tuple(sorted(radii))
+    windows = _windows(lambda_max, lambda a, c, lam: RADIUS_B_MAX)
+    # r = num/det with det < 0, so r < 0 iff num > 0
+    return tuple(sorted({Fraction(num, d) for *_, num, d in windows if num > 0}))
 
 
-def seed_triples(
-    r: Rational | int,
-    lambda_max: int,
-    *,
-    b_cap: int = B_HARD_CAP,
-    exhaustive_to: int | None = None,
-) -> list[ChainState]:
-    """All 3-windows whose Weyl square is exactly r (r <= 0).
+def _long_pairing_bound(r_max: Fraction) -> BMax:
+    """b_max(a, c, lam): no window with Weyl square <= r_max <= 0 has a larger b.
 
-    The long pairing is scanned upward from 0: first past the
-    non-hyperbolic range, then while the square is below r, stopping as
-    soon as it exceeds r.  ``exhaustive_to`` switches to a full scan up
-    to that bound (debug mode, no monotonicity assumption).
+    Write r_max = p/q.  Since det < 0, r <= r_max iff
+    f(b) = q num(b) - p det(b) >= 0.  In b, num = -l2^2 b^2 + ... and
+    det = -2 b^2 - 2ac b + ..., so f has leading coefficient
+    2p - q l2^2 < 0 and is non-negative only up to its larger root
+    (B + sqrt(disc)) / (-2A).  For an integer E > 0, floor(x / E) =
+    floor(floor(x) / E), so isqrt gives that root's floor exactly.
     """
+    p, q = r_max.numerator, r_max.denominator
+
+    def b_max(a: int, c: int, lam: tuple[int, int, int]) -> int:
+        l1, l2, l3 = lam
+        qa = 2 * p - q * l2 * l2
+        qb = 2 * q * (c * l1 * l2 + 2 * l1 * l3 + a * l2 * l3) + 2 * p * a * c
+        qc = q * _window_square_num(a, 0, c, l1, l2, l3) - p * _window_det(a, 0, c)
+        disc = qb * qb - 4 * qa * qc
+        if disc < 0:
+            return -1
+        return (qb + isqrt(disc)) // (-2 * qa)
+
+    return b_max
+
+
+def _seeds(
+    radii: tuple[Fraction, ...], lambda_max: int
+) -> dict[Fraction, list[ChainState]]:
+    """Windows whose Weyl square is one of ``radii`` (all <= 0), by square."""
+    buckets: dict[Fraction, list[ChainState]] = {r: [] for r in radii}
+    by_key = {(r.numerator, r.denominator): buckets[r] for r in radii}
+    for a, b, c, lam, num, d in _windows(lambda_max, _long_pairing_bound(max(radii))):
+        g = gcd(num, d)
+        bucket = by_key.get((-num // g, -d // g))  # num/det in lowest terms
+        if bucket is not None:
+            bucket.append(_window_chain(a, b, c, lam))
+    return buckets
+
+
+def seed_triples(r: Fraction | int, lambda_max: int) -> list[ChainState]:
+    """All 3-windows whose Weyl square is exactly r (r <= 0)."""
     target = Fraction(r)
     if target > 0:
         raise ValueError("the Weyl square of a seed window is never positive")
-    out: list[ChainState] = []
-    for a in range(ADJACENT_MAX + 1):
-        for c in range(ADJACENT_MAX + 1):
-            for lam in _lambda_triples(lambda_max):
-                l1, l2, l3 = lam
-                if not _adjacent_divisible(a, c, l1, l2, l3):
-                    continue
-                if exhaustive_to is not None:
-                    for b in range(exhaustive_to + 1):
-                        d = _window_det(a, b, c)
-                        if d >= 0:
-                            continue
-                        if Fraction(_window_square_num(a, b, c, *lam), d) == target:
-                            if _long_divisible(b, l1, l3):
-                                out.append(_window_chain(a, b, c, lam))
-                    continue
-                b = 0
-                while True:
-                    if b > b_cap:
-                        raise MonotonicityCapError(
-                            f"window (a={a}, c={c}, lam={lam}) scanned past "
-                            f"b={b_cap} without crossing r={target}"
-                        )
-                    d = _window_det(a, b, c)
-                    if d < 0:
-                        rp = Fraction(_window_square_num(a, b, c, *lam), d)
-                        if rp > target:
-                            break
-                        if rp == target:
-                            if _long_divisible(b, l1, l3):
-                                out.append(_window_chain(a, b, c, lam))
-                            break
-                    b += 1
-    return out
+    return _seeds((target,), lambda_max)[target]
 
 
-def _seed_map(
-    lambda_max: int, *, b_cap: int = B_HARD_CAP
-) -> dict[Fraction, list[ChainState]]:
-    """Seeds for every radius of collect_radii(lambda_max), in one sweep.
-
-    Equivalent to calling seed_triples per radius; the single upward scan
-    per window shape buckets matches by their square instead.
-    """
-    targets = set(collect_radii(lambda_max))
-    if not targets:
-        return {}
-    r_max = max(targets)
-    buckets: dict[Fraction, list[ChainState]] = {r: [] for r in targets}
-    for a in range(ADJACENT_MAX + 1):
-        for c in range(ADJACENT_MAX + 1):
-            for lam in _lambda_triples(lambda_max):
-                l1, l2, l3 = lam
-                if not _adjacent_divisible(a, c, l1, l2, l3):
-                    continue
-                b = 0
-                while True:
-                    if b > b_cap:
-                        raise MonotonicityCapError(
-                            f"window (a={a}, c={c}, lam={lam}) scanned past b={b_cap}"
-                        )
-                    d = _window_det(a, b, c)
-                    if d < 0:
-                        rp = Fraction(_window_square_num(a, b, c, *lam), d)
-                        if rp > r_max:
-                            break
-                        if rp in targets and _long_divisible(b, l1, l3):
-                            buckets[rp].append(_window_chain(a, b, c, lam))
-                    b += 1
-    return buckets
+def _seed_map(lambda_max: int) -> dict[Fraction, list[ChainState]]:
+    """Seeds for every radius of collect_radii(lambda_max), in one sweep."""
+    return _seeds(collect_radii(lambda_max), lambda_max)
 
 
 def partition_closed(
@@ -363,30 +331,6 @@ def _det4(p12: int, p13: int, p14: int, p23: int, p24: int, p34: int) -> int:
     )
 
 
-def _rational_quadratic_roots(
-    alpha: int, beta: int, gamma: int
-) -> list[Fraction]:
-    """Rational roots of alpha t^2 + beta t + gamma = 0 (not identically zero)."""
-    if alpha == 0:
-        if beta == 0:
-            if gamma == 0:
-                raise InvariantViolation("degenerate rank condition: 0 = 0")
-            return []
-        return [Fraction(-gamma, beta)]
-    disc = beta * beta - 4 * alpha * gamma
-    if disc < 0:
-        return []
-    s = isqrt(disc)
-    if s * s != disc:
-        return []
-    roots = {Fraction(-beta + s, 2 * alpha), Fraction(-beta - s, 2 * alpha)}
-    return sorted(roots)
-
-
-def _window_gram(p12: int, p13: int, p23: int) -> QMatrix:
-    return QMatrix.from_rows([[2, p12, p13], [p12, 2, p23], [p13, p23, 2]])
-
-
 def _divisible_both(l1: int, ln: int, g: int) -> bool:
     return (ln * g) % l1 == 0 and (l1 * g) % ln == 0
 
@@ -400,7 +344,7 @@ def _extended_chain(x: ChainState, y: ChainState, g1n: int) -> ChainState:
         for j in range(i + 1, n + 1):
             newp.append(y.pair(i - 1, j - 1))
     lam = (x.lam[0],) + y.lam
-    return ChainState(n, tuple(newp), lam, x.weyl)
+    return ChainState(n, tuple(newp), lam)
 
 
 def _glue(x: ChainState, y: ChainState) -> list[ChainState]:
@@ -411,70 +355,35 @@ def _glue(x: ChainState, y: ChainState) -> list[ChainState]:
     non-positive integer satisfying divisibility against both lambdas.
     """
     m = x.length
-    l1 = x.lam[0]
-    ln = y.lam[-1]
     if m == 3:
-        ra = x.weyl.coords
-        g24 = y.pair(1, 3)
-        g34 = y.pair(2, 3)
-        if ra[0] != 0:
-            g14_exact = (-ln - ra[1] * g24 - ra[2] * g34) / ra[0]
-            candidates = [g14_exact]
-        else:
-            # rho misses the first coordinate: the Weyl equation cannot see
-            # g14, so fall back to the vanishing of the 4x4 determinant.
-            if ra[1] * g24 + ra[2] * g34 != -ln:
-                return []
-            f0 = _det4(x.pair(1, 2), x.pair(1, 3), 0, x.pair(2, 3), g24, g34)
-            f1 = _det4(x.pair(1, 2), x.pair(1, 3), 1, x.pair(2, 3), g24, g34)
-            f_1 = _det4(x.pair(1, 2), x.pair(1, 3), -1, x.pair(2, 3), g24, g34)
-            alpha = (f1 + f_1) // 2 - f0
-            beta = (f1 - f_1) // 2
-            candidates = _rational_quadratic_roots(alpha, beta, f0)
-        out: list[ChainState] = []
-        for cand in candidates:
-            if cand.denominator != 1:
-                continue
-            g14 = int(cand)
-            if g14 > 0:
-                continue
-            if not _divisible_both(l1, ln, g14):
-                continue
-            if _det4(x.pair(1, 2), x.pair(1, 3), g14, x.pair(2, 3), g24, g34) != 0:
-                continue
-            out.append(_extended_chain(x, y, g14))
-        return out
-
-    # Length >= 4: express delta_n through the shared window.  delta_4 has
-    # known pairings against x's first window, and delta_n against the
-    # window (delta_2, delta_3, delta_4) of y; composing the coordinates
-    # gives (delta_1, delta_n) directly, rank 3 holds by construction.
-    try:
-        gx = _window_gram(x.pair(1, 2), x.pair(1, 3), x.pair(2, 3))
-        d4 = solve(gx, [x.pair(1, 4), x.pair(2, 4), x.pair(3, 4)])
-        gy = _window_gram(y.pair(1, 2), y.pair(1, 3), y.pair(2, 3))
-        dn_in_y = solve(gy, [y.pair(1, m), y.pair(2, m), y.pair(3, m)])
-    except SingularMatrixError as exc:  # hyperbolic windows are never singular
-        raise InvariantViolation(f"degenerate chain window: {exc}") from exc
-    v = (
-        dn_in_y[2] * d4[0],
-        dn_in_y[0] + dn_in_y[2] * d4[1],
-        dn_in_y[1] + dn_in_y[2] * d4[2],
-    )
-    g1n_exact = 2 * v[0] + x.pair(1, 2) * v[1] + x.pair(1, 3) * v[2]
-    if g1n_exact.denominator != 1:
+        # rho = -adj(g) lam / det in the basis of x's window, so the Weyl
+        # equation (rho, delta_4) = -lambda_4 reads
+        # A1 g14 = lambda_4 det - A2 g24 - A3 g34 with A = adj(g) lam.  Every
+        # term of A1 = (4 - c^2) l1 + (2a + bc) l2 + (ac + 2b) l3 is >= 0
+        # (c <= ADJACENT_MAX = 2), and all vanish only at a = b = 0, c = 2,
+        # where det = 0: A1 > 0 on every seed window.
+        a, b, c = (-p for p in x.pairings)
+        a1, a2, a3 = _adj_mul(a, b, c, x.lam)
+        g24, g34 = y.pair(1, 3), y.pair(2, 3)
+        g1n, rem = divmod(y.lam[-1] * _window_det(a, b, c) - a2 * g24 - a3 * g34, a1)
+    else:
+        # delta_n = e1 delta_2 + e2 delta_3 + e3 delta_4 with
+        # e = adj(g_y) h / det(g_y), where g_y is the Gram of y's first window
+        # (delta_2, delta_3, delta_4) and h holds their pairings with
+        # delta_n.  Pairing with delta_1 gives (delta_1, delta_n); rank 3
+        # holds by construction.
+        a, b, c = -y.pair(1, 2), -y.pair(1, 3), -y.pair(2, 3)
+        e1, e2, e3 = _adj_mul(a, b, c, (y.pair(1, m), y.pair(2, m), y.pair(3, m)))
+        u = x.pair(1, 2) * e1 + x.pair(1, 3) * e2 + x.pair(1, 4) * e3
+        g1n, rem = divmod(u, _window_det(a, b, c))
+    if rem or g1n > 0 or not _divisible_both(x.lam[0], y.lam[-1], g1n):
         return []
-    g1n = int(g1n_exact)
-    if g1n > 0:
-        return []
-    if not _divisible_both(l1, ln, g1n):
+    if m == 3 and _det4(x.pair(1, 2), x.pair(1, 3), g1n, x.pair(2, 3), g24, g34) != 0:
         return []
     return [_extended_chain(x, y, g1n)]
 
 
-def extend_step(
-    extendable: list[ChainState], r: Rational, lambda_max: int
-) -> list[ChainState]:
+def extend_step(extendable: list[ChainState]) -> list[ChainState]:
     """One gluing round: all chains one side longer.
 
     Matches ordered pairs (X, Y) whose overlap agrees (X's sides 2..m
@@ -543,23 +452,51 @@ def _dedup_records(r: Fraction, closed: list[PolygonDatum]) -> list[CatalogRecor
     ]
 
 
-def _run_radius(
-    task: tuple[Fraction, tuple[ChainState, ...], int, int],
-) -> tuple[list[CatalogRecord], CapEvent | None]:
-    r, seeds, lambda_max, max_sides = task
-    chains = list(seeds)
+def _grow(
+    chains: list[ChainState],
+    max_sides: int,
+    periodic: dict[tuple, PeriodicChainReport] | None = None,
+) -> tuple[list[PolygonDatum], list[ChainState]]:
+    """Glue chains until every one has closed or died, or reached max_sides.
+
+    Returns the closed polygons and the chains still alive at the cap.
+    With ``periodic`` (parabolic mode), a chain whose newest decorated
+    3-window state repeats an earlier one is recorded there, keyed by
+    (period, signature), instead of being extended.
+    """
     closed_all: list[PolygonDatum] = []
-    cap: CapEvent | None = None
     while chains:
-        closed, ext = partition_closed(chains)
+        closed, chains = partition_closed(chains)
         closed_all.extend(closed)
-        if not ext:
+        if periodic is not None:
+            alive: list[ChainState] = []
+            for ch in chains:
+                rep = _detect_period(ch)
+                if rep is None:
+                    alive.append(ch)
+                else:
+                    periodic.setdefault((rep.period, rep.signature), rep)
+            chains = alive
+        if not chains:
             break
-        if ext[0].length >= max_sides:
-            cap = CapEvent(r, ext[0].length)
-            break
-        chains = extend_step(ext, r, lambda_max)
-    return _dedup_records(r, closed_all), cap
+        if chains[0].length >= max_sides:
+            return closed_all, chains
+        chains = extend_step(chains)
+    return closed_all, []
+
+
+def _run_radius(
+    task: tuple[Fraction, tuple[ChainState, ...], int],
+) -> tuple[list[CatalogRecord], CapEvent | None]:
+    r, seeds, max_sides = task
+    closed, capped = _grow(list(seeds), max_sides)
+    cap = CapEvent(r, capped[0].length) if capped else None
+    return _dedup_records(r, closed), cap
+
+
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes to start: never more than requested, cores or tasks."""
+    return min(jobs, os.cpu_count() or 1, tasks)
 
 
 def run_elliptic(
@@ -567,7 +504,7 @@ def run_elliptic(
     max_sides: int = DEFAULT_MAX_SIDES,
     *,
     jobs: int = 1,
-    r_filter: Rational | None = None,
+    r_filter: Fraction | None = None,
 ) -> EnumerationResult:
     """The full elliptic classification for lambda_i <= lambda_max.
 
@@ -584,14 +521,13 @@ def run_elliptic(
     if r_filter is not None:
         wanted = Fraction(r_filter)
         radii = [r for r in radii if r == wanted]
-    tasks = [
-        (r, tuple(seed_map[r]), lambda_max, max_sides) for r in radii
-    ]
-    if jobs <= 1 or len(tasks) <= 1:
+    tasks = [(r, tuple(seed_map[r]), max_sides) for r in radii]
+    workers = _worker_count(jobs, len(tasks))
+    if workers <= 1:
         results = [_run_radius(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_radius, tasks, chunksize=chunk))
     records: list[CatalogRecord] = []
     caps: list[CapEvent] = []
@@ -643,10 +579,7 @@ def _detect_period(ch: ChainState) -> PeriodicChainReport | None:
 
 
 def run_parabolic(
-    lambda_max: int,
-    max_sides: int = DEFAULT_MAX_SIDES,
-    *,
-    jobs: int = 1,
+    lambda_max: int, max_sides: int = DEFAULT_MAX_SIDES
 ) -> ParabolicReport:
     """The r = 0 pipeline: closed polygons plus periodic-chain detection.
 
@@ -656,35 +589,13 @@ def run_parabolic(
     ``max_sides`` is counted as capped.  Exploratory mode: the parabolic
     classification itself is out of scope here.
     """
-    del jobs  # single radius; kept for interface symmetry
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
-    chains = seed_triples(0, lambda_max)
-    closed_all: list[PolygonDatum] = []
     periodic: dict[tuple, PeriodicChainReport] = {}
-    capped = 0
-    while chains:
-        closed, ext = partition_closed(chains)
-        closed_all.extend(closed)
-        if not ext:
-            break
-        alive: list[ChainState] = []
-        for ch in ext:
-            rep = _detect_period(ch)
-            if rep is not None:
-                periodic.setdefault((rep.period, rep.signature), rep)
-            else:
-                alive.append(ch)
-        if not alive:
-            break
-        if alive[0].length >= max_sides:
-            capped = len(alive)
-            break
-        chains = extend_step(alive, Fraction(0), lambda_max)
-    records = _dedup_records(Fraction(0), closed_all)
-    reports = tuple(
-        periodic[key] for key in sorted(periodic.keys())
+    closed, capped = _grow(seed_triples(0, lambda_max), max_sides, periodic)
+    reports = tuple(periodic[key] for key in sorted(periodic))
+    return ParabolicReport(
+        tuple(_dedup_records(Fraction(0), closed)), reports, len(capped)
     )
-    return ParabolicReport(tuple(records), reports, capped)

@@ -1,5 +1,3 @@
-import os
-
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -9,16 +7,3 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
-
-def pytest_collection_modifyitems(config, items):
-    import pytest
-
-    if os.environ.get("HYPERCARTAN_RUN_LONG"):
-        return
-    skip = pytest.mark.skip(
-        reason="long check; set HYPERCARTAN_RUN_LONG=1 (or pass it in the "
-        "environment) to run"
-    )
-    for item in items:
-        if "long" in item.keywords:
-            item.add_marker(skip)

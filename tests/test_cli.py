@@ -155,6 +155,14 @@ def test_enumerate_rejects_bad_lambda(capsys):
     assert code == 2
 
 
+def test_rejects_jobs_below_one(capsys):
+    for argv in (("enumerate", "--jobs", "0"), ("verify", "--jobs", "-1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--frobnicate"])
@@ -175,6 +183,15 @@ def test_check_empty_file_is_parse_error(capsys, tmp_path):
     path.write_text("")
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2
+
+
+def test_check_non_utf8_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("r = -2\n1 1 1\n3 1 2 \u00e9\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_check_garbage_is_parse_error(capsys, tmp_path):
@@ -230,3 +247,14 @@ def test_verify_detects_corrupted_golden_file(capsys, tmp_path):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_non_utf8_catalog_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "catalog.txt"
+    path.write_bytes(b"r = -59/2\n1 2 2\n0 1 2\xff\n")
+    code, out, err = run_cli(
+        capsys, "verify", "--skip-engine", "--catalog", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read golden file") and err.count("\n") == 1

@@ -1,15 +1,30 @@
+import itertools
+import os
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from hypercartan.core import verify_realization
+from hypercartan.core import verify_realization, weyl_vector
 from hypercartan.engine import (
+    DEFAULT_MAX_SIDES,
     ChainState,
-    MonotonicityCapError,
+    _adj_mul,
+    _adjacent_divisible,
+    _det4,
+    _divisible_both,
+    _extended_chain,
+    _glue,
+    _head_key,
+    _long_divisible,
+    _long_pairing_bound,
     _min_rotation,
-    _rational_quadratic_roots,
     _seed_map,
+    _tail_key,
     _window_chain,
+    _window_det,
+    _window_square_num,
+    _worker_count,
     collect_radii,
     extend_step,
     partition_closed,
@@ -17,6 +32,7 @@ from hypercartan.engine import (
     run_parabolic,
     seed_triples,
 )
+from hypercartan.linalg import QMatrix, SingularMatrixError, solve
 
 SYMMETRIC_NONCOMPACT_RADII = [
     Fraction(-23, 2),
@@ -32,6 +48,33 @@ SYMMETRIC_NONCOMPACT_RADII = [
     Fraction(-1, 8),
     Fraction(-1, 24),
 ]
+
+
+def _first_window_weyl(chain):
+    """The Weyl vector of a chain in the basis of its first three sides."""
+    g3 = QMatrix.from_rows([[chain.pair(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)])
+    return weyl_vector(g3, chain.lam[:3])
+
+
+def _exhaustive_seeds(r, lambda_max, b_to=200):
+    """Every admissible window of square r with long pairing <= b_to.
+
+    A full scan of the long pairing, with no bound worked out in advance;
+    the slow reference for seed_triples.
+    """
+    out = []
+    for a in range(3):
+        for c in range(3):
+            for lam in itertools.product(range(1, lambda_max + 1), repeat=3):
+                if not _adjacent_divisible(a, c, *lam):
+                    continue
+                for b in range(b_to + 1):
+                    d = _window_det(a, b, c)
+                    if d >= 0 or not _long_divisible(b, lam[0], lam[2]):
+                        continue
+                    if Fraction(_window_square_num(a, b, c, *lam), d) == r:
+                        out.append(((-a, -b, -c), lam))
+    return out
 
 
 def test_collect_radii_contains_known_values():
@@ -59,7 +102,7 @@ def test_seed_triples_finds_base_triangle():
     ]
     assert len(match) == 1
     chain = match[0]
-    assert chain.weyl.coords == (2, Fraction(9, 2), 5)
+    assert _first_window_weyl(chain).coords == (2, Fraction(9, 2), 5)
     assert chain.closing_pair == -1  # closed: >= -2
 
 
@@ -70,7 +113,7 @@ def test_seed_triples_twisted_triangle():
     ]
     assert len(match) == 1
     chain = match[0]
-    assert chain.weyl.coords == (Fraction(15, 2), 3, 8)
+    assert _first_window_weyl(chain).coords == (Fraction(15, 2), 3, 8)
     assert chain.closing_pair == -2  # closed at the boundary value
 
 
@@ -84,13 +127,9 @@ def test_seed_triples_rejects_positive_target():
 
 
 def test_seed_triples_matches_exhaustive_scan():
-    for r in (Fraction(-23, 2), Fraction(-7), Fraction(-1, 2)):
-        fast = {(s.pairings, s.lam) for s in seed_triples(r, 2)}
-        slow = {
-            (s.pairings, s.lam)
-            for s in seed_triples(r, 2, exhaustive_to=200)
-        }
-        assert fast == slow
+    for r in (Fraction(-23, 2), Fraction(-7), Fraction(-1, 2), Fraction(0)):
+        fast = [(s.pairings, s.lam) for s in seed_triples(r, 2)]
+        assert fast == _exhaustive_seeds(r, 2)
 
 
 def test_seed_map_agrees_with_seed_triples():
@@ -99,11 +138,6 @@ def test_seed_map_agrees_with_seed_triples():
         direct = {(s.pairings, s.lam) for s in seed_triples(r, 2)}
         bucketed = {(s.pairings, s.lam) for s in buckets[r]}
         assert direct == bucketed
-
-
-def test_monotonicity_cap_raises():
-    with pytest.raises(MonotonicityCapError):
-        seed_triples(Fraction(-1, 10**9), 1, b_cap=3)
 
 
 def test_partition_closed():
@@ -119,7 +153,7 @@ def test_partition_closed():
 def test_extend_step_reaches_seven_quadrangle():
     r = Fraction(-7)
     _, extendable = partition_closed(seed_triples(r, 3))
-    chains4 = extend_step(extendable, r, 3)
+    chains4 = extend_step(extendable)
     assert all(c.length == 4 for c in chains4)
     target = [
         c
@@ -138,35 +172,24 @@ def test_extend_step_rejects_fractional_pairing():
     x = _window_chain(0, 3, 1, (1, 3, 3))
     y = _window_chain(1, 4, 0, (3, 3, 1))
     # overlap matches, but the Weyl equation gives (delta_1, delta_4) = -6/5
-    assert extend_step([x, y], x.weyl.r, 3) == []
+    assert extend_step([x, y]) == []
 
 
 def test_extended_chains_keep_weyl_consistency():
     r = Fraction(-7)
     _, extendable = partition_closed(seed_triples(r, 3))
-    for chain in extend_step(extendable, r, 3):
-        x = chain.weyl.coords
+    for chain in extend_step(extendable):
+        x = _first_window_weyl(chain).coords
         for j in range(1, chain.length + 1):
             paired = sum(x[i] * chain.pair(i + 1, j) for i in range(3))
             assert paired == -chain.lam[j - 1]
         # solving on the shifted window gives the same vector
-        from hypercartan.linalg import QMatrix, solve
-
         g234 = QMatrix.from_rows(
             [[chain.pair(i, j) for j in (2, 3, 4)] for i in (2, 3, 4)]
         )
         y = solve(g234, [-chain.lam[1], -chain.lam[2], -chain.lam[3]])
         paired_first = sum(y[i] * chain.pair(i + 2, 1) for i in range(3))
         assert paired_first == -chain.lam[0]
-
-
-def test_quadratic_root_helper():
-    assert _rational_quadratic_roots(1, -5, 6) == [2, 3]
-    assert _rational_quadratic_roots(0, 2, -8) == [4]
-    assert _rational_quadratic_roots(1, 0, -2) == []  # irrational
-    assert _rational_quadratic_roots(1, 0, 2) == []  # complex
-    with pytest.raises(Exception):
-        _rational_quadratic_roots(0, 0, 0)
 
 
 def test_run_elliptic_lambda_one():
@@ -241,19 +264,11 @@ def test_run_parabolic_periodic_chains_exist():
 
 
 def test_weyl_square_strictly_monotone_in_long_pairing():
-    """The seed scan stops early; that is safe only if the square grows.
+    """The square grows with the long pairing, so a shape meets a radius once.
 
     Checked exhaustively for every admissible window shape with lambdas
     up to 3 over the whole relevant range of the long pairing.
     """
-    import itertools
-
-    from hypercartan.engine import (
-        _adjacent_divisible,
-        _window_det,
-        _window_square_num,
-    )
-
     for a in range(3):
         for c in range(3):
             for lam in itertools.product((1, 2, 3), repeat=3):
@@ -278,12 +293,10 @@ def test_extend_step_rejects_mixed_or_closed_input():
     open3 = _window_chain(0, 3, 1, (1, 3, 3))
     closed3 = _window_chain(0, 1, 2, (1, 1, 1))
     with pytest.raises(EngineError):
-        extend_step([open3, closed3], Fraction(-7), 3)
-    four = extend_step(
-        partition_closed(seed_triples(Fraction(-7), 3))[1], Fraction(-7), 3
-    )
+        extend_step([open3, closed3])
+    four = extend_step(partition_closed(seed_triples(Fraction(-7), 3))[1])
     with pytest.raises(EngineError):
-        extend_step([open3, four[0]], Fraction(-7), 3)
+        extend_step([open3, four[0]])
 
 
 def test_run_elliptic_r_filter_unattained():
@@ -297,3 +310,154 @@ def test_run_elliptic_rejects_bad_arguments():
         run_elliptic(1, max_sides=2)
     with pytest.raises(ValueError):
         run_parabolic(0)
+
+
+# --- slow oracles for the integer search core -------------------------------
+
+
+def _rational_quadratic_roots(alpha, beta, gamma):
+    """Rational roots of alpha t^2 + beta t + gamma = 0 (not identically zero)."""
+    if alpha == 0:
+        if beta == 0:
+            if gamma == 0:
+                raise AssertionError("degenerate rank condition: 0 = 0")
+            return []
+        return [Fraction(-gamma, beta)]
+    disc = beta * beta - 4 * alpha * gamma
+    if disc < 0:
+        return []
+    s = isqrt(disc)
+    if s * s != disc:
+        return []
+    return sorted({Fraction(-beta + s, 2 * alpha), Fraction(-beta - s, 2 * alpha)})
+
+
+def _window_gram(p12, p13, p23):
+    return QMatrix.from_rows([[2, p12, p13], [p12, 2, p23], [p13, p23, 2]])
+
+
+def _fraction_glue(x, y):
+    """engine._glue over Fractions, with linear solves: the slow reference."""
+    m = x.length
+    l1 = x.lam[0]
+    ln = y.lam[-1]
+    if m == 3:
+        ra = _first_window_weyl(x).coords
+        g24 = y.pair(1, 3)
+        g34 = y.pair(2, 3)
+        if ra[0] != 0:
+            candidates = [(-ln - ra[1] * g24 - ra[2] * g34) / ra[0]]
+        else:
+            # the Weyl equation cannot see g14: use the vanishing 4x4 determinant
+            if ra[1] * g24 + ra[2] * g34 != -ln:
+                return []
+            f0 = _det4(x.pair(1, 2), x.pair(1, 3), 0, x.pair(2, 3), g24, g34)
+            f1 = _det4(x.pair(1, 2), x.pair(1, 3), 1, x.pair(2, 3), g24, g34)
+            f_1 = _det4(x.pair(1, 2), x.pair(1, 3), -1, x.pair(2, 3), g24, g34)
+            alpha = (f1 + f_1) // 2 - f0
+            beta = (f1 - f_1) // 2
+            candidates = _rational_quadratic_roots(alpha, beta, f0)
+        out = []
+        for cand in candidates:
+            if cand.denominator != 1:
+                continue
+            g14 = int(cand)
+            if g14 > 0 or not _divisible_both(l1, ln, g14):
+                continue
+            if _det4(x.pair(1, 2), x.pair(1, 3), g14, x.pair(2, 3), g24, g34) != 0:
+                continue
+            out.append(_extended_chain(x, y, g14))
+        return out
+    try:
+        gx = _window_gram(x.pair(1, 2), x.pair(1, 3), x.pair(2, 3))
+        d4 = solve(gx, [x.pair(1, 4), x.pair(2, 4), x.pair(3, 4)])
+        gy = _window_gram(y.pair(1, 2), y.pair(1, 3), y.pair(2, 3))
+        dn_in_y = solve(gy, [y.pair(1, m), y.pair(2, m), y.pair(3, m)])
+    except SingularMatrixError as exc:
+        raise AssertionError(f"degenerate chain window: {exc}") from exc
+    v = (
+        dn_in_y[2] * d4[0],
+        dn_in_y[0] + dn_in_y[2] * d4[1],
+        dn_in_y[1] + dn_in_y[2] * d4[2],
+    )
+    g1n_exact = 2 * v[0] + x.pair(1, 2) * v[1] + x.pair(1, 3) * v[2]
+    if g1n_exact.denominator != 1:
+        return []
+    g1n = int(g1n_exact)
+    if g1n > 0 or not _divisible_both(l1, ln, g1n):
+        return []
+    return [_extended_chain(x, y, g1n)]
+
+
+def _overlapping_pairs(lambda_max):
+    """Every ordered pair of overlapping open chains the search meets."""
+    for seeds in _seed_map(lambda_max).values():
+        chains = seeds
+        while chains:
+            _, ext = partition_closed(chains)
+            by_head = {}
+            for ch in ext:
+                by_head.setdefault(_head_key(ch), []).append(ch)
+            for x in ext:
+                for y in by_head.get(_tail_key(x), ()):
+                    yield x, y
+            if not ext or ext[0].length >= DEFAULT_MAX_SIDES:
+                break
+            chains = extend_step(ext)
+
+
+def test_glue_matches_fraction_oracle():
+    outcomes = set()
+    for x, y in _overlapping_pairs(3):
+        fast = _glue(x, y)
+        assert fast == _fraction_glue(x, y), (x, y)
+        outcomes.add((x.length == 3, bool(fast)))
+    # both branches of _glue, each seen accepting and rejecting
+    assert len(outcomes) == 4
+
+
+def _all_shapes(lambda_max):
+    for a in range(3):
+        for c in range(3):
+            for lam in itertools.product(range(1, lambda_max + 1), repeat=3):
+                if _adjacent_divisible(a, c, *lam):
+                    yield a, c, lam
+
+
+def test_long_pairing_bound_matches_brute_force_scan():
+    r_maxes = {max(collect_radii(k)) for k in range(1, 5)}
+    r_maxes |= {Fraction(0), Fraction(-1), Fraction(-59, 2), Fraction(-1, 24)}
+    for r_max in r_maxes:
+        p, q = r_max.numerator, r_max.denominator
+        b_max = _long_pairing_bound(r_max)
+        for a, c, lam in _all_shapes(4):
+            bound = b_max(a, c, lam)
+            assert bound < 200, (r_max, a, c, lam)
+            # the floor of the larger root of f(b) = q num(b) - p det(b)
+            f_hits = [
+                b for b in range(201)
+                if q * _window_square_num(a, b, c, *lam) - p * _window_det(a, b, c) >= 0
+            ]
+            assert max(f_hits, default=-1) == max(bound, -1), (r_max, a, c, lam)
+            # every hyperbolic window at or below r_max lies within the bound
+            for b in range(bound + 1, 201):
+                d = _window_det(a, b, c)
+                assert d >= 0 or Fraction(_window_square_num(a, b, c, *lam), d) > r_max
+
+
+def test_first_adjugate_coordinate_is_positive():
+    """A1 = (adj(g) lam)_1 > 0 on every hyperbolic window: gluing divides by it."""
+    for a, c, lam in _all_shapes(4):
+        for b in range(201):
+            if _window_det(a, b, c) < 0:
+                assert _adj_mul(a, b, c, lam)[0] > 0, (a, b, c, lam)
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _worker_count(10**12, 455) == 8
+    assert _worker_count(10**12, 3) == 3
+    assert _worker_count(2, 455) == 2
+    assert _worker_count(4, 0) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(10**12, 455) == 1
