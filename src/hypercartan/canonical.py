@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PolygonDatum, all_moves, apply_move, pair_count
+from .core import PolygonDatum, dihedral_relabellers, pair_count
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,12 @@ class PackedDatum:
 
 def dihedral_images(p: PackedDatum) -> tuple[PackedDatum, ...]:
     """The 2n relabellings of p (with repeats when p is symmetric)."""
-    d = p.to_polygon()
     return tuple(
-        PackedDatum.from_polygon(apply_move(d, m)) for m in all_moves(p.n)
+        PackedDatum(p.n, relabel(p.body)) for relabel in dihedral_relabellers(p.n)
     )
 
 
 def canonical_form(p: PackedDatum) -> PackedDatum:
     """Lexicographically smallest element of the dihedral orbit of p."""
-    return min(dihedral_images(p), key=lambda q: q.body)
-
-
-def canonical_polygon(d: PolygonDatum) -> PolygonDatum:
-    """Canonical representative of a polygon's dihedral class."""
-    return canonical_form(PackedDatum.from_polygon(d)).to_polygon()
+    body = min(relabel(p.body) for relabel in dihedral_relabellers(p.n))
+    return PackedDatum(p.n, body)

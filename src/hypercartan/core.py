@@ -10,18 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Protocol, Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
-from .linalg import (
-    QMatrix,
-    Rational,
-    det,
-    det_int_rows,
-    rank,
-    solve,
-    solve_consistent,
-)
+from .linalg import QMatrix, Rational, det, solve
 
 
 class NotHyperbolicError(ValueError):
@@ -51,16 +45,18 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-class SidesDatum(Protocol):
-    """Anything carrying n labelled sides with pairings and lambdas."""
-
-    @property
-    def size(self) -> int: ...
-
-    def pair(self, i: int, j: int) -> int: ...
-
-    @property
-    def lam(self) -> tuple[int, ...]: ...
+@lru_cache(maxsize=64)
+def _gram(n: int, pairings: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # Cached for the few data in use at a time: verification and the Cartan
+    # data of one polygon all read its Gram, while a caller holding many
+    # polygons (``check`` on a large file) keeps no Gram alive.
+    g = [[2] * n for _ in range(n)]
+    values = iter(pairings)
+    for i in range(n):
+        row = g[i]
+        for j in range(i + 1, n):
+            row[j] = g[j][i] = next(values)
+    return tuple(map(tuple, g))
 
 
 @dataclass(frozen=True)
@@ -85,10 +81,6 @@ class PolygonDatum:
         if any(l < 1 for l in self.lam):
             raise InvalidRealizationError("lambdas must be positive")
 
-    @property
-    def size(self) -> int:
-        return self.n
-
     def pair(self, i: int, j: int) -> int:
         if i == j:
             return 2
@@ -96,10 +88,16 @@ class PolygonDatum:
             i, j = j, i
         return self.pairings[pack_index(self.n, i, j)]
 
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """Integer Gram matrix ((delta_i, delta_j)), 0-based rows, diagonal 2."""
+        return _gram(self.n, self.pairings)
+
     def adjacent_pairs(self) -> tuple[int, ...]:
         """Cyclic-adjacent pairings (delta_1,delta_2), ..., (delta_n,delta_1)."""
+        g = self.gram
         n = self.n
-        return tuple(self.pair(i, i % n + 1) for i in range(1, n + 1))
+        return tuple(g[i][(i + 1) % n] for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -207,12 +205,29 @@ def all_moves(n: int) -> tuple[DihedralMove, ...]:
     )
 
 
-def assemble_gram(d: SidesDatum) -> QMatrix:
+@lru_cache(maxsize=None)
+def dihedral_relabellers(n: int) -> tuple[Callable[[tuple], tuple], ...]:
+    """Index permutations of the 2n dihedral moves, in ``all_moves`` order.
+
+    Each maps a packed body (the pairings in packed order, then the
+    lambdas) to the body of the relabelled polygon, as ``apply_move`` does.
+    """
+    k = pair_count(n)
+    getters = []
+    for move in all_moves(n):
+        src = [move.source_index(n, i) for i in range(1, n + 1)]
+        pairs = [
+            pack_index(n, *sorted((src[i], src[j])))
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        getters.append(itemgetter(*pairs, *(k + s - 1 for s in src)))
+    return tuple(getters)
+
+
+def assemble_gram(d: PolygonDatum) -> QMatrix:
     """Gram matrix ((delta_i, delta_j)) of the sides, diagonal 2."""
-    n = d.size
-    return QMatrix.from_rows(
-        [[d.pair(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    )
+    return QMatrix.from_rows(d.gram)
 
 
 def weyl_vector(g3: QMatrix, lam3: Sequence[int]) -> WeylData:
@@ -235,38 +250,37 @@ def divisibility_ok(lam_i: int, lam_j: int, g_ij: int) -> bool:
     return (lam_j * g_ij) % lam_i == 0
 
 
-def cartan_matrix(d: SidesDatum) -> CartanMatrix:
-    """Twisted generalized Cartan matrix a_jk = lambda_k (delta_j, delta_k) / lambda_j."""
-    n = d.size
+def _divisibility_failures(d: PolygonDatum) -> list[tuple[int, int]]:
+    """Ordered pairs (j, k), 1-based, where lambda_j does not divide lambda_k g_jk."""
     lam = d.lam
-    bad = [
-        (j, k)
-        for j in range(1, n + 1)
-        for k in range(1, n + 1)
-        if j != k and not divisibility_ok(lam[j - 1], lam[k - 1], d.pair(j, k))
+    return [
+        (j + 1, k + 1)
+        for j, (lj, row) in enumerate(zip(lam, d.gram))
+        for k, (lk, g) in enumerate(zip(lam, row))
+        if j != k and not divisibility_ok(lj, lk, g)
     ]
+
+
+def cartan_matrix(d: PolygonDatum) -> CartanMatrix:
+    """Twisted generalized Cartan matrix a_jk = lambda_k (delta_j, delta_k) / lambda_j."""
+    bad = _divisibility_failures(d)
     if bad:
         raise InvalidRealizationError(f"divisibility fails for ordered pairs {bad}")
+    # One stored value per unordered pair and lambda >= 1: a_jk = 0 iff a_kj = 0.
+    lam = d.lam
     entries = tuple(
-        tuple(
-            2 if j == k else lam[k - 1] * d.pair(j, k) // lam[j - 1]
-            for k in range(1, n + 1)
-        )
-        for j in range(1, n + 1)
+        tuple(lk * g // lj for lk, g in zip(lam, row))
+        for lj, row in zip(lam, d.gram)
     )
-    for j in range(n):
-        for k in range(n):
-            assert (entries[j][k] == 0) == (entries[k][j] == 0)
     return CartanMatrix(entries, tuple(Fraction(1, l * l) for l in lam))
 
 
-def symmetrized_cartan(d: SidesDatum) -> SymmetrizedCartan:
+def symmetrized_cartan(d: PolygonDatum) -> SymmetrizedCartan:
     """Symmetric matrix b_jk = lambda_j lambda_k (delta_j, delta_k)."""
-    n = d.size
     lam = d.lam
     entries = tuple(
-        tuple(lam[j - 1] * lam[k - 1] * d.pair(j, k) for k in range(1, n + 1))
-        for j in range(1, n + 1)
+        tuple(lj * lk * g for lk, g in zip(lam, row))
+        for lj, row in zip(lam, d.gram)
     )
     return SymmetrizedCartan(entries)
 
@@ -296,11 +310,10 @@ def polygon_table(d: PolygonDatum) -> GeometricRealizationTable:
     full cycle, so each antipodal pairing appears twice.
     """
     n = d.n
+    g = d.gram
     rows: list[tuple[int, ...]] = [d.lam]
     for dist in range(1, n // 2 + 1):
-        rows.append(
-            tuple(-d.pair(j, (j - 1 + dist) % n + 1) for j in range(1, n + 1))
-        )
+        rows.append(tuple(-g[j][(j + dist) % n] for j in range(n)))
     return GeometricRealizationTable(tuple(rows))
 
 
@@ -341,25 +354,69 @@ def table_to_datum(t: GeometricRealizationTable) -> PolygonDatum:
     return PolygonDatum(n, tuple(pairings), lam)
 
 
-def _lorentzian_check(d: PolygonDatum) -> CheckResult:
+def _lorentzian_check(g: Sequence[Sequence[int]]) -> CheckResult:
     """Some independent side triple must span a Lorentzian (det < 0) block."""
-    n = d.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                sub = [
-                    [d.pair(a, b) for b in (i, j, k)] for a in (i, j, k)
-                ]
-                dd = det_int_rows(sub)
+    n = len(g)
+    for i in range(n):
+        gi = g[i]
+        for j in range(i + 1, n):
+            a, gj = gi[j], g[j]
+            for k in range(j + 1, n):
+                b, c = gi[k], gj[k]
+                # det [[2, a, b], [a, 2, c], [b, c, 2]]
+                dd = 8 + 2 * a * b * c - 2 * (a * a + b * b + c * c)
                 if dd != 0:
                     if dd < 0:
                         return CheckResult("lorentzian", True)
                     return CheckResult(
                         "lorentzian",
                         False,
-                        f"triple ({i},{j},{k}) has det {dd} > 0",
+                        f"triple ({i + 1},{j + 1},{k + 1}) has det {dd} > 0",
                     )
     return CheckResult("lorentzian", False, "no nondegenerate side triple")
+
+
+def _weyl_system(
+    g: Sequence[Sequence[int]], lam: Sequence[int]
+) -> tuple[int, tuple[Rational, ...] | None]:
+    """Rank of the Gram g and one solution x of g x = -lam, or None.
+
+    One fraction-free (Bareiss) pass over the integer matrix [g | -lam]:
+    every entry stays an integer minor, so each division is exact.  An
+    entry is nonzero exactly where Gaussian elimination over Q has one,
+    so the pivots (column by column, the first nonzero row at or below the
+    current one) and the back-substituted solution, free coordinates 0,
+    are those of plain Gaussian elimination.  The rank counts the pivots;
+    the system is consistent when the last column vanishes below them.
+    """
+    n = len(g)
+    a = [list(row) + [-l] for row, l in zip(g, lam)]
+    pivot_cols: list[int] = []
+    prev = 1
+    for c in range(n):
+        r = len(pivot_cols)
+        p = next((i for i in range(r, n) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        pivot = prow[c]
+        for row in a[r + 1 :]:
+            f = row[c]
+            for j in range(c + 1, n + 1):
+                row[j] = (row[j] * pivot - f * prow[j]) // prev
+            row[c] = 0
+        prev = pivot
+        pivot_cols.append(c)
+    rank = len(pivot_cols)
+    if any(row[n] for row in a[rank:]):
+        return rank, None
+    x = [Fraction(0)] * n
+    for r in range(rank - 1, -1, -1):
+        row, c = a[r], pivot_cols[r]
+        acc = row[n] - sum((row[j] * x[j] for j in pivot_cols[r + 1 :]), Fraction(0))
+        x[c] = acc / row[c]
+    return rank, tuple(x)
 
 
 def verify_realization(d: PolygonDatum) -> RealizationReport:
@@ -372,19 +429,17 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
     with the lambda row this is exactly the rank-3 test on the stacked
     (n+1) x n matrix.
     """
-    checks: list[CheckResult] = []
-    gram = assemble_gram(d)
-
-    gram_rank = rank(gram)
-    checks.append(
-        CheckResult("rank", gram_rank == 3, f"Gram rank is {gram_rank}, need 3")
-    )
-    checks.append(_lorentzian_check(d))
+    n, g = d.n, d.gram
+    gram_rank, solution = _weyl_system(g, d.lam)
+    checks = [
+        CheckResult("rank", gram_rank == 3, f"Gram rank is {gram_rank}, need 3"),
+        _lorentzian_check(g),
+    ]
 
     bad_adj = [
-        (i, i % d.n + 1, d.pair(i, i % d.n + 1))
-        for i in range(1, d.n + 1)
-        if not -2 <= d.pair(i, i % d.n + 1) <= 0
+        (i + 1, (i + 1) % n + 1, g[i][(i + 1) % n])
+        for i in range(n)
+        if not -2 <= g[i][(i + 1) % n] <= 0
     ]
     checks.append(
         CheckResult(
@@ -395,10 +450,7 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
     )
 
     bad_sign = [
-        (i, j)
-        for i in range(1, d.n + 1)
-        for j in range(i + 1, d.n + 1)
-        if d.pair(i, j) > 0
+        (i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if g[i][j] > 0
     ]
     checks.append(
         CheckResult(
@@ -408,12 +460,7 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
         )
     )
 
-    bad_div = [
-        (i, j)
-        for i in range(1, d.n + 1)
-        for j in range(1, d.n + 1)
-        if i != j and not divisibility_ok(d.lam[i - 1], d.lam[j - 1], d.pair(i, j))
-    ]
+    bad_div = _divisibility_failures(d)
     checks.append(
         CheckResult(
             "divisibility",
@@ -422,12 +469,11 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
         )
     )
 
-    g = gcd(*d.lam)
+    gl = gcd(*d.lam)
     checks.append(
-        CheckResult("coprime-lambda", g == 1, f"gcd(lambda) = {g}" if g != 1 else "")
+        CheckResult("coprime-lambda", gl == 1, f"gcd(lambda) = {gl}" if gl != 1 else "")
     )
 
-    solution = solve_consistent(gram, [-l for l in d.lam])
     weyl_square: Rational | None = None
     if solution is None:
         checks.append(
@@ -437,7 +483,7 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
         )
     else:
         weyl_square = -sum(
-            (Fraction(l) * x for l, x in zip(d.lam, solution)), Fraction(0)
+            (l * x for l, x in zip(d.lam, solution) if x), Fraction(0)
         )
         checks.append(CheckResult("weyl-vector", True))
 
@@ -462,7 +508,12 @@ def classify_flags(d: PolygonDatum, w: WeylData | Rational) -> RealizationFlags:
 def symmetry_group(d: PolygonDatum) -> SymmetryGroup:
     """Stabilizer of the decorated cyclic sequence inside the dihedral group."""
     n = d.n
-    stab = [m for m in all_moves(n) if apply_move(d, m) == d]
+    body = d.pairings + d.lam
+    stab = [
+        m
+        for m, relabel in zip(all_moves(n), dihedral_relabellers(n))
+        if relabel(body) == body
+    ]
     order = len(stab)
     rotations = sorted(m.shift for m in stab if not m.reflected and m.shift)
     reflections = sorted((m.shift for m in stab if m.reflected))

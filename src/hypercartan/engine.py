@@ -41,7 +41,6 @@ from .core import (
     symmetry_group,
     verify_realization,
 )
-from .linalg import det_int_rows
 
 # Radius-collection window bounds: adjacent pairings in [-2, 0], long
 # pairing in (-15, 0].
@@ -69,10 +68,6 @@ class ChainState:
     length: int
     pairings: tuple[int, ...]
     lam: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return self.length
 
     def pair(self, i: int, j: int) -> int:
         if i == j:
@@ -320,17 +315,6 @@ def _tail_key(ch: ChainState) -> tuple:
     return pairs + ch.lam[1:]
 
 
-def _det4(p12: int, p13: int, p14: int, p23: int, p24: int, p34: int) -> int:
-    return det_int_rows(
-        [
-            [2, p12, p13, p14],
-            [p12, 2, p23, p24],
-            [p13, p23, 2, p34],
-            [p14, p24, p34, 2],
-        ]
-    )
-
-
 def _divisible_both(l1: int, ln: int, g: int) -> bool:
     return (ln * g) % l1 == 0 and (l1 * g) % ln == 0
 
@@ -362,6 +346,18 @@ def _glue(x: ChainState, y: ChainState) -> list[ChainState]:
         # term of A1 = (4 - c^2) l1 + (2a + bc) l2 + (ac + 2b) l3 is >= 0
         # (c <= ADJACENT_MAX = 2), and all vanish only at a = b = 0, c = 2,
         # where det = 0: A1 > 0 on every seed window.
+        #
+        # No rank check is needed: the 4x4 Gram of delta_1..delta_4 is
+        # singular for this g14.  Both windows share (delta_2, delta_3) and
+        # the values (rho, delta_2) = -lambda_2, (rho, delta_3) = -lambda_3,
+        # (rho, rho) = r.  delta_2, delta_3, rho are independent (delta_3 =
+        # -delta_2 would give (rho, delta_3) = lambda_2 > 0): for r < 0 the
+        # plane of delta_2, delta_3 (pairing 0, -1 or -2) holds no negative
+        # vector, and for r = 0 its null vectors are 0 and the multiples of
+        # delta_2 + delta_3, all with (rho, delta_2) = 0 != -lambda_2.  So
+        # the two windows are isometric on that span, which contains delta_1
+        # and delta_4; as A1 > 0 the geometric (delta_1, delta_4) is the
+        # unique solution g14 above, and the 4x4 determinant vanishes.
         a, b, c = (-p for p in x.pairings)
         a1, a2, a3 = _adj_mul(a, b, c, x.lam)
         g24, g34 = y.pair(1, 3), y.pair(2, 3)
@@ -377,8 +373,6 @@ def _glue(x: ChainState, y: ChainState) -> list[ChainState]:
         u = x.pair(1, 2) * e1 + x.pair(1, 3) * e2 + x.pair(1, 4) * e3
         g1n, rem = divmod(u, _window_det(a, b, c))
     if rem or g1n > 0 or not _divisible_both(x.lam[0], y.lam[-1], g1n):
-        return []
-    if m == 3 and _det4(x.pair(1, 2), x.pair(1, 3), g1n, x.pair(2, 3), g24, g34) != 0:
         return []
     return [_extended_chain(x, y, g1n)]
 

@@ -1,10 +1,10 @@
 """Exact rational linear algebra for small dense matrices.
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), so
-nothing here ever rounds.  Determinant and rank run fraction-free
-(Bareiss) on an integer rescaling of the rows, which keeps intermediate
-entries polynomially bounded; linear solve is plain Gaussian elimination
-over the rationals.  Singularity means det == 0 exactly, never "small".
+nothing here ever rounds.  The determinant runs fraction-free (Bareiss)
+on an integer rescaling of the rows, which keeps intermediate entries
+polynomially bounded; linear solve is plain Gaussian elimination over
+the rationals.  Singularity means det == 0 exactly, never "small".
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Rational = Fraction
 
@@ -140,30 +140,6 @@ def det(m: QMatrix) -> Rational:
     return Fraction(_bareiss_det(rows)) / scale
 
 
-def rank(m: QMatrix) -> int:
-    """Rank over the rationals, via fraction-free elimination."""
-    rows, _ = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            aic = rows[i][c]
-            for j in range(c + 1, ncols):
-                rows[i][j] = (rows[i][j] * pivot - aic * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def solve(m: QMatrix, v: Sequence[QLike]) -> tuple[Rational, ...]:
     """Solve m x = v exactly; raises SingularMatrixError when det(m) == 0."""
     if not m.is_square:
@@ -188,53 +164,3 @@ def solve(m: QMatrix, v: Sequence[QLike]) -> tuple[Rational, ...]:
         acc = a[k][n] - sum((a[k][j] * x[j] for j in range(k + 1, n)), Fraction(0))
         x[k] = acc / a[k][k]
     return tuple(x)
-
-
-def solve_consistent(
-    m: QMatrix, v: Sequence[QLike]
-) -> tuple[Rational, ...] | None:
-    """One exact solution of m x = v for a possibly singular m, or None.
-
-    Used for rank-deficient Gram systems: any solution works for the
-    callers here because they only evaluate quantities constant on the
-    solution set.
-    """
-    nrows, ncols = m.rows, m.cols
-    if len(v) != nrows:
-        raise ShapeError("right-hand side length does not match row count")
-    a = [list(m.row(i)) + [_as_rational(v[i])] for i in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, nrows):
-            factor = a[i][c] / pivot
-            if factor:
-                for j in range(c, ncols + 1):
-                    a[i][j] -= factor * a[r][j]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if a[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for pr, pc in reversed(pivots):
-        acc = a[pr][ncols] - sum(
-            (a[pr][j] * x[j] for j in range(pc + 1, ncols)), Fraction(0)
-        )
-        x[pc] = acc / a[pr][pc]
-    return tuple(x)
-
-
-def det_int_rows(rows: Iterable[Iterable[int]]) -> int:
-    """Determinant of a square integer matrix given as nested iterables."""
-    a = [list(r) for r in rows]
-    if any(len(r) != len(a) for r in a):
-        raise ShapeError("determinant of a non-square matrix")
-    return _bareiss_det(a)

@@ -3,8 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercartan.canonical import PackedDatum, canonical_form, dihedral_images
-from hypercartan.core import PolygonDatum, symmetry_group
+from hypercartan.core import PolygonDatum, all_moves, apply_move, symmetry_group
 from hypercartan.goldens import golden_catalog
+from reader_oracle import reference_canonical_form
 
 
 def packed(n, pairings, lam):
@@ -98,3 +99,23 @@ def test_catalog_rows_are_rotation_invariant():
 def test_bad_body_length_rejected():
     with pytest.raises(ValueError):
         PackedDatum(3, (0, 1, 2, 1, 1))
+
+
+def test_images_follow_apply_move_order():
+    for row in golden_catalog():
+        d = row.datum()
+        assert dihedral_images(PackedDatum.from_polygon(d)) == tuple(
+            PackedDatum.from_polygon(apply_move(d, m)) for m in all_moves(d.n)
+        )
+
+
+def test_canonical_form_matches_apply_move_orbit_minimum():
+    for row in golden_catalog():
+        p = PackedDatum.from_polygon(row.datum())
+        for image in dihedral_images(p):
+            assert canonical_form(image) == reference_canonical_form(image)
+
+
+@given(random_packed())
+def test_canonical_form_matches_orbit_minimum_on_random_data(p):
+    assert canonical_form(p) == reference_canonical_form(p)

@@ -24,7 +24,9 @@ from hypercartan.core import (
     verify_realization,
     weyl_vector,
 )
+from hypercartan.goldens import golden_catalog
 from hypercartan.linalg import QMatrix
+from reader_oracle import reference_symmetry_group, reference_verify
 
 
 def triangle(p12, p13, p23, lam=(1, 1, 1)):
@@ -311,3 +313,83 @@ def test_symmetry_order_divides_2n():
         table_to_datum(ROW_6),
     ):
         assert (2 * d.n) % symmetry_group(d).order == 0
+
+
+# --- the integer reader path against the slow Fraction oracle ---------------
+
+
+def _assert_matches_oracle(d):
+    report = verify_realization(d)
+    fast = (report.checks, report.weyl_solution, report.weyl_square)
+    assert fast == reference_verify(d), d
+
+
+def _catalog_relabellings():
+    for row in golden_catalog():
+        d = row.datum()
+        for move in all_moves(d.n):
+            yield apply_move(d, move)
+
+
+def test_verify_matches_oracle_on_catalog_relabellings():
+    for d in _catalog_relabellings():
+        _assert_matches_oracle(d)
+
+
+MALFORMED = [
+    # Gram rank 2 (delta_1 = delta_2), consistent Weyl system
+    (PolygonDatum(3, (2, 0, 0), (1, 1, 1)), "rank"),
+    # Gram rank 2 and no rho
+    (PolygonDatum(3, (-2, 0, 0), (1, 1, 1)), "weyl-vector"),
+    # Gram rank 4 and 5
+    (PolygonDatum(4, (0,) * 6, (1, 1, 1, 1)), "rank"),
+    (PolygonDatum(5, (-1, -3, -5, 0, -2, -4, -7, -1, -6, -2), (1,) * 5), "rank"),
+    # Gram rank 3, inconsistent Weyl system
+    (PolygonDatum(4, (0, -3, -1, -1, -3, 0), (1, 3, 3, 2)), "weyl-vector"),
+    # positive-det first triple
+    (triangle(0, 0, -1), "lorentzian"),
+    # degenerate first triples, then a positive one
+    (PolygonDatum(4, (-2, 0, 0, 0, 0, -1), (1, 1, 1, 1)), "lorentzian"),
+    # every triple degenerate
+    (PolygonDatum(4, (2,) * 6, (1, 1, 1, 1)), "lorentzian"),
+    # adjacent pairing -3
+    (triangle(-3, -1, -2), "adjacent-pairings"),
+]
+
+
+@pytest.mark.parametrize("d, failing", MALFORMED)
+def test_verify_matches_oracle_on_malformed_data(d, failing):
+    assert failing in {c.name for c in verify_realization(d).failures()}
+    _assert_matches_oracle(d)
+
+
+@st.composite
+def random_polygon(draw):
+    n = draw(st.integers(min_value=3, max_value=6))
+    pairings = tuple(
+        draw(st.integers(min_value=-6, max_value=2)) for _ in range(n * (n - 1) // 2)
+    )
+    lam = tuple(draw(st.integers(min_value=1, max_value=4)) for _ in range(n))
+    return PolygonDatum(n, pairings, lam)
+
+
+@given(random_polygon())
+def test_verify_matches_oracle_on_random_data(d):
+    _assert_matches_oracle(d)
+
+
+def test_symmetry_group_matches_apply_move_stabilizer():
+    for d in _catalog_relabellings():
+        assert symmetry_group(d) == reference_symmetry_group(d), d
+
+
+@given(random_polygon())
+def test_symmetry_group_matches_stabilizer_on_random_data(d):
+    assert symmetry_group(d) == reference_symmetry_group(d)
+
+
+def test_gram_matches_pair():
+    d = table_to_datum(ROW_6)
+    assert d.gram == tuple(
+        tuple(d.pair(i, j) for j in range(1, 5)) for i in range(1, 5)
+    )

@@ -11,7 +11,6 @@ from hypercartan.engine import (
     ChainState,
     _adj_mul,
     _adjacent_divisible,
-    _det4,
     _divisible_both,
     _extended_chain,
     _glue,
@@ -32,7 +31,7 @@ from hypercartan.engine import (
     run_parabolic,
     seed_triples,
 )
-from hypercartan.linalg import QMatrix, SingularMatrixError, solve
+from hypercartan.linalg import QMatrix, SingularMatrixError, det, solve
 
 SYMMETRIC_NONCOMPACT_RADII = [
     Fraction(-23, 2),
@@ -332,6 +331,20 @@ def _rational_quadratic_roots(alpha, beta, gamma):
     return sorted({Fraction(-beta + s, 2 * alpha), Fraction(-beta - s, 2 * alpha)})
 
 
+def _det4(p12, p13, p14, p23, p24, p34):
+    """Gram determinant of delta_1..delta_4; p14 may be a Fraction."""
+    return det(
+        QMatrix.from_rows(
+            [
+                [2, p12, p13, p14],
+                [p12, 2, p23, p24],
+                [p13, p23, 2, p34],
+                [p14, p24, p34, 2],
+            ]
+        )
+    )
+
+
 def _window_gram(p12, p13, p23):
     return QMatrix.from_rows([[2, p12, p13], [p12, 2, p23], [p13, p23, 2]])
 
@@ -414,6 +427,39 @@ def test_glue_matches_fraction_oracle():
         outcomes.add((x.length == 3, bool(fast)))
     # both branches of _glue, each seen accepting and rejecting
     assert len(outcomes) == 4
+
+
+def _length3_pairs(seeds):
+    """Ordered pairs of overlapping open 3-windows among the seeds."""
+    _, ext = partition_closed(seeds)
+    by_head = {}
+    for ch in ext:
+        by_head.setdefault(_head_key(ch), []).append(ch)
+    for x in ext:
+        for y in by_head.get(_tail_key(x), ()):
+            yield x, y
+
+
+def test_length3_glue_candidates_are_singular():
+    """The 4x4 Gram vanishes at every length-3 candidate (delta_1, delta_4).
+
+    The candidate solves the Weyl equation (rho, delta_4) = -lambda_4 in
+    the first window's basis; the zero determinant is why _glue needs no
+    rank check at length 3.
+    """
+    seed_lists = list(_seed_map(4).values()) + [seed_triples(0, 4)]
+    integral = fractional = 0
+    for seeds in seed_lists:
+        for x, y in _length3_pairs(seeds):
+            rho = _first_window_weyl(x).coords
+            g24, g34 = y.pair(1, 3), y.pair(2, 3)
+            g14 = (-y.lam[-1] - rho[1] * g24 - rho[2] * g34) / rho[0]
+            assert _det4(x.pair(1, 2), x.pair(1, 3), g14, x.pair(2, 3), g24, g34) == 0
+            if g14.denominator == 1:
+                integral += 1
+            else:
+                fractional += 1
+    assert integral and fractional
 
 
 def _all_shapes(lambda_max):

@@ -10,9 +10,9 @@ from hypercartan.linalg import (
     ShapeError,
     SingularMatrixError,
     det,
-    rank,
     solve,
 )
+from reader_oracle import det_int_rows, rank, solve_consistent
 
 GRAM_A10_TWISTED = [[2, 0, -2], [0, 2, -1], [-2, -1, 2]]
 
@@ -94,6 +94,10 @@ def test_solve_round_trip(rows):
     assert list(m.matvec(x)) == [Fraction(t) for t in v]
 
 
+# rank, solve_consistent and det_int_rows are the slow oracle of the
+# integer reader path (tests/reader_oracle.py); they are checked here.
+
+
 def test_rank_examples():
     gram = QMatrix.from_rows(
         [[2, -2, -4, 0], [-2, 2, 0, -4], [-4, 0, 2, -2], [0, -4, -2, 2]]
@@ -127,3 +131,27 @@ def test_rational_normalization_is_idempotent():
     x = Fraction(6, -4)
     assert (x.numerator, x.denominator) == (-3, 2)
     assert Fraction(x.numerator, x.denominator) == x
+
+
+@given(small_int_matrix())
+def test_det_int_rows_matches_det(rows):
+    assert det_int_rows(rows) == det(QMatrix.from_rows(rows))
+
+
+def test_det_int_rows_requires_square():
+    with pytest.raises(ShapeError):
+        det_int_rows([[1, 2], [3, 4], [5, 6]])
+
+
+@given(small_int_matrix())
+def test_solve_consistent_solves_or_reports_inconsistency(rows):
+    m = QMatrix.from_rows(rows)
+    v = list(range(1, m.rows + 1))
+    x = solve_consistent(m, v)
+    if det(m) != 0:
+        assert x == solve(m, v)
+    elif x is None:
+        # inconsistent: appending v raises the rank
+        assert rank(QMatrix.from_rows([r + [t] for r, t in zip(rows, v)])) > rank(m)
+    else:
+        assert list(m.matvec(x)) == [Fraction(t) for t in v]
