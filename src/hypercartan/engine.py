@@ -8,13 +8,21 @@ collects every square r < 0 attained by a window within fixed bounds,
 then seeds, for each radius, every window whose square is exactly r.  The
 long pairing b of a seed is bounded in closed form: r <= r_max is a
 quadratic inequality in b whose leading coefficient is negative, so b
-never exceeds the floor of its larger root.  From the seeds it repeatedly
-glues overlapping open chains.  The single unknown pairing
-(delta_1, delta_n) comes from the integer adjugate of one window: through
-the Weyl-vector equation on the chain's first window at length 4, by
-composing coordinates across the shared window at length >= 5.  An exact
-division is the integrality test.  Gluing stops when every chain has
-closed or died.
+never exceeds the floor of its larger root, and b steps over the
+multiples of (l1/g)(l3/g), g = gcd(l1, l3), which are exactly the values
+that pass the twisting divisibility.  From the seeds it repeatedly glues
+overlapping open chains.  The single unknown pairing (delta_1, delta_n)
+comes from the integer adjugate of one window: through the Weyl-vector
+equation on the chain's first window at length 4, by composing
+coordinates across the shared window at length >= 5.  An exact division
+is the integrality test.  Gluing stops when every chain has closed or
+died.
+
+A chain is a packed tuple of its pairings, row-major over the strict
+upper triangle.  The join keys of two overlapping chains are a slice and
+a fixed index selection of it, the glued chain is a concatenation, and
+gluing reads its pairings at fixed offsets: no pairing is looked up by
+(i, j) in the chain loop.
 
 Closed polygons are deduplicated by dihedral canonical form, re-verified
 and decorated; the final catalog depends only on (lambda_max, mode).
@@ -24,10 +32,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .canonical import PackedDatum, canonical_form
@@ -62,7 +71,8 @@ class InvariantViolation(EngineError):
 class ChainState:
     """An open chain of consecutive sides delta_1..delta_length.
 
-    ``pairings`` is the packed strict upper triangle (signed values).
+    ``pairings`` is the packed strict upper triangle (signed values),
+    row-major: (1,2), (1,3), ..., (1,length), (2,3), ...
     """
 
     length: int
@@ -78,7 +88,7 @@ class ChainState:
 
     @property
     def closing_pair(self) -> int:
-        return self.pair(1, self.length)
+        return self.pairings[self.length - 2]  # (1, length) ends row 1
 
 
 @dataclass(frozen=True)
@@ -181,10 +191,6 @@ def _adjacent_divisible(a: int, c: int, l1: int, l2: int, l3: int) -> bool:
     )
 
 
-def _long_divisible(b: int, l1: int, l3: int) -> bool:
-    return (l3 * b) % l1 == 0 and (l1 * b) % l3 == 0
-
-
 def _window_chain(a: int, b: int, c: int, lam: tuple[int, int, int]) -> ChainState:
     return ChainState(3, (-a, -b, -c), lam)
 
@@ -201,6 +207,10 @@ def _windows(
     [1, lambda_max]^3 with the twisting divisibility for every ordered
     pair, and the long pairing upward from 0 to b_max(a, c, lam).  The
     Weyl square of a window is num / det, with det < 0.
+
+    The long pairing steps over the multiples of (l1/g)(l3/g), g =
+    gcd(l1, l3): l1 | l3 b and l3 | l1 b hold exactly for those b, since
+    l1/g and l3/g are coprime.
     """
     for a in range(ADJACENT_MAX + 1):
         for c in range(ADJACENT_MAX + 1):
@@ -208,10 +218,17 @@ def _windows(
                 l1, l2, l3 = lam
                 if not _adjacent_divisible(a, c, l1, l2, l3):
                     continue
-                for b in range(b_max(a, c, lam) + 1):
+                g = gcd(l1, l3)
+                for b in range(0, b_max(a, c, lam) + 1, (l1 // g) * (l3 // g)):
                     d = _window_det(a, b, c)
-                    if d < 0 and _long_divisible(b, l1, l3):
+                    if d < 0:
                         yield a, b, c, lam, _window_square_num(a, b, c, l1, l2, l3), d
+
+
+def _square_key(num: int, d: int) -> tuple[int, int]:
+    """The Weyl square num/d (d < 0) in lowest terms, as (numerator, denominator)."""
+    g = gcd(num, d)
+    return -num // g, -d // g
 
 
 def collect_radii(lambda_max: int) -> tuple[Fraction, ...]:
@@ -225,7 +242,8 @@ def collect_radii(lambda_max: int) -> tuple[Fraction, ...]:
         raise ValueError("lambda_max must be >= 1")
     windows = _windows(lambda_max, lambda a, c, lam: RADIUS_B_MAX)
     # r = num/det with det < 0, so r < 0 iff num > 0
-    return tuple(sorted({Fraction(num, d) for *_, num, d in windows if num > 0}))
+    squares = {_square_key(num, d) for *_, num, d in windows if num > 0}
+    return tuple(sorted(Fraction(p, q) for p, q in squares))
 
 
 def _long_pairing_bound(r_max: Fraction) -> BMax:
@@ -260,8 +278,7 @@ def _seeds(
     buckets: dict[Fraction, list[ChainState]] = {r: [] for r in radii}
     by_key = {(r.numerator, r.denominator): buckets[r] for r in radii}
     for a, b, c, lam, num, d in _windows(lambda_max, _long_pairing_bound(max(radii))):
-        g = gcd(num, d)
-        bucket = by_key.get((-num // g, -d // g))  # num/det in lowest terms
+        bucket = by_key.get(_square_key(num, d))
         if bucket is not None:
             bucket.append(_window_chain(a, b, c, lam))
     return buckets
@@ -291,7 +308,7 @@ def partition_closed(
     closed: list[PolygonDatum] = []
     extendable: list[ChainState] = []
     for ch in chains:
-        if ch.closing_pair >= -2:
+        if ch.pairings[ch.length - 2] >= -2:  # the closing pair (1, length)
             if gcd(*ch.lam) == 1:
                 closed.append(PolygonDatum(ch.length, ch.pairings, ch.lam))
         else:
@@ -299,20 +316,27 @@ def partition_closed(
     return closed, extendable
 
 
-def _head_key(ch: ChainState) -> tuple:
-    m = ch.length
-    pairs = tuple(
-        ch.pair(i, j) for i in range(1, m) for j in range(i + 1, m)
+# Join keys.  In the row-major packing the pairs among sides 2..m (rows
+# 2..m) are a contiguous suffix starting at offset m - 1, and the pairs
+# among sides 1..m-1 are every row with its last entry (i, m) left out.
+
+
+@cache
+def _head_pairs(m: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Picks the pairs (i, j), i < j <= m - 1, from a packed length-m chain."""
+    if m == 3:
+        return lambda p: p[:1]  # itemgetter of one index returns a scalar
+    return itemgetter(
+        *(pack_index(m, i, j) for i in range(1, m - 1) for j in range(i + 1, m))
     )
-    return pairs + ch.lam[: m - 1]
+
+
+def _head_key(ch: ChainState) -> tuple:
+    return _head_pairs(ch.length)(ch.pairings) + ch.lam[:-1]
 
 
 def _tail_key(ch: ChainState) -> tuple:
-    m = ch.length
-    pairs = tuple(
-        ch.pair(i, j) for i in range(2, m + 1) for j in range(i + 1, m + 1)
-    )
-    return pairs + ch.lam[1:]
+    return ch.pairings[ch.length - 1 :] + ch.lam[1:]
 
 
 def _divisible_both(l1: int, ln: int, g: int) -> bool:
@@ -320,15 +344,12 @@ def _divisible_both(l1: int, ln: int, g: int) -> bool:
 
 
 def _extended_chain(x: ChainState, y: ChainState, g1n: int) -> ChainState:
-    m = x.length
-    n = m + 1
-    newp: list[int] = [x.pair(1, j) for j in range(2, m + 1)]
-    newp.append(g1n)
-    for i in range(2, n + 1):
-        for j in range(i + 1, n + 1):
-            newp.append(y.pair(i - 1, j - 1))
-    lam = (x.lam[0],) + y.lam
-    return ChainState(n, tuple(newp), lam)
+    """x's side 1 followed by y's sides: row 1 is x's row 1 plus g1n."""
+    return ChainState(
+        x.length + 1,
+        x.pairings[: x.length - 1] + (g1n,) + y.pairings,
+        x.lam[:1] + y.lam,
+    )
 
 
 def _glue(x: ChainState, y: ChainState) -> list[ChainState]:
@@ -339,6 +360,7 @@ def _glue(x: ChainState, y: ChainState) -> list[ChainState]:
     non-positive integer satisfying divisibility against both lambdas.
     """
     m = x.length
+    xp, yp = x.pairings, y.pairings
     if m == 3:
         # rho = -adj(g) lam / det in the basis of x's window, so the Weyl
         # equation (rho, delta_4) = -lambda_4 reads
@@ -358,19 +380,21 @@ def _glue(x: ChainState, y: ChainState) -> list[ChainState]:
         # the two windows are isometric on that span, which contains delta_1
         # and delta_4; as A1 > 0 the geometric (delta_1, delta_4) is the
         # unique solution g14 above, and the 4x4 determinant vanishes.
-        a, b, c = (-p for p in x.pairings)
+        a, b, c = -xp[0], -xp[1], -xp[2]
         a1, a2, a3 = _adj_mul(a, b, c, x.lam)
-        g24, g34 = y.pair(1, 3), y.pair(2, 3)
-        g1n, rem = divmod(y.lam[-1] * _window_det(a, b, c) - a2 * g24 - a3 * g34, a1)
+        # y's (1,3), (2,3) are (delta_2, delta_4), (delta_3, delta_4)
+        g1n, rem = divmod(y.lam[-1] * _window_det(a, b, c) - a2 * yp[1] - a3 * yp[2], a1)
     else:
         # delta_n = e1 delta_2 + e2 delta_3 + e3 delta_4 with
         # e = adj(g_y) h / det(g_y), where g_y is the Gram of y's first window
         # (delta_2, delta_3, delta_4) and h holds their pairings with
         # delta_n.  Pairing with delta_1 gives (delta_1, delta_n); rank 3
-        # holds by construction.
-        a, b, c = -y.pair(1, 2), -y.pair(1, 3), -y.pair(2, 3)
-        e1, e2, e3 = _adj_mul(a, b, c, (y.pair(1, m), y.pair(2, m), y.pair(3, m)))
-        u = x.pair(1, 2) * e1 + x.pair(1, 3) * e2 + x.pair(1, 4) * e3
+        # holds by construction.  Packed offsets in y: (1,2) = 0, (1,3) = 1,
+        # (2,3) = m-1, (1,m) = m-2, (2,m) = 2m-4, (3,m) = 3m-7; in x:
+        # (1,2), (1,3), (1,4) = 0, 1, 2.
+        a, b, c = -yp[0], -yp[1], -yp[m - 1]
+        e1, e2, e3 = _adj_mul(a, b, c, (yp[m - 2], yp[2 * m - 4], yp[3 * m - 7]))
+        u = xp[0] * e1 + xp[1] * e2 + xp[2] * e3
         g1n, rem = divmod(u, _window_det(a, b, c))
     if rem or g1n > 0 or not _divisible_both(x.lam[0], y.lam[-1], g1n):
         return []
@@ -520,6 +544,9 @@ def run_elliptic(
     if workers <= 1:
         results = [_run_radius(t) for t in tasks]
     else:
+        # Imported here so that serial runs skip loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_radius, tasks, chunksize=chunk))
@@ -535,18 +562,19 @@ def run_elliptic(
 
 
 def _chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
-    """Decorated 3-window states along an open chain."""
-    return [
-        (
-            ch.pair(i, i + 1),
-            ch.pair(i, i + 2),
-            ch.pair(i + 1, i + 2),
-            ch.lam[i - 1],
-            ch.lam[i],
-            ch.lam[i + 1],
-        )
-        for i in range(1, ch.length - 1)
-    ]
+    """Decorated 3-window states along an open chain.
+
+    Row i of the packing starts with (i, i+1), (i, i+2) and is followed by
+    row i+1, which starts with (i+1, i+2), n - i entries later.
+    """
+    p, lam, n = ch.pairings, ch.lam, ch.length
+    windows = []
+    s = 0
+    for i in range(1, n - 1):
+        t = s + n - i
+        windows.append((p[s], p[s + 1], p[t], lam[i - 1], lam[i], lam[i + 1]))
+        s = t
+    return windows
 
 
 def _min_rotation(block: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

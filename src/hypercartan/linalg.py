@@ -58,38 +58,15 @@ class QMatrix:
             flat.extend(_as_rational(x) for x in row)
         return cls(nrows, ncols, tuple(flat))
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
     def entry(self, i: int, j: int) -> Rational:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[Rational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[Rational]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix.from_rows(
-            [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def matvec(self, v: Sequence[QLike]) -> tuple[Rational, ...]:
-        if len(v) != self.cols:
-            raise ShapeError("vector length does not match column count")
-        vv = [_as_rational(x) for x in v]
-        return tuple(
-            sum((self.entry(i, j) * vv[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
 
 
 def _integer_rows(m: QMatrix) -> tuple[list[list[int]], Rational]:

@@ -42,17 +42,17 @@ ROW_6 = GeometricRealizationTable(((1, 6, 3, 2), (0, 2, 0, 2), (3, 6, 3, 6)))
 
 def test_assemble_gram_triangle():
     d = triangle(0, -1, -2)
-    assert assemble_gram(d).to_rows() == [[2, 0, -1], [0, 2, -2], [-1, -2, 2]]
+    assert assemble_gram(d) == QMatrix.from_rows([[2, 0, -1], [0, 2, -2], [-1, -2, 2]])
 
 
 def test_assemble_gram_all_minus_two():
     d = triangle(-2, -2, -2)
-    assert assemble_gram(d).to_rows() == [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
+    assert assemble_gram(d) == QMatrix.from_rows([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]])
 
 
 def test_assemble_gram_orthogonal():
     d = triangle(0, 0, 0)
-    assert assemble_gram(d).to_rows() == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    assert assemble_gram(d) == QMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
 
 
 def test_weyl_vector_twisted_triangle():
@@ -76,14 +76,14 @@ def test_weyl_vector_r_minus_22():
 
 def test_weyl_vector_rejects_definite_block():
     with pytest.raises(NotHyperbolicError):
-        weyl_vector(QMatrix.identity(3), (1, 1, 1))
+        weyl_vector(QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (1, 1, 1))
 
 
 def test_weyl_vector_substitution_property():
-    g = QMatrix.from_rows([[2, 0, -2], [0, 2, -1], [-2, -1, 2]])
+    rows = [[2, 0, -2], [0, 2, -1], [-2, -1, 2]]
     lam = (1, 2, 2)
-    w = weyl_vector(g, lam)
-    assert g.matvec(w.coords) == (-1, -2, -2)
+    w = weyl_vector(QMatrix.from_rows(rows), lam)
+    assert [sum(g * x for g, x in zip(row, w.coords)) for row in rows] == [-1, -2, -2]
     assert w.r == -sum(l * x for l, x in zip(lam, w.coords))
 
 
@@ -96,7 +96,7 @@ def test_divisibility_examples():
 def test_cartan_matrix_untwisted_equals_gram():
     d = triangle(0, -1, -2)
     a = cartan_matrix(d)
-    assert [list(r) for r in a.entries] == assemble_gram(d).to_rows()
+    assert QMatrix.from_rows(a.entries) == assemble_gram(d)
     assert a.symmetrizer == (1, 1, 1)
 
 
@@ -126,7 +126,7 @@ def test_cartan_matrix_divisibility_error():
 
 def test_symmetrized_cartan_untwisted():
     d = triangle(-1, -2, 0)
-    assert [list(r) for r in symmetrized_cartan(d).entries] == assemble_gram(d).to_rows()
+    assert QMatrix.from_rows(symmetrized_cartan(d).entries) == assemble_gram(d)
 
 
 def test_symmetrized_cartan_twisted():

@@ -8,14 +8,16 @@ import pytest
 from hypercartan.core import verify_realization, weyl_vector
 from hypercartan.engine import (
     DEFAULT_MAX_SIDES,
+    RADIUS_B_MAX,
     ChainState,
     _adj_mul,
     _adjacent_divisible,
+    _chain_windows,
+    _detect_period,
     _divisible_both,
     _extended_chain,
     _glue,
     _head_key,
-    _long_divisible,
     _long_pairing_bound,
     _min_rotation,
     _seed_map,
@@ -23,6 +25,7 @@ from hypercartan.engine import (
     _window_chain,
     _window_det,
     _window_square_num,
+    _windows,
     _worker_count,
     collect_radii,
     extend_step,
@@ -32,6 +35,8 @@ from hypercartan.engine import (
     seed_triples,
 )
 from hypercartan.linalg import QMatrix, SingularMatrixError, det, solve
+
+import engine_oracle as oracle
 
 SYMMETRIC_NONCOMPACT_RADII = [
     Fraction(-23, 2),
@@ -69,7 +74,7 @@ def _exhaustive_seeds(r, lambda_max, b_to=200):
                     continue
                 for b in range(b_to + 1):
                     d = _window_det(a, b, c)
-                    if d >= 0 or not _long_divisible(b, lam[0], lam[2]):
+                    if d >= 0 or not oracle.long_divisible(b, lam[0], lam[2]):
                         continue
                     if Fraction(_window_square_num(a, b, c, *lam), d) == r:
                         out.append(((-a, -b, -c), lam))
@@ -379,7 +384,7 @@ def _fraction_glue(x, y):
                 continue
             if _det4(x.pair(1, 2), x.pair(1, 3), g14, x.pair(2, 3), g24, g34) != 0:
                 continue
-            out.append(_extended_chain(x, y, g14))
+            out.append(oracle.extended_chain(x, y, g14))
         return out
     try:
         gx = _window_gram(x.pair(1, 2), x.pair(1, 3), x.pair(2, 3))
@@ -399,7 +404,7 @@ def _fraction_glue(x, y):
     g1n = int(g1n_exact)
     if g1n > 0 or not _divisible_both(l1, ln, g1n):
         return []
-    return [_extended_chain(x, y, g1n)]
+    return [oracle.extended_chain(x, y, g1n)]
 
 
 def _overlapping_pairs(lambda_max):
@@ -507,3 +512,61 @@ def test_worker_count_is_clamped(monkeypatch):
     assert _worker_count(4, 0) == 0
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _worker_count(10**12, 455) == 1
+
+
+# --- slow oracles for the packed-tuple chain kernel -------------------------
+
+
+def _reached_chains(seeds, parabolic):
+    """Every chain the chain loop meets from these seeds, length by length.
+
+    Follows engine._grow: closed chains stop, and with ``parabolic`` a
+    chain whose newest window state repeats is set aside.
+    """
+    chains = seeds
+    while chains:
+        yield from chains
+        _, chains = partition_closed(chains)
+        if parabolic:
+            chains = [ch for ch in chains if _detect_period(ch) is None]
+        if not chains or chains[0].length >= DEFAULT_MAX_SIDES:
+            break
+        chains = extend_step(chains)
+
+
+def test_packed_keys_and_extension_match_pair_oracle():
+    """Sliced keys, concatenated extensions and offset reads agree with pair()."""
+    runs = [(seeds, False) for seeds in _seed_map(3).values()]
+    runs.append((seed_triples(0, 3), True))
+    lengths = set()
+    joined = 0
+    for seeds, parabolic in runs:
+        chains = list(_reached_chains(seeds, parabolic))
+        by_head = {}
+        for ch in chains:
+            lengths.add(ch.length)
+            assert _head_key(ch) == oracle.head_key(ch), ch
+            assert _tail_key(ch) == oracle.tail_key(ch), ch
+            assert ch.closing_pair == ch.pair(1, ch.length), ch
+            assert _chain_windows(ch) == oracle.chain_windows(ch), ch
+            by_head.setdefault(oracle.head_key(ch), []).append(ch)
+        for x in chains:
+            for y in by_head.get(oracle.tail_key(x), ()):
+                for g1n in (0, -1, -7):
+                    assert _extended_chain(x, y, g1n) == oracle.extended_chain(x, y, g1n)
+                joined += 1
+    assert {3, 4, 5, 6} <= lengths and joined
+
+
+def test_windows_match_unstrided_oracle():
+    """The strided long-pairing scan yields the oracle's windows, in order."""
+    for lambda_max in range(1, 7):
+        bounds = [
+            lambda a, c, lam: RADIUS_B_MAX,
+            _long_pairing_bound(max(collect_radii(lambda_max))),
+            _long_pairing_bound(Fraction(0)),
+        ]
+        for b_max in bounds:
+            fast = list(_windows(lambda_max, b_max))
+            assert fast == list(oracle.windows(lambda_max, b_max)), lambda_max
+            assert fast

@@ -17,6 +17,14 @@ from reader_oracle import det_int_rows, rank, solve_consistent
 GRAM_A10_TWISTED = [[2, 0, -2], [0, 2, -1], [-2, -1, 2]]
 
 
+def identity(n):
+    return QMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matvec(rows, x):
+    return [sum(a * t for a, t in zip(row, x)) for row in rows]
+
+
 def permutation_sum_det(rows):
     """Independent determinant oracle: sum over permutations."""
     n = len(rows)
@@ -45,7 +53,7 @@ def small_int_matrix(max_n=4):
 
 def test_det_examples():
     assert det(QMatrix.from_rows(GRAM_A10_TWISTED)) == -2
-    assert det(QMatrix.identity(3)) == 1
+    assert det(identity(3)) == 1
     # Gram of the hyperbolic-plane-plus-<2> basis
     assert det(QMatrix.from_rows([[0, -1, 0], [-1, 0, 0], [0, 0, 2]])) == -2
 
@@ -73,7 +81,7 @@ def test_solve_example():
 
 
 def test_solve_identity():
-    assert solve(QMatrix.identity(3), [5, -7, 2]) == (5, -7, 2)
+    assert solve(identity(3), [5, -7, 2]) == (5, -7, 2)
 
 
 def test_solve_singular_raises():
@@ -91,7 +99,7 @@ def test_solve_round_trip(rows):
         return
     v = list(range(1, m.rows + 1))
     x = solve(m, v)
-    assert list(m.matvec(x)) == [Fraction(t) for t in v]
+    assert matvec(rows, x) == v
 
 
 # rank, solve_consistent and det_int_rows are the slow oracle of the
@@ -103,14 +111,14 @@ def test_rank_examples():
         [[2, -2, -4, 0], [-2, 2, 0, -4], [-4, 0, 2, -2], [0, -4, -2, 2]]
     )
     assert rank(gram) == 3
-    assert rank(QMatrix.identity(5)) == 5
+    assert rank(identity(5)) == 5
     assert rank(QMatrix.from_rows([[0, 0], [0, 0]])) == 0
 
 
 @given(small_int_matrix())
 def test_rank_equals_rank_of_transpose(rows):
     m = QMatrix.from_rows(rows)
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(QMatrix.from_rows(list(zip(*rows))))
 
 
 @given(small_int_matrix())
@@ -154,4 +162,4 @@ def test_solve_consistent_solves_or_reports_inconsistency(rows):
         # inconsistent: appending v raises the rank
         assert rank(QMatrix.from_rows([r + [t] for r, t in zip(rows, v)])) > rank(m)
     else:
-        assert list(m.matvec(x)) == [Fraction(t) for t in v]
+        assert matvec(rows, x) == v
