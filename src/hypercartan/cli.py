@@ -1,7 +1,8 @@
 """Command-line surface: enumerate the catalog, verify goldens, check files.
 
 Exit codes: 0 success, 1 a verification or check failed, 2 bad usage or
-unparseable input, 3 the enumeration hit the max-sides cap somewhere.
+unparseable input, 3 the enumeration hit the max-sides cap somewhere, 4 an
+engine invariant failed (an engine bug, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
 from .engine import (
     DEFAULT_MAX_SIDES,
     CatalogRecord,
+    EngineError,
     run_elliptic,
     run_parabolic,
 )
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_ENGINE = 4
 
 
 def _record_json(rec: CatalogRecord) -> str:
@@ -205,9 +208,8 @@ def cmd_verify(args) -> int:
 
 
 def _matrix_lines(name: str, rows) -> list[str]:
-    out = [f"{name}:"]
-    out.extend("  " + " ".join(f"{v:4d}" for v in row) for row in rows)
-    return out
+    row_format = "  " + " ".join(["{:4d}"] * len(rows))  # square matrices
+    return [f"{name}:"] + [row_format.format(*row) for row in rows]
 
 
 def cmd_check(args) -> int:
@@ -321,7 +323,11 @@ def main(argv=None) -> int:
     if getattr(args, "jobs", 1) < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EngineError as exc:  # InvariantViolation included
+        print(f"error: engine invariant violated: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
 
 
 if __name__ == "__main__":

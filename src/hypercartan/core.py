@@ -263,16 +263,20 @@ def _divisibility_failures(d: PolygonDatum) -> list[tuple[int, int]]:
 
 def cartan_matrix(d: PolygonDatum) -> CartanMatrix:
     """Twisted generalized Cartan matrix a_jk = lambda_k (delta_j, delta_k) / lambda_j."""
-    bad = _divisibility_failures(d)
-    if bad:
-        raise InvalidRealizationError(f"divisibility fails for ordered pairs {bad}")
     # One stored value per unordered pair and lambda >= 1: a_jk = 0 iff a_kj = 0.
     lam = d.lam
-    entries = tuple(
-        tuple(lk * g // lj for lk, g in zip(lam, row))
-        for lj, row in zip(lam, d.gram)
-    )
-    return CartanMatrix(entries, tuple(Fraction(1, l * l) for l in lam))
+    entries = []
+    for lj, row in zip(lam, d.gram):
+        out = []
+        for lk, g in zip(lam, row):
+            a, rem = divmod(lk * g, lj)
+            if rem:
+                raise InvalidRealizationError(
+                    f"divisibility fails for ordered pairs {_divisibility_failures(d)}"
+                )
+            out.append(a)
+        entries.append(tuple(out))
+    return CartanMatrix(tuple(entries), tuple(Fraction(1, l * l) for l in lam))
 
 
 def symmetrized_cartan(d: PolygonDatum) -> SymmetrizedCartan:

@@ -5,18 +5,24 @@ The search runs on Python integers and works radius by radius.  A
 (l1, l2, l3); its Weyl square is r = num / det, where det < 0 is the
 window's Gram determinant and num = lam^T adj(g) lam.  The search first
 collects every square r < 0 attained by a window within fixed bounds,
-then seeds, for each radius, every window whose square is exactly r.  The
-long pairing b of a seed is bounded in closed form: r <= r_max is a
-quadratic inequality in b whose leading coefficient is negative, so b
-never exceeds the floor of its larger root, and b steps over the
-multiples of (l1/g)(l3/g), g = gcd(l1, l3), which are exactly the values
-that pass the twisting divisibility.  From the seeds it repeatedly glues
-overlapping open chains.  The single unknown pairing (delta_1, delta_n)
-comes from the integer adjugate of one window: through the Weyl-vector
-equation on the chain's first window at length 4, by composing
-coordinates across the shared window at length >= 5.  An exact division
-is the integrality test.  Gluing stops when every chain has closed or
-died.
+then seeds, for each radius, every window whose square is exactly r.
+Both sweeps run one window scan.  It enumerates the admissible shapes
+(a, c, lam) directly, from a table of the lambdas allowed next to each
+lambda across an adjacent pairing.  For one shape num and det are
+integer quadratics in b.  The long pairing b of a seed is bounded in
+closed form from those coefficients: r <= r_max is a quadratic
+inequality in b whose leading coefficient is negative, so b never
+exceeds the floor of its larger root.  b steps over the multiples of
+(l1/g)(l3/g), g = gcd(l1, l3), which are exactly the values that pass
+the twisting divisibility, and num and det follow it by constant second
+differences.  Radii are sorted by an exact integer key.
+
+From the seeds the search repeatedly glues overlapping open chains.  The
+single unknown pairing (delta_1, delta_n) comes from the integer
+adjugate of one window: through the Weyl-vector equation on the chain's
+first window at length 4, by composing coordinates across the shared
+window at length >= 5.  An exact division is the integrality test.
+Gluing stops when every chain has closed or died.
 
 A chain is a packed tuple of its pairings, row-major over the strict
 upper triangle.  The join keys of two overlapping chains are a slice and
@@ -30,12 +36,11 @@ and decorated; the final catalog depends only on (lambda_max, mode).
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -171,31 +176,27 @@ def _adj_mul(a: int, b: int, c: int, v: tuple[int, ...]) -> tuple[int, int, int]
     )
 
 
-def _window_square_num(a: int, b: int, c: int, l1: int, l2: int, l3: int) -> int:
-    """Numerator lam^T adj(g) lam of the Weyl square (denominator is det)."""
-    a11, a12, a13, a22, a23, a33 = _window_adjugate(a, b, c)
-    return (
-        a11 * l1 * l1
-        + a22 * l2 * l2
-        + a33 * l3 * l3
-        + 2 * (a12 * l1 * l2 + a13 * l1 * l3 + a23 * l2 * l3)
-    )
-
-
-def _adjacent_divisible(a: int, c: int, l1: int, l2: int, l3: int) -> bool:
-    return (
-        (l2 * a) % l1 == 0
-        and (l1 * a) % l2 == 0
-        and (l3 * c) % l2 == 0
-        and (l2 * c) % l3 == 0
-    )
-
-
 def _window_chain(a: int, b: int, c: int, lam: tuple[int, int, int]) -> ChainState:
     return ChainState(3, (-a, -b, -c), lam)
 
 
-BMax = Callable[[int, int, tuple[int, int, int]], int]
+def _partners(lambda_max: int, a: int) -> list[tuple[int, ...]]:
+    """partners[l]: the m in [1, lambda_max] with l | m a and m | l a, ascending.
+
+    These are the lambdas that may sit next to l across an adjacent
+    pairing -a (index 0 is unused).
+    """
+    return [()] + [
+        tuple(m for m in range(1, lambda_max + 1) if (m * a) % l == 0 and (l * a) % m == 0)
+        for l in range(1, lambda_max + 1)
+    ]
+
+
+# The bound on the long pairing of one window shape (a, c, lam).  The shape
+# fixes num and det as integer quadratics in b,
+#   num(b) = n2 b^2 + n1 b + n0,   det(b) = -2 b^2 + d1 b + d0,
+# and b_max(n2, n1, n0, d1, d0) is the largest long pairing to scan.
+BMax = Callable[[int, int, int, int, int], int]
 
 
 def _windows(
@@ -205,30 +206,61 @@ def _windows(
 
     Adjacent pairings run over [0, ADJACENT_MAX], lambdas over
     [1, lambda_max]^3 with the twisting divisibility for every ordered
-    pair, and the long pairing upward from 0 to b_max(a, c, lam).  The
+    pair, and the long pairing upward from 0 to the shape's b_max.  The
     Weyl square of a window is num / det, with det < 0.
 
-    The long pairing steps over the multiples of (l1/g)(l3/g), g =
+    Shapes are enumerated directly: l2 runs over the partners of l1
+    across a, l3 over the partners of l2 across c, which is the
+    lexicographic order of (l1, l2, l3) restricted to admissible triples.
+    The long pairing steps over the multiples of s = (l1/g)(l3/g), g =
     gcd(l1, l3): l1 | l3 b and l3 | l1 b hold exactly for those b, since
-    l1/g and l3/g are coprime.
+    l1/g and l3/g are coprime.  Along that stride num and det are
+    quadratics in the step count with constant second differences
+    2 n2 s^2 and -4 s^2, so each window costs a few additions.
     """
     for a in range(ADJACENT_MAX + 1):
+        across_a = _partners(lambda_max, a)
         for c in range(ADJACENT_MAX + 1):
-            for lam in itertools.product(range(1, lambda_max + 1), repeat=3):
-                l1, l2, l3 = lam
-                if not _adjacent_divisible(a, c, l1, l2, l3):
-                    continue
-                g = gcd(l1, l3)
-                for b in range(0, b_max(a, c, lam) + 1, (l1 // g) * (l3 // g)):
-                    d = _window_det(a, b, c)
-                    if d < 0:
-                        yield a, b, c, lam, _window_square_num(a, b, c, l1, l2, l3), d
+            across_c = _partners(lambda_max, c)
+            # det(b) = 8 - 2(a^2 + b^2 + c^2) - 2abc
+            d1 = -2 * a * c
+            d0 = 8 - 2 * (a * a + c * c)
+            for l1 in range(1, lambda_max + 1):
+                for l2 in across_a[l1]:
+                    for l3 in across_c[l2]:
+                        lam = (l1, l2, l3)
+                        # num(b) = lam^T adj(g) lam with adj(g) =
+                        # (4 - c^2, 2a + bc, ac + 2b, 4 - b^2, 2c + ab, 4 - a^2)
+                        n2 = -l2 * l2
+                        n1 = 2 * (c * l1 * l2 + 2 * l1 * l3 + a * l2 * l3)
+                        n0 = (
+                            (4 - c * c) * l1 * l1
+                            + 4 * l2 * l2
+                            + (4 - a * a) * l3 * l3
+                            + 2 * (2 * a * l1 * l2 + a * c * l1 * l3 + 2 * c * l2 * l3)
+                        )
+                        g = gcd(l1, l3)
+                        s = (l1 // g) * (l3 // g)
+                        ss = s * s
+                        num, dnum, ddnum = n0, n2 * ss + n1 * s, 2 * n2 * ss
+                        d, dd, ddd = d0, d1 * s - 2 * ss, -4 * ss
+                        for b in range(0, b_max(n2, n1, n0, d1, d0) + 1, s):
+                            if d < 0:
+                                yield a, b, c, lam, num, d
+                            num += dnum
+                            dnum += ddnum
+                            d += dd
+                            dd += ddd
 
 
 def _square_key(num: int, d: int) -> tuple[int, int]:
     """The Weyl square num/d (d < 0) in lowest terms, as (numerator, denominator)."""
     g = gcd(num, d)
     return -num // g, -d // g
+
+
+def _radius_b_max(*_: int) -> int:
+    return RADIUS_B_MAX
 
 
 def collect_radii(lambda_max: int) -> tuple[Fraction, ...]:
@@ -240,29 +272,33 @@ def collect_radii(lambda_max: int) -> tuple[Fraction, ...]:
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    windows = _windows(lambda_max, lambda a, c, lam: RADIUS_B_MAX)
+    windows = _windows(lambda_max, _radius_b_max)
     # r = num/det with det < 0, so r < 0 iff num > 0
-    squares = {_square_key(num, d) for *_, num, d in windows if num > 0}
-    return tuple(sorted(Fraction(p, q) for p, q in squares))
+    squares = {_square_key(num, d) for _, _, _, _, num, d in windows if num > 0}
+    # p/q < p'/q' iff p (L/q) < p' (L/q') for a common multiple L of the
+    # denominators: an exact integer sort key.
+    common = lcm(*(q for _, q in squares))
+    return tuple(
+        Fraction(p, q) for p, q in sorted(squares, key=lambda pq: pq[0] * (common // pq[1]))
+    )
 
 
 def _long_pairing_bound(r_max: Fraction) -> BMax:
-    """b_max(a, c, lam): no window with Weyl square <= r_max <= 0 has a larger b.
+    """b_max: no window of the shape with Weyl square <= r_max <= 0 has a larger b.
 
     Write r_max = p/q.  Since det < 0, r <= r_max iff
-    f(b) = q num(b) - p det(b) >= 0.  In b, num = -l2^2 b^2 + ... and
-    det = -2 b^2 - 2ac b + ..., so f has leading coefficient
-    2p - q l2^2 < 0 and is non-negative only up to its larger root
-    (B + sqrt(disc)) / (-2A).  For an integer E > 0, floor(x / E) =
-    floor(floor(x) / E), so isqrt gives that root's floor exactly.
+    f(b) = q num(b) - p det(b) = A b^2 + B b + C >= 0, read off the
+    shape's coefficients.  A = q n2 + 2p = 2p - q l2^2 < 0, so f is
+    non-negative only up to its larger root (B + sqrt(disc)) / (-2A).
+    For an integer E > 0, floor(x / E) = floor(floor(x) / E), so isqrt
+    gives that root's floor exactly.
     """
     p, q = r_max.numerator, r_max.denominator
 
-    def b_max(a: int, c: int, lam: tuple[int, int, int]) -> int:
-        l1, l2, l3 = lam
-        qa = 2 * p - q * l2 * l2
-        qb = 2 * q * (c * l1 * l2 + 2 * l1 * l3 + a * l2 * l3) + 2 * p * a * c
-        qc = q * _window_square_num(a, 0, c, l1, l2, l3) - p * _window_det(a, 0, c)
+    def b_max(n2: int, n1: int, n0: int, d1: int, d0: int) -> int:
+        qa = q * n2 + 2 * p
+        qb = q * n1 - p * d1
+        qc = q * n0 - p * d0
         disc = qb * qb - 4 * qa * qc
         if disc < 0:
             return -1
@@ -275,13 +311,14 @@ def _seeds(
     radii: tuple[Fraction, ...], lambda_max: int
 ) -> dict[Fraction, list[ChainState]]:
     """Windows whose Weyl square is one of ``radii`` (all <= 0), by square."""
-    buckets: dict[Fraction, list[ChainState]] = {r: [] for r in radii}
-    by_key = {(r.numerator, r.denominator): buckets[r] for r in radii}
+    by_key: dict[tuple[int, int], list[ChainState]] = {
+        (r.numerator, r.denominator): [] for r in radii
+    }
     for a, b, c, lam, num, d in _windows(lambda_max, _long_pairing_bound(max(radii))):
         bucket = by_key.get(_square_key(num, d))
         if bucket is not None:
             bucket.append(_window_chain(a, b, c, lam))
-    return buckets
+    return {r: by_key[r.numerator, r.denominator] for r in radii}
 
 
 def seed_triples(r: Fraction | int, lambda_max: int) -> list[ChainState]:
@@ -534,12 +571,11 @@ def run_elliptic(
         raise ValueError("lambda_max must be >= 1")
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
-    seed_map = _seed_map(lambda_max)
-    radii = sorted(seed_map)
-    if r_filter is not None:
-        wanted = Fraction(r_filter)
-        radii = [r for r in radii if r == wanted]
-    tasks = [(r, tuple(seed_map[r]), max_sides) for r in radii]
+    tasks = [
+        (r, tuple(seeds), max_sides)
+        for r, seeds in sorted(_seed_map(lambda_max).items(), key=itemgetter(0))
+        if r_filter is None or r == r_filter
+    ]
     workers = _worker_count(jobs, len(tasks))
     if workers <= 1:
         results = [_run_radius(t) for t in tasks]

@@ -1,9 +1,11 @@
-"""Slow reference implementations for the packed-tuple chain kernel in ``engine``.
+"""Slow reference implementations for the chain kernel and window scan in ``engine``.
 
 The join keys and the extended chain are rebuilt entry by entry through
-``ChainState.pair``, and the window scan steps the long pairing through
-every b with an explicit divisibility test, as the engine did before it
-sliced the packed tuples and strided the scan.  The tests compare the
+``ChainState.pair``.  The window scan walks every (a, c, lam) triple with
+a divisibility test per triple, every long pairing b with a divisibility
+test per b, and evaluates num and det per window from the closed forms,
+as the engine did before it enumerated admissible shapes directly and
+stepped the long pairing by second differences.  The tests compare the
 fast paths against them.
 """
 
@@ -15,28 +17,56 @@ from hypercartan.engine import (
     ADJACENT_MAX,
     BMax,
     ChainState,
-    _adjacent_divisible,
+    _window_adjugate,
     _window_det,
-    _window_square_num,
 )
+
+
+def window_square_num(a: int, b: int, c: int, l1: int, l2: int, l3: int) -> int:
+    """Numerator lam^T adj(g) lam of the Weyl square (denominator is det)."""
+    a11, a12, a13, a22, a23, a33 = _window_adjugate(a, b, c)
+    return (
+        a11 * l1 * l1
+        + a22 * l2 * l2
+        + a33 * l3 * l3
+        + 2 * (a12 * l1 * l2 + a13 * l1 * l3 + a23 * l2 * l3)
+    )
+
+
+def adjacent_divisible(a: int, c: int, l1: int, l2: int, l3: int) -> bool:
+    return (
+        (l2 * a) % l1 == 0
+        and (l1 * a) % l2 == 0
+        and (l3 * c) % l2 == 0
+        and (l2 * c) % l3 == 0
+    )
 
 
 def long_divisible(b: int, l1: int, l3: int) -> bool:
     return (l3 * b) % l1 == 0 and (l1 * b) % l3 == 0
 
 
+def shape_quadratics(a: int, c: int, lam: tuple[int, int, int]) -> tuple[int, ...]:
+    """(n2, n1, n0, d1, d0) of num(b) and det(b), interpolated at b = 0, 1, 2."""
+    f0, f1, f2 = (window_square_num(a, b, c, *lam) for b in (0, 1, 2))
+    e0, e1, e2 = (_window_det(a, b, c) for b in (0, 1, 2))
+    assert e2 - 2 * e1 + e0 == -4  # det has leading coefficient -2
+    n2 = (f2 - 2 * f1 + f0) // 2
+    return n2, f1 - f0 - n2, f0, e1 - e0 + 2, e0
+
+
 def windows(lambda_max: int, b_max: BMax):
-    """engine._windows with every long pairing tested for divisibility."""
+    """engine._windows over every lambda triple and every long pairing."""
     for a in range(ADJACENT_MAX + 1):
         for c in range(ADJACENT_MAX + 1):
             for lam in itertools.product(range(1, lambda_max + 1), repeat=3):
                 l1, l2, l3 = lam
-                if not _adjacent_divisible(a, c, l1, l2, l3):
+                if not adjacent_divisible(a, c, l1, l2, l3):
                     continue
-                for b in range(b_max(a, c, lam) + 1):
+                for b in range(b_max(*shape_quadratics(a, c, lam)) + 1):
                     d = _window_det(a, b, c)
                     if d < 0 and long_divisible(b, l1, l3):
-                        yield a, b, c, lam, _window_square_num(a, b, c, l1, l2, l3), d
+                        yield a, b, c, lam, window_square_num(a, b, c, l1, l2, l3), d
 
 
 def head_key(ch: ChainState) -> tuple:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from hypercartan.canonical import PackedDatum, canonical_form
-from hypercartan.cli import main
+from hypercartan import cli
+from hypercartan.cli import _matrix_lines, main
 from hypercartan.core import (
     PolygonDatum,
     cartan_matrix,
@@ -14,6 +15,7 @@ from hypercartan.core import (
     symmetry_group,
     verify_realization,
 )
+from hypercartan.engine import EngineError, InvariantViolation
 from hypercartan.goldens import golden_catalog
 
 
@@ -258,3 +260,34 @@ def test_verify_non_utf8_catalog_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot read golden file") and err.count("\n") == 1
+
+
+def test_engine_invariant_failure_is_one_line_exit_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("emitted datum has square -1, expected -2")
+
+    monkeypatch.setattr(cli, "run_elliptic", broken)
+    code, out, err = run_cli(capsys, "enumerate", "--lambda-max", "1")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "error: engine invariant violated: "
+        "emitted datum has square -1, expected -2\n"
+    )
+
+    def failing(*args, **kwargs):
+        raise EngineError("extend_step received a closed chain")
+
+    monkeypatch.setattr(cli, "run_elliptic", failing)
+    code, _, err = run_cli(capsys, "verify", "--jobs", "1")
+    assert code == 4
+    assert err == "error: engine invariant violated: extend_step received a closed chain\n"
+
+
+def test_matrix_lines_match_per_entry_format():
+    for row in golden_catalog():
+        d = row.datum()
+        for rows in (cartan_matrix(d).entries, symmetrized_cartan(d).entries):
+            assert _matrix_lines("  cartan", rows) == ["  cartan:"] + [
+                "  " + " ".join(f"{v:4d}" for v in r) for r in rows
+            ]

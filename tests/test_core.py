@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -120,8 +121,18 @@ def test_cartan_matrix_twisted_entries():
 
 
 def test_cartan_matrix_divisibility_error():
-    with pytest.raises(InvalidRealizationError):
+    # lambda_1 = 2 does not divide lambda_3 (delta_1, delta_3) = -1; the
+    # message lists every failing ordered pair
+    with pytest.raises(
+        InvalidRealizationError,
+        match=re.escape("divisibility fails for ordered pairs [(1, 3)]"),
+    ):
         cartan_matrix(triangle(0, -1, -1, lam=(2, 1, 1)))
+    with pytest.raises(
+        InvalidRealizationError,
+        match=re.escape("divisibility fails for ordered pairs [(1, 2), (1, 3)]"),
+    ):
+        cartan_matrix(triangle(-1, -1, -1, lam=(2, 1, 1)))
 
 
 def test_symmetrized_cartan_untwisted():

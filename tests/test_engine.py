@@ -8,10 +8,8 @@ import pytest
 from hypercartan.core import verify_realization, weyl_vector
 from hypercartan.engine import (
     DEFAULT_MAX_SIDES,
-    RADIUS_B_MAX,
     ChainState,
     _adj_mul,
-    _adjacent_divisible,
     _chain_windows,
     _detect_period,
     _divisible_both,
@@ -19,12 +17,12 @@ from hypercartan.engine import (
     _glue,
     _head_key,
     _long_pairing_bound,
+    _radius_b_max,
     _min_rotation,
     _seed_map,
     _tail_key,
     _window_chain,
     _window_det,
-    _window_square_num,
     _windows,
     _worker_count,
     collect_radii,
@@ -70,13 +68,13 @@ def _exhaustive_seeds(r, lambda_max, b_to=200):
     for a in range(3):
         for c in range(3):
             for lam in itertools.product(range(1, lambda_max + 1), repeat=3):
-                if not _adjacent_divisible(a, c, *lam):
+                if not oracle.adjacent_divisible(a, c, *lam):
                     continue
                 for b in range(b_to + 1):
                     d = _window_det(a, b, c)
                     if d >= 0 or not oracle.long_divisible(b, lam[0], lam[2]):
                         continue
-                    if Fraction(_window_square_num(a, b, c, *lam), d) == r:
+                    if Fraction(oracle.window_square_num(a, b, c, *lam), d) == r:
                         out.append(((-a, -b, -c), lam))
     return out
 
@@ -276,7 +274,7 @@ def test_weyl_square_strictly_monotone_in_long_pairing():
     for a in range(3):
         for c in range(3):
             for lam in itertools.product((1, 2, 3), repeat=3):
-                if not _adjacent_divisible(a, c, *lam):
+                if not oracle.adjacent_divisible(a, c, *lam):
                     continue
                 prev = None
                 for b in range(0, 80):
@@ -285,7 +283,7 @@ def test_weyl_square_strictly_monotone_in_long_pairing():
                         # the non-hyperbolic range is an initial segment
                         assert prev is None
                         continue
-                    rp = Fraction(_window_square_num(a, b, c, *lam), d)
+                    rp = Fraction(oracle.window_square_num(a, b, c, *lam), d)
                     if prev is not None:
                         assert rp > prev, (a, b, c, lam)
                     prev = rp
@@ -471,7 +469,7 @@ def _all_shapes(lambda_max):
     for a in range(3):
         for c in range(3):
             for lam in itertools.product(range(1, lambda_max + 1), repeat=3):
-                if _adjacent_divisible(a, c, *lam):
+                if oracle.adjacent_divisible(a, c, *lam):
                     yield a, c, lam
 
 
@@ -482,18 +480,18 @@ def test_long_pairing_bound_matches_brute_force_scan():
         p, q = r_max.numerator, r_max.denominator
         b_max = _long_pairing_bound(r_max)
         for a, c, lam in _all_shapes(4):
-            bound = b_max(a, c, lam)
+            bound = b_max(*oracle.shape_quadratics(a, c, lam))
             assert bound < 200, (r_max, a, c, lam)
             # the floor of the larger root of f(b) = q num(b) - p det(b)
             f_hits = [
                 b for b in range(201)
-                if q * _window_square_num(a, b, c, *lam) - p * _window_det(a, b, c) >= 0
+                if q * oracle.window_square_num(a, b, c, *lam) - p * _window_det(a, b, c) >= 0
             ]
             assert max(f_hits, default=-1) == max(bound, -1), (r_max, a, c, lam)
             # every hyperbolic window at or below r_max lies within the bound
             for b in range(bound + 1, 201):
                 d = _window_det(a, b, c)
-                assert d >= 0 or Fraction(_window_square_num(a, b, c, *lam), d) > r_max
+                assert d >= 0 or Fraction(oracle.window_square_num(a, b, c, *lam), d) > r_max
 
 
 def test_first_adjugate_coordinate_is_positive():
@@ -559,10 +557,14 @@ def test_packed_keys_and_extension_match_pair_oracle():
 
 
 def test_windows_match_unstrided_oracle():
-    """The strided long-pairing scan yields the oracle's windows, in order."""
-    for lambda_max in range(1, 7):
+    """The shape enumeration and second-difference scan yield the oracle's windows.
+
+    Same windows, same num and det, same order, for the radius bound and
+    the long-pairing bounds the two sweeps use.
+    """
+    for lambda_max in range(1, 9):
         bounds = [
-            lambda a, c, lam: RADIUS_B_MAX,
+            _radius_b_max,
             _long_pairing_bound(max(collect_radii(lambda_max))),
             _long_pairing_bound(Fraction(0)),
         ]
@@ -570,3 +572,14 @@ def test_windows_match_unstrided_oracle():
             fast = list(_windows(lambda_max, b_max))
             assert fast == list(oracle.windows(lambda_max, b_max)), lambda_max
             assert fast
+
+
+def test_radii_integer_order_matches_fraction_sort():
+    """collect_radii is the sorted set of negative squares of the oracle's windows."""
+    for lambda_max in range(1, 9):
+        squares = {
+            Fraction(num, d)
+            for *_, num, d in oracle.windows(lambda_max, _radius_b_max)
+            if num > 0
+        }
+        assert collect_radii(lambda_max) == tuple(sorted(squares)), lambda_max
