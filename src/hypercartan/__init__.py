@@ -2,29 +2,24 @@
 Cartan matrices of elliptic (and parabolic) type with a lattice Weyl
 vector, twisted to symmetric matrices."""
 
-from .canonical import PackedDatum, canonical_form, dihedral_images
+from .canonical import PackedDatum, canonical_form
 from .core import (
     CartanMatrix,
     GeometricRealizationTable,
     InvalidRealizationError,
-    NotHyperbolicError,
     PolygonDatum,
     RealizationFlags,
     SymmetrizedCartan,
     SymmetryGroup,
     TableDecodeError,
-    WeylData,
-    assemble_gram,
     cartan_matrix,
     classify_flags,
     divisibility_ok,
     polygon_table,
-    reflect,
     symmetrized_cartan,
     symmetry_group,
     table_to_datum,
     verify_realization,
-    weyl_vector,
 )
 from .engine import (
     CatalogRecord,
@@ -38,7 +33,6 @@ from .engine import (
     run_parabolic,
     seed_triples,
 )
-from .linalg import QMatrix, Rational, ShapeError, SingularMatrixError, det, solve
 
 __version__ = "0.1.0"
 
@@ -49,38 +43,26 @@ __all__ = [
     "EnumerationResult",
     "GeometricRealizationTable",
     "InvalidRealizationError",
-    "NotHyperbolicError",
     "PackedDatum",
     "ParabolicReport",
     "PolygonDatum",
-    "QMatrix",
-    "Rational",
     "RealizationFlags",
-    "ShapeError",
-    "SingularMatrixError",
     "SymmetrizedCartan",
     "SymmetryGroup",
     "TableDecodeError",
-    "WeylData",
-    "assemble_gram",
     "canonical_form",
     "cartan_matrix",
     "classify_flags",
     "collect_radii",
-    "det",
-    "dihedral_images",
     "divisibility_ok",
     "extend_step",
     "partition_closed",
     "polygon_table",
-    "reflect",
     "run_elliptic",
     "run_parabolic",
     "seed_triples",
-    "solve",
     "symmetrized_cartan",
     "symmetry_group",
     "table_to_datum",
     "verify_realization",
-    "weyl_vector",
 ]

@@ -35,13 +35,6 @@ class PackedDatum:
         )
 
 
-def dihedral_images(p: PackedDatum) -> tuple[PackedDatum, ...]:
-    """The 2n relabellings of p (with repeats when p is symmetric)."""
-    return tuple(
-        PackedDatum(p.n, relabel(p.body)) for relabel in dihedral_relabellers(p.n)
-    )
-
-
 def canonical_form(p: PackedDatum) -> PackedDatum:
     """Lexicographically smallest element of the dihedral orbit of p."""
     body = min(relabel(p.body) for relabel in dihedral_relabellers(p.n))

@@ -20,7 +20,6 @@ from .core import (
     TableDecodeError,
     cartan_matrix,
     classify_flags,
-    polygon_table,
     symmetrized_cartan,
     symmetry_group,
     verify_realization,
@@ -120,9 +119,7 @@ def cmd_enumerate(args) -> int:
         print("error: parabolic mode runs at r = 0 only", file=sys.stderr)
         return EXIT_USAGE
     report = run_parabolic(args.lambda_max, args.max_sides)
-    records = _filtered(report.records, args.untwisted_only, args.noncompact_only)
     if args.format == "records":
-        _emit_records(records, "records", out)
         for per in report.periodic:
             out.write(
                 json.dumps(
@@ -139,7 +136,6 @@ def cmd_enumerate(args) -> int:
                 + "\n"
             )
     else:
-        _emit_records(records, "table", out)
         for per in report.periodic:
             out.write(
                 f"# periodic: period={per.period} detected_at={per.length} "

@@ -3,7 +3,12 @@
 The objects here describe a labelled polygon on the hyperbolic plane
 through pure combinatorial data: the pairwise products of its norm-2
 side vectors and the positive twisting coefficients attached to them.
-Everything is an immutable value; all arithmetic is exact.
+Everything is an immutable value, and all arithmetic is exact on Python
+integers.  The Gram determinant and adjugate of a 3-window of sides are
+closed forms: the search glues chains with them and verification tests
+side triples with them.  The rank and the Weyl vector of a whole
+polygon come from one fraction-free elimination, with ``Fraction`` only
+in its back-substitution and in the Weyl square.
 """
 
 from __future__ import annotations
@@ -14,12 +19,6 @@ from functools import lru_cache
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Sequence
-
-from .linalg import QMatrix, Rational, det, solve
-
-
-class NotHyperbolicError(ValueError):
-    """A 3x3 Gram block that must be Lorentzian is not (det >= 0)."""
 
 
 class InvalidRealizationError(ValueError):
@@ -81,13 +80,6 @@ class PolygonDatum:
         if any(l < 1 for l in self.lam):
             raise InvalidRealizationError("lambdas must be positive")
 
-    def pair(self, i: int, j: int) -> int:
-        if i == j:
-            return 2
-        if i > j:
-            i, j = j, i
-        return self.pairings[pack_index(self.n, i, j)]
-
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """Integer Gram matrix ((delta_i, delta_j)), 0-based rows, diagonal 2."""
@@ -101,19 +93,11 @@ class PolygonDatum:
 
 
 @dataclass(frozen=True)
-class WeylData:
-    """A Weyl vector rho in the basis of the first three sides, and r = (rho, rho)."""
-
-    coords: tuple[Rational, Rational, Rational]
-    r: Rational
-
-
-@dataclass(frozen=True)
 class CartanMatrix:
     """Generalized Cartan matrix A with its diagonal symmetrizer 1/lambda_i^2."""
 
     entries: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[Rational, ...]
+    symmetrizer: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -128,10 +112,6 @@ class GeometricRealizationTable:
     """The (1 + n//2) x n tabular encoding: lambda row, then cyclic pairing rows."""
 
     rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
 
 
 @dataclass(frozen=True)
@@ -174,8 +154,8 @@ class CheckResult:
 class RealizationReport:
     datum: PolygonDatum
     checks: tuple[CheckResult, ...]
-    weyl_solution: tuple[Rational, ...] | None
-    weyl_square: Rational | None
+    weyl_solution: tuple[Fraction, ...] | None
+    weyl_square: Fraction | None
 
     @property
     def valid(self) -> bool:
@@ -183,19 +163,6 @@ class RealizationReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-
-def apply_move(d: PolygonDatum, move: DihedralMove) -> PolygonDatum:
-    """Relabel the sides of a polygon by a dihedral move."""
-    n = d.n
-    src = [move.source_index(n, i) for i in range(1, n + 1)]
-    pairings = tuple(
-        d.pair(src[i - 1], src[j - 1])
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    )
-    lam = tuple(d.lam[s - 1] for s in src)
-    return PolygonDatum(n, pairings, lam)
 
 
 def all_moves(n: int) -> tuple[DihedralMove, ...]:
@@ -210,7 +177,8 @@ def dihedral_relabellers(n: int) -> tuple[Callable[[tuple], tuple], ...]:
     """Index permutations of the 2n dihedral moves, in ``all_moves`` order.
 
     Each maps a packed body (the pairings in packed order, then the
-    lambdas) to the body of the relabelled polygon, as ``apply_move`` does.
+    lambdas) to the body of the polygon with side i relabelled from side
+    ``move.source_index(n, i)``.
     """
     k = pair_count(n)
     getters = []
@@ -225,24 +193,34 @@ def dihedral_relabellers(n: int) -> tuple[Callable[[tuple], tuple], ...]:
     return tuple(getters)
 
 
-def assemble_gram(d: PolygonDatum) -> QMatrix:
-    """Gram matrix ((delta_i, delta_j)) of the sides, diagonal 2."""
-    return QMatrix.from_rows(d.gram)
+# ---------------------------------------------------------------------------
+# 3-window arithmetic
+#
+# A window has pairings (delta_1,delta_2) = -a, (delta_1,delta_3) = -b,
+# (delta_2,delta_3) = -c.  Its Gram determinant and the adjugate are small
+# closed forms, so the Weyl square r = lam^T adj lam / det never touches a
+# matrix routine.
+# ---------------------------------------------------------------------------
 
 
-def weyl_vector(g3: QMatrix, lam3: Sequence[int]) -> WeylData:
-    """Solve (rho, delta_i) = -lambda_i on a hyperbolic 3x3 Gram block.
+def _window_det(a: int, b: int, c: int) -> int:
+    return 8 - 2 * (a * a + b * b + c * c) - 2 * a * b * c
 
-    The coordinates are in the basis (delta_1, delta_2, delta_3) and
-    r = (rho, rho) = -(lambda_1 x_1 + lambda_2 x_2 + lambda_3 x_3).
-    """
-    if g3.rows != 3 or g3.cols != 3:
-        raise NotHyperbolicError("expected a 3x3 Gram block")
-    if det(g3) >= 0:
-        raise NotHyperbolicError("Gram block is not hyperbolic (det >= 0)")
-    x = solve(g3, [-l for l in lam3])
-    r = -sum((Fraction(l) * xi for l, xi in zip(lam3, x)), Fraction(0))
-    return WeylData((x[0], x[1], x[2]), r)
+
+def _window_adjugate(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int]:
+    """(adj11, adj12, adj13, adj22, adj23, adj33) of the window Gram."""
+    return (4 - c * c, 2 * a + b * c, a * c + 2 * b, 4 - b * b, 2 * c + a * b, 4 - a * a)
+
+
+def _adj_mul(a: int, b: int, c: int, v: tuple[int, ...]) -> tuple[int, int, int]:
+    """adj(g) v for the window Gram g."""
+    a11, a12, a13, a22, a23, a33 = _window_adjugate(a, b, c)
+    v1, v2, v3 = v
+    return (
+        a11 * v1 + a12 * v2 + a13 * v3,
+        a12 * v1 + a22 * v2 + a23 * v3,
+        a13 * v1 + a23 * v2 + a33 * v3,
+    )
 
 
 def divisibility_ok(lam_i: int, lam_j: int, g_ij: int) -> bool:
@@ -287,23 +265,6 @@ def symmetrized_cartan(d: PolygonDatum) -> SymmetrizedCartan:
         for lj, row in zip(lam, d.gram)
     )
     return SymmetrizedCartan(entries)
-
-
-def reflect(
-    x: Sequence[Rational | int], i: int, g3: QMatrix
-) -> tuple[Rational, Rational, Rational]:
-    """Reflection in side i on coordinates in the (delta_1, delta_2, delta_3) basis.
-
-    Since (delta_i, delta_i) = 2 this is x -> x - (delta_i, x) delta_i;
-    the twisting coefficients scale away.
-    """
-    if i not in (1, 2, 3):
-        raise IndexError("side index must be 1, 2 or 3")
-    xs = tuple(Fraction(v) for v in x)
-    coeff = sum((g3.entry(i - 1, j) * xs[j] for j in range(3)), Fraction(0))
-    out = list(xs)
-    out[i - 1] -= coeff
-    return (out[0], out[1], out[2])
 
 
 def polygon_table(d: PolygonDatum) -> GeometricRealizationTable:
@@ -364,11 +325,9 @@ def _lorentzian_check(g: Sequence[Sequence[int]]) -> CheckResult:
     for i in range(n):
         gi = g[i]
         for j in range(i + 1, n):
-            a, gj = gi[j], g[j]
+            a, gj = -gi[j], g[j]
             for k in range(j + 1, n):
-                b, c = gi[k], gj[k]
-                # det [[2, a, b], [a, 2, c], [b, c, 2]]
-                dd = 8 + 2 * a * b * c - 2 * (a * a + b * b + c * c)
+                dd = _window_det(a, -gi[k], -gj[k])
                 if dd != 0:
                     if dd < 0:
                         return CheckResult("lorentzian", True)
@@ -382,7 +341,7 @@ def _lorentzian_check(g: Sequence[Sequence[int]]) -> CheckResult:
 
 def _weyl_system(
     g: Sequence[Sequence[int]], lam: Sequence[int]
-) -> tuple[int, tuple[Rational, ...] | None]:
+) -> tuple[int, tuple[Fraction, ...] | None]:
     """Rank of the Gram g and one solution x of g x = -lam, or None.
 
     One fraction-free (Bareiss) pass over the integer matrix [g | -lam]:
@@ -478,7 +437,7 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
         CheckResult("coprime-lambda", gl == 1, f"gcd(lambda) = {gl}" if gl != 1 else "")
     )
 
-    weyl_square: Rational | None = None
+    weyl_square: Fraction | None = None
     if solution is None:
         checks.append(
             CheckResult(
@@ -494,13 +453,12 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
     return RealizationReport(d, tuple(checks), solution, weyl_square)
 
 
-def classify_flags(d: PolygonDatum, w: WeylData | Rational) -> RealizationFlags:
-    """Type, compactness and twisting flags of a realization.
+def classify_flags(d: PolygonDatum, r: Fraction) -> RealizationFlags:
+    """Type, compactness and twisting flags of a realization with Weyl square r.
 
     Elliptic means r < 0, parabolic means r = 0; compact means no adjacent
     pairing equals -2 (no vertex at infinity); untwisted means lambda = 1.
     """
-    r = w.r if isinstance(w, WeylData) else Fraction(w)
     if r > 0:
         raise ValueError(f"Weyl square must be <= 0, got {r}")
     kind = "elliptic" if r < 0 else "parabolic"

@@ -47,6 +47,8 @@ from typing import Callable, Iterator
 from .canonical import PackedDatum, canonical_form
 from .core import (
     PolygonDatum,
+    _adj_mul,
+    _window_det,
     cartan_matrix,
     classify_flags,
     pack_index,
@@ -57,7 +59,15 @@ from .core import (
 )
 
 # Radius-collection window bounds: adjacent pairings in [-2, 0], long
-# pairing in (-15, 0].
+# pairing in (-15, 0].  All windows of a polygon share its Weyl square, so
+# the collected radii are complete under the assumption
+#   (N) every solution polygon has three consecutive sides with
+#       -(delta_1, delta_3) <= RADIUS_B_MAX.
+# (N) is not proven here.  Its likely source is the bound on the narrow
+# part of a polygon in Nikulin's method, as used by Gritsenko and Nikulin
+# (arXiv alg-geom/9610022).  The tests check that every catalog polygon
+# has such a window and that a larger bound changes no record at
+# lambda <= 6.
 ADJACENT_MAX = 2
 RADIUS_B_MAX = 14
 
@@ -83,13 +93,6 @@ class ChainState:
     length: int
     pairings: tuple[int, ...]
     lam: tuple[int, ...]
-
-    def pair(self, i: int, j: int) -> int:
-        if i == j:
-            return 2
-        if i > j:
-            i, j = j, i
-        return self.pairings[pack_index(self.length, i, j)]
 
     @property
     def closing_pair(self) -> int:
@@ -141,39 +144,18 @@ class PeriodicChainReport:
 
 @dataclass(frozen=True)
 class ParabolicReport:
-    records: tuple[CatalogRecord, ...]
     periodic: tuple[PeriodicChainReport, ...]
     capped_chains: int
 
+    @property
+    def records(self) -> tuple[CatalogRecord, ...]:
+        """Always empty: no r = 0 polygon closes (see ``run_parabolic``)."""
+        return ()
+
 
 # ---------------------------------------------------------------------------
-# 3-window arithmetic
-#
-# A window has pairings (delta_1,delta_2) = -a, (delta_1,delta_3) = -b,
-# (delta_2,delta_3) = -c with a, b, c >= 0.  Its Gram determinant and the
-# adjugate are small closed forms, so the Weyl square r = lam^T adj lam / det
-# never touches a matrix routine.
+# 3-window scan (window closed forms in ``core``)
 # ---------------------------------------------------------------------------
-
-
-def _window_det(a: int, b: int, c: int) -> int:
-    return 8 - 2 * (a * a + b * b + c * c) - 2 * a * b * c
-
-
-def _window_adjugate(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int]:
-    """(adj11, adj12, adj13, adj22, adj23, adj33) of the window Gram."""
-    return (4 - c * c, 2 * a + b * c, a * c + 2 * b, 4 - b * b, 2 * c + a * b, 4 - a * a)
-
-
-def _adj_mul(a: int, b: int, c: int, v: tuple[int, ...]) -> tuple[int, int, int]:
-    """adj(g) v for the window Gram g."""
-    a11, a12, a13, a22, a23, a33 = _window_adjugate(a, b, c)
-    v1, v2, v3 = v
-    return (
-        a11 * v1 + a12 * v2 + a13 * v3,
-        a12 * v1 + a22 * v2 + a23 * v3,
-        a13 * v1 + a23 * v2 + a33 * v3,
-    )
 
 
 def _window_chain(a: int, b: int, c: int, lam: tuple[int, int, int]) -> ChainState:
@@ -639,13 +621,19 @@ def _detect_period(ch: ChainState) -> PeriodicChainReport | None:
 def run_parabolic(
     lambda_max: int, max_sides: int = DEFAULT_MAX_SIDES
 ) -> ParabolicReport:
-    """The r = 0 pipeline: closed polygons plus periodic-chain detection.
+    """The r = 0 pipeline: periodic-chain detection on the r = 0 seeds.
 
     Chains whose newest decorated 3-window state repeats an earlier one
     are reported with their period and a rotation-invariant signature
     instead of being extended further; anything still alive at
     ``max_sides`` is counted as capped.  Exploratory mode: the parabolic
     classification itself is out of scope here.
+
+    No r = 0 chain ever closes.  A closed polygon bounds a cone
+    {x : (x, delta_i) <= 0 for all i} whose interior vectors all have
+    negative square.  (rho, delta_i) = -lambda_i < 0 on every side puts
+    rho strictly inside that cone, so (rho, rho) < 0.  A closed r = 0
+    polygon is therefore an engine fault and raises InvariantViolation.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
@@ -653,7 +641,7 @@ def run_parabolic(
         raise ValueError("max_sides must be >= 3")
     periodic: dict[tuple, PeriodicChainReport] = {}
     closed, capped = _grow(seed_triples(0, lambda_max), max_sides, periodic)
+    if closed:
+        raise InvariantViolation(f"a chain closed at r = 0: {closed[0]}")
     reports = tuple(periodic[key] for key in sorted(periodic))
-    return ParabolicReport(
-        tuple(_dedup_records(Fraction(0), closed)), reports, len(capped)
-    )
+    return ParabolicReport(reports, len(capped))

@@ -5,7 +5,9 @@ realization tables (``data/catalog.txt``, in the same plain-text block
 format the CLI reads and writes) and the twelve explicit lattice
 realizations of the symmetric non-compact solutions
 (``data/fixtures.json``), each with its root coordinates, Weyl vector,
-symmetry order and expected Cartan matrix.
+symmetry order and expected Cartan matrix.  Fixtures are checked on
+integers: the lattice determinant by cofactor expansion, root membership
+by the fraction-free elimination that also solves the Weyl system.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from .core import (
     CheckResult,
     GeometricRealizationTable,
     PolygonDatum,
-    Rational,
+    _weyl_system,
     symmetry_group,
     table_to_datum,
     verify_realization,
 )
 from .engine import CatalogRecord
-from .linalg import QMatrix, det, solve
 
 
 class GoldenFormatError(ValueError):
@@ -36,7 +37,7 @@ class GoldenFormatError(ValueError):
 
 @dataclass(frozen=True)
 class GoldenRow:
-    r: Rational
+    r: Fraction
     table: GeometricRealizationTable
 
     def datum(self) -> PolygonDatum:
@@ -48,7 +49,7 @@ class NamedCartan:
     """One of the twelve symmetric non-compact matrices, with its radius."""
 
     name: str
-    r: Rational
+    r: Fraction
     entries: tuple[tuple[int, ...], ...]
 
     def datum(self) -> PolygonDatum:
@@ -72,39 +73,25 @@ class LatticeFixture:
     family_gram: tuple[tuple[int, ...], ...]
     basis: tuple[tuple[int, ...], ...]
     roots: tuple[tuple[int, ...], ...]
-    rho: tuple[Rational, Rational, Rational]
-    expected_r: Rational
+    rho: tuple[Fraction, Fraction, Fraction]
+    expected_r: Fraction
     expected_sym_order: int
     lattice: str
     expected_det: int
     expected_cartan: tuple[tuple[int, ...], ...]
 
-    def basis_gram(self) -> QMatrix:
-        g = self.family_gram
-        rows = []
-        for u in self.basis:
-            rows.append(
-                [
-                    sum(
-                        u[i] * g[i][j] * v[j]
-                        for i in range(3)
-                        for j in range(3)
-                    )
-                    for v in self.basis
-                ]
-            )
-        return QMatrix.from_rows(rows)
+    def basis_gram(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.pairing(u, v) for v in self.basis) for u in self.basis)
 
-    def pairing(self, u, v) -> Fraction:
+    def pairing(self, u, v):
+        """(u, v) in the family lattice: an integer for integer coordinates."""
         g = self.family_gram
-        return Fraction(
-            sum(u[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
-        )
+        return sum(u[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
 
     def induced_polygon(self) -> PolygonDatum:
         n = len(self.roots)
         pairings = tuple(
-            int(self.pairing(self.roots[i], self.roots[j]))
+            self.pairing(self.roots[i], self.roots[j])
             for i in range(n)
             for j in range(i + 1, n)
         )
@@ -144,7 +131,7 @@ def parse_rational(text: str) -> Fraction:
         raise GoldenFormatError(f"bad rational {text!r}") from exc
 
 
-def format_rational(x: Rational) -> str:
+def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
@@ -183,7 +170,7 @@ def parse_golden_text(text: str) -> list[GoldenRow]:
     return rows
 
 
-def format_golden_block(r: Rational, table: GeometricRealizationTable) -> str:
+def format_golden_block(r: Fraction, table: GeometricRealizationTable) -> str:
     lines = [f"r = {format_rational(r)}"]
     lines.extend(" ".join(str(v) for v in row) for row in table.rows)
     return "\n".join(lines)
@@ -200,7 +187,7 @@ def golden_catalog() -> tuple[GoldenRow, ...]:
 
 
 @lru_cache(maxsize=None)
-def _fixture_data() -> tuple[LatticeFixture, ...]:
+def lattice_fixtures() -> tuple[LatticeFixture, ...]:
     payload = json.loads(_data_text("fixtures.json"))
     out = []
     for fx in payload["fixtures"]:
@@ -221,16 +208,18 @@ def _fixture_data() -> tuple[LatticeFixture, ...]:
     return tuple(out)
 
 
-def lattice_fixtures() -> tuple[LatticeFixture, ...]:
-    return _fixture_data()
-
-
 def symmetric_noncompact_matrices() -> tuple[NamedCartan, ...]:
     """The twelve symmetric non-compact matrices with their r values."""
     return tuple(
         NamedCartan(f.name, f.expected_r, f.expected_cartan)
-        for f in _fixture_data()
+        for f in lattice_fixtures()
     )
+
+
+def _det3(m) -> int:
+    """Determinant of a 3x3 integer matrix by cofactor expansion along row 1."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def canonical_key(d: PolygonDatum) -> tuple[int, tuple[int, ...]]:
@@ -249,8 +238,7 @@ def verify_fixture(f: LatticeFixture) -> FixtureReport:
     checks: list[CheckResult] = []
     n = len(f.roots)
 
-    bg = f.basis_gram()
-    d = det(bg)
+    d = _det3(f.basis_gram())
     checks.append(
         CheckResult(
             "lattice-determinant",
@@ -259,13 +247,13 @@ def verify_fixture(f: LatticeFixture) -> FixtureReport:
         )
     )
 
-    basis_t = QMatrix.from_rows(
-        [[f.basis[j][i] for j in range(3)] for i in range(3)]
-    )
+    # coords solve basis^T coords = root: the system g x = -lam with
+    # g = basis^T and lam = -root
+    basis_t = tuple(zip(*f.basis))
     non_integral = []
     for idx, root in enumerate(f.roots, start=1):
-        coords = solve(basis_t, root)
-        if any(x.denominator != 1 for x in coords):
+        rank, coords = _weyl_system(basis_t, [-v for v in root])
+        if rank != 3 or any(x.denominator != 1 for x in coords):
             non_integral.append((idx, coords))
     checks.append(
         CheckResult(

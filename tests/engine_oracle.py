@@ -1,7 +1,8 @@
 """Slow reference implementations for the chain kernel and window scan in ``engine``.
 
-The join keys and the extended chain are rebuilt entry by entry through
-``ChainState.pair``.  The window scan walks every (a, c, lam) triple with
+``pair`` looks one pairing up by its side indices, as ``ChainState.pair``
+and ``PolygonDatum.pair`` did.  The join keys and the extended chain are
+rebuilt entry by entry through it.  The window scan walks every (a, c, lam) triple with
 a divisibility test per triple, every long pairing b with a divisibility
 test per b, and evaluates num and det per window from the closed forms,
 as the engine did before it enumerated admissible shapes directly and
@@ -13,13 +14,25 @@ from __future__ import annotations
 
 import itertools
 
+from hypercartan.core import _window_adjugate, _window_det, pack_index
 from hypercartan.engine import (
     ADJACENT_MAX,
+    DEFAULT_MAX_SIDES,
     BMax,
     ChainState,
-    _window_adjugate,
-    _window_det,
+    _detect_period,
+    extend_step,
+    partition_closed,
 )
+
+
+def pair(x, i: int, j: int) -> int:
+    """(delta_i, delta_j), 1-based, of a chain or polygon x: its packed entry."""
+    if i == j:
+        return 2
+    if i > j:
+        i, j = j, i
+    return x.pairings[pack_index(len(x.lam), i, j)]
 
 
 def window_square_num(a: int, b: int, c: int, l1: int, l2: int, l3: int) -> int:
@@ -69,16 +82,33 @@ def windows(lambda_max: int, b_max: BMax):
                         yield a, b, c, lam, window_square_num(a, b, c, l1, l2, l3), d
 
 
+def reached_chains(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):
+    """Every chain the chain loop meets from these seeds, length by length.
+
+    Follows engine._grow: closed chains stop, and with ``parabolic`` a
+    chain whose newest window state repeats is set aside.
+    """
+    chains = seeds
+    while chains:
+        yield from chains
+        _, chains = partition_closed(chains)
+        if parabolic:
+            chains = [ch for ch in chains if _detect_period(ch) is None]
+        if not chains or chains[0].length >= max_sides:
+            break
+        chains = extend_step(chains)
+
+
 def head_key(ch: ChainState) -> tuple:
     m = ch.length
-    pairs = tuple(ch.pair(i, j) for i in range(1, m) for j in range(i + 1, m))
+    pairs = tuple(pair(ch, i, j) for i in range(1, m) for j in range(i + 1, m))
     return pairs + ch.lam[: m - 1]
 
 
 def tail_key(ch: ChainState) -> tuple:
     m = ch.length
     pairs = tuple(
-        ch.pair(i, j) for i in range(2, m + 1) for j in range(i + 1, m + 1)
+        pair(ch, i, j) for i in range(2, m + 1) for j in range(i + 1, m + 1)
     )
     return pairs + ch.lam[1:]
 
@@ -86,22 +116,22 @@ def tail_key(ch: ChainState) -> tuple:
 def extended_chain(x: ChainState, y: ChainState, g1n: int) -> ChainState:
     m = x.length
     n = m + 1
-    newp: list[int] = [x.pair(1, j) for j in range(2, m + 1)]
+    newp: list[int] = [pair(x, 1, j) for j in range(2, m + 1)]
     newp.append(g1n)
     for i in range(2, n + 1):
         for j in range(i + 1, n + 1):
-            newp.append(y.pair(i - 1, j - 1))
+            newp.append(pair(y, i - 1, j - 1))
     lam = (x.lam[0],) + y.lam
     return ChainState(n, tuple(newp), lam)
 
 
 def chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
-    """engine._chain_windows through ChainState.pair."""
+    """engine._chain_windows through ``pair``."""
     return [
         (
-            ch.pair(i, i + 1),
-            ch.pair(i, i + 2),
-            ch.pair(i + 1, i + 2),
+            pair(ch, i, i + 1),
+            pair(ch, i, i + 2),
+            pair(ch, i + 1, i + 2),
             ch.lam[i - 1],
             ch.lam[i],
             ch.lam[i + 1],

@@ -1,4 +1,9 @@
-"""Exact rational linear algebra for small dense matrices.
+"""Exact rational linear algebra for small dense matrices: a test oracle.
+
+The package computes on integers through closed forms and one
+fraction-free elimination (``core._weyl_system``); this general
+``Fraction`` matrix API is what it used before, kept so the tests can
+compare the integer paths against it.
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), so
 nothing here ever rounds.  The determinant runs fraction-free (Bareiss)
@@ -14,9 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-Rational = Fraction
-
-QLike = Rational | int
+QLike = Fraction | int
 
 
 class ShapeError(ValueError):
@@ -27,7 +30,7 @@ class SingularMatrixError(ZeroDivisionError):
     """A linear solve hit an exactly singular matrix."""
 
 
-def _as_rational(x: QLike) -> Rational:
+def _as_rational(x: QLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -37,7 +40,7 @@ class QMatrix:
 
     rows: int
     cols: int
-    entries: tuple[Rational, ...]
+    entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -51,17 +54,17 @@ class QMatrix:
     def from_rows(cls, rows: Sequence[Sequence[QLike]]) -> "QMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        flat: list[Rational] = []
+        flat: list[Fraction] = []
         for row in rows:
             if len(row) != ncols:
                 raise ShapeError("ragged rows")
             flat.extend(_as_rational(x) for x in row)
         return cls(nrows, ncols, tuple(flat))
 
-    def entry(self, i: int, j: int) -> Rational:
+    def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Rational, ...]:
+    def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     @property
@@ -69,7 +72,7 @@ class QMatrix:
         return self.rows == self.cols
 
 
-def _integer_rows(m: QMatrix) -> tuple[list[list[int]], Rational]:
+def _integer_rows(m: QMatrix) -> tuple[list[list[int]], Fraction]:
     """Rescale each row to integers; return (rows, product of row scales)."""
     rows: list[list[int]] = []
     scale = Fraction(1)
@@ -109,7 +112,7 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det(m: QMatrix) -> Rational:
+def det(m: QMatrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if not m.is_square:
         raise ShapeError("determinant of a non-square matrix")
@@ -117,7 +120,7 @@ def det(m: QMatrix) -> Rational:
     return Fraction(_bareiss_det(rows)) / scale
 
 
-def solve(m: QMatrix, v: Sequence[QLike]) -> tuple[Rational, ...]:
+def solve(m: QMatrix, v: Sequence[QLike]) -> tuple[Fraction, ...]:
     """Solve m x = v exactly; raises SingularMatrixError when det(m) == 0."""
     if not m.is_square:
         raise ShapeError("solve needs a square matrix")

@@ -1,30 +1,113 @@
-"""Slow reference implementations for the integer reader path in ``core``.
+"""Slow reference implementations for the integer reader path.
 
 ``rank``, ``solve_consistent`` and ``det_int_rows`` are the general
 ``Fraction`` routines that ``verify_realization`` used before it ran one
-fraction-free pass over the integer Gram.  The ``reference_*`` functions
-rebuild the verification report, the symmetry group and the canonical
-form the old way (``assemble_gram`` and two eliminations, a determinant
-per side triple, ``apply_move`` images), so the tests can compare the
-fast paths against them.
+fraction-free pass over the integer Gram.  ``assemble_gram``,
+``weyl_vector`` and ``reflect`` are the rational matrix API ``core``
+once carried; ``apply_move`` relabels one side at a time through
+``pair``, and ``dihedral_images`` lists the relabellings the package
+computes by index permutation.  The ``reference_*`` functions rebuild
+the verification report, the symmetry group, the canonical form and a
+fixture's report the old way (``assemble_gram`` and two eliminations, a
+determinant per side triple, ``apply_move`` images, a rational ``det``
+and ``solve`` per fixture), so the tests can compare the fast paths
+against them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
+from engine_oracle import pair
 from hypercartan.canonical import PackedDatum
 from hypercartan.core import (
     CheckResult,
     DihedralMove,
+    PolygonDatum,
     SymmetryGroup,
     all_moves,
-    apply_move,
-    assemble_gram,
+    dihedral_relabellers,
     divisibility_ok,
+    symmetry_group,
 )
-from hypercartan.linalg import QMatrix, ShapeError, _bareiss_det, _integer_rows
+from hypercartan.goldens import FixtureReport, LatticeFixture
+from rational_oracle import QMatrix, ShapeError, _bareiss_det, _integer_rows, det, solve
+
+
+class NotHyperbolicError(ValueError):
+    """A 3x3 Gram block that must be Lorentzian is not (det >= 0)."""
+
+
+@dataclass(frozen=True)
+class WeylData:
+    """A Weyl vector rho in the basis of the first three sides, and r = (rho, rho)."""
+
+    coords: tuple[Fraction, Fraction, Fraction]
+    r: Fraction
+
+
+def assemble_gram(d: PolygonDatum) -> QMatrix:
+    """Gram matrix ((delta_i, delta_j)) of the sides, diagonal 2."""
+    return QMatrix.from_rows(d.gram)
+
+
+def weyl_vector(g3: QMatrix, lam3: Sequence[int]) -> WeylData:
+    """Solve (rho, delta_i) = -lambda_i on a hyperbolic 3x3 Gram block.
+
+    The coordinates are in the basis (delta_1, delta_2, delta_3) and
+    r = (rho, rho) = -(lambda_1 x_1 + lambda_2 x_2 + lambda_3 x_3).
+    """
+    if g3.rows != 3 or g3.cols != 3:
+        raise NotHyperbolicError("expected a 3x3 Gram block")
+    if det(g3) >= 0:
+        raise NotHyperbolicError("Gram block is not hyperbolic (det >= 0)")
+    x = solve(g3, [-l for l in lam3])
+    r = -sum((Fraction(l) * xi for l, xi in zip(lam3, x)), Fraction(0))
+    return WeylData((x[0], x[1], x[2]), r)
+
+
+def reflect(
+    x: Sequence[Fraction | int], i: int, g3: QMatrix
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Reflection in side i on coordinates in the (delta_1, delta_2, delta_3) basis.
+
+    Since (delta_i, delta_i) = 2 this is x -> x - (delta_i, x) delta_i;
+    the twisting coefficients scale away.
+    """
+    if i not in (1, 2, 3):
+        raise IndexError("side index must be 1, 2 or 3")
+    xs = tuple(Fraction(v) for v in x)
+    coeff = sum((g3.entry(i - 1, j) * xs[j] for j in range(3)), Fraction(0))
+    out = list(xs)
+    out[i - 1] -= coeff
+    return (out[0], out[1], out[2])
+
+
+def apply_move(d: PolygonDatum, move: DihedralMove) -> PolygonDatum:
+    """Relabel the sides of a polygon by a dihedral move."""
+    n = d.n
+    src = [move.source_index(n, i) for i in range(1, n + 1)]
+    pairings = tuple(
+        pair(d, src[i - 1], src[j - 1])
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    )
+    lam = tuple(d.lam[s - 1] for s in src)
+    return PolygonDatum(n, pairings, lam)
+
+
+def dihedral_images(p: PackedDatum) -> tuple[PackedDatum, ...]:
+    """The 2n relabellings of p (with repeats when p is symmetric).
+
+    Built from ``core.dihedral_relabellers``, the index permutations that
+    ``canonical_form`` and ``symmetry_group`` use.
+    """
+    return tuple(
+        PackedDatum(p.n, relabel(p.body)) for relabel in dihedral_relabellers(p.n)
+    )
 
 
 def rank(m: QMatrix) -> int:
@@ -100,7 +183,7 @@ def _reference_lorentzian(d) -> CheckResult:
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
                 dd = det_int_rows(
-                    [[d.pair(a, b) for b in (i, j, k)] for a in (i, j, k)]
+                    [[pair(d, a, b) for b in (i, j, k)] for a in (i, j, k)]
                 )
                 if dd != 0:
                     if dd < 0:
@@ -121,9 +204,9 @@ def reference_verify(d):
         _reference_lorentzian(d),
     ]
     bad_adj = [
-        (i, i % n + 1, d.pair(i, i % n + 1))
+        (i, i % n + 1, pair(d, i, i % n + 1))
         for i in range(1, n + 1)
-        if not -2 <= d.pair(i, i % n + 1) <= 0
+        if not -2 <= pair(d, i, i % n + 1) <= 0
     ]
     checks.append(CheckResult(
         "adjacent-pairings",
@@ -131,7 +214,7 @@ def reference_verify(d):
         f"adjacent pairings outside [-2, 0]: {bad_adj}" if bad_adj else "",
     ))
     bad_sign = [
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if d.pair(i, j) > 0
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if pair(d, i, j) > 0
     ]
     checks.append(CheckResult(
         "nonpositive-pairings",
@@ -142,7 +225,7 @@ def reference_verify(d):
         (i, j)
         for i in range(1, n + 1)
         for j in range(1, n + 1)
-        if i != j and not divisibility_ok(d.lam[i - 1], d.lam[j - 1], d.pair(i, j))
+        if i != j and not divisibility_ok(d.lam[i - 1], d.lam[j - 1], pair(d, i, j))
     ]
     checks.append(CheckResult(
         "divisibility",
@@ -190,3 +273,90 @@ def reference_canonical_form(p: PackedDatum) -> PackedDatum:
     d = p.to_polygon()
     images = (PackedDatum.from_polygon(apply_move(d, m)) for m in all_moves(p.n))
     return min(images, key=lambda q: q.body)
+
+
+def reference_verify_fixture(f: LatticeFixture) -> FixtureReport:
+    """``goldens.verify_fixture`` with a rational ``det`` and ``solve``."""
+    checks: list[CheckResult] = []
+    n = len(f.roots)
+
+    d = det(QMatrix.from_rows(f.basis_gram()))
+    checks.append(
+        CheckResult(
+            "lattice-determinant",
+            d == f.expected_det,
+            f"det {d}, expected {f.expected_det} ({f.lattice})",
+        )
+    )
+
+    basis_t = QMatrix.from_rows(
+        [[f.basis[j][i] for j in range(3)] for i in range(3)]
+    )
+    non_integral = []
+    for idx, root in enumerate(f.roots, start=1):
+        coords = solve(basis_t, root)
+        if any(x.denominator != 1 for x in coords):
+            non_integral.append((idx, coords))
+    checks.append(
+        CheckResult(
+            "roots-in-lattice",
+            not non_integral,
+            f"roots outside the sublattice: {non_integral}" if non_integral else "",
+        )
+    )
+
+    bad_norm = [
+        (i + 1, f.pairing(root, root))
+        for i, root in enumerate(f.roots)
+        if f.pairing(root, root) != 2
+    ]
+    checks.append(
+        CheckResult(
+            "root-norms", not bad_norm, f"squares != 2: {bad_norm}" if bad_norm else ""
+        )
+    )
+
+    gram_mismatch = [
+        (i + 1, j + 1)
+        for i in range(n)
+        for j in range(n)
+        if f.pairing(f.roots[i], f.roots[j]) != f.expected_cartan[i][j]
+    ]
+    checks.append(
+        CheckResult(
+            "gram-matches-cartan",
+            not gram_mismatch,
+            f"pairs off: {gram_mismatch}" if gram_mismatch else "",
+        )
+    )
+
+    bad_weyl = [
+        (i + 1, f.pairing(f.rho, root))
+        for i, root in enumerate(f.roots)
+        if f.pairing(f.rho, root) != -1
+    ]
+    checks.append(
+        CheckResult(
+            "weyl-pairings",
+            not bad_weyl,
+            f"(rho, delta_i) != -1 at {bad_weyl}" if bad_weyl else "",
+        )
+    )
+
+    rr = f.pairing(f.rho, f.rho)
+    checks.append(
+        CheckResult(
+            "weyl-square", rr == f.expected_r, f"(rho, rho) = {rr}, expected {f.expected_r}"
+        )
+    )
+
+    sym = symmetry_group(f.induced_polygon())
+    checks.append(
+        CheckResult(
+            "symmetry-order",
+            sym.order == f.expected_sym_order,
+            f"order {sym.order}, expected {f.expected_sym_order}",
+        )
+    )
+
+    return FixtureReport(f.name, tuple(checks))

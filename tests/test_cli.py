@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hypercartan.canonical import PackedDatum, canonical_form
-from hypercartan import cli
+from hypercartan import cli, engine
 from hypercartan.cli import _matrix_lines, main
 from hypercartan.core import (
     PolygonDatum,
@@ -282,6 +282,33 @@ def test_engine_invariant_failure_is_one_line_exit_4(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--jobs", "1")
     assert code == 4
     assert err == "error: engine invariant violated: extend_step received a closed chain\n"
+
+
+def test_parabolic_closed_polygon_exits_4(capsys, monkeypatch):
+    # a closed r = 0 polygon cannot exist; fake one by seeding a closed window
+    closed = engine.ChainState(3, (0, -1, -2), (1, 1, 1))
+    monkeypatch.setattr(engine, "seed_triples", lambda r, lambda_max: [closed])
+    with pytest.raises(InvariantViolation, match="closed at r = 0"):
+        engine.run_parabolic(1)
+    code, out, err = run_cli(capsys, "enumerate", "--mode", "parabolic")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: engine invariant violated: a chain closed at r = 0")
+    assert err.count("\n") == 1
+
+
+def test_import_surface():
+    """The CLI loads no rational matrix module, and every exported name resolves."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, hypercartan.cli, hypercartan\n"
+        "assert 'hypercartan.linalg' not in sys.modules, sorted(sys.modules)\n"
+        "missing = [n for n in hypercartan.__all__ if not hasattr(hypercartan, n)]\n"
+        "assert not missing, missing\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_matrix_lines_match_per_entry_format():

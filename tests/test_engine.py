@@ -5,13 +5,13 @@ from math import isqrt
 
 import pytest
 
-from hypercartan.core import verify_realization, weyl_vector
+from hypercartan import engine
+from hypercartan.core import _adj_mul, _window_det, verify_realization
 from hypercartan.engine import (
     DEFAULT_MAX_SIDES,
+    RADIUS_B_MAX,
     ChainState,
-    _adj_mul,
     _chain_windows,
-    _detect_period,
     _divisible_both,
     _extended_chain,
     _glue,
@@ -22,7 +22,6 @@ from hypercartan.engine import (
     _seed_map,
     _tail_key,
     _window_chain,
-    _window_det,
     _windows,
     _worker_count,
     collect_radii,
@@ -32,9 +31,12 @@ from hypercartan.engine import (
     run_parabolic,
     seed_triples,
 )
-from hypercartan.linalg import QMatrix, SingularMatrixError, det, solve
+from hypercartan.goldens import golden_catalog
+from rational_oracle import QMatrix, SingularMatrixError, det, solve
+from reader_oracle import weyl_vector
 
 import engine_oracle as oracle
+from engine_oracle import pair
 
 SYMMETRIC_NONCOMPACT_RADII = [
     Fraction(-23, 2),
@@ -54,7 +56,7 @@ SYMMETRIC_NONCOMPACT_RADII = [
 
 def _first_window_weyl(chain):
     """The Weyl vector of a chain in the basis of its first three sides."""
-    g3 = QMatrix.from_rows([[chain.pair(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)])
+    g3 = QMatrix.from_rows([[pair(chain, i, j) for j in (1, 2, 3)] for i in (1, 2, 3)])
     return weyl_vector(g3, chain.lam[:3])
 
 
@@ -183,14 +185,14 @@ def test_extended_chains_keep_weyl_consistency():
     for chain in extend_step(extendable):
         x = _first_window_weyl(chain).coords
         for j in range(1, chain.length + 1):
-            paired = sum(x[i] * chain.pair(i + 1, j) for i in range(3))
+            paired = sum(x[i] * pair(chain, i + 1, j) for i in range(3))
             assert paired == -chain.lam[j - 1]
         # solving on the shifted window gives the same vector
         g234 = QMatrix.from_rows(
-            [[chain.pair(i, j) for j in (2, 3, 4)] for i in (2, 3, 4)]
+            [[pair(chain, i, j) for j in (2, 3, 4)] for i in (2, 3, 4)]
         )
         y = solve(g234, [-chain.lam[1], -chain.lam[2], -chain.lam[3]])
-        paired_first = sum(y[i] * chain.pair(i + 2, 1) for i in range(3))
+        paired_first = sum(y[i] * pair(chain, i + 2, 1) for i in range(3))
         assert paired_first == -chain.lam[0]
 
 
@@ -248,9 +250,9 @@ def test_run_elliptic_cap_event():
 
 def test_run_parabolic_properties():
     report = run_parabolic(2, 16)
-    for rec in report.records:
-        rep = verify_realization(_as_polygon(rec))
-        assert rep.valid and rep.weyl_square == 0
+    # no r = 0 chain reaches the closing threshold (see run_parabolic)
+    chains = list(oracle.reached_chains(seed_triples(0, 2), True))
+    assert chains and all(ch.closing_pair < -2 for ch in chains)
     assert report.capped_chains >= 0
     for per in report.periodic:
         assert per.length <= 16
@@ -263,6 +265,32 @@ def test_run_parabolic_properties():
 def test_run_parabolic_periodic_chains_exist():
     report = run_parabolic(2, 16)
     assert report.periodic
+
+
+def test_catalog_polygons_have_a_radius_window():
+    """Assumption (N) on the catalog: some 3 consecutive sides have b <= RADIUS_B_MAX.
+
+    b = -(delta_i, delta_{i+2}) is the long pairing of the window at side i;
+    a polygon's radius is collected when one of its windows has b within
+    the bound.  Reports the largest b any row needs and the slack.
+    """
+    needed = []
+    for row in golden_catalog():
+        d = row.datum()
+        g, n = d.gram, d.n
+        needed.append(min(-g[i][(i + 2) % n] for i in range(n)))
+    slack = RADIUS_B_MAX - max(needed)
+    print(f"(N): largest long pairing needed {max(needed)}, bound {RADIUS_B_MAX}, "
+          f"slack {slack}")
+    assert slack >= 0, needed
+
+
+def test_larger_radius_bound_changes_no_record(monkeypatch):
+    """Raising RADIUS_B_MAX from 14 to 20 finds more radii but no new record at lambda <= 6."""
+    radii, records = collect_radii(6), run_elliptic(6).records
+    monkeypatch.setattr(engine, "RADIUS_B_MAX", 20)
+    assert len(collect_radii(6)) > len(radii)
+    assert run_elliptic(6).records == records
 
 
 def test_weyl_square_strictly_monotone_in_long_pairing():
@@ -359,17 +387,17 @@ def _fraction_glue(x, y):
     ln = y.lam[-1]
     if m == 3:
         ra = _first_window_weyl(x).coords
-        g24 = y.pair(1, 3)
-        g34 = y.pair(2, 3)
+        g24 = pair(y, 1, 3)
+        g34 = pair(y, 2, 3)
         if ra[0] != 0:
             candidates = [(-ln - ra[1] * g24 - ra[2] * g34) / ra[0]]
         else:
             # the Weyl equation cannot see g14: use the vanishing 4x4 determinant
             if ra[1] * g24 + ra[2] * g34 != -ln:
                 return []
-            f0 = _det4(x.pair(1, 2), x.pair(1, 3), 0, x.pair(2, 3), g24, g34)
-            f1 = _det4(x.pair(1, 2), x.pair(1, 3), 1, x.pair(2, 3), g24, g34)
-            f_1 = _det4(x.pair(1, 2), x.pair(1, 3), -1, x.pair(2, 3), g24, g34)
+            f0 = _det4(pair(x, 1, 2), pair(x, 1, 3), 0, pair(x, 2, 3), g24, g34)
+            f1 = _det4(pair(x, 1, 2), pair(x, 1, 3), 1, pair(x, 2, 3), g24, g34)
+            f_1 = _det4(pair(x, 1, 2), pair(x, 1, 3), -1, pair(x, 2, 3), g24, g34)
             alpha = (f1 + f_1) // 2 - f0
             beta = (f1 - f_1) // 2
             candidates = _rational_quadratic_roots(alpha, beta, f0)
@@ -380,15 +408,15 @@ def _fraction_glue(x, y):
             g14 = int(cand)
             if g14 > 0 or not _divisible_both(l1, ln, g14):
                 continue
-            if _det4(x.pair(1, 2), x.pair(1, 3), g14, x.pair(2, 3), g24, g34) != 0:
+            if _det4(pair(x, 1, 2), pair(x, 1, 3), g14, pair(x, 2, 3), g24, g34) != 0:
                 continue
             out.append(oracle.extended_chain(x, y, g14))
         return out
     try:
-        gx = _window_gram(x.pair(1, 2), x.pair(1, 3), x.pair(2, 3))
-        d4 = solve(gx, [x.pair(1, 4), x.pair(2, 4), x.pair(3, 4)])
-        gy = _window_gram(y.pair(1, 2), y.pair(1, 3), y.pair(2, 3))
-        dn_in_y = solve(gy, [y.pair(1, m), y.pair(2, m), y.pair(3, m)])
+        gx = _window_gram(pair(x, 1, 2), pair(x, 1, 3), pair(x, 2, 3))
+        d4 = solve(gx, [pair(x, 1, 4), pair(x, 2, 4), pair(x, 3, 4)])
+        gy = _window_gram(pair(y, 1, 2), pair(y, 1, 3), pair(y, 2, 3))
+        dn_in_y = solve(gy, [pair(y, 1, m), pair(y, 2, m), pair(y, 3, m)])
     except SingularMatrixError as exc:
         raise AssertionError(f"degenerate chain window: {exc}") from exc
     v = (
@@ -396,7 +424,7 @@ def _fraction_glue(x, y):
         dn_in_y[0] + dn_in_y[2] * d4[1],
         dn_in_y[1] + dn_in_y[2] * d4[2],
     )
-    g1n_exact = 2 * v[0] + x.pair(1, 2) * v[1] + x.pair(1, 3) * v[2]
+    g1n_exact = 2 * v[0] + pair(x, 1, 2) * v[1] + pair(x, 1, 3) * v[2]
     if g1n_exact.denominator != 1:
         return []
     g1n = int(g1n_exact)
@@ -455,9 +483,9 @@ def test_length3_glue_candidates_are_singular():
     for seeds in seed_lists:
         for x, y in _length3_pairs(seeds):
             rho = _first_window_weyl(x).coords
-            g24, g34 = y.pair(1, 3), y.pair(2, 3)
+            g24, g34 = pair(y, 1, 3), pair(y, 2, 3)
             g14 = (-y.lam[-1] - rho[1] * g24 - rho[2] * g34) / rho[0]
-            assert _det4(x.pair(1, 2), x.pair(1, 3), g14, x.pair(2, 3), g24, g34) == 0
+            assert _det4(pair(x, 1, 2), pair(x, 1, 3), g14, pair(x, 2, 3), g24, g34) == 0
             if g14.denominator == 1:
                 integral += 1
             else:
@@ -515,23 +543,6 @@ def test_worker_count_is_clamped(monkeypatch):
 # --- slow oracles for the packed-tuple chain kernel -------------------------
 
 
-def _reached_chains(seeds, parabolic):
-    """Every chain the chain loop meets from these seeds, length by length.
-
-    Follows engine._grow: closed chains stop, and with ``parabolic`` a
-    chain whose newest window state repeats is set aside.
-    """
-    chains = seeds
-    while chains:
-        yield from chains
-        _, chains = partition_closed(chains)
-        if parabolic:
-            chains = [ch for ch in chains if _detect_period(ch) is None]
-        if not chains or chains[0].length >= DEFAULT_MAX_SIDES:
-            break
-        chains = extend_step(chains)
-
-
 def test_packed_keys_and_extension_match_pair_oracle():
     """Sliced keys, concatenated extensions and offset reads agree with pair()."""
     runs = [(seeds, False) for seeds in _seed_map(3).values()]
@@ -539,13 +550,13 @@ def test_packed_keys_and_extension_match_pair_oracle():
     lengths = set()
     joined = 0
     for seeds, parabolic in runs:
-        chains = list(_reached_chains(seeds, parabolic))
+        chains = list(oracle.reached_chains(seeds, parabolic))
         by_head = {}
         for ch in chains:
             lengths.add(ch.length)
             assert _head_key(ch) == oracle.head_key(ch), ch
             assert _tail_key(ch) == oracle.tail_key(ch), ch
-            assert ch.closing_pair == ch.pair(1, ch.length), ch
+            assert ch.closing_pair == pair(ch, 1, ch.length), ch
             assert _chain_windows(ch) == oracle.chain_windows(ch), ch
             by_head.setdefault(oracle.head_key(ch), []).append(ch)
         for x in chains:

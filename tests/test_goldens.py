@@ -1,8 +1,10 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from engine_oracle import pair
 from hypercartan.core import polygon_table, verify_realization
 from hypercartan.engine import run_elliptic
 from hypercartan.goldens import (
@@ -18,6 +20,7 @@ from hypercartan.goldens import (
     symmetric_noncompact_matrices,
     verify_fixture,
 )
+from reader_oracle import reference_verify_fixture
 
 EXPECTED_RADIUS_COUNTS = {
     Fraction(-59, 2): 1,
@@ -148,6 +151,26 @@ def test_fixture_verification_detects_wrong_root():
     assert not report.valid
 
 
+def _mutated_fixtures():
+    """Each fixture, with root 1 moved by a unit vector, and with a wrong det."""
+    for f in lattice_fixtures():
+        yield f
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            moved = tuple(a + b for a, b in zip(f.roots[0], e))
+            yield replace(f, roots=(moved,) + f.roots[1:])
+        yield replace(f, expected_det=f.expected_det + 1)
+
+
+def test_verify_fixture_matches_rational_oracle():
+    failing = set()
+    for f in _mutated_fixtures():
+        report = verify_fixture(f)
+        assert report.checks == reference_verify_fixture(f).checks, f.name
+        failing |= {c.name for c in report.failures()}
+    # both the sublattice test and the determinant test are seen failing
+    assert {"roots-in-lattice", "lattice-determinant"} <= failing
+
+
 def test_golden_text_parser_round_trip():
     rows = golden_catalog()
     text = "\n\n".join(format_golden_block(r.r, r.table) for r in rows)
@@ -218,11 +241,12 @@ def test_catalog_cartan_matrices_are_generalized_cartan():
                     assert (a[i][j] == 0) == (a[j][i] == 0)
                     assert (2 * b[i][j]) % b[i][i] == 0  # even-symmetrizable
                 assert b[i][j] == b[j][i]
-                assert b[i][j] == d.lam[i] * d.lam[j] * d.pair(i + 1, j + 1)
+                assert b[i][j] == d.lam[i] * d.lam[j] * pair(d, i + 1, j + 1)
 
 
 def test_catalog_symmetry_generators_fix_each_row():
-    from hypercartan.core import apply_move, symmetry_group
+    from hypercartan.core import symmetry_group
+    from reader_oracle import apply_move
 
     for row in golden_catalog():
         d = row.datum()

@@ -1,3 +1,5 @@
+"""The rational matrix oracle of the tests: ``det``, ``solve``, ``rank``."""
+
 import itertools
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypercartan.linalg import (
+from rational_oracle import (
     QMatrix,
     ShapeError,
     SingularMatrixError,
