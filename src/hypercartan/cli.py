@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -98,12 +97,7 @@ def cmd_enumerate(args) -> int:
             return EXIT_USAGE
     out = sys.stdout
     if args.mode == "elliptic":
-        result = run_elliptic(
-            args.lambda_max,
-            args.max_sides,
-            jobs=args.jobs,
-            r_filter=r_filter,
-        )
+        result = run_elliptic(args.lambda_max, args.max_sides, r_filter=r_filter)
         records = _filtered(result.records, args.untwisted_only, args.noncompact_only)
         _emit_records(records, args.format, out)
         if result.cap_events:
@@ -117,6 +111,10 @@ def cmd_enumerate(args) -> int:
 
     if r_filter not in (None, Fraction(0)):
         print("error: parabolic mode runs at r = 0 only", file=sys.stderr)
+        return EXIT_USAGE
+    if args.untwisted_only or args.noncompact_only:
+        print("error: --untwisted-only and --noncompact-only filter elliptic "
+              "records; parabolic mode emits none", file=sys.stderr)
         return EXIT_USAGE
     report = run_parabolic(args.lambda_max, args.max_sides)
     if args.format == "records":
@@ -185,7 +183,7 @@ def cmd_verify(args) -> int:
     if args.skip_engine:
         print("skip engine-vs-catalog cross-check")
     else:
-        result = run_elliptic(6, DEFAULT_MAX_SIDES, jobs=args.jobs)
+        result = run_elliptic(6, DEFAULT_MAX_SIDES)
         report = cross_check(result.records, golden_rows)
         if report.ok:
             print(f"ok   engine/cross-check ({report.engine_count} records)")
@@ -253,6 +251,13 @@ def cmd_check(args) -> int:
     return EXIT_FAIL if any_invalid else EXIT_OK
 
 
+JOBS_HELP = (
+    "accepted for compatibility, no effect: the search runs in one process, "
+    "since worker processes were slower at every lambda-max measured "
+    "(must be >= 1)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercartan",
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--r", default=None, help="only this Weyl square, e.g. -7/18")
     enum.add_argument("--max-sides", type=int, default=DEFAULT_MAX_SIDES)
     enum.add_argument("--format", choices=("table", "records"), default="table")
-    enum.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    enum.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     enum.add_argument("--untwisted-only", action="store_true")
     enum.add_argument("--noncompact-only", action="store_true")
     enum.set_defaults(func=cmd_enumerate)
@@ -278,9 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the golden-data suite")
     ver.add_argument("--skip-engine", action="store_true",
                      help="static golden checks only (fast)")
-    ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    ver.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     ver.add_argument("--catalog", default=None,
-                     help="alternative golden catalog file to verify against")
+                     help="golden catalog file to verify instead of the embedded "
+                          "one; it must hold the paper's classification (60 rows, "
+                          "16 untwisted, 7 compact, the engine's classes at "
+                          "lambda-max 6), so only a reordering or dihedral "
+                          "relabelling of the embedded catalog passes")
     ver.set_defaults(func=cmd_verify)
 
     chk = sub.add_parser("check", help="validate realization tables from a file")

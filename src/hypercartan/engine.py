@@ -36,7 +36,6 @@ and decorated; the final catalog depends only on (lambda_max, mode).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -523,59 +522,40 @@ def _grow(
 
 
 def _run_radius(
-    task: tuple[Fraction, tuple[ChainState, ...], int],
+    r: Fraction, seeds: list[ChainState], max_sides: int
 ) -> tuple[list[CatalogRecord], CapEvent | None]:
-    r, seeds, max_sides = task
-    closed, capped = _grow(list(seeds), max_sides)
+    closed, capped = _grow(seeds, max_sides)
     cap = CapEvent(r, capped[0].length) if capped else None
     return _dedup_records(r, closed), cap
-
-
-def _worker_count(jobs: int, tasks: int) -> int:
-    """Worker processes to start: never more than requested, cores or tasks."""
-    return min(jobs, os.cpu_count() or 1, tasks)
 
 
 def run_elliptic(
     lambda_max: int,
     max_sides: int = DEFAULT_MAX_SIDES,
     *,
-    jobs: int = 1,
     r_filter: Fraction | None = None,
 ) -> EnumerationResult:
     """The full elliptic classification for lambda_i <= lambda_max.
 
-    Deterministic: the catalog is sorted by (r, n, canonical body) and
-    does not depend on ``jobs``.  Hitting ``max_sides`` on a live chain
-    is reported as a cap event, and that radius's output is partial.
+    Deterministic: the catalog is sorted by (r, n, canonical body), since
+    radii are searched in ascending order and each radius's records come
+    out of ``_dedup_records`` ordered by (n, body).  Hitting ``max_sides``
+    on a live chain is reported as a cap event, and that radius's output
+    is partial.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
-    tasks = [
-        (r, tuple(seeds), max_sides)
-        for r, seeds in sorted(_seed_map(lambda_max).items(), key=itemgetter(0))
-        if r_filter is None or r == r_filter
-    ]
-    workers = _worker_count(jobs, len(tasks))
-    if workers <= 1:
-        results = [_run_radius(t) for t in tasks]
-    else:
-        # Imported here so that serial runs skip loading multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_radius, tasks, chunksize=chunk))
     records: list[CatalogRecord] = []
     caps: list[CapEvent] = []
-    for recs, cap in results:
+    for r, seeds in _seed_map(lambda_max).items():
+        if r_filter is not None and r != r_filter:
+            continue
+        recs, cap = _run_radius(r, seeds, max_sides)
         records.extend(recs)
         if cap is not None:
             caps.append(cap)
-    records.sort(key=lambda rec: rec.sort_key)
-    caps.sort(key=lambda e: (e.r, e.length))
     return EnumerationResult(tuple(records), tuple(caps))
 
 

@@ -7,7 +7,8 @@ a divisibility test per triple, every long pairing b with a divisibility
 test per b, and evaluates num and det per window from the closed forms,
 as the engine did before it enumerated admissible shapes directly and
 stepped the long pairing by second differences.  The tests compare the
-fast paths against them.
+fast paths against them.  ``radius_slice_mismatches`` compares a full
+run against the same search run one radius at a time.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from hypercartan.engine import (
     DEFAULT_MAX_SIDES,
     BMax,
     ChainState,
+    EnumerationResult,
     _detect_period,
+    collect_radii,
     extend_step,
     partition_closed,
+    run_elliptic,
 )
 
 
@@ -138,3 +142,33 @@ def chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
         )
         for i in range(1, ch.length - 1)
     ]
+
+
+def radius_slice_mismatches(
+    full: EnumerationResult, lambda_max: int, max_sides: int = DEFAULT_MAX_SIDES
+) -> list:
+    """Radii r where run_elliptic(lambda_max, max_sides, r_filter=r) is not full's slice at r.
+
+    Checks every radius carrying a record in ``full`` and the first radius
+    of collect_radii(lambda_max) carrying none.  The slice at r is the
+    records of ``full`` with square r and its cap events at r.  ``None``
+    is reported when those slices, concatenated in ascending r, are not
+    ``full.records``: the full run is the radius-by-radius search in
+    ascending order.
+    """
+    with_records = sorted({rec.r for rec in full.records})
+    empty = next(r for r in collect_radii(lambda_max) if r not in with_records)
+    mismatches: list = []
+    concatenated: list = []
+    for r in with_records + [empty]:
+        alone = run_elliptic(lambda_max, max_sides, r_filter=r)
+        expected = EnumerationResult(
+            tuple(rec for rec in full.records if rec.r == r),
+            tuple(ev for ev in full.cap_events if ev.r == r),
+        )
+        if alone != expected:
+            mismatches.append(r)
+        concatenated.extend(alone.records)
+    if tuple(concatenated) != full.records:
+        mismatches.append(None)
+    return mismatches

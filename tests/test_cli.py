@@ -138,6 +138,17 @@ def test_enumerate_parabolic_table_output(capsys):
     assert "# periodic:" in out
 
 
+def test_enumerate_parabolic_rejects_record_filters(capsys):
+    for flag in ("--untwisted-only", "--noncompact-only"):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--mode", "parabolic", "--lambda-max", "2",
+            "--max-sides", "12", flag,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag in err
+
+
 def test_enumerate_parabolic_rejects_nonzero_r(capsys):
     code, _, err = run_cli(
         capsys, "enumerate", "--mode", "parabolic", "--r", "-1/2"
@@ -163,6 +174,23 @@ def test_rejects_jobs_below_one(capsys):
         assert code == 2
         assert out == ""
         assert "--jobs" in err
+
+
+def test_jobs_starts_no_worker_pool():
+    """--jobs is accepted and ignored: no CLI path loads a process pool."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from hypercartan import cli\n"
+        "assert cli.main(['enumerate', '--lambda-max', '2', '--jobs', '4']) == 0\n"
+        "assert cli.main(['verify', '--skip-engine', '--jobs', '4']) == 0\n"
+        "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -249,6 +277,38 @@ def test_verify_detects_corrupted_golden_file(capsys, tmp_path):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_catalog_accepts_only_the_same_classes(capsys, tmp_path):
+    """A reordered, dihedrally relabelled catalog passes; a 59-row one fails."""
+    import random
+
+    from hypercartan.core import GeometricRealizationTable
+    from hypercartan.goldens import format_golden_block
+    from reader_oracle import dihedral_images
+
+    rng = random.Random(7)
+    rows = list(golden_catalog())
+    rng.shuffle(rows)
+    blocks = []
+    for row in rows:
+        image = rng.choice(dihedral_images(PackedDatum.from_polygon(row.datum())))
+        table = GeometricRealizationTable(polygon_table(image.to_polygon()).rows)
+        blocks.append(format_golden_block(row.r, table))
+    embedded = [format_golden_block(row.r, row.table) for row in golden_catalog()]
+    assert blocks != embedded and sorted(blocks) != sorted(embedded)
+    path = tmp_path / "alt.txt"
+    path.write_text("\n\n".join(blocks) + "\n")
+    code, out, _ = run_cli(capsys, "verify", "--catalog", str(path))
+    assert code == 0
+    assert "ok   engine/cross-check (60 records)" in out
+
+    path.write_text("\n\n".join(blocks[:-1]) + "\n")
+    code, out, _ = run_cli(
+        capsys, "verify", "--skip-engine", "--catalog", str(path)
+    )
+    assert code == 1
+    assert "FAIL catalog/catalog-size: 59 rows, expected 60" in out
 
 
 def test_verify_non_utf8_catalog_is_usage_error(capsys, tmp_path):
