@@ -224,30 +224,29 @@ def cmd_check(args) -> int:
         report = verify_realization(datum)
         square_ok = report.weyl_square is None or report.weyl_square <= 0
         valid = report.valid and square_ok
-        print(f"block {index}: r = {format_rational(row.r)}: "
-              f"{'valid' if valid else 'INVALID'}")
+        lines = [f"block {index}: r = {format_rational(row.r)}: "
+                 f"{'valid' if valid else 'INVALID'}"]
         for check in report.checks:
             if not check.passed:
-                print(f"  FAIL {check.name}: {check.detail}")
+                lines.append(f"  FAIL {check.name}: {check.detail}")
         if report.weyl_square is not None:
             if report.weyl_square != row.r:
-                print(
+                lines.append(
                     f"  note: recomputed Weyl square {format_rational(report.weyl_square)}"
                     f" differs from declared {format_rational(row.r)}"
                 )
             if not square_ok:
-                print(f"  FAIL weyl-square-positive: {report.weyl_square} > 0")
-        if not valid:
+                lines.append(f"  FAIL weyl-square-positive: {report.weyl_square} > 0")
+        if valid:
+            flags = classify_flags(datum, report.weyl_square)
+            sym = symmetry_group(datum)
+            lines.append(f"  type={flags.kind} compact={flags.compact} "
+                         f"untwisted={flags.untwisted} sym_order={sym.order}")
+            lines += _matrix_lines("  cartan", cartan_matrix(datum).entries)
+            lines += _matrix_lines("  symcartan", symmetrized_cartan(datum).entries)
+        else:
             any_invalid = True
-            continue
-        flags = classify_flags(datum, report.weyl_square)
-        sym = symmetry_group(datum)
-        print(f"  type={flags.kind} compact={flags.compact} "
-              f"untwisted={flags.untwisted} sym_order={sym.order}")
-        for line in _matrix_lines("  cartan", cartan_matrix(datum).entries):
-            print(line)
-        for line in _matrix_lines("  symcartan", symmetrized_cartan(datum).entries):
-            print(line)
+        sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_FAIL if any_invalid else EXIT_OK
 
 

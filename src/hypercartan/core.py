@@ -7,8 +7,10 @@ Everything is an immutable value, and all arithmetic is exact on Python
 integers.  The Gram determinant and adjugate of a 3-window of sides are
 closed forms: the search glues chains with them and verification tests
 side triples with them.  The rank and the Weyl vector of a whole
-polygon come from one fraction-free elimination, with ``Fraction`` only
-in its back-substitution and in the Weyl square.
+polygon come from one fraction-free elimination.  Its last pivot D is a
+minor of full rank, so by Cramer's rule D times the solution is
+integral: the back-substitution and the Weyl square run on integers, and
+each result becomes one ``Fraction`` over D at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 
@@ -165,6 +167,7 @@ class RealizationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+@lru_cache(maxsize=None)
 def all_moves(n: int) -> tuple[DihedralMove, ...]:
     """The 2n dihedral relabellings of an n-gon."""
     return tuple(
@@ -230,39 +233,40 @@ def divisibility_ok(lam_i: int, lam_j: int, g_ij: int) -> bool:
 
 def _divisibility_failures(d: PolygonDatum) -> list[tuple[int, int]]:
     """Ordered pairs (j, k), 1-based, where lambda_j does not divide lambda_k g_jk."""
+    # The diagonal lambda_j * 2 and every row with lambda_j = 1 always pass.
     lam = d.lam
     return [
         (j + 1, k + 1)
         for j, (lj, row) in enumerate(zip(lam, d.gram))
-        for k, (lk, g) in enumerate(zip(lam, row))
-        if j != k and not divisibility_ok(lj, lk, g)
+        if lj != 1
+        for k, v in enumerate(map(mul, lam, row))
+        if v % lj
     ]
 
 
 def cartan_matrix(d: PolygonDatum) -> CartanMatrix:
     """Twisted generalized Cartan matrix a_jk = lambda_k (delta_j, delta_k) / lambda_j."""
     # One stored value per unordered pair and lambda >= 1: a_jk = 0 iff a_kj = 0.
+    bad = _divisibility_failures(d)
+    if bad:
+        raise InvalidRealizationError(f"divisibility fails for ordered pairs {bad}")
     lam = d.lam
-    entries = []
-    for lj, row in zip(lam, d.gram):
-        out = []
-        for lk, g in zip(lam, row):
-            a, rem = divmod(lk * g, lj)
-            if rem:
-                raise InvalidRealizationError(
-                    f"divisibility fails for ordered pairs {_divisibility_failures(d)}"
-                )
-            out.append(a)
-        entries.append(tuple(out))
-    return CartanMatrix(tuple(entries), tuple(Fraction(1, l * l) for l in lam))
+    entries = tuple(
+        tuple([v // lj for v in map(mul, lam, row)]) for lj, row in zip(lam, d.gram)
+    )
+    return CartanMatrix(entries, tuple(map(_inverse_square, lam)))
+
+
+@lru_cache(maxsize=256)
+def _inverse_square(l: int) -> Fraction:
+    return Fraction(1, l * l)
 
 
 def symmetrized_cartan(d: PolygonDatum) -> SymmetrizedCartan:
     """Symmetric matrix b_jk = lambda_j lambda_k (delta_j, delta_k)."""
     lam = d.lam
     entries = tuple(
-        tuple(lj * lk * g for lk, g in zip(lam, row))
-        for lj, row in zip(lam, d.gram)
+        tuple([lj * v for v in map(mul, lam, row)]) for lj, row in zip(lam, d.gram)
     )
     return SymmetrizedCartan(entries)
 
@@ -295,28 +299,36 @@ def table_to_datum(t: GeometricRealizationTable) -> PolygonDatum:
         raise TableDecodeError(
             f"expected {1 + n // 2} rows for an {n}-gon, got {len(t.rows)}"
         )
-    lam = t.rows[0]
-    if any(l < 1 for l in lam):
+    lam, *rest = t.rows
+    if min(lam) < 1:
         raise TableDecodeError("lambda row must be positive")
-    pairings = [0] * pair_count(n)
-    for dist in range(1, n // 2 + 1):
-        for j in range(1, n + 1):
-            value = t.rows[dist][j - 1]
-            if value < 0:
-                raise TableDecodeError(
-                    f"positive pairing -({value}) at distance {dist}, column {j}"
-                )
-            k = (j - 1 + dist) % n + 1
-            lo, hi = min(j, k), max(j, k)
-            idx = pack_index(n, lo, hi)
-            if 2 * dist == n and j > n // 2:
-                if pairings[idx] != -value:
+    h = n // 2
+    if min(map(min, rest)) < 0 or (n % 2 == 0 and rest[-1][:h] != rest[-1][h:]):
+        # Name the first bad entry in row-major order.
+        for dist, row in enumerate(rest, start=1):
+            for j, value in enumerate(row, start=1):
+                if value < 0:
                     raise TableDecodeError(
-                        f"antipodal row inconsistent at column {j}"
+                        f"positive pairing -({value}) at distance {dist}, column {j}"
                     )
-            else:
-                pairings[idx] = -value
-    return PolygonDatum(n, tuple(pairings), lam)
+                if 2 * dist == n and j > h and value != row[j - h - 1]:
+                    raise TableDecodeError(f"antipodal row inconsistent at column {j}")
+    return PolygonDatum(n, _table_layout(n)([-v for row in rest for v in row]), lam)
+
+
+@lru_cache(maxsize=None)
+def _table_layout(n: int) -> Callable[[list], tuple]:
+    """Read the packed pairings from an n-gon's pairing rows, flattened.
+
+    Pair (i, j), 0-based, sits at distance j - i in column i, or at
+    distance n - j + i in column j; the antipodal row of an even n-gon
+    lists each pair twice, and the first (column i) is read.
+    """
+    return itemgetter(*(
+        (j - i - 1) * n + i if 2 * (j - i) <= n else (n - j + i - 1) * n + j
+        for i in range(n)
+        for j in range(i + 1, n)
+    ))
 
 
 def _lorentzian_check(g: Sequence[Sequence[int]]) -> CheckResult:
@@ -339,18 +351,21 @@ def _lorentzian_check(g: Sequence[Sequence[int]]) -> CheckResult:
     return CheckResult("lorentzian", False, "no nondegenerate side triple")
 
 
-def _weyl_system(
+def _weyl_numerators(
     g: Sequence[Sequence[int]], lam: Sequence[int]
-) -> tuple[int, tuple[Fraction, ...] | None]:
-    """Rank of the Gram g and one solution x of g x = -lam, or None.
+) -> tuple[int, list[int] | None, int]:
+    """Rank of the Gram g, D x for one solution x of g x = -lam (or None), and D.
 
     One fraction-free (Bareiss) pass over the integer matrix [g | -lam]:
     every entry stays an integer minor, so each division is exact.  An
     entry is nonzero exactly where Gaussian elimination over Q has one,
     so the pivots (column by column, the first nonzero row at or below the
-    current one) and the back-substituted solution, free coordinates 0,
-    are those of plain Gaussian elimination.  The rank counts the pivots;
-    the system is consistent when the last column vanishes below them.
+    current one) and the solution, free coordinates 0, are those of plain
+    Gaussian elimination.  The rank counts the pivots; the system is
+    consistent when the last column vanishes below them.  The last pivot D
+    is the determinant of the pivot rows and columns, so by Cramer's rule
+    y = D x is integral and back-substitution solves for y exactly on
+    integers.
     """
     n = len(g)
     a = [list(row) + [-l] for row, l in zip(g, lam)]
@@ -373,13 +388,25 @@ def _weyl_system(
         pivot_cols.append(c)
     rank = len(pivot_cols)
     if any(row[n] for row in a[rank:]):
-        return rank, None
-    x = [Fraction(0)] * n
+        return rank, None, prev
+    y = [0] * n
     for r in range(rank - 1, -1, -1):
         row, c = a[r], pivot_cols[r]
-        acc = row[n] - sum((row[j] * x[j] for j in pivot_cols[r + 1 :]), Fraction(0))
-        x[c] = acc / row[c]
-    return rank, tuple(x)
+        acc = prev * row[n] - sum(row[j] * y[j] for j in pivot_cols[r + 1 :])
+        y[c] = acc // row[c]
+    return rank, y, prev
+
+
+def _weyl_system(
+    g: Sequence[Sequence[int]], lam: Sequence[int]
+) -> tuple[int, tuple[Fraction, ...] | None]:
+    """Rank of the Gram g and one solution x of g x = -lam, or None: each x_c
+    is one ``Fraction`` y_c / D of the integral y = D x of ``_weyl_numerators``."""
+    rank, y, den = _weyl_numerators(g, lam)
+    return rank, None if y is None else tuple(Fraction(v, den) if v else _ZERO for v in y)
+
+
+_ZERO = Fraction(0)
 
 
 def verify_realization(d: PolygonDatum) -> RealizationReport:
@@ -393,7 +420,7 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
     (n+1) x n matrix.
     """
     n, g = d.n, d.gram
-    gram_rank, solution = _weyl_system(g, d.lam)
+    gram_rank, y, den = _weyl_numerators(g, d.lam)
     checks = [
         CheckResult("rank", gram_rank == 3, f"Gram rank is {gram_rank}, need 3"),
         _lorentzian_check(g),
@@ -437,17 +464,16 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
         CheckResult("coprime-lambda", gl == 1, f"gcd(lambda) = {gl}" if gl != 1 else "")
     )
 
-    weyl_square: Fraction | None = None
-    if solution is None:
+    solution = weyl_square = None
+    if y is None:
         checks.append(
             CheckResult(
                 "weyl-vector", False, "no rho with (rho, delta_i) = -lambda_i"
             )
         )
     else:
-        weyl_square = -sum(
-            (l * x for l, x in zip(d.lam, solution) if x), Fraction(0)
-        )
+        solution = tuple(Fraction(v, den) if v else _ZERO for v in y)
+        weyl_square = Fraction(-sum(map(mul, d.lam, y)), den)
         checks.append(CheckResult("weyl-vector", True))
 
     return RealizationReport(d, tuple(checks), solution, weyl_square)

@@ -115,10 +115,6 @@ class CatalogRecord:
     untwisted: bool
     kind: str
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.r, self.n, self.body)
-
 
 @dataclass(frozen=True)
 class CapEvent:

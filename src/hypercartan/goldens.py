@@ -156,9 +156,7 @@ def parse_golden_text(text: str) -> list[GoldenRow]:
             raise GoldenFormatError(f"block must start with 'r = ...', got {head!r}")
         r = parse_rational(head.split("=", 1)[1])
         try:
-            table_rows = tuple(
-                tuple(int(tok) for tok in line.split()) for line in block[1:]
-            )
+            table_rows = tuple(tuple(map(int, line.split())) for line in block[1:])
         except ValueError as exc:
             raise GoldenFormatError(f"non-integer table entry in block r={r}") from exc
         if not table_rows:

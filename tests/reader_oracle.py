@@ -7,11 +7,11 @@ fraction-free pass over the integer Gram.  ``assemble_gram``,
 once carried; ``apply_move`` relabels one side at a time through
 ``pair``, and ``dihedral_images`` lists the relabellings the package
 computes by index permutation.  The ``reference_*`` functions rebuild
-the verification report, the symmetry group, the canonical form and a
-fixture's report the old way (``assemble_gram`` and two eliminations, a
-determinant per side triple, ``apply_move`` images, a rational ``det``
-and ``solve`` per fixture), so the tests can compare the fast paths
-against them.
+the decoded table, the verification report, the symmetry group, the
+canonical form and a fixture's report the old way (a ``pack_index`` per
+table entry, ``assemble_gram`` and two eliminations, a determinant per
+side triple, ``apply_move`` images, a rational ``det`` and ``solve`` per
+fixture), so the tests can compare the fast paths against them.
 """
 
 from __future__ import annotations
@@ -26,11 +26,15 @@ from hypercartan.canonical import PackedDatum
 from hypercartan.core import (
     CheckResult,
     DihedralMove,
+    GeometricRealizationTable,
     PolygonDatum,
     SymmetryGroup,
+    TableDecodeError,
     all_moves,
     dihedral_relabellers,
     divisibility_ok,
+    pack_index,
+    pair_count,
     symmetry_group,
 )
 from hypercartan.goldens import FixtureReport, LatticeFixture
@@ -108,6 +112,43 @@ def dihedral_images(p: PackedDatum) -> tuple[PackedDatum, ...]:
     return tuple(
         PackedDatum(p.n, relabel(p.body)) for relabel in dihedral_relabellers(p.n)
     )
+
+
+def reference_table_to_datum(t: GeometricRealizationTable) -> PolygonDatum:
+    """``table_to_datum`` scanning every entry, with a ``pack_index`` per entry."""
+    if len(t.rows) < 2:
+        raise TableDecodeError("table needs a lambda row and at least one pairing row")
+    n = len(t.rows[0])
+    if n < 3:
+        raise TableDecodeError("a polygon needs at least 3 sides")
+    if any(len(row) != n for row in t.rows):
+        raise TableDecodeError("ragged table rows")
+    if len(t.rows) != 1 + n // 2:
+        raise TableDecodeError(
+            f"expected {1 + n // 2} rows for an {n}-gon, got {len(t.rows)}"
+        )
+    lam = t.rows[0]
+    if any(l < 1 for l in lam):
+        raise TableDecodeError("lambda row must be positive")
+    pairings = [0] * pair_count(n)
+    for dist in range(1, n // 2 + 1):
+        for j in range(1, n + 1):
+            value = t.rows[dist][j - 1]
+            if value < 0:
+                raise TableDecodeError(
+                    f"positive pairing -({value}) at distance {dist}, column {j}"
+                )
+            k = (j - 1 + dist) % n + 1
+            lo, hi = min(j, k), max(j, k)
+            idx = pack_index(n, lo, hi)
+            if 2 * dist == n and j > n // 2:
+                if pairings[idx] != -value:
+                    raise TableDecodeError(
+                        f"antipodal row inconsistent at column {j}"
+                    )
+            else:
+                pairings[idx] = -value
+    return PolygonDatum(n, tuple(pairings), lam)
 
 
 def rank(m: QMatrix) -> int:

@@ -231,6 +231,55 @@ def test_check_garbage_is_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+CHECK_MIXED_INPUT = """\
+r = -59/2
+1 2 2
+0 1 2
+
+r = -3
+1 1 1
+0 3 0
+
+r = -22/3
+2 1 1
+0 1 2
+"""
+
+CHECK_MIXED_OUTPUT = """\
+block 1: r = -59/2: valid
+  type=elliptic compact=False untwisted=False sym_order=1
+  cartan:
+     2    0   -4
+     0    2   -1
+    -1   -1    2
+  symcartan:
+     2    0   -4
+     0    8   -4
+    -4   -4    8
+block 2: r = -3: INVALID
+  FAIL adjacent-pairings: adjacent pairings outside [-2, 0]: [(2, 3, -3)]
+  note: recomputed Weyl square -3/2 differs from declared -3
+block 3: r = -22/3: valid
+  note: recomputed Weyl square -22 differs from declared -22/3
+  type=elliptic compact=False untwisted=False sym_order=1
+  cartan:
+     2    0   -1
+     0    2   -1
+    -4   -1    2
+  symcartan:
+     8    0   -4
+     0    2   -1
+    -4   -1    2
+"""
+
+
+def test_check_streams_valid_invalid_and_misdeclared_blocks(capsys, tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_text(CHECK_MIXED_INPUT)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out, err) == (1, CHECK_MIXED_OUTPUT, "")
+
+
 def test_check_prints_twisted_cartan(capsys, tmp_path):
     path = tmp_path / "r22.txt"
     path.write_text("r = -22\n2 1 1\n0 1 2\n")

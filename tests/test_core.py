@@ -11,6 +11,8 @@ from hypercartan.core import (
     InvalidRealizationError,
     PolygonDatum,
     TableDecodeError,
+    _weyl_numerators,
+    _weyl_system,
     all_moves,
     cartan_matrix,
     classify_flags,
@@ -21,15 +23,18 @@ from hypercartan.core import (
     table_to_datum,
     verify_realization,
 )
-from hypercartan.goldens import golden_catalog
+from hypercartan.goldens import golden_catalog, lattice_fixtures
 from rational_oracle import QMatrix
 from reader_oracle import (
     NotHyperbolicError,
     apply_move,
     assemble_gram,
+    rank,
     reference_symmetry_group,
+    reference_table_to_datum,
     reference_verify,
     reflect,
+    solve_consistent,
     weyl_vector,
 )
 
@@ -408,3 +413,142 @@ def test_gram_matches_pair():
     assert d.gram == tuple(
         tuple(pair(d, i, j) for j in range(1, 5)) for i in range(1, 5)
     )
+
+
+# --- the Weyl system and the table decoder against the oracles --------------
+
+
+def _assert_weyl_system_matches_oracle(g, lam):
+    m = QMatrix.from_rows(g)
+    expected = (rank(m), solve_consistent(m, [-l for l in lam]))
+    assert _weyl_system(g, lam) == expected, (g, lam)
+
+
+WEYL_SYSTEMS = [
+    # a zero row, consistent and inconsistent
+    ([[2, 1], [0, 0]], [1, 0]),
+    ([[2, 1], [0, 0]], [1, 1]),
+    # the zero matrix
+    ([[0, 0, 0]] * 3, [0, 0, 0]),
+    ([[0, 0, 0]] * 3, [0, 1, 0]),
+    # rank 2 of 3 (row 3 = row 1 + row 2), consistent and inconsistent
+    ([[1, 2, 0], [0, 1, 3], [1, 3, 3]], [1, 2, 3]),
+    ([[1, 2, 0], [0, 1, 3], [1, 3, 3]], [1, 2, 4]),
+    # a zero pivot column: the free coordinate stays 0
+    ([[0, 1, 2], [0, 3, 1], [0, 0, 0]], [1, 1, 0]),
+    # a row swap at the first pivot
+    ([[0, 1, 2], [3, 1, 1], [1, 0, 1]], [2, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("g, lam", WEYL_SYSTEMS)
+def test_weyl_system_matches_oracle_on_edge_cases(g, lam):
+    _assert_weyl_system_matches_oracle(g, lam)
+
+
+def test_weyl_system_negative_final_pivot():
+    g, lam = [[2, 1], [1, -1]], [1, 1]
+    _, y, den = _weyl_numerators(g, lam)
+    assert den == -3 and y == [2, -1]
+    assert _weyl_system(g, lam) == (2, (Fraction(-2, 3), Fraction(1, 3)))
+    _assert_weyl_system_matches_oracle(g, lam)
+
+
+def test_weyl_system_matches_oracle_on_fixture_bases():
+    for f in lattice_fixtures():
+        basis_t = [list(col) for col in zip(*f.basis)]
+        for root in f.roots:
+            _assert_weyl_system_matches_oracle(basis_t, [-v for v in root])
+
+
+@st.composite
+def integer_system(draw):
+    """A square, generally non-symmetric system, often rank-deficient."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    entry = st.integers(min_value=-4, max_value=4)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("free", "zero", "combination")))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "combination" and rows:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(entry), draw(entry)
+            rows.append([a * s + b * t for s, t in zip(u, v)])
+        else:
+            rows.append([draw(entry) for _ in range(n)])
+    if draw(st.booleans()):
+        # right-hand side in the column span: consistent
+        x = [draw(entry) for _ in range(n)]
+        lam = [-sum(a * t for a, t in zip(row, x)) for row in rows]
+    else:
+        lam = [draw(entry) for _ in range(n)]
+    return rows, lam
+
+
+@given(integer_system())
+def test_weyl_system_matches_oracle_on_random_systems(system):
+    _assert_weyl_system_matches_oracle(*system)
+
+
+def _decoded(decode, rows):
+    try:
+        return decode(GeometricRealizationTable(rows))
+    except TableDecodeError as exc:
+        return f"TableDecodeError: {exc}"
+
+
+def _assert_decode_matches_oracle(rows):
+    assert _decoded(table_to_datum, rows) == _decoded(reference_table_to_datum, rows)
+
+
+def test_decode_matches_oracle_on_catalog_relabellings():
+    for d in _catalog_relabellings():
+        rows = polygon_table(d).rows
+        assert table_to_datum(GeometricRealizationTable(rows)) == d
+        _assert_decode_matches_oracle(rows)
+
+
+MALFORMED_TABLES = [
+    # negative entry, then an antipodal mismatch in the same middle row
+    ((1, 1, 1, 1), (0, 1, 0, 1), (-1, 3, 4, 3)),
+    ((1,) * 6, (0, 1, 0, 1, 0, 1), (1, 2, 1, 2, 1, 2), (3, -2, 3, 3, 5, 3)),
+    # antipodal mismatch, then a negative entry in the same middle row
+    ((1, 1, 1, 1), (0, 1, 0, 1), (3, 3, 4, -1)),
+    ((1,) * 6, (0, 1, 0, 1, 0, 1), (1, 2, 1, 2, 1, 2), (3, 3, 3, 4, 3, -2)),
+    # one entry both negative and mismatched
+    ((1, 1, 1, 1), (0, 1, 0, 1), (3, 3, -1, 3)),
+    # a negative entry in an earlier row wins over the middle row
+    ((1, 1, 1, 1), (0, 1, 0, -1), (3, 3, 4, 3)),
+    # consistent antipodal row, negative entry last
+    ((1, 1, 1, 1), (0, 1, 0, 1), (3, -1, 3, -1)),
+    # shape and lambda errors
+    ((1, 1, 1),),
+    ((1, 1), (0, 1)),
+    ((1, 1, 1), (0, 1)),
+    ((1, 1, 1, 1), (0, 1, 0, 1)),
+    ((1, 0, 1), (0, -1, 2)),
+]
+
+
+@pytest.mark.parametrize("rows", MALFORMED_TABLES)
+def test_decode_matches_oracle_on_malformed_tables(rows):
+    assert isinstance(_decoded(table_to_datum, rows), str)
+    _assert_decode_matches_oracle(rows)
+
+
+@st.composite
+def random_table(draw):
+    n = draw(st.integers(min_value=3, max_value=8))
+    lam = tuple(draw(st.integers(min_value=1, max_value=3)) for _ in range(n))
+    entry = st.integers(min_value=-1, max_value=3)
+    rows = [tuple(draw(entry) for _ in range(n)) for _ in range(n // 2)]
+    if n % 2 == 0 and draw(st.booleans()):
+        half = rows[-1][: n // 2]
+        rows[-1] = half + half
+    return (lam, *rows)
+
+
+@given(random_table())
+def test_decode_matches_oracle_on_random_tables(rows):
+    _assert_decode_matches_oracle(rows)

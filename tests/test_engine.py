@@ -212,7 +212,7 @@ def _as_polygon(rec):
 
 def test_run_elliptic_records_are_verified_and_sorted():
     result = run_elliptic(1)
-    keys = [rec.sort_key for rec in result.records]
+    keys = [(rec.r, rec.n, rec.body) for rec in result.records]
     assert keys == sorted(keys)
     for rec in result.records:
         report = verify_realization(_as_polygon(rec))
