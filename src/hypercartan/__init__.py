@@ -4,17 +4,12 @@ vector, twisted to symmetric matrices."""
 
 from .canonical import PackedDatum, canonical_form
 from .core import (
-    CartanMatrix,
-    GeometricRealizationTable,
     InvalidRealizationError,
     PolygonDatum,
     RealizationFlags,
-    SymmetrizedCartan,
-    SymmetryGroup,
     TableDecodeError,
     cartan_matrix,
     classify_flags,
-    divisibility_ok,
     polygon_table,
     symmetrized_cartan,
     symmetry_group,
@@ -37,24 +32,19 @@ from .engine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanMatrix",
     "CatalogRecord",
     "ChainState",
     "EnumerationResult",
-    "GeometricRealizationTable",
     "InvalidRealizationError",
     "PackedDatum",
     "ParabolicReport",
     "PolygonDatum",
     "RealizationFlags",
-    "SymmetrizedCartan",
-    "SymmetryGroup",
     "TableDecodeError",
     "canonical_form",
     "cartan_matrix",
     "classify_flags",
     "collect_radii",
-    "divisibility_ok",
     "extend_step",
     "partition_closed",
     "polygon_table",

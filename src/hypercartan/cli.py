@@ -15,7 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import (
-    GeometricRealizationTable,
     TableDecodeError,
     cartan_matrix,
     classify_flags,
@@ -70,10 +69,7 @@ def _emit_records(records, fmt: str, out) -> None:
         for rec in records:
             out.write(_record_json(rec) + "\n")
     else:
-        blocks = [
-            format_golden_block(rec.r, GeometricRealizationTable(rec.table))
-            for rec in records
-        ]
+        blocks = [format_golden_block(rec.r, rec.table) for rec in records]
         if blocks:
             out.write("\n\n".join(blocks) + "\n")
 
@@ -239,11 +235,11 @@ def cmd_check(args) -> int:
                 lines.append(f"  FAIL weyl-square-positive: {report.weyl_square} > 0")
         if valid:
             flags = classify_flags(datum, report.weyl_square)
-            sym = symmetry_group(datum)
             lines.append(f"  type={flags.kind} compact={flags.compact} "
-                         f"untwisted={flags.untwisted} sym_order={sym.order}")
-            lines += _matrix_lines("  cartan", cartan_matrix(datum).entries)
-            lines += _matrix_lines("  symcartan", symmetrized_cartan(datum).entries)
+                         f"untwisted={flags.untwisted} "
+                         f"sym_order={symmetry_group(datum)}")
+            lines += _matrix_lines("  cartan", cartan_matrix(datum))
+            lines += _matrix_lines("  symcartan", symmetrized_cartan(datum))
         else:
             any_invalid = True
         sys.stdout.write("\n".join(lines) + "\n")

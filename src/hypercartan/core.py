@@ -95,50 +95,6 @@ class PolygonDatum:
 
 
 @dataclass(frozen=True)
-class CartanMatrix:
-    """Generalized Cartan matrix A with its diagonal symmetrizer 1/lambda_i^2."""
-
-    entries: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class SymmetrizedCartan:
-    """Symmetric even matrix B with b_ij = lambda_i lambda_j (delta_i, delta_j)."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class GeometricRealizationTable:
-    """The (1 + n//2) x n tabular encoding: lambda row, then cyclic pairing rows."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class DihedralMove:
-    """Side relabelling i -> sigma(i): rotate by ``shift``, mirror first if ``reflected``."""
-
-    shift: int
-    reflected: bool
-
-    def source_index(self, n: int, i: int) -> int:
-        """Old label of the side that becomes side i (1-based)."""
-        if self.reflected:
-            return (n - i + self.shift) % n + 1
-        return (i - 1 + self.shift) % n + 1
-
-
-@dataclass(frozen=True)
-class SymmetryGroup:
-    order: int
-    kind: str  # "trivial" | "cyclic" | "dihedral"
-    degree: int  # cyclic(k) has order k, dihedral(k) has order 2k
-    generators: tuple[DihedralMove, ...]
-
-
-@dataclass(frozen=True)
 class RealizationFlags:
     kind: str  # "elliptic" | "parabolic"
     compact: bool
@@ -168,32 +124,29 @@ class RealizationReport:
 
 
 @lru_cache(maxsize=None)
-def all_moves(n: int) -> tuple[DihedralMove, ...]:
-    """The 2n dihedral relabellings of an n-gon."""
-    return tuple(
-        DihedralMove(t, refl) for refl in (False, True) for t in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
 def dihedral_relabellers(n: int) -> tuple[Callable[[tuple], tuple], ...]:
-    """Index permutations of the 2n dihedral moves, in ``all_moves`` order.
+    """Index permutations of the 2n dihedral relabellings of an n-gon.
 
-    Each maps a packed body (the pairings in packed order, then the
-    lambdas) to the body of the polygon with side i relabelled from side
-    ``move.source_index(n, i)``.
+    The n rotations come first, then the n reflections.  With 0-based
+    sides, rotation t relabels side i from side (i + t) mod n and
+    reflection t from side (t - 1 - i) mod n.  Each permutation maps a
+    packed body (the pairings in packed order, then the lambdas) to the
+    body of the relabelled polygon.
     """
     k = pair_count(n)
-    getters = []
-    for move in all_moves(n):
-        src = [move.source_index(n, i) for i in range(1, n + 1)]
-        pairs = [
-            pack_index(n, *sorted((src[i], src[j])))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        getters.append(itemgetter(*pairs, *(k + s - 1 for s in src)))
-    return tuple(getters)
+    sources = [[(i + t) % n for i in range(n)] for t in range(n)]
+    sources += [[(t - 1 - i) % n for i in range(n)] for t in range(n)]
+    return tuple(
+        itemgetter(
+            *(
+                pack_index(n, *sorted((src[i] + 1, src[j] + 1)))
+                for i in range(n)
+                for j in range(i + 1, n)
+            ),
+            *(k + s for s in src),
+        )
+        for src in sources
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +179,6 @@ def _adj_mul(a: int, b: int, c: int, v: tuple[int, ...]) -> tuple[int, int, int]
     )
 
 
-def divisibility_ok(lam_i: int, lam_j: int, g_ij: int) -> bool:
-    """Twisting condition for the ordered pair (i, j): lambda_i | lambda_j * g_ij."""
-    return (lam_j * g_ij) % lam_i == 0
-
-
 def _divisibility_failures(d: PolygonDatum) -> list[tuple[int, int]]:
     """Ordered pairs (j, k), 1-based, where lambda_j does not divide lambda_k g_jk."""
     # The diagonal lambda_j * 2 and every row with lambda_j = 1 always pass.
@@ -244,62 +192,60 @@ def _divisibility_failures(d: PolygonDatum) -> list[tuple[int, int]]:
     ]
 
 
-def cartan_matrix(d: PolygonDatum) -> CartanMatrix:
+def cartan_matrix(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
     """Twisted generalized Cartan matrix a_jk = lambda_k (delta_j, delta_k) / lambda_j."""
     # One stored value per unordered pair and lambda >= 1: a_jk = 0 iff a_kj = 0.
-    bad = _divisibility_failures(d)
-    if bad:
-        raise InvalidRealizationError(f"divisibility fails for ordered pairs {bad}")
     lam = d.lam
-    entries = tuple(
-        tuple([v // lj for v in map(mul, lam, row)]) for lj, row in zip(lam, d.gram)
-    )
-    return CartanMatrix(entries, tuple(map(_inverse_square, lam)))
+    entries = []
+    for lj, row in zip(lam, d.gram):
+        products = tuple(map(mul, lam, row))
+        if lj != 1:
+            if any(v % lj for v in products):
+                bad = _divisibility_failures(d)
+                raise InvalidRealizationError(f"divisibility fails for ordered pairs {bad}")
+            products = tuple([v // lj for v in products])
+        entries.append(products)
+    return tuple(entries)
 
 
-@lru_cache(maxsize=256)
-def _inverse_square(l: int) -> Fraction:
-    return Fraction(1, l * l)
-
-
-def symmetrized_cartan(d: PolygonDatum) -> SymmetrizedCartan:
+def symmetrized_cartan(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
     """Symmetric matrix b_jk = lambda_j lambda_k (delta_j, delta_k)."""
     lam = d.lam
-    entries = tuple(
+    return tuple(
         tuple([lj * v for v in map(mul, lam, row)]) for lj, row in zip(lam, d.gram)
     )
-    return SymmetrizedCartan(entries)
 
 
-def polygon_table(d: PolygonDatum) -> GeometricRealizationTable:
+def polygon_table(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
     """Encode a polygon as its realization table.
 
-    Row 1 lists the lambdas; row i+1, column j holds -(delta_j, delta_{j+i})
-    with the second index cyclic.  For even n the last row runs through the
-    full cycle, so each antipodal pairing appears twice.
+    The table has 1 + n//2 rows of n integers.  Row 1 lists the lambdas;
+    row i+1, column j holds -(delta_j, delta_{j+i}) with the second index
+    cyclic.  For even n the last row runs through the full cycle, so each
+    antipodal pairing appears twice.
     """
     n = d.n
     g = d.gram
     rows: list[tuple[int, ...]] = [d.lam]
     for dist in range(1, n // 2 + 1):
         rows.append(tuple(-g[j][(j + dist) % n] for j in range(n)))
-    return GeometricRealizationTable(tuple(rows))
+    return tuple(rows)
 
 
-def table_to_datum(t: GeometricRealizationTable) -> PolygonDatum:
-    """Decode a realization table; inverse of polygon_table."""
-    if len(t.rows) < 2:
+def table_to_datum(table: Sequence[tuple[int, ...]]) -> PolygonDatum:
+    """Decode the rows of a realization table; inverse of polygon_table."""
+    if len(table) < 2:
         raise TableDecodeError("table needs a lambda row and at least one pairing row")
-    n = len(t.rows[0])
+    n = len(table[0])
     if n < 3:
         raise TableDecodeError("a polygon needs at least 3 sides")
-    if any(len(row) != n for row in t.rows):
+    if any(len(row) != n for row in table):
         raise TableDecodeError("ragged table rows")
-    if len(t.rows) != 1 + n // 2:
+    if len(table) != 1 + n // 2:
         raise TableDecodeError(
-            f"expected {1 + n // 2} rows for an {n}-gon, got {len(t.rows)}"
+            f"expected {1 + n // 2} rows for an {n}-gon, got {len(table)}"
         )
-    lam, *rest = t.rows
+    lam, *rest = table
     if min(lam) < 1:
         raise TableDecodeError("lambda row must be positive")
     h = n // 2
@@ -493,27 +439,7 @@ def classify_flags(d: PolygonDatum, r: Fraction) -> RealizationFlags:
     return RealizationFlags(kind, compact, untwisted)
 
 
-def symmetry_group(d: PolygonDatum) -> SymmetryGroup:
-    """Stabilizer of the decorated cyclic sequence inside the dihedral group."""
-    n = d.n
+def symmetry_group(d: PolygonDatum) -> int:
+    """Order of the stabilizer of the decorated cyclic sequence in the dihedral group."""
     body = d.pairings + d.lam
-    stab = [
-        m
-        for m, relabel in zip(all_moves(n), dihedral_relabellers(n))
-        if relabel(body) == body
-    ]
-    order = len(stab)
-    rotations = sorted(m.shift for m in stab if not m.reflected and m.shift)
-    reflections = sorted((m.shift for m in stab if m.reflected))
-    gens: list[DihedralMove] = []
-    if rotations:
-        gens.append(DihedralMove(rotations[0], False))
-    if reflections:
-        gens.append(DihedralMove(reflections[0], True))
-    if order == 1:
-        kind, degree = "trivial", 1
-    elif not reflections:
-        kind, degree = "cyclic", order
-    else:
-        kind, degree = "dihedral", order // 2
-    return SymmetryGroup(order, kind, degree, tuple(gens))
+    return sum(relabel(body) == body for relabel in dihedral_relabellers(d.n))

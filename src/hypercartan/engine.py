@@ -456,17 +456,16 @@ def _record_from_canonical(r: Fraction, packed: PackedDatum) -> CatalogRecord:
             f"emitted datum has square {report.weyl_square}, expected {r}"
         )
     flags = classify_flags(d, report.weyl_square)
-    sym = symmetry_group(d)
     return CatalogRecord(
         r=r,
         n=d.n,
         body=packed.body,
         lam=d.lam,
         pairings=d.pairings,
-        table=polygon_table(d).rows,
-        cartan=cartan_matrix(d).entries,
-        symcartan=symmetrized_cartan(d).entries,
-        sym_order=sym.order,
+        table=polygon_table(d),
+        cartan=cartan_matrix(d),
+        symcartan=symmetrized_cartan(d),
+        sym_order=symmetry_group(d),
         compact=flags.compact,
         untwisted=flags.untwisted,
         kind=flags.kind,

@@ -4,14 +4,17 @@
 ``Fraction`` routines that ``verify_realization`` used before it ran one
 fraction-free pass over the integer Gram.  ``assemble_gram``,
 ``weyl_vector`` and ``reflect`` are the rational matrix API ``core``
-once carried; ``apply_move`` relabels one side at a time through
-``pair``, and ``dihedral_images`` lists the relabellings the package
-computes by index permutation.  The ``reference_*`` functions rebuild
-the decoded table, the verification report, the symmetry group, the
-canonical form and a fixture's report the old way (a ``pack_index`` per
-table entry, ``assemble_gram`` and two eliminations, a determinant per
-side triple, ``apply_move`` images, a rational ``det`` and ``solve`` per
-fixture), so the tests can compare the fast paths against them.
+once carried.  ``DihedralMove`` names one relabelling of the sides,
+``all_moves`` lists them in the order of ``core.dihedral_relabellers``,
+``apply_move`` relabels one side at a time through ``pair``, and
+``dihedral_images`` lists the relabellings the package computes by index
+permutation; ``divisibility_ok`` is the twisting condition for one
+ordered pair.  The ``reference_*`` functions rebuild the decoded table,
+the verification report, the symmetry order, the canonical form and a
+fixture's report the old way (a ``pack_index`` per table entry,
+``assemble_gram`` and two eliminations, a determinant per side triple,
+``apply_move`` images and stabilizers, a rational ``det`` and ``solve``
+per fixture), so the tests can compare the fast paths against them.
 """
 
 from __future__ import annotations
@@ -25,17 +28,11 @@ from engine_oracle import pair
 from hypercartan.canonical import PackedDatum
 from hypercartan.core import (
     CheckResult,
-    DihedralMove,
-    GeometricRealizationTable,
     PolygonDatum,
-    SymmetryGroup,
     TableDecodeError,
-    all_moves,
     dihedral_relabellers,
-    divisibility_ok,
     pack_index,
     pair_count,
-    symmetry_group,
 )
 from hypercartan.goldens import FixtureReport, LatticeFixture
 from rational_oracle import QMatrix, ShapeError, _bareiss_det, _integer_rows, det, solve
@@ -90,6 +87,32 @@ def reflect(
     return (out[0], out[1], out[2])
 
 
+@dataclass(frozen=True)
+class DihedralMove:
+    """Side relabelling i -> sigma(i): rotate by ``shift``, mirror first if ``reflected``."""
+
+    shift: int
+    reflected: bool
+
+    def source_index(self, n: int, i: int) -> int:
+        """Old label of the side that becomes side i (1-based)."""
+        if self.reflected:
+            return (n - i + self.shift) % n + 1
+        return (i - 1 + self.shift) % n + 1
+
+
+def all_moves(n: int) -> tuple[DihedralMove, ...]:
+    """The 2n dihedral relabellings of an n-gon: the rotations, then the reflections."""
+    return tuple(
+        DihedralMove(t, refl) for refl in (False, True) for t in range(n)
+    )
+
+
+def divisibility_ok(lam_i: int, lam_j: int, g_ij: int) -> bool:
+    """Twisting condition for the ordered pair (i, j): lambda_i | lambda_j * g_ij."""
+    return (lam_j * g_ij) % lam_i == 0
+
+
 def apply_move(d: PolygonDatum, move: DihedralMove) -> PolygonDatum:
     """Relabel the sides of a polygon by a dihedral move."""
     n = d.n
@@ -114,26 +137,26 @@ def dihedral_images(p: PackedDatum) -> tuple[PackedDatum, ...]:
     )
 
 
-def reference_table_to_datum(t: GeometricRealizationTable) -> PolygonDatum:
+def reference_table_to_datum(table) -> PolygonDatum:
     """``table_to_datum`` scanning every entry, with a ``pack_index`` per entry."""
-    if len(t.rows) < 2:
+    if len(table) < 2:
         raise TableDecodeError("table needs a lambda row and at least one pairing row")
-    n = len(t.rows[0])
+    n = len(table[0])
     if n < 3:
         raise TableDecodeError("a polygon needs at least 3 sides")
-    if any(len(row) != n for row in t.rows):
+    if any(len(row) != n for row in table):
         raise TableDecodeError("ragged table rows")
-    if len(t.rows) != 1 + n // 2:
+    if len(table) != 1 + n // 2:
         raise TableDecodeError(
-            f"expected {1 + n // 2} rows for an {n}-gon, got {len(t.rows)}"
+            f"expected {1 + n // 2} rows for an {n}-gon, got {len(table)}"
         )
-    lam = t.rows[0]
+    lam = table[0]
     if any(l < 1 for l in lam):
         raise TableDecodeError("lambda row must be positive")
     pairings = [0] * pair_count(n)
     for dist in range(1, n // 2 + 1):
         for j in range(1, n + 1):
-            value = t.rows[dist][j - 1]
+            value = table[dist][j - 1]
             if value < 0:
                 raise TableDecodeError(
                     f"positive pairing -({value}) at distance {dist}, column {j}"
@@ -289,24 +312,14 @@ def reference_verify(d):
     return tuple(checks), solution, square
 
 
-def reference_symmetry_group(d) -> SymmetryGroup:
-    """``symmetry_group`` from the ``apply_move`` stabilizer."""
-    stab = [m for m in all_moves(d.n) if apply_move(d, m) == d]
-    order = len(stab)
-    rotations = sorted(m.shift for m in stab if not m.reflected and m.shift)
-    reflections = sorted(m.shift for m in stab if m.reflected)
-    gens = []
-    if rotations:
-        gens.append(DihedralMove(rotations[0], False))
-    if reflections:
-        gens.append(DihedralMove(reflections[0], True))
-    if order == 1:
-        kind, degree = "trivial", 1
-    elif not reflections:
-        kind, degree = "cyclic", order
-    else:
-        kind, degree = "dihedral", order // 2
-    return SymmetryGroup(order, kind, degree, tuple(gens))
+def stabilizer(d) -> list[DihedralMove]:
+    """The dihedral moves that fix d, in ``all_moves`` order."""
+    return [m for m in all_moves(d.n) if apply_move(d, m) == d]
+
+
+def reference_symmetry_group(d) -> int:
+    """``symmetry_group``: the order of the ``apply_move`` stabilizer."""
+    return len(stabilizer(d))
 
 
 def reference_canonical_form(p: PackedDatum) -> PackedDatum:
@@ -391,12 +404,12 @@ def reference_verify_fixture(f: LatticeFixture) -> FixtureReport:
         )
     )
 
-    sym = symmetry_group(f.induced_polygon())
+    order = reference_symmetry_group(f.induced_polygon())
     checks.append(
         CheckResult(
             "symmetry-order",
-            sym.order == f.expected_sym_order,
-            f"order {sym.order}, expected {f.expected_sym_order}",
+            order == f.expected_sym_order,
+            f"order {order}, expected {f.expected_sym_order}",
         )
     )
 

@@ -46,10 +46,10 @@ def test_records_round_trip(capsys):
         report = verify_realization(d)
         assert report.valid
         assert str(Fraction(report.weyl_square)) == rec["r"]
-        assert [list(r) for r in polygon_table(d).rows] == rec["polygon_table"]
-        assert [list(r) for r in cartan_matrix(d).entries] == rec["cartan"]
-        assert [list(r) for r in symmetrized_cartan(d).entries] == rec["symcartan"]
-        assert symmetry_group(d).order == rec["sym_order"]
+        assert [list(r) for r in polygon_table(d)] == rec["polygon_table"]
+        assert [list(r) for r in cartan_matrix(d)] == rec["cartan"]
+        assert [list(r) for r in symmetrized_cartan(d)] == rec["symcartan"]
+        assert symmetry_group(d) == rec["sym_order"]
         flags = classify_flags(d, report.weyl_square)
         assert (flags.kind, flags.compact, flags.untwisted) == (
             rec["type"],
@@ -288,7 +288,7 @@ def test_check_prints_twisted_cartan(capsys, tmp_path):
     assert "valid" in out
     # a_13 = lambda_3 g_13 / lambda_1 = -1; a_31 = lambda_1 g_31 / lambda_3 = -4
     d = PolygonDatum(3, (0, -2, -1), (2, 1, 1))
-    a = cartan_matrix(d).entries
+    a = cartan_matrix(d)
     assert (a[0][2], a[2][0]) == (-1, -4)
     assert "cartan" in out
 
@@ -332,7 +332,6 @@ def test_verify_catalog_accepts_only_the_same_classes(capsys, tmp_path):
     """A reordered, dihedrally relabelled catalog passes; a 59-row one fails."""
     import random
 
-    from hypercartan.core import GeometricRealizationTable
     from hypercartan.goldens import format_golden_block
     from reader_oracle import dihedral_images
 
@@ -342,7 +341,7 @@ def test_verify_catalog_accepts_only_the_same_classes(capsys, tmp_path):
     blocks = []
     for row in rows:
         image = rng.choice(dihedral_images(PackedDatum.from_polygon(row.datum())))
-        table = GeometricRealizationTable(polygon_table(image.to_polygon()).rows)
+        table = polygon_table(image.to_polygon())
         blocks.append(format_golden_block(row.r, table))
     embedded = [format_golden_block(row.r, row.table) for row in golden_catalog()]
     assert blocks != embedded and sorted(blocks) != sorted(embedded)
@@ -358,6 +357,26 @@ def test_verify_catalog_accepts_only_the_same_classes(capsys, tmp_path):
     )
     assert code == 1
     assert "FAIL catalog/catalog-size: 59 rows, expected 60" in out
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("r = -1\n1 1 1\n0 1 2\n1 1 1\n", "expected 2 rows for an 3-gon, got 3"),
+        ("r = -1\n-1 1 1\n0 1 2\n", "lambda row must be positive"),
+    ],
+    ids=["extra-row", "negative-lambda"],
+)
+def test_verify_catalog_with_undecodable_row_fails_cleanly(capsys, tmp_path, text, reason):
+    """The engine cross-check skips a row that does not decode; rows-valid names it."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert f"FAIL catalog/rows-valid: row 1 (r=-1): {reason}" in lines
+    assert "FAIL engine/cross-check" in lines
+    assert lines[-1].startswith("FAIL: ")
 
 
 def test_verify_non_utf8_catalog_is_usage_error(capsys, tmp_path):
@@ -423,7 +442,7 @@ def test_import_surface():
 def test_matrix_lines_match_per_entry_format():
     for row in golden_catalog():
         d = row.datum()
-        for rows in (cartan_matrix(d).entries, symmetrized_cartan(d).entries):
+        for rows in (cartan_matrix(d), symmetrized_cartan(d)):
             assert _matrix_lines("  cartan", rows) == ["  cartan:"] + [
                 "  " + " ".join(f"{v:4d}" for v in r) for r in rows
             ]

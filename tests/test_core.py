@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from engine_oracle import pair
 from hypercartan.core import (
-    GeometricRealizationTable,
     InvalidRealizationError,
     PolygonDatum,
     TableDecodeError,
     _weyl_numerators,
     _weyl_system,
-    all_moves,
     cartan_matrix,
     classify_flags,
-    divisibility_ok,
+    dihedral_relabellers,
     polygon_table,
     symmetrized_cartan,
     symmetry_group,
@@ -26,15 +24,19 @@ from hypercartan.core import (
 from hypercartan.goldens import golden_catalog, lattice_fixtures
 from rational_oracle import QMatrix
 from reader_oracle import (
+    DihedralMove,
     NotHyperbolicError,
+    all_moves,
     apply_move,
     assemble_gram,
+    divisibility_ok,
     rank,
     reference_symmetry_group,
     reference_table_to_datum,
     reference_verify,
     reflect,
     solve_consistent,
+    stabilizer,
     weyl_vector,
 )
 
@@ -44,10 +46,10 @@ def triangle(p12, p13, p23, lam=(1, 1, 1)):
 
 
 # Table rows used repeatedly below (lambda row, then cyclic pairing rows).
-ROW_59_2 = GeometricRealizationTable(((1, 2, 2), (0, 1, 2)))
-ROW_22 = GeometricRealizationTable(((2, 1, 1), (0, 1, 2)))
-ROW_7_QUAD = GeometricRealizationTable(((1, 3, 3, 1), (0, 1, 0, 1), (3, 3, 3, 3)))
-ROW_6 = GeometricRealizationTable(((1, 6, 3, 2), (0, 2, 0, 2), (3, 6, 3, 6)))
+ROW_59_2 = ((1, 2, 2), (0, 1, 2))
+ROW_22 = ((2, 1, 1), (0, 1, 2))
+ROW_7_QUAD = ((1, 3, 3, 1), (0, 1, 0, 1), (3, 3, 3, 3))
+ROW_6 = ((1, 6, 3, 2), (0, 2, 0, 2), (3, 6, 3, 6))
 
 
 def test_assemble_gram_triangle():
@@ -106,23 +108,24 @@ def test_divisibility_examples():
 def test_cartan_matrix_untwisted_equals_gram():
     d = triangle(0, -1, -2)
     a = cartan_matrix(d)
-    assert QMatrix.from_rows(a.entries) == assemble_gram(d)
-    assert a.symmetrizer == (1, 1, 1)
+    assert QMatrix.from_rows(a) == assemble_gram(d)
+    # the symmetrizer diag(1/lambda_j^2) is the identity
+    assert symmetrized_cartan(d) == a
 
 
 def test_cartan_matrix_a10():
     d = triangle(0, -1, -2)
     a10 = ((2, 0, -1), (0, 2, -2), (-1, -2, 2))
-    assert cartan_matrix(d).entries == a10
+    assert cartan_matrix(d) == a10
     # the catalog row r=-23/2 carries the same matrix up to relabelling
-    row = table_to_datum(GeometricRealizationTable(((1, 1, 1), (0, 1, 2))))
+    row = table_to_datum(((1, 1, 1), (0, 1, 2)))
     images = {apply_move(row, m).pairings for m in all_moves(3)}
     assert d.pairings in images
 
 
 def test_cartan_matrix_twisted_entries():
     d = table_to_datum(ROW_6)
-    a = cartan_matrix(d).entries
+    a = cartan_matrix(d)
     assert a[1][3] == -2  # lambda_4 * g_24 / lambda_2
     assert a[3][1] == -18
     assert a[0][2] == -9
@@ -146,12 +149,12 @@ def test_cartan_matrix_divisibility_error():
 
 def test_symmetrized_cartan_untwisted():
     d = triangle(-1, -2, 0)
-    assert QMatrix.from_rows(symmetrized_cartan(d).entries) == assemble_gram(d)
+    assert QMatrix.from_rows(symmetrized_cartan(d)) == assemble_gram(d)
 
 
 def test_symmetrized_cartan_twisted():
     d = table_to_datum(ROW_59_2)
-    b = symmetrized_cartan(d).entries
+    b = symmetrized_cartan(d)
     assert b[1][1] == 8
     assert b[1][2] == -4
     assert b[0][2] == -4
@@ -159,10 +162,12 @@ def test_symmetrized_cartan_twisted():
 
 def test_symmetrized_is_scaled_gram():
     d = table_to_datum(ROW_6)
-    b = symmetrized_cartan(d).entries
+    a, b = cartan_matrix(d), symmetrized_cartan(d)
     for j in range(4):
         for k in range(4):
             assert b[j][k] == d.lam[j] * d.lam[k] * pair(d, j + 1, k + 1)
+            # b = diag(lambda_j^2) a is symmetric
+            assert b[j][k] == d.lam[j] ** 2 * a[j][k]
 
 
 def test_reflect_negates_own_axis():
@@ -201,28 +206,26 @@ def test_reflect_is_an_isometric_involution(x, i):
 
 
 def test_polygon_table_triangle():
-    d = table_to_datum(GeometricRealizationTable(((1, 1, 1), (0, 1, 2))))
-    assert polygon_table(d).rows == ((1, 1, 1), (0, 1, 2))
+    d = table_to_datum(((1, 1, 1), (0, 1, 2)))
+    assert polygon_table(d) == ((1, 1, 1), (0, 1, 2))
 
 
 def test_polygon_table_quadrangle():
     d = table_to_datum(ROW_7_QUAD)
-    assert polygon_table(d).rows == ROW_7_QUAD.rows
+    assert polygon_table(d) == ROW_7_QUAD
     # the even-n middle row lists each antipodal pairing twice
     assert pair(d, 1, 3) == -3 and pair(d, 2, 4) == -3
 
 
 def test_table_decode_errors():
     with pytest.raises(TableDecodeError):
-        table_to_datum(GeometricRealizationTable(((1, 1, 1),)))
+        table_to_datum(((1, 1, 1),))
     with pytest.raises(TableDecodeError):
-        table_to_datum(GeometricRealizationTable(((1, 1, 1), (0, -1, 2))))
+        table_to_datum(((1, 1, 1), (0, -1, 2)))
     with pytest.raises(TableDecodeError):
-        table_to_datum(
-            GeometricRealizationTable(((1, 1, 1, 1), (0, 1, 0, 1), (3, 3, 4, 3)))
-        )
+        table_to_datum(((1, 1, 1, 1), (0, 1, 0, 1), (3, 3, 4, 3)))
     with pytest.raises(TableDecodeError):
-        table_to_datum(GeometricRealizationTable(((1, 1, 1, 1), (0, 1, 0, 1))))
+        table_to_datum(((1, 1, 1, 1), (0, 1, 0, 1)))
 
 
 def test_verify_accepts_catalog_row():
@@ -271,7 +274,7 @@ def test_verify_lorentzian_failure_on_definite_triangle():
 
 
 def test_classify_flags_examples():
-    d = table_to_datum(GeometricRealizationTable(((1, 1, 1), (0, 1, 2))))
+    d = table_to_datum(((1, 1, 1), (0, 1, 2)))
     w = verify_realization(d).weyl_square
     flags = classify_flags(d, w)
     assert (flags.kind, flags.compact, flags.untwisted) == ("elliptic", False, True)
@@ -280,9 +283,7 @@ def test_classify_flags_examples():
     flags = classify_flags(quad, verify_realization(quad).weyl_square)
     assert (flags.kind, flags.compact, flags.untwisted) == ("elliptic", True, False)
 
-    square = table_to_datum(
-        GeometricRealizationTable(((1, 1, 1, 1), (1, 1, 1, 1), (4, 4, 4, 4)))
-    )
+    square = table_to_datum(((1, 1, 1, 1), (1, 1, 1, 1), (4, 4, 4, 4)))
     flags = classify_flags(square, verify_realization(square).weyl_square)
     assert (flags.kind, flags.compact, flags.untwisted) == ("elliptic", True, True)
 
@@ -302,28 +303,27 @@ def test_classify_flags_dihedral_invariant(index):
 
 
 def test_symmetry_group_full_triangle():
-    sym = symmetry_group(triangle(-2, -2, -2))
-    assert (sym.order, sym.kind, sym.degree) == (6, "dihedral", 3)
+    d = triangle(-2, -2, -2)
+    # every rotation and reflection fixes it: dihedral of order 6
+    assert symmetry_group(d) == 6 == len(stabilizer(d))
 
 
 def test_symmetry_group_trivial():
-    sym = symmetry_group(table_to_datum(GeometricRealizationTable(((1, 1, 1), (0, 1, 2)))))
-    assert (sym.order, sym.kind) == (1, "trivial")
+    d = table_to_datum(((1, 1, 1), (0, 1, 2)))
+    assert symmetry_group(d) == 1
+    assert stabilizer(d) == [DihedralMove(0, False)]
 
 
 def test_symmetry_group_right_quadrangle():
     d = PolygonDatum(4, (-2, -6, -2, -2, -6, -2), (1, 1, 1, 1))
-    sym = symmetry_group(d)
-    assert (sym.order, sym.kind, sym.degree) == (8, "dihedral", 4)
+    assert symmetry_group(d) == 8 == len(stabilizer(d))
 
 
 def test_symmetry_generators_fix_datum():
     d = table_to_datum(ROW_7_QUAD)
-    sym = symmetry_group(d)
     # only the reflection swapping sides (1,4) and (2,3) preserves the lambdas
-    assert (sym.order, sym.kind, sym.degree) == (2, "dihedral", 1)
-    for gen in sym.generators:
-        assert apply_move(d, gen) == d
+    assert symmetry_group(d) == 2
+    assert stabilizer(d) == [DihedralMove(0, False), DihedralMove(0, True)]
 
 
 def test_symmetry_order_divides_2n():
@@ -332,7 +332,7 @@ def test_symmetry_order_divides_2n():
         table_to_datum(ROW_7_QUAD),
         table_to_datum(ROW_6),
     ):
-        assert (2 * d.n) % symmetry_group(d).order == 0
+        assert (2 * d.n) % symmetry_group(d) == 0
 
 
 # --- the integer reader path against the slow Fraction oracle ---------------
@@ -406,6 +406,18 @@ def test_symmetry_group_matches_apply_move_stabilizer():
 @given(random_polygon())
 def test_symmetry_group_matches_stabilizer_on_random_data(d):
     assert symmetry_group(d) == reference_symmetry_group(d)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_dihedral_relabellers_follow_apply_move_order(n):
+    # distinct entries, so equal bodies mean equal index permutations
+    k = n * (n - 1) // 2
+    d = PolygonDatum(n, tuple(range(-1, -k - 1, -1)), tuple(range(1, n + 1)))
+    body = d.pairings + d.lam
+    images = [apply_move(d, m) for m in all_moves(n)]
+    assert [relabel(body) for relabel in dihedral_relabellers(n)] == [
+        e.pairings + e.lam for e in images
+    ]
 
 
 def test_gram_matches_pair():
@@ -493,7 +505,7 @@ def test_weyl_system_matches_oracle_on_random_systems(system):
 
 def _decoded(decode, rows):
     try:
-        return decode(GeometricRealizationTable(rows))
+        return decode(rows)
     except TableDecodeError as exc:
         return f"TableDecodeError: {exc}"
 
@@ -504,8 +516,8 @@ def _assert_decode_matches_oracle(rows):
 
 def test_decode_matches_oracle_on_catalog_relabellings():
     for d in _catalog_relabellings():
-        rows = polygon_table(d).rows
-        assert table_to_datum(GeometricRealizationTable(rows)) == d
+        rows = polygon_table(d)
+        assert table_to_datum(rows) == d
         _assert_decode_matches_oracle(rows)
 
 

@@ -63,7 +63,7 @@ def test_catalog_has_sixty_rows():
     rows = golden_catalog()
     assert len(rows) == 60
     assert rows[0].r == Fraction(-59, 2)
-    assert rows[0].table.rows == ((1, 2, 2), (0, 1, 2))
+    assert rows[0].table == ((1, 2, 2), (0, 1, 2))
     last = rows[-1]
     assert last.r == Fraction(-1, 24)
     assert last.datum().n == 12
@@ -83,16 +83,16 @@ def test_catalog_self_check_passes():
 def test_catalog_rows_round_trip_through_tables():
     for row in golden_catalog():
         d = row.datum()
-        assert polygon_table(d).rows == row.table.rows
+        assert polygon_table(d) == row.table
 
 
 def test_self_check_detects_corruption():
     rows = list(golden_catalog())
     bad_table = tuple(
         tuple(v + (1 if (i, j) == (1, 0) else 0) for j, v in enumerate(r))
-        for i, r in enumerate(rows[0].table.rows)
+        for i, r in enumerate(rows[0].table)
     )
-    rows[0] = GoldenRow(rows[0].r, type(rows[0].table)(bad_table))
+    rows[0] = GoldenRow(rows[0].r, bad_table)
     checks = {c.name: c for c in self_check_catalog(tuple(rows))}
     assert not checks["rows-valid"].passed
 
@@ -174,8 +174,8 @@ def test_verify_fixture_matches_rational_oracle():
 def test_golden_text_parser_round_trip():
     rows = golden_catalog()
     text = "\n\n".join(format_golden_block(r.r, r.table) for r in rows)
-    assert [(p.r, p.table.rows) for p in parse_golden_text(text)] == [
-        (p.r, p.table.rows) for p in rows
+    assert [(p.r, p.table) for p in parse_golden_text(text)] == [
+        (p.r, p.table) for p in rows
     ]
 
 
@@ -229,8 +229,8 @@ def test_catalog_cartan_matrices_are_generalized_cartan():
 
     for row in golden_catalog():
         d = row.datum()
-        a = cartan_matrix(d).entries
-        b = symmetrized_cartan(d).entries
+        a = cartan_matrix(d)
+        b = symmetrized_cartan(d)
         n = d.n
         for i in range(n):
             assert a[i][i] == 2
@@ -246,11 +246,10 @@ def test_catalog_cartan_matrices_are_generalized_cartan():
 
 def test_catalog_symmetry_generators_fix_each_row():
     from hypercartan.core import symmetry_group
-    from reader_oracle import apply_move
+    from reader_oracle import reference_symmetry_group
 
     for row in golden_catalog():
         d = row.datum()
-        sym = symmetry_group(d)
-        assert (2 * d.n) % sym.order == 0
-        for gen in sym.generators:
-            assert apply_move(d, gen) == d
+        order = symmetry_group(d)
+        assert (2 * d.n) % order == 0
+        assert order == reference_symmetry_group(d)
