@@ -46,6 +46,10 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_ENGINE = 4
 
+# The search cost grows about as lambda^2.2-2.5 past 24 (64 takes about 3 s);
+# a far larger --lambda-max would build lambda^2 partner tables and not finish.
+LAMBDA_MAX_CEILING = 64
+
 
 def _record_json(rec: CatalogRecord) -> str:
     payload = {
@@ -265,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     enum = sub.add_parser("enumerate", help="run the classification search")
-    enum.add_argument("--lambda-max", type=int, default=6)
+    enum.add_argument("--lambda-max", type=int, default=6,
+                      help=f"largest lambda searched, 1 to {LAMBDA_MAX_CEILING} "
+                           "(default 6)")
     enum.add_argument("--mode", choices=("elliptic", "parabolic"), default="elliptic")
     enum.add_argument("--r", default=None, help="only this Weyl square, e.g. -7/18")
     enum.add_argument("--max-sides", type=int, default=DEFAULT_MAX_SIDES)
@@ -318,6 +324,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_merge_r_values(list(argv)))
     if getattr(args, "lambda_max", 1) < 1 or getattr(args, "max_sides", 3) < 3:
         print("error: --lambda-max must be >= 1 and --max-sides >= 3",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "lambda_max", 1) > LAMBDA_MAX_CEILING:
+        print(f"error: --lambda-max must be at most {LAMBDA_MAX_CEILING}",
               file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "jobs", 1) < 1:

@@ -110,9 +110,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class RealizationReport:
-    datum: PolygonDatum
     checks: tuple[CheckResult, ...]
-    weyl_solution: tuple[Fraction, ...] | None
     weyl_square: Fraction | None
 
     @property
@@ -232,6 +230,11 @@ def polygon_table(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+# The most sides a decoded table may have (the catalog's largest has 12):
+# verification scans O(n^3) side triples, for seconds on 200 degenerate sides.
+MAX_TABLE_SIDES = 64
+
+
 def table_to_datum(table: Sequence[tuple[int, ...]]) -> PolygonDatum:
     """Decode the rows of a realization table; inverse of polygon_table."""
     if len(table) < 2:
@@ -239,6 +242,10 @@ def table_to_datum(table: Sequence[tuple[int, ...]]) -> PolygonDatum:
     n = len(table[0])
     if n < 3:
         raise TableDecodeError("a polygon needs at least 3 sides")
+    if n > MAX_TABLE_SIDES:
+        raise TableDecodeError(
+            f"a table has at most {MAX_TABLE_SIDES} sides, got {n}"
+        )
     if any(len(row) != n for row in table):
         raise TableDecodeError("ragged table rows")
     if len(table) != 1 + n // 2:
@@ -410,7 +417,7 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
         CheckResult("coprime-lambda", gl == 1, f"gcd(lambda) = {gl}" if gl != 1 else "")
     )
 
-    solution = weyl_square = None
+    weyl_square = None
     if y is None:
         checks.append(
             CheckResult(
@@ -418,11 +425,10 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
             )
         )
     else:
-        solution = tuple(Fraction(v, den) if v else _ZERO for v in y)
         weyl_square = Fraction(-sum(map(mul, d.lam, y)), den)
         checks.append(CheckResult("weyl-vector", True))
 
-    return RealizationReport(d, tuple(checks), solution, weyl_square)
+    return RealizationReport(tuple(checks), weyl_square)
 
 
 def classify_flags(d: PolygonDatum, r: Fraction) -> RealizationFlags:

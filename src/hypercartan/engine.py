@@ -17,18 +17,20 @@ exceeds the floor of its larger root.  b steps over the multiples of
 the twisting divisibility, and num and det follow it by constant second
 differences.  Radii are sorted by an exact integer key.
 
-From the seeds the search repeatedly glues overlapping open chains.  The
-single unknown pairing (delta_1, delta_n) comes from the integer
-adjugate of one window: through the Weyl-vector equation on the chain's
-first window at length 4, by composing coordinates across the shared
-window at length >= 5.  An exact division is the integrality test.
-Gluing stops when every chain has closed or died.
+From the seeds the search repeatedly glues overlapping open chains.  Two
+chains of one radius join when the second and third sides of one and
+the first and second of the other carry the same pairings and lambdas;
+those rows decide the whole overlap.  The single unknown pairing
+(delta_1, delta_n) comes from one gluing equation at every length: the
+Weyl-vector equation (rho, delta_n) = -lambda_n, through the integer
+adjugate of the chain's first window, which is always its seed window.
+An exact division is the integrality test.  Gluing stops when every
+chain has closed or died.
 
 A chain is a packed tuple of its pairings, row-major over the strict
-upper triangle.  The join keys of two overlapping chains are a slice and
-a fixed index selection of it, the glued chain is a concatenation, and
-gluing reads its pairings at fixed offsets: no pairing is looked up by
-(i, j) in the chain loop.
+upper triangle.  The join keys of two overlapping chains are slices of
+it, the glued chain is a concatenation, and gluing reads its pairings at
+fixed offsets: no pairing is looked up by (i, j) in the chain loop.
 
 Closed polygons are deduplicated by dihedral canonical form, re-verified
 and decorated; the final catalog depends only on (lambda_max, mode).
@@ -38,10 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, isqrt, lcm
-from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .canonical import PackedDatum, canonical_form
 from .core import (
@@ -50,7 +50,6 @@ from .core import (
     _window_det,
     cartan_matrix,
     classify_flags,
-    pack_index,
     polygon_table,
     symmetrized_cartan,
     symmetry_group,
@@ -81,8 +80,7 @@ class InvariantViolation(EngineError):
     """An emitted solution failed re-verification; indicates an engine bug."""
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(NamedTuple):
     """An open chain of consecutive sides delta_1..delta_length.
 
     ``pairings`` is the packed strict upper triangle (signed values),
@@ -151,10 +149,6 @@ class ParabolicReport:
 # ---------------------------------------------------------------------------
 # 3-window scan (window closed forms in ``core``)
 # ---------------------------------------------------------------------------
-
-
-def _window_chain(a: int, b: int, c: int, lam: tuple[int, int, int]) -> ChainState:
-    return ChainState(3, (-a, -b, -c), lam)
 
 
 def _partners(lambda_max: int, a: int) -> list[tuple[int, ...]]:
@@ -294,7 +288,7 @@ def _seeds(
     for a, b, c, lam, num, d in _windows(lambda_max, _long_pairing_bound(max(radii))):
         bucket = by_key.get(_square_key(num, d))
         if bucket is not None:
-            bucket.append(_window_chain(a, b, c, lam))
+            bucket.append(ChainState(3, (-a, -b, -c), lam))
     return {r: by_key[r.numerator, r.denominator] for r in radii}
 
 
@@ -330,27 +324,20 @@ def partition_closed(
     return closed, extendable
 
 
-# Join keys.  In the row-major packing the pairs among sides 2..m (rows
-# 2..m) are a contiguous suffix starting at offset m - 1, and the pairs
-# among sides 1..m-1 are every row with its last entry (i, m) left out.
-
-
-@cache
-def _head_pairs(m: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """Picks the pairs (i, j), i < j <= m - 1, from a packed length-m chain."""
-    if m == 3:
-        return lambda p: p[:1]  # itemgetter of one index returns a scalar
-    return itemgetter(
-        *(pack_index(m, i, j) for i in range(1, m - 1) for j in range(i + 1, m))
-    )
+# Join keys.  Packed rows 1, 2, 3 take offsets 0..m-2, m-1..2m-4 and
+# 2m-3..3m-7.  The tail key is x's rows 2 and 3, the head key y's rows 1
+# and 2 without their pairs with side m, each with the overlap's lambdas;
+# ``_glue`` shows why these rows suffice.
 
 
 def _head_key(ch: ChainState) -> tuple:
-    return _head_pairs(ch.length)(ch.pairings) + ch.lam[:-1]
+    p, m = ch.pairings, ch.length
+    return p[: m - 2] + p[m - 1 : 2 * m - 4] + ch.lam[:-1]
 
 
 def _tail_key(ch: ChainState) -> tuple:
-    return ch.pairings[ch.length - 1 :] + ch.lam[1:]
+    p, m = ch.pairings, ch.length
+    return p[m - 1 : 3 * m - 6] + ch.lam[1:]
 
 
 def _divisible_both(l1: int, ln: int, g: int) -> bool:
@@ -369,47 +356,35 @@ def _extended_chain(x: ChainState, y: ChainState, g1n: int) -> ChainState:
 def _glue(x: ChainState, y: ChainState) -> list[ChainState]:
     """Extensions of chain x by the last side of an overlapping chain y.
 
-    The overlap (x sides 2..m against y sides 1..m-1) is assumed checked.
-    Only the pairing (delta_1, delta_n) is unknown; it must come out a
-    non-positive integer satisfying divisibility against both lambdas.
+    The join keys are assumed equal.  Only (delta_1, delta_n), n = m + 1,
+    is unknown; it must come out a non-positive integer satisfying
+    divisibility against both lambdas.
+
+    Both chains are realized at one Weyl square r (a seed window is, and so
+    is each glued chain, by what follows).  delta_2, delta_3 and rho are
+    independent: delta_3 = -delta_2 would give (rho, delta_3) = lambda_2 > 0;
+    for r < 0 the plane of delta_2, delta_3 (pairing 0, -1 or -2) holds no
+    negative vector, and for r = 0 its null vectors are the multiples of
+    delta_2 + delta_3, where (rho, delta_2) = 0 != -lambda_2.  Their Gram is
+    the same in x as for y's sides 1, 2, so x and y are isometric on the
+    whole space.  Each side k is fixed by (delta_k, delta_2),
+    (delta_k, delta_3) and lambda_k, so the key rows decide the overlap.
+
+    x's first window is its seed window (an extension keeps x's first three
+    sides): det < 0, and the Weyl equation (rho, delta_n) = -lambda_n reads
+    A1 g1n = lambda_n det - A2 g2n - A3 g3n with A = adj(g) lam.  Every term
+    of A1 = (4 - c^2) l1 + (2a + bc) l2 + (ac + 2b) l3 is >= 0 (c <= 2), and
+    all vanish only at a = b = 0, c = 2, where det = 0: A1 > 0, the geometric
+    (delta_1, delta_n) is the unique solution, and the glued Gram has rank 3.
     """
     m = x.length
     xp, yp = x.pairings, y.pairings
-    if m == 3:
-        # rho = -adj(g) lam / det in the basis of x's window, so the Weyl
-        # equation (rho, delta_4) = -lambda_4 reads
-        # A1 g14 = lambda_4 det - A2 g24 - A3 g34 with A = adj(g) lam.  Every
-        # term of A1 = (4 - c^2) l1 + (2a + bc) l2 + (ac + 2b) l3 is >= 0
-        # (c <= ADJACENT_MAX = 2), and all vanish only at a = b = 0, c = 2,
-        # where det = 0: A1 > 0 on every seed window.
-        #
-        # No rank check is needed: the 4x4 Gram of delta_1..delta_4 is
-        # singular for this g14.  Both windows share (delta_2, delta_3) and
-        # the values (rho, delta_2) = -lambda_2, (rho, delta_3) = -lambda_3,
-        # (rho, rho) = r.  delta_2, delta_3, rho are independent (delta_3 =
-        # -delta_2 would give (rho, delta_3) = lambda_2 > 0): for r < 0 the
-        # plane of delta_2, delta_3 (pairing 0, -1 or -2) holds no negative
-        # vector, and for r = 0 its null vectors are 0 and the multiples of
-        # delta_2 + delta_3, all with (rho, delta_2) = 0 != -lambda_2.  So
-        # the two windows are isometric on that span, which contains delta_1
-        # and delta_4; as A1 > 0 the geometric (delta_1, delta_4) is the
-        # unique solution g14 above, and the 4x4 determinant vanishes.
-        a, b, c = -xp[0], -xp[1], -xp[2]
-        a1, a2, a3 = _adj_mul(a, b, c, x.lam)
-        # y's (1,3), (2,3) are (delta_2, delta_4), (delta_3, delta_4)
-        g1n, rem = divmod(y.lam[-1] * _window_det(a, b, c) - a2 * yp[1] - a3 * yp[2], a1)
-    else:
-        # delta_n = e1 delta_2 + e2 delta_3 + e3 delta_4 with
-        # e = adj(g_y) h / det(g_y), where g_y is the Gram of y's first window
-        # (delta_2, delta_3, delta_4) and h holds their pairings with
-        # delta_n.  Pairing with delta_1 gives (delta_1, delta_n); rank 3
-        # holds by construction.  Packed offsets in y: (1,2) = 0, (1,3) = 1,
-        # (2,3) = m-1, (1,m) = m-2, (2,m) = 2m-4, (3,m) = 3m-7; in x:
-        # (1,2), (1,3), (1,4) = 0, 1, 2.
-        a, b, c = -yp[0], -yp[1], -yp[m - 1]
-        e1, e2, e3 = _adj_mul(a, b, c, (yp[m - 2], yp[2 * m - 4], yp[3 * m - 7]))
-        u = xp[0] * e1 + xp[1] * e2 + xp[2] * e3
-        g1n, rem = divmod(u, _window_det(a, b, c))
+    # x: (1,2), (1,3), (2,3) at offsets 0, 1, m-1; y: (1,m), (2,m) at m-2, 2m-4
+    a, b, c = -xp[0], -xp[1], -xp[m - 1]
+    a1, a2, a3 = _adj_mul(a, b, c, x.lam[:3])
+    g1n, rem = divmod(
+        y.lam[-1] * _window_det(a, b, c) - a2 * yp[m - 2] - a3 * yp[2 * m - 4], a1
+    )
     if rem or g1n > 0 or not _divisible_both(x.lam[0], y.lam[-1], g1n):
         return []
     return [_extended_chain(x, y, g1n)]
@@ -420,7 +395,8 @@ def extend_step(extendable: list[ChainState]) -> list[ChainState]:
 
     Matches ordered pairs (X, Y) whose overlap agrees (X's sides 2..m
     carry the same pairings and lambdas as Y's sides 1..m-1) via a hash
-    join, then computes the unknown closing-side pairing for each pair.
+    join on the key rows, then computes the unknown closing-side pairing
+    for each pair.
     """
     if extendable:
         m = extendable[0].length

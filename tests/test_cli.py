@@ -168,6 +168,22 @@ def test_enumerate_rejects_bad_lambda(capsys):
     assert code == 2
 
 
+def test_enumerate_rejects_lambda_above_ceiling(capsys, monkeypatch):
+    """--lambda-max above 64 exits 2 before any search runs."""
+
+    def searched(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "run_elliptic", searched)
+    monkeypatch.setattr(cli, "run_parabolic", searched)
+    for mode in ("elliptic", "parabolic"):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--mode", mode, "--lambda-max", "65"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --lambda-max must be at most 64\n"
+
+
 def test_rejects_jobs_below_one(capsys):
     for argv in (("enumerate", "--jobs", "0"), ("verify", "--jobs", "-1")):
         code, out, err = run_cli(capsys, *argv)
@@ -229,6 +245,23 @@ def test_check_garbage_is_parse_error(capsys, tmp_path):
     path.write_text("hello world\n")
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2
+
+
+def _all_minus_one_block(n):
+    """An n-gon table with every pairing -1: each side triple is degenerate."""
+    return "r = -1\n" + "\n".join([" ".join(["1"] * n)] * (1 + n // 2)) + "\n"
+
+
+def test_check_refuses_more_than_64_sides(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(_all_minus_one_block(65))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "parse error: a table has at most 64 sides, got 65\n"
+    path.write_text(_all_minus_one_block(64))
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert "FAIL lorentzian: no nondegenerate side triple" in out
 
 
 CHECK_MIXED_INPUT = """\
@@ -364,8 +397,9 @@ def test_verify_catalog_accepts_only_the_same_classes(capsys, tmp_path):
     [
         ("r = -1\n1 1 1\n0 1 2\n1 1 1\n", "expected 2 rows for an 3-gon, got 3"),
         ("r = -1\n-1 1 1\n0 1 2\n", "lambda row must be positive"),
+        (_all_minus_one_block(65), "a table has at most 64 sides, got 65"),
     ],
-    ids=["extra-row", "negative-lambda"],
+    ids=["extra-row", "negative-lambda", "too-many-sides"],
 )
 def test_verify_catalog_with_undecodable_row_fails_cleanly(capsys, tmp_path, text, reason):
     """The engine cross-check skips a row that does not decode; rows-valid names it."""

@@ -12,6 +12,7 @@ from hypercartan.engine import (
     RADIUS_B_MAX,
     ChainState,
     _chain_windows,
+    _detect_period,
     _divisible_both,
     _extended_chain,
     _glue,
@@ -21,7 +22,6 @@ from hypercartan.engine import (
     _min_rotation,
     _seed_map,
     _tail_key,
-    _window_chain,
     _windows,
     collect_radii,
     extend_step,
@@ -32,7 +32,7 @@ from hypercartan.engine import (
 )
 from hypercartan.goldens import golden_catalog
 from rational_oracle import QMatrix, SingularMatrixError, det, solve
-from reader_oracle import weyl_vector
+from reader_oracle import rank, weyl_vector
 
 import engine_oracle as oracle
 from engine_oracle import pair
@@ -144,9 +144,9 @@ def test_seed_map_agrees_with_seed_triples():
 
 
 def test_partition_closed():
-    closed_chain = _window_chain(0, 1, 2, (1, 1, 1))
-    open_chain = _window_chain(0, 3, 1, (1, 3, 3))
-    scaled = _window_chain(2, 2, 2, (2, 2, 2))
+    closed_chain = ChainState(3, (0, -1, -2), (1, 1, 1))
+    open_chain = ChainState(3, (0, -3, -1), (1, 3, 3))
+    scaled = ChainState(3, (-2, -2, -2), (2, 2, 2))
     closed, extendable = partition_closed([closed_chain, open_chain, scaled])
     assert [d.n for d in closed] == [3]
     assert closed[0].pairings == (0, -1, -2)
@@ -172,8 +172,8 @@ def test_extend_step_reaches_seven_quadrangle():
 
 
 def test_extend_step_rejects_fractional_pairing():
-    x = _window_chain(0, 3, 1, (1, 3, 3))
-    y = _window_chain(1, 4, 0, (3, 3, 1))
+    x = ChainState(3, (0, -3, -1), (1, 3, 3))
+    y = ChainState(3, (-1, -4, 0), (3, 3, 1))
     # overlap matches, but the Weyl equation gives (delta_1, delta_4) = -6/5
     assert extend_step([x, y]) == []
 
@@ -321,8 +321,8 @@ def test_weyl_square_strictly_monotone_in_long_pairing():
 def test_extend_step_rejects_mixed_or_closed_input():
     from hypercartan.engine import EngineError
 
-    open3 = _window_chain(0, 3, 1, (1, 3, 3))
-    closed3 = _window_chain(0, 1, 2, (1, 1, 1))
+    open3 = ChainState(3, (0, -3, -1), (1, 3, 3))
+    closed3 = ChainState(3, (0, -1, -2), (1, 1, 1))
     with pytest.raises(EngineError):
         extend_step([open3, closed3])
     four = extend_step(partition_closed(seed_triples(Fraction(-7), 3))[1])
@@ -457,41 +457,43 @@ def test_glue_matches_fraction_oracle():
         fast = _glue(x, y)
         assert fast == _fraction_glue(x, y), (x, y)
         outcomes.add((x.length == 3, bool(fast)))
-    # both branches of _glue, each seen accepting and rejecting
+    # both branches of the oracle (length 3, and the composition across
+    # y's first window beyond), each seen accepting and rejecting
     assert len(outcomes) == 4
 
 
-def _length3_pairs(seeds):
-    """Ordered pairs of overlapping open 3-windows among the seeds."""
-    _, ext = partition_closed(seeds)
-    by_head = {}
-    for ch in ext:
-        by_head.setdefault(_head_key(ch), []).append(ch)
-    for x in ext:
-        for y in by_head.get(_tail_key(x), ()):
-            yield x, y
+def test_glue_candidates_have_rank_3():
+    """The glued Gram has rank 3 at every candidate (delta_1, delta_n).
 
-
-def test_length3_glue_candidates_are_singular():
-    """The 4x4 Gram vanishes at every length-3 candidate (delta_1, delta_4).
-
-    The candidate solves the Weyl equation (rho, delta_4) = -lambda_4 in
-    the first window's basis; the zero determinant is why _glue needs no
-    rank check at length 3.
+    The candidate solves the Weyl equation (rho, delta_n) = -lambda_n in
+    the basis of x's first window, over the rationals; the rank is why
+    _glue needs no rank check at any length.
     """
-    seed_lists = list(_seed_map(4).values()) + [seed_triples(0, 4)]
+    runs = [(seeds, False) for seeds in _seed_map(4).values()]
+    runs.append((seed_triples(0, 4), True))
     integral = fractional = 0
-    for seeds in seed_lists:
-        for x, y in _length3_pairs(seeds):
+    lengths = set()
+    for seeds, parabolic in runs:
+        _, ext = partition_closed(list(oracle.reached_chains(seeds, parabolic)))
+        if parabolic:
+            ext = [ch for ch in ext if _detect_period(ch) is None]
+        for x, y in _joined(ext, _head_key, _tail_key):
+            m = x.length
             rho = _first_window_weyl(x).coords
-            g24, g34 = pair(y, 1, 3), pair(y, 2, 3)
-            g14 = (-y.lam[-1] - rho[1] * g24 - rho[2] * g34) / rho[0]
-            assert _det4(pair(x, 1, 2), pair(x, 1, 3), g14, pair(x, 2, 3), g24, g34) == 0
-            if g14.denominator == 1:
+            g2n, g3n = pair(y, 1, m), pair(y, 2, m)
+            g1n = (-y.lam[-1] - rho[1] * g2n - rho[2] * g3n) / rho[0]
+            glued = oracle.extended_chain(x, y, g1n)
+            gram = QMatrix.from_rows(
+                [[pair(glued, i, j) for j in range(1, m + 2)] for i in range(1, m + 2)]
+            )
+            assert rank(gram) == 3, (x, y)
+            lengths.add(m)
+            if g1n.denominator == 1:
                 integral += 1
             else:
                 fractional += 1
     assert integral and fractional
+    assert {3, 4, 5} <= lengths
 
 
 def _all_shapes(lambda_max):
@@ -534,27 +536,36 @@ def test_first_adjugate_coordinate_is_positive():
 # --- slow oracles for the packed-tuple chain kernel -------------------------
 
 
+def _joined(chains, head_key, tail_key):
+    """Ordered pairs (x, y) with tail_key(x) == head_key(y)."""
+    by_head = {}
+    for ch in chains:
+        by_head.setdefault(head_key(ch), []).append(ch)
+    return [(x, y) for x in chains for y in by_head.get(tail_key(x), ())]
+
+
 def test_packed_keys_and_extension_match_pair_oracle():
-    """Sliced keys, concatenated extensions and offset reads agree with pair()."""
+    """Row keys, concatenated extensions and offset reads agree with pair().
+
+    Joining on the key rows pairs exactly the chains whose whole overlap
+    agrees, entry by entry through pair().
+    """
     runs = [(seeds, False) for seeds in _seed_map(3).values()]
     runs.append((seed_triples(0, 3), True))
     lengths = set()
     joined = 0
     for seeds, parabolic in runs:
         chains = list(oracle.reached_chains(seeds, parabolic))
-        by_head = {}
         for ch in chains:
             lengths.add(ch.length)
-            assert _head_key(ch) == oracle.head_key(ch), ch
-            assert _tail_key(ch) == oracle.tail_key(ch), ch
             assert ch.closing_pair == pair(ch, 1, ch.length), ch
             assert _chain_windows(ch) == oracle.chain_windows(ch), ch
-            by_head.setdefault(oracle.head_key(ch), []).append(ch)
-        for x in chains:
-            for y in by_head.get(oracle.tail_key(x), ()):
-                for g1n in (0, -1, -7):
-                    assert _extended_chain(x, y, g1n) == oracle.extended_chain(x, y, g1n)
-                joined += 1
+        pairs = _joined(chains, oracle.head_key, oracle.tail_key)
+        assert _joined(chains, _head_key, _tail_key) == pairs
+        for x, y in pairs:
+            for g1n in (0, -1, -7):
+                assert _extended_chain(x, y, g1n) == oracle.extended_chain(x, y, g1n)
+        joined += len(pairs)
     assert {3, 4, 5, 6} <= lengths and joined
 
 
