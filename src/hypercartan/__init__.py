@@ -2,12 +2,12 @@
 Cartan matrices of elliptic (and parabolic) type with a lattice Weyl
 vector, twisted to symmetric matrices."""
 
-from .canonical import PackedDatum, canonical_form
 from .core import (
     InvalidRealizationError,
     PolygonDatum,
     RealizationFlags,
     TableDecodeError,
+    canonical_key,
     cartan_matrix,
     classify_flags,
     polygon_table,
@@ -36,12 +36,11 @@ __all__ = [
     "ChainState",
     "EnumerationResult",
     "InvalidRealizationError",
-    "PackedDatum",
     "ParabolicReport",
     "PolygonDatum",
     "RealizationFlags",
     "TableDecodeError",
-    "canonical_form",
+    "canonical_key",
     "cartan_matrix",
     "classify_flags",
     "collect_radii",

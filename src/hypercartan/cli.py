@@ -33,7 +33,6 @@ from .goldens import (
     GoldenFormatError,
     cross_check,
     format_golden_block,
-    format_rational,
     lattice_fixtures,
     parse_golden_text,
     self_check_catalog,
@@ -53,7 +52,7 @@ LAMBDA_MAX_CEILING = 64
 
 def _record_json(rec: CatalogRecord) -> str:
     payload = {
-        "r": format_rational(rec.r),
+        "r": str(rec.r),
         "n": rec.n,
         "lambda": list(rec.lam),
         "pairings": list(rec.pairings),
@@ -224,7 +223,7 @@ def cmd_check(args) -> int:
         report = verify_realization(datum)
         square_ok = report.weyl_square is None or report.weyl_square <= 0
         valid = report.valid and square_ok
-        lines = [f"block {index}: r = {format_rational(row.r)}: "
+        lines = [f"block {index}: r = {row.r}: "
                  f"{'valid' if valid else 'INVALID'}"]
         for check in report.checks:
             if not check.passed:
@@ -232,8 +231,8 @@ def cmd_check(args) -> int:
         if report.weyl_square is not None:
             if report.weyl_square != row.r:
                 lines.append(
-                    f"  note: recomputed Weyl square {format_rational(report.weyl_square)}"
-                    f" differs from declared {format_rational(row.r)}"
+                    f"  note: recomputed Weyl square {report.weyl_square}"
+                    f" differs from declared {row.r}"
                 )
             if not square_ok:
                 lines.append(f"  FAIL weyl-square-positive: {report.weyl_square} > 0")

@@ -3,9 +3,11 @@
 The objects here describe a labelled polygon on the hyperbolic plane
 through pure combinatorial data: the pairwise products of its norm-2
 side vectors and the positive twisting coefficients attached to them.
-Everything is an immutable value, and all arithmetic is exact on Python
-integers.  The Gram determinant and adjugate of a 3-window of sides are
-closed forms: the search glues chains with them and verification tests
+Every value type is a ``NamedTuple``, and all arithmetic is exact on
+Python integers.  Polygons that differ by a rotation or reflection of
+their side labels are one solution; ``canonical_key`` names the class.
+The Gram determinant and adjugate of a 3-window of sides are closed
+forms: the search glues chains with them and verification tests
 side triples with them.  The rank and the Weyl vector of a whole
 polygon come from one fraction-free elimination.  Its last pivot D is a
 minor of full rank, so by Cramer's rule D times the solution is
@@ -15,12 +17,11 @@ each result becomes one ``Fraction`` over D at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import itemgetter, mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
 class InvalidRealizationError(ValueError):
@@ -60,27 +61,10 @@ def _gram(n: int, pairings: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, g))
 
 
-@dataclass(frozen=True)
-class PolygonDatum:
-    """Closed n-gon data: side pairings (delta_i, delta_j) and lambdas.
-
-    ``pairings`` holds the strict upper triangle in packed order; every
-    diagonal value (delta_i, delta_i) is 2 by convention and not stored.
-    """
-
+class _PolygonFields(NamedTuple):
     n: int
     pairings: tuple[int, ...]
     lam: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise InvalidRealizationError("a polygon needs at least 3 sides")
-        if len(self.pairings) != pair_count(self.n):
-            raise InvalidRealizationError("wrong number of pairings")
-        if len(self.lam) != self.n:
-            raise InvalidRealizationError("wrong number of lambdas")
-        if any(l < 1 for l in self.lam):
-            raise InvalidRealizationError("lambdas must be positive")
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -94,22 +78,45 @@ class PolygonDatum:
         return tuple(g[i][(i + 1) % n] for i in range(n))
 
 
-@dataclass(frozen=True)
-class RealizationFlags:
+class PolygonDatum(_PolygonFields):
+    """Closed n-gon data: side pairings (delta_i, delta_j) and lambdas.
+
+    ``pairings`` holds the strict upper triangle in packed order; every
+    diagonal value (delta_i, delta_i) is 2 by convention and not stored.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, pairings: tuple[int, ...], lam: tuple[int, ...]):
+        if n < 3:
+            raise InvalidRealizationError("a polygon needs at least 3 sides")
+        if len(pairings) != pair_count(n):
+            raise InvalidRealizationError("wrong number of pairings")
+        if len(lam) != n:
+            raise InvalidRealizationError("wrong number of lambdas")
+        if any(l < 1 for l in lam):
+            raise InvalidRealizationError("lambdas must be positive")
+        return tuple.__new__(cls, (n, pairings, lam))
+
+    @classmethod
+    def _make(cls, iterable) -> PolygonDatum:
+        # ``_replace`` builds through ``_make``: validate there too.
+        return cls(*iterable)
+
+
+class RealizationFlags(NamedTuple):
     kind: str  # "elliptic" | "parabolic"
     compact: bool
     untwisted: bool
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
     weyl_square: Fraction | None
 
@@ -145,6 +152,19 @@ def dihedral_relabellers(n: int) -> tuple[Callable[[tuple], tuple], ...]:
         )
         for src in sources
     )
+
+
+def canonical_key(d: PolygonDatum) -> tuple[int, tuple[int, ...]]:
+    """The dihedral class of a polygon, as (n, body).
+
+    A body packs -(delta_j, delta_k) for j < k in packed order, then the
+    lambdas.  The key's body is the lexicographically smallest over the
+    2n relabellings, so two polygons are one solution up to rotation and
+    reflection exactly when their keys are equal.  Keys sort the catalog
+    within a radius, and the body decodes to the relabelling it prints.
+    """
+    body = tuple([-p for p in d.pairings]) + d.lam
+    return d.n, min(relabel(body) for relabel in dihedral_relabellers(d.n))
 
 
 # ---------------------------------------------------------------------------

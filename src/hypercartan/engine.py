@@ -32,24 +32,25 @@ upper triangle.  The join keys of two overlapping chains are slices of
 it, the glued chain is a concatenation, and gluing reads its pairings at
 fixed offsets: no pairing is looked up by (i, j) in the chain loop.
 
-Closed polygons are deduplicated by dihedral canonical form, re-verified
+Closed polygons are deduplicated by ``core.canonical_key``, re-verified
 and decorated; the final catalog depends only on (lambda_max, mode).
+Every result is a ``NamedTuple``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, NamedTuple
 
-from .canonical import PackedDatum, canonical_form
 from .core import (
     PolygonDatum,
     _adj_mul,
     _window_det,
+    canonical_key,
     cartan_matrix,
     classify_flags,
+    pair_count,
     polygon_table,
     symmetrized_cartan,
     symmetry_group,
@@ -96,8 +97,7 @@ class ChainState(NamedTuple):
         return self.pairings[self.length - 2]  # (1, length) ends row 1
 
 
-@dataclass(frozen=True)
-class CatalogRecord:
+class CatalogRecord(NamedTuple):
     """One classified solution, canonical under dihedral relabelling."""
 
     r: Fraction
@@ -114,20 +114,17 @@ class CatalogRecord:
     kind: str
 
 
-@dataclass(frozen=True)
-class CapEvent:
+class CapEvent(NamedTuple):
     r: Fraction
     length: int
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     records: tuple[CatalogRecord, ...]
     cap_events: tuple[CapEvent, ...]
 
 
-@dataclass(frozen=True)
-class PeriodicChainReport:
+class PeriodicChainReport(NamedTuple):
     period: int
     signature: tuple[tuple[int, ...], ...]
     length: int
@@ -135,8 +132,7 @@ class PeriodicChainReport:
     pairings: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ParabolicReport:
+class ParabolicReport(NamedTuple):
     periodic: tuple[PeriodicChainReport, ...]
     capped_chains: int
 
@@ -420,8 +416,12 @@ def extend_step(extendable: list[ChainState]) -> list[ChainState]:
 # ---------------------------------------------------------------------------
 
 
-def _record_from_canonical(r: Fraction, packed: PackedDatum) -> CatalogRecord:
-    d = packed.to_polygon()
+def _record_from_canonical(
+    r: Fraction, key: tuple[int, tuple[int, ...]]
+) -> CatalogRecord:
+    n, body = key
+    k = pair_count(n)
+    d = PolygonDatum(n, tuple([-v for v in body[:k]]), body[k:])
     report = verify_realization(d)
     if not report.valid:
         raise InvariantViolation(
@@ -435,7 +435,7 @@ def _record_from_canonical(r: Fraction, packed: PackedDatum) -> CatalogRecord:
     return CatalogRecord(
         r=r,
         n=d.n,
-        body=packed.body,
+        body=body,
         lam=d.lam,
         pairings=d.pairings,
         table=polygon_table(d),
@@ -449,14 +449,8 @@ def _record_from_canonical(r: Fraction, packed: PackedDatum) -> CatalogRecord:
 
 
 def _dedup_records(r: Fraction, closed: list[PolygonDatum]) -> list[CatalogRecord]:
-    canon: dict[tuple[int, tuple[int, ...]], PackedDatum] = {}
-    for poly in closed:
-        c = canonical_form(PackedDatum.from_polygon(poly))
-        canon[(c.n, c.body)] = c
-    return [
-        _record_from_canonical(r, canon[key])
-        for key in sorted(canon.keys())
-    ]
+    keys = {canonical_key(poly) for poly in closed}
+    return [_record_from_canonical(r, key) for key in sorted(keys)]
 
 
 def _grow(

@@ -13,17 +13,17 @@ by the fraction-free elimination that also solves the Weyl system.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
-from .canonical import PackedDatum, canonical_form
 from .core import (
     CheckResult,
     PolygonDatum,
     TableDecodeError,
     _weyl_system,
+    canonical_key,
     symmetry_group,
     table_to_datum,
     verify_realization,
@@ -35,8 +35,7 @@ class GoldenFormatError(ValueError):
     """A golden-format text block that cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(NamedTuple):
     r: Fraction
     table: tuple[tuple[int, ...], ...]
 
@@ -44,8 +43,7 @@ class GoldenRow:
         return table_to_datum(self.table)
 
 
-@dataclass(frozen=True)
-class NamedCartan:
+class NamedCartan(NamedTuple):
     """One of the twelve symmetric non-compact matrices, with its radius."""
 
     name: str
@@ -60,8 +58,7 @@ class NamedCartan:
         return PolygonDatum(n, pairings, (1,) * n)
 
 
-@dataclass(frozen=True)
-class LatticeFixture:
+class LatticeFixture(NamedTuple):
     """An explicit realization: lattice basis, root and Weyl coordinates.
 
     ``basis`` rows and ``roots`` are coordinates in the ambient family
@@ -98,8 +95,7 @@ class LatticeFixture:
         return PolygonDatum(n, pairings, (1,) * n)
 
 
-@dataclass(frozen=True)
-class FixtureReport:
+class FixtureReport(NamedTuple):
     name: str
     checks: tuple[CheckResult, ...]
 
@@ -111,8 +107,7 @@ class FixtureReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     engine_count: int
     missing: tuple[tuple[int, tuple[int, ...]], ...]
     extra: tuple[tuple[int, tuple[int, ...]], ...]
@@ -128,10 +123,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise GoldenFormatError(f"bad rational {text!r}") from exc
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
 
 
 def parse_golden_text(text: str) -> list[GoldenRow]:
@@ -168,7 +159,7 @@ def parse_golden_text(text: str) -> list[GoldenRow]:
 
 
 def format_golden_block(r: Fraction, table: tuple[tuple[int, ...], ...]) -> str:
-    lines = [f"r = {format_rational(r)}"]
+    lines = [f"r = {r}"]
     lines.extend(" ".join(str(v) for v in row) for row in table)
     return "\n".join(lines)
 
@@ -217,11 +208,6 @@ def _det3(m) -> int:
     """Determinant of a 3x3 integer matrix by cofactor expansion along row 1."""
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def canonical_key(d: PolygonDatum) -> tuple[int, tuple[int, ...]]:
-    c = canonical_form(PackedDatum.from_polygon(d))
-    return (c.n, c.body)
 
 
 def verify_fixture(f: LatticeFixture) -> FixtureReport:

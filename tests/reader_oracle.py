@@ -9,7 +9,9 @@ once carried.  ``DihedralMove`` names one relabelling of the sides,
 ``apply_move`` relabels one side at a time through ``pair``, and
 ``dihedral_images`` lists the relabellings the package computes by index
 permutation; ``divisibility_ok`` is the twisting condition for one
-ordered pair.  The ``reference_*`` functions rebuild the decoded table,
+ordered pair.  ``PackedDatum`` and ``canonical_form`` are the packed
+value and orbit minimum the engine deduplicated with before
+``core.canonical_key`` replaced them.  The ``reference_*`` functions rebuild the decoded table,
 the verification report, the symmetry order, the canonical form and a
 fixture's report the old way (a ``pack_index`` per table entry,
 ``assemble_gram`` and two eliminations, a determinant per side triple,
@@ -25,7 +27,6 @@ from math import gcd
 from typing import Sequence
 
 from engine_oracle import pair
-from hypercartan.canonical import PackedDatum
 from hypercartan.core import (
     CheckResult,
     PolygonDatum,
@@ -36,6 +37,34 @@ from hypercartan.core import (
 )
 from hypercartan.goldens import FixtureReport, LatticeFixture
 from rational_oracle import QMatrix, ShapeError, _bareiss_det, _integer_rows, det, solve
+
+
+@dataclass(frozen=True)
+class PackedDatum:
+    """Flat encoding: all -(delta_j, delta_k) for j < k in packed order, then lambdas."""
+
+    n: int
+    body: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.body) != pair_count(self.n) + self.n:
+            raise ValueError("packed body has the wrong length")
+
+    @classmethod
+    def from_polygon(cls, d: PolygonDatum) -> "PackedDatum":
+        return cls(d.n, tuple(-p for p in d.pairings) + d.lam)
+
+    def to_polygon(self) -> PolygonDatum:
+        k = pair_count(self.n)
+        return PolygonDatum(
+            self.n, tuple(-v for v in self.body[:k]), self.body[k:]
+        )
+
+
+def canonical_form(p: PackedDatum) -> PackedDatum:
+    """Lexicographically smallest element of the dihedral orbit of p."""
+    body = min(relabel(p.body) for relabel in dihedral_relabellers(p.n))
+    return PackedDatum(p.n, body)
 
 
 class NotHyperbolicError(ValueError):
@@ -130,7 +159,7 @@ def dihedral_images(p: PackedDatum) -> tuple[PackedDatum, ...]:
     """The 2n relabellings of p (with repeats when p is symmetric).
 
     Built from ``core.dihedral_relabellers``, the index permutations that
-    ``canonical_form`` and ``symmetry_group`` use.
+    ``canonical_key`` and ``symmetry_group`` use.
     """
     return tuple(
         PackedDatum(p.n, relabel(p.body)) for relabel in dihedral_relabellers(p.n)

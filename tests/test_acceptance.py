@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from hypercartan.canonical import PackedDatum, canonical_form
 from hypercartan.cli import _record_json
 from hypercartan.core import PolygonDatum, verify_realization
 from hypercartan.engine import (

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from hypercartan.canonical import PackedDatum, canonical_form
 from hypercartan import cli, engine
 from hypercartan.cli import _matrix_lines, main
 from hypercartan.core import (
     PolygonDatum,
+    canonical_key,
     cartan_matrix,
     classify_flags,
     polygon_table,
@@ -17,6 +17,7 @@ from hypercartan.core import (
 )
 from hypercartan.engine import EngineError, InvariantViolation
 from hypercartan.goldens import golden_catalog
+from reader_oracle import PackedDatum
 
 
 def run_cli(capsys, *argv):
@@ -81,9 +82,7 @@ def test_enumerate_single_radius_pentagon(capsys):
     expected = next(
         row.datum() for row in golden_catalog() if row.r == Fraction(-7, 18)
     )
-    assert canonical_form(PackedDatum.from_polygon(emitted)) == canonical_form(
-        PackedDatum.from_polygon(expected)
-    )
+    assert canonical_key(emitted) == canonical_key(expected)
 
 
 def test_enumerate_table_output_feeds_check(capsys, tmp_path):
@@ -470,6 +469,31 @@ def test_import_surface():
         "assert not missing, missing\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The CLI's import skips ``dataclasses`` (and the ``inspect`` it loads).
+
+    ``-S`` keeps site hooks, which may import anything, out of the check.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, hypercartan.cli\n"
+        "loaded = {'dataclasses', 'hypercartan.canonical'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
     assert proc.returncode == 0, proc.stderr
 
 

@@ -217,6 +217,24 @@ def test_polygon_table_quadrangle():
     assert pair(d, 1, 3) == -3 and pair(d, 2, 4) == -3
 
 
+@pytest.mark.parametrize(
+    "n, pairings, lam, message",
+    [
+        (2, (-1,), (1, 1), "a polygon needs at least 3 sides"),
+        (3, (-1, -2), (1, 1, 1), "wrong number of pairings"),
+        (3, (-1, -2, -1), (1, 1), "wrong number of lambdas"),
+        (3, (-1, -2, -1), (1, 0, 1), "lambdas must be positive"),
+    ],
+)
+def test_polygon_datum_rejects_bad_shapes(n, pairings, lam, message):
+    with pytest.raises(InvalidRealizationError, match=f"^{message}$"):
+        PolygonDatum(n, pairings, lam)
+    # ``_replace`` builds a new datum and checks it the same way.
+    good = PolygonDatum(3, (-1, -2, -1), (1, 1, 1))
+    with pytest.raises(InvalidRealizationError, match=f"^{message}$"):
+        good._replace(n=n, pairings=pairings, lam=lam)
+
+
 def test_table_decode_errors():
     with pytest.raises(TableDecodeError):
         table_to_datum(((1, 1, 1),))

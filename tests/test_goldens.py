@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -143,10 +142,8 @@ def test_fixture_polygons_match_catalog_rows():
 
 
 def test_fixture_verification_detects_wrong_root():
-    from dataclasses import replace
-
     fixture = lattice_fixtures()[0]
-    broken = replace(fixture, roots=((2, 0, 0),) + fixture.roots[1:])
+    broken = fixture._replace(roots=((2, 0, 0),) + fixture.roots[1:])
     report = verify_fixture(broken)
     assert not report.valid
 
@@ -157,8 +154,8 @@ def _mutated_fixtures():
         yield f
         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
             moved = tuple(a + b for a, b in zip(f.roots[0], e))
-            yield replace(f, roots=(moved,) + f.roots[1:])
-        yield replace(f, expected_det=f.expected_det + 1)
+            yield f._replace(roots=(moved,) + f.roots[1:])
+        yield f._replace(expected_det=f.expected_det + 1)
 
 
 def test_verify_fixture_matches_rational_oracle():
