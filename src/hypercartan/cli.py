@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,11 +29,13 @@ from .engine import (
     run_parabolic,
 )
 from .goldens import (
+    RATIONAL,
     GoldenFormatError,
     cross_check,
     format_golden_block,
     lattice_fixtures,
     parse_golden_text,
+    parse_rational,
     self_check_catalog,
     verify_fixture,
 )
@@ -90,8 +91,8 @@ def cmd_enumerate(args) -> int:
     r_filter = None
     if args.r is not None:
         try:
-            r_filter = Fraction(args.r)
-        except (ValueError, ZeroDivisionError):
+            r_filter = parse_rational(args.r)
+        except GoldenFormatError:
             print(f"error: bad rational for --r: {args.r!r}", file=sys.stderr)
             return EXIT_USAGE
     out = sys.stdout
@@ -299,16 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RATIONAL_TOKEN = re.compile(r"^-\d+(/\d+)?$")
-
-
 def _merge_r_values(argv: list[str]) -> list[str]:
     """Let '--r -7/18' parse: argparse reads a bare '-7/18' as an option."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok == "--r" and i + 1 < len(argv) and _RATIONAL_TOKEN.match(argv[i + 1]):
+        if tok == "--r" and i + 1 < len(argv) and RATIONAL.fullmatch(argv[i + 1]):
             out.append(f"--r={argv[i + 1]}")
             i += 2
         else:

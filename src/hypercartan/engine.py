@@ -4,15 +4,15 @@ The search runs on Python integers and works radius by radius.  A
 3-window of consecutive sides has pairings -a, -b, -c and lambdas
 (l1, l2, l3); its Weyl square is r = num / det, where det < 0 is the
 window's Gram determinant and num = lam^T adj(g) lam.  The search first
-collects every square r < 0 attained by a window within fixed bounds,
-then seeds, for each radius, every window whose square is exactly r.
-Both sweeps run one window scan.  It enumerates the admissible shapes
-(a, c, lam) directly, from a table of the lambdas allowed next to each
-lambda across an adjacent pairing.  For one shape num and det are
-integer quadratics in b.  The long pairing b of a seed is bounded in
-closed form from those coefficients: r <= r_max is a quadratic
-inequality in b whose leading coefficient is negative, so b never
-exceeds the floor of its larger root.  b steps over the multiples of
+collects every square r < 0 attained by a window whose long pairing b
+is within assumption (N) below, then seeds, for each radius, every
+window whose square is exactly r.  Both sweeps run one window scan.  It
+enumerates the admissible shapes (a, c, lam) directly, from a table of
+the lambdas allowed next to each lambda across an adjacent pairing.
+For one shape num and det are integer quadratics in b.  num is positive
+at b = 0 and has leading coefficient -l2^2 < 0, so r <= 0 holds exactly
+up to the floor of num's larger root: the scan stops there, and the
+seed sweep needs no other bound.  b steps over the multiples of
 (l1/g)(l3/g), g = gcd(l1, l3), which are exactly the values that pass
 the twisting divisibility, and num and det follow it by constant second
 differences.  Radii are sorted by an exact integer key.
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     PolygonDatum,
@@ -64,9 +64,9 @@ from .core import (
 #       -(delta_1, delta_3) <= RADIUS_B_MAX.
 # (N) is not proven here.  Its likely source is the bound on the narrow
 # part of a polygon in Nikulin's method, as used by Gritsenko and Nikulin
-# (arXiv alg-geom/9610022).  The tests check that every catalog polygon
-# has such a window and that a larger bound changes no record at
-# lambda <= 6.
+# (arXiv alg-geom/9610022).  Only ``collect_radii`` depends on it.  The
+# tests check that every catalog polygon has such a window and that a
+# larger bound changes no record at lambda <= 6.
 ADJACENT_MAX = 2
 RADIUS_B_MAX = 14
 
@@ -159,31 +159,31 @@ def _partners(lambda_max: int, a: int) -> list[tuple[int, ...]]:
     ]
 
 
-# The bound on the long pairing of one window shape (a, c, lam).  The shape
-# fixes num and det as integer quadratics in b,
-#   num(b) = n2 b^2 + n1 b + n0,   det(b) = -2 b^2 + d1 b + d0,
-# and b_max(n2, n1, n0, d1, d0) is the largest long pairing to scan.
-BMax = Callable[[int, int, int, int, int], int]
-
-
 def _windows(
-    lambda_max: int, b_max: BMax
+    lambda_max: int, b_cap: int | None = None
 ) -> Iterator[tuple[int, int, int, tuple[int, int, int], int, int]]:
-    """Admissible hyperbolic 3-windows (a, b, c, lam, num, det), in search order.
+    """Admissible hyperbolic 3-windows (a, b, c, lam, num, det) of square r <= 0.
 
     Adjacent pairings run over [0, ADJACENT_MAX], lambdas over
     [1, lambda_max]^3 with the twisting divisibility for every ordered
-    pair, and the long pairing upward from 0 to the shape's b_max.  The
-    Weyl square of a window is num / det, with det < 0.
+    pair, and the long pairing upward from 0 to the shape's bound, or to
+    ``b_cap`` if that is smaller.  The Weyl square of a window is
+    num / det, with det < 0.
 
     Shapes are enumerated directly: l2 runs over the partners of l1
     across a, l3 over the partners of l2 across c, which is the
     lexicographic order of (l1, l2, l3) restricted to admissible triples.
-    The long pairing steps over the multiples of s = (l1/g)(l3/g), g =
-    gcd(l1, l3): l1 | l3 b and l3 | l1 b hold exactly for those b, since
-    l1/g and l3/g are coprime.  Along that stride num and det are
-    quadratics in the step count with constant second differences
-    2 n2 s^2 and -4 s^2, so each window costs a few additions.
+    For one shape num(b) = n2 b^2 + n1 b + n0 with n2 = -l2^2 < 0 and
+    n0 = num(0) >= 4 l2^2 > 0, so num >= 0, that is r <= 0, holds
+    exactly for b from 0 to the floor of num's larger root
+    (n1 + sqrt(n1^2 - 4 n2 n0)) / (-2 n2).  For an integer E > 0,
+    floor(x / E) = floor(floor(x) / E), so isqrt gives that floor
+    exactly.  The long pairing steps over the multiples of
+    s = (l1/g)(l3/g), g = gcd(l1, l3): l1 | l3 b and l3 | l1 b hold
+    exactly for those b, since l1/g and l3/g are coprime.  Along that
+    stride num and det are quadratics in the step count with constant
+    second differences 2 n2 s^2 and -4 s^2, so each window costs a few
+    additions.
     """
     for a in range(ADJACENT_MAX + 1):
         across_a = _partners(lambda_max, a)
@@ -206,12 +206,15 @@ def _windows(
                             + (4 - a * a) * l3 * l3
                             + 2 * (2 * a * l1 * l2 + a * c * l1 * l3 + 2 * c * l2 * l3)
                         )
+                        b_max = (n1 + isqrt(n1 * n1 - 4 * n2 * n0)) // (-2 * n2)
+                        if b_cap is not None and b_max > b_cap:
+                            b_max = b_cap
                         g = gcd(l1, l3)
                         s = (l1 // g) * (l3 // g)
                         ss = s * s
                         num, dnum, ddnum = n0, n2 * ss + n1 * s, 2 * n2 * ss
                         d, dd, ddd = d0, d1 * s - 2 * ss, -4 * ss
-                        for b in range(0, b_max(n2, n1, n0, d1, d0) + 1, s):
+                        for b in range(0, b_max + 1, s):
                             if d < 0:
                                 yield a, b, c, lam, num, d
                             num += dnum
@@ -226,20 +229,17 @@ def _square_key(num: int, d: int) -> tuple[int, int]:
     return -num // g, -d // g
 
 
-def _radius_b_max(*_: int) -> int:
-    return RADIUS_B_MAX
-
-
 def collect_radii(lambda_max: int) -> tuple[Fraction, ...]:
     """All Weyl squares r < 0 attainable by a bounded admissible 3-window.
 
-    The long pairing is scanned over [0, 14]; adjacent pairings over
-    [0, 2]; lambdas over [1, lambda_max]^3 with the twisting
-    divisibility for every ordered pair.  Sorted ascending.
+    The long pairing is scanned over [0, RADIUS_B_MAX], the one place
+    assumption (N) enters; adjacent pairings over [0, 2]; lambdas over
+    [1, lambda_max]^3 with the twisting divisibility for every ordered
+    pair.  Sorted ascending.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    windows = _windows(lambda_max, _radius_b_max)
+    windows = _windows(lambda_max, RADIUS_B_MAX)
     # r = num/det with det < 0, so r < 0 iff num > 0
     squares = {_square_key(num, d) for _, _, _, _, num, d in windows if num > 0}
     # p/q < p'/q' iff p (L/q) < p' (L/q') for a common multiple L of the
@@ -250,30 +250,6 @@ def collect_radii(lambda_max: int) -> tuple[Fraction, ...]:
     )
 
 
-def _long_pairing_bound(r_max: Fraction) -> BMax:
-    """b_max: no window of the shape with Weyl square <= r_max <= 0 has a larger b.
-
-    Write r_max = p/q.  Since det < 0, r <= r_max iff
-    f(b) = q num(b) - p det(b) = A b^2 + B b + C >= 0, read off the
-    shape's coefficients.  A = q n2 + 2p = 2p - q l2^2 < 0, so f is
-    non-negative only up to its larger root (B + sqrt(disc)) / (-2A).
-    For an integer E > 0, floor(x / E) = floor(floor(x) / E), so isqrt
-    gives that root's floor exactly.
-    """
-    p, q = r_max.numerator, r_max.denominator
-
-    def b_max(n2: int, n1: int, n0: int, d1: int, d0: int) -> int:
-        qa = q * n2 + 2 * p
-        qb = q * n1 - p * d1
-        qc = q * n0 - p * d0
-        disc = qb * qb - 4 * qa * qc
-        if disc < 0:
-            return -1
-        return (qb + isqrt(disc)) // (-2 * qa)
-
-    return b_max
-
-
 def _seeds(
     radii: tuple[Fraction, ...], lambda_max: int
 ) -> dict[Fraction, list[ChainState]]:
@@ -281,7 +257,7 @@ def _seeds(
     by_key: dict[tuple[int, int], list[ChainState]] = {
         (r.numerator, r.denominator): [] for r in radii
     }
-    for a, b, c, lam, num, d in _windows(lambda_max, _long_pairing_bound(max(radii))):
+    for a, b, c, lam, num, d in _windows(lambda_max):
         bucket = by_key.get(_square_key(num, d))
         if bucket is not None:
             bucket.append(ChainState(3, (-a, -b, -c), lam))
@@ -289,7 +265,7 @@ def _seeds(
 
 
 def seed_triples(r: Fraction | int, lambda_max: int) -> list[ChainState]:
-    """All 3-windows whose Weyl square is exactly r (r <= 0)."""
+    """All 3-windows whose Weyl square is exactly r (r <= 0: the sweep reaches no more)."""
     target = Fraction(r)
     if target > 0:
         raise ValueError("the Weyl square of a seed window is never positive")

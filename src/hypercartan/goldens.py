@@ -13,6 +13,7 @@ by the fraction-free elimination that also solves the Weyl system.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -118,11 +119,21 @@ class CrossCheckReport(NamedTuple):
         return not (self.missing or self.extra or self.mismatched)
 
 
+# A rational as the package prints one: an optional sign, ASCII digits and
+# an optional /denominator.  No exponent, decimal point or underscore, so
+# the value costs no more than its digits.
+RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GoldenFormatError(f"bad rational {text!r}") from exc
+    """``text`` without surrounding whitespace, read as RATIONAL; else GoldenFormatError."""
+    token = text.strip()
+    if RATIONAL.fullmatch(token):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):  # int digit limit, zero denominator
+            pass
+    raise GoldenFormatError(f"bad rational {text!r}")
 
 
 def parse_golden_text(text: str) -> list[GoldenRow]:

@@ -6,20 +6,25 @@ rebuilt entry by entry through it.  The window scan walks every (a, c, lam) trip
 a divisibility test per triple, every long pairing b with a divisibility
 test per b, and evaluates num and det per window from the closed forms,
 as the engine did before it enumerated admissible shapes directly and
-stepped the long pairing by second differences.  The tests compare the
-fast paths against them.  ``radius_slice_mismatches`` compares a full
+stepped the long pairing by second differences; its bound on b comes
+from a callback.  ``long_pairing_bound(r_max)`` bounds b for squares at
+most r_max, as the seed sweep did before it stopped at num's larger root
+(the same bound at r_max = 0).  The tests compare the fast paths against
+them.  ``radius_slice_mismatches`` compares a full
 run against the same search run one radius at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import isqrt
+from typing import Callable
 
 from hypercartan.core import _window_adjugate, _window_det, pack_index
 from hypercartan.engine import (
     ADJACENT_MAX,
     DEFAULT_MAX_SIDES,
-    BMax,
     ChainState,
     EnumerationResult,
     _detect_period,
@@ -70,6 +75,37 @@ def shape_quadratics(a: int, c: int, lam: tuple[int, int, int]) -> tuple[int, ..
     assert e2 - 2 * e1 + e0 == -4  # det has leading coefficient -2
     n2 = (f2 - 2 * f1 + f0) // 2
     return n2, f1 - f0 - n2, f0, e1 - e0 + 2, e0
+
+
+# The bound on the long pairing of one window shape (a, c, lam).  The shape
+# fixes num and det as integer quadratics in b,
+#   num(b) = n2 b^2 + n1 b + n0,   det(b) = -2 b^2 + d1 b + d0,
+# and b_max(n2, n1, n0, d1, d0) is the largest long pairing to scan.
+BMax = Callable[[int, int, int, int, int], int]
+
+
+def long_pairing_bound(r_max: Fraction) -> BMax:
+    """b_max: no window of the shape with Weyl square <= r_max <= 0 has a larger b.
+
+    Write r_max = p/q.  Since det < 0, r <= r_max iff
+    f(b) = q num(b) - p det(b) = A b^2 + B b + C >= 0, read off the
+    shape's coefficients.  A = q n2 + 2p = 2p - q l2^2 < 0, so f is
+    non-negative only up to its larger root (B + sqrt(disc)) / (-2A).
+    For an integer E > 0, floor(x / E) = floor(floor(x) / E), so isqrt
+    gives that root's floor exactly.
+    """
+    p, q = r_max.numerator, r_max.denominator
+
+    def b_max(n2: int, n1: int, n0: int, d1: int, d0: int) -> int:
+        qa = q * n2 + 2 * p
+        qb = q * n1 - p * d1
+        qc = q * n0 - p * d0
+        disc = qb * qb - 4 * qa * qc
+        if disc < 0:
+            return -1
+        return (qb + isqrt(disc)) // (-2 * qa)
+
+    return b_max
 
 
 def windows(lambda_max: int, b_max: BMax):

@@ -162,6 +162,45 @@ def test_enumerate_rejects_bad_r(capsys):
     assert "bad rational" in err
 
 
+# Not what the package prints: an exponent, a decimal point, an underscore,
+# a zero denominator.  Reading an exponent costs time and memory growing
+# with its value, and -1e5000 is too long for str() to print.
+BAD_RATIONALS = ("-1e5000", "-0.5", "-1_000", "-1/0")
+
+
+@pytest.mark.parametrize("token", BAD_RATIONALS)
+def test_enumerate_rejects_r_outside_the_printed_grammar(capsys, token):
+    code, out, err = run_cli(capsys, "enumerate", "--lambda-max", "1", f"--r={token}")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad rational for --r: {token!r}\n"
+
+
+@pytest.mark.parametrize("token", BAD_RATIONALS)
+def test_check_and_verify_reject_r_outside_the_printed_grammar(capsys, tmp_path, token):
+    path = tmp_path / "block.txt"
+    path.write_text(f"r = {token}\n1 2 2\n0 1 2\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: bad rational {' ' + token!r}\n"
+    code, out, err = run_cli(capsys, "verify", "--skip-engine", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read golden file: bad rational {' ' + token!r}\n"
+
+
+def test_huge_exponent_r_is_rejected_at_once():
+    """An exponent is refused before any power of ten is built."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercartan.cli", "enumerate", "--lambda-max", "1",
+         "--r=-1e100000000"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: bad rational for --r: '-1e100000000'\n"
+
+
 def test_enumerate_rejects_bad_lambda(capsys):
     code, _, _ = run_cli(capsys, "enumerate", "--lambda-max", "0")
     assert code == 2

@@ -17,8 +17,6 @@ from hypercartan.engine import (
     _extended_chain,
     _glue,
     _head_key,
-    _long_pairing_bound,
-    _radius_b_max,
     _min_rotation,
     _seed_map,
     _tail_key,
@@ -509,7 +507,7 @@ def test_long_pairing_bound_matches_brute_force_scan():
     r_maxes |= {Fraction(0), Fraction(-1), Fraction(-59, 2), Fraction(-1, 24)}
     for r_max in r_maxes:
         p, q = r_max.numerator, r_max.denominator
-        b_max = _long_pairing_bound(r_max)
+        b_max = oracle.long_pairing_bound(r_max)
         for a, c, lam in _all_shapes(4):
             bound = b_max(*oracle.shape_quadratics(a, c, lam))
             assert bound < 200, (r_max, a, c, lam)
@@ -572,27 +570,67 @@ def test_packed_keys_and_extension_match_pair_oracle():
 def test_windows_match_unstrided_oracle():
     """The shape enumeration and second-difference scan yield the oracle's windows.
 
-    Same windows, same num and det, same order, for the radius bound and
-    the long-pairing bounds the two sweeps use.
+    Same windows, same num and det, same order, for both sweeps: the seed
+    sweep's bound is num's larger root, the oracle's long-pairing bound at
+    r_max = 0, and the radius sweep clips it to RADIUS_B_MAX.
     """
+    root = oracle.long_pairing_bound(Fraction(0))
+
+    def capped(*quadratics):
+        return min(root(*quadratics), RADIUS_B_MAX)
+
     for lambda_max in range(1, 9):
-        bounds = [
-            _radius_b_max,
-            _long_pairing_bound(max(collect_radii(lambda_max))),
-            _long_pairing_bound(Fraction(0)),
-        ]
-        for b_max in bounds:
-            fast = list(_windows(lambda_max, b_max))
+        for b_cap, b_max in ((None, root), (RADIUS_B_MAX, capped)):
+            fast = list(_windows(lambda_max, b_cap))
             assert fast == list(oracle.windows(lambda_max, b_max)), lambda_max
             assert fast
 
 
 def test_radii_integer_order_matches_fraction_sort():
-    """collect_radii is the sorted set of negative squares of the oracle's windows."""
+    """collect_radii is the sorted set of negative squares of the oracle's windows.
+
+    The oracle scans every long pairing up to RADIUS_B_MAX, with no root bound.
+    """
     for lambda_max in range(1, 9):
         squares = {
             Fraction(num, d)
-            for *_, num, d in oracle.windows(lambda_max, _radius_b_max)
+            for *_, num, d in oracle.windows(lambda_max, lambda *_: RADIUS_B_MAX)
             if num > 0
         }
         assert collect_radii(lambda_max) == tuple(sorted(squares)), lambda_max
+
+
+def test_windows_are_exactly_the_non_positive_squares():
+    """_windows(4) is every hyperbolic window with num >= 0 (r <= 0), b <= 200.
+
+    A brute-force scan of each shape over b in [0, 200], in search order;
+    no shape's bound comes near 200.
+    """
+    brute = []
+    for a, c, lam in _all_shapes(4):
+        for b in range(201):
+            d = _window_det(a, b, c)
+            num = oracle.window_square_num(a, b, c, *lam)
+            if d < 0 and num >= 0 and oracle.long_divisible(b, lam[0], lam[2]):
+                brute.append((a, b, c, lam, num, d))
+    fast = list(_windows(4))
+    assert fast == brute
+    assert max(b for _, b, *_ in fast) < 100
+
+
+def test_seed_map_matches_sweep_bounded_by_largest_radius():
+    """_seed_map agrees with seeds bucketed from the oracle sweep bounded at max(radii).
+
+    That bound is the one the seed sweep used before it stopped at num's
+    larger root; every seed has square <= max(radii), so both find the
+    same windows in the same order.
+    """
+    for lambda_max in range(1, 9):
+        radii = collect_radii(lambda_max)
+        buckets = {r: [] for r in radii}
+        sweep = oracle.windows(lambda_max, oracle.long_pairing_bound(max(radii)))
+        for a, b, c, lam, num, d in sweep:
+            bucket = buckets.get(Fraction(num, d))
+            if bucket is not None:
+                bucket.append(ChainState(3, (-a, -b, -c), lam))
+        assert list(_seed_map(lambda_max).items()) == list(buckets.items()), lambda_max

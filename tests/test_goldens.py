@@ -14,6 +14,7 @@ from hypercartan.goldens import (
     format_golden_block,
     lattice_fixtures,
     parse_golden_text,
+    parse_rational,
     self_check_catalog,
     golden_catalog,
     symmetric_noncompact_matrices,
@@ -185,6 +186,15 @@ def test_golden_text_parser_errors():
         parse_golden_text("r = -2\n1 a 1\n")
     with pytest.raises(GoldenFormatError):
         parse_golden_text("r = -2\n")
+
+
+def test_parse_rational_reads_exactly_what_the_package_prints():
+    for r in {row.r for row in golden_catalog()} | {Fraction(0), Fraction(3, 7)}:
+        assert parse_rational(f" {r} ") == r
+    assert parse_rational("+6/4") == Fraction(3, 2)
+    for text in ("-1e5", "-0.5", "1_000", "1/0", "1/-2", "-", "", "\u0663", "\u22121"):
+        with pytest.raises(GoldenFormatError):
+            parse_rational(text)
 
 
 @pytest.fixture(scope="module")
