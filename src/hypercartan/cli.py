@@ -8,9 +8,11 @@ engine invariant failed (an engine bug, reported as one line on stderr).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .core import (
@@ -201,9 +203,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def _matrix_lines(name: str, rows) -> list[str]:
-    row_format = "  " + " ".join(["{:4d}"] * len(rows))  # square matrices
-    return [f"{name}:"] + [row_format.format(*row) for row in rows]
+@lru_cache(maxsize=None)
+def _block_format(n: int) -> str:
+    """printf format of an n x n integer matrix: n lines of n '%4d' entries."""
+    return ("\n  " + " ".join(["%4d"] * n)) * n
+
+
+def _matrix_block(name: str, rows) -> str:
+    """'name:' and one line per row of a square matrix, entries right-aligned in 4."""
+    return f"{name}:" + _block_format(len(rows)) % sum(rows, ())
 
 
 def cmd_check(args) -> int:
@@ -242,8 +250,8 @@ def cmd_check(args) -> int:
             lines.append(f"  type={flags.kind} compact={flags.compact} "
                          f"untwisted={flags.untwisted} "
                          f"sym_order={symmetry_group(datum)}")
-            lines += _matrix_lines("  cartan", cartan_matrix(datum))
-            lines += _matrix_lines("  symcartan", symmetrized_cartan(datum))
+            lines.append(_matrix_block("  cartan", cartan_matrix(datum)))
+            lines.append(_matrix_block("  symcartan", symmetrized_cartan(datum)))
         else:
             any_invalid = True
         sys.stdout.write("\n".join(lines) + "\n")
@@ -316,6 +324,11 @@ def _merge_r_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # Move the objects made at import (about 13,000: modules, functions,
+    # argparse tables) into the permanent generation, which no collection
+    # scans.  The interpreter runs full collections while it shuts down;
+    # they then scan a few hundred objects instead.  Collection stays on.
+    gc.freeze()
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_merge_r_values(list(argv)))

@@ -197,15 +197,24 @@ def _adj_mul(a: int, b: int, c: int, v: tuple[int, ...]) -> tuple[int, int, int]
     )
 
 
+@lru_cache(maxsize=64)
+def _products(
+    n: int, pairings: tuple[int, ...], lam: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    # Rows lambda_k (delta_j, delta_k) of the Gram, 0-based.  Cached like
+    # ``_gram``: the divisibility check and both Cartan matrices of one
+    # polygon read the same rows, one after the other.
+    return tuple([tuple(map(mul, lam, row)) for row in _gram(n, pairings)])
+
+
 def _divisibility_failures(d: PolygonDatum) -> list[tuple[int, int]]:
     """Ordered pairs (j, k), 1-based, where lambda_j does not divide lambda_k g_jk."""
     # The diagonal lambda_j * 2 and every row with lambda_j = 1 always pass.
-    lam = d.lam
     return [
         (j + 1, k + 1)
-        for j, (lj, row) in enumerate(zip(lam, d.gram))
+        for j, (lj, row) in enumerate(zip(d.lam, _products(*d)))
         if lj != 1
-        for k, v in enumerate(map(mul, lam, row))
+        for k, v in enumerate(row)
         if v % lj
     ]
 
@@ -213,25 +222,23 @@ def _divisibility_failures(d: PolygonDatum) -> list[tuple[int, int]]:
 def cartan_matrix(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
     """Twisted generalized Cartan matrix a_jk = lambda_k (delta_j, delta_k) / lambda_j."""
     # One stored value per unordered pair and lambda >= 1: a_jk = 0 iff a_kj = 0.
-    lam = d.lam
     entries = []
-    for lj, row in zip(lam, d.gram):
-        products = tuple(map(mul, lam, row))
+    for lj, row in zip(d.lam, _products(*d)):
         if lj != 1:
-            if any(v % lj for v in products):
+            if any(v % lj for v in row):
                 bad = _divisibility_failures(d)
                 raise InvalidRealizationError(f"divisibility fails for ordered pairs {bad}")
-            products = tuple([v // lj for v in products])
-        entries.append(products)
+            row = tuple([v // lj for v in row])
+        entries.append(row)
     return tuple(entries)
 
 
 def symmetrized_cartan(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
     """Symmetric matrix b_jk = lambda_j lambda_k (delta_j, delta_k)."""
-    lam = d.lam
-    return tuple(
-        tuple([lj * v for v in map(mul, lam, row)]) for lj, row in zip(lam, d.gram)
-    )
+    return tuple([
+        row if lj == 1 else tuple([lj * v for v in row])
+        for lj, row in zip(d.lam, _products(*d))
+    ])
 
 
 def polygon_table(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:

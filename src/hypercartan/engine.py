@@ -192,9 +192,17 @@ def _windows(
             # det(b) = 8 - 2(a^2 + b^2 + c^2) - 2abc
             d1 = -2 * a * c
             d0 = 8 - 2 * (a * a + c * c)
+            # The stride s is at most lambda_max^2.  With det(0) >= 0 a
+            # stride past b_cap leaves only b = 0 under the cap, which is
+            # no window: skip such shapes before solving num's quadratic.
+            s_max = b_cap if b_cap is not None and d0 >= 0 else lambda_max * lambda_max
             for l1 in range(1, lambda_max + 1):
                 for l2 in across_a[l1]:
                     for l3 in across_c[l2]:
+                        g = gcd(l1, l3)
+                        s = (l1 // g) * (l3 // g)
+                        if s > s_max:
+                            continue
                         lam = (l1, l2, l3)
                         # num(b) = lam^T adj(g) lam with adj(g) =
                         # (4 - c^2, 2a + bc, ac + 2b, 4 - b^2, 2c + ab, 4 - a^2)
@@ -209,8 +217,6 @@ def _windows(
                         b_max = (n1 + isqrt(n1 * n1 - 4 * n2 * n0)) // (-2 * n2)
                         if b_cap is not None and b_max > b_cap:
                             b_max = b_cap
-                        g = gcd(l1, l3)
-                        s = (l1 // g) * (l3 // g)
                         ss = s * s
                         num, dnum, ddnum = n0, n2 * ss + n1 * s, 2 * n2 * ss
                         d, dd, ddd = d0, d1 * s - 2 * ss, -4 * ss

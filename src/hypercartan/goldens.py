@@ -156,10 +156,20 @@ def parse_golden_text(text: str) -> list[GoldenRow]:
         if "=" not in head or not head.split("=")[0].strip() == "r":
             raise GoldenFormatError(f"block must start with 'r = ...', got {head!r}")
         r = parse_rational(head.split("=", 1)[1])
+        # Entries are ASCII integers -?[0-9]+, whitespace-separated.  int()
+        # also reads '+2', '0_0' and non-ASCII digits such as '\u0662'; with
+        # '+', '_' and non-ASCII text ruled out by one scan of the block, it
+        # reads exactly that grammar.  The minus stays, so that a negative
+        # lambda or a positive pairing reaches table_to_datum, which names it.
+        entries = "".join(block[1:])
         try:
             table_rows = tuple(tuple(map(int, line.split())) for line in block[1:])
-        except ValueError as exc:
-            raise GoldenFormatError(f"non-integer table entry in block r={r}") from exc
+        except ValueError:  # a token int() refuses, or one past its digit limit
+            table_rows = None
+        if table_rows is None or not entries.isascii() or "+" in entries or "_" in entries:
+            raise GoldenFormatError(
+                f"table entry not an ASCII integer -?[0-9]+ in block r={r}"
+            )
         if not table_rows:
             raise GoldenFormatError(f"block r={r} has no table rows")
         rows.append(GoldenRow(r, table_rows))

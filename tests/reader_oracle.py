@@ -9,9 +9,10 @@ once carried.  ``DihedralMove`` names one relabelling of the sides,
 ``apply_move`` relabels one side at a time through ``pair``, and
 ``dihedral_images`` lists the relabellings the package computes by index
 permutation; ``divisibility_ok`` is the twisting condition for one
-ordered pair.  ``PackedDatum`` and ``canonical_form`` are the packed
-value and orbit minimum the engine deduplicated with before
-``core.canonical_key`` replaced them.  The ``reference_*`` functions rebuild the decoded table,
+ordered pair, and ``reference_cartan`` and ``reference_symcartan`` build
+both Cartan matrices one entry at a time.  ``PackedDatum`` and
+``canonical_form`` are the packed value and orbit minimum the engine
+deduplicated with before ``core.canonical_key`` replaced them.  The ``reference_*`` functions rebuild the decoded table,
 the verification report, the symmetry order, the canonical form and a
 fixture's report the old way (a ``pack_index`` per table entry,
 ``assemble_gram`` and two eliminations, a determinant per side triple,
@@ -339,6 +340,27 @@ def reference_verify(d):
         square = -sum((Fraction(l) * x for l, x in zip(d.lam, solution)), Fraction(0))
         checks.append(CheckResult("weyl-vector", True))
     return tuple(checks), square
+
+
+def reference_cartan(d) -> tuple[tuple[Fraction, ...], ...]:
+    """a_jk = lambda_k (delta_j, delta_k) / lambda_j, one ``Fraction`` per entry."""
+    n = d.n
+    return tuple(
+        tuple(
+            Fraction(d.lam[k - 1] * pair(d, j, k), d.lam[j - 1])
+            for k in range(1, n + 1)
+        )
+        for j in range(1, n + 1)
+    )
+
+
+def reference_symcartan(d) -> tuple[tuple[int, ...], ...]:
+    """b_jk = lambda_j lambda_k (delta_j, delta_k), one product per entry."""
+    n = d.n
+    return tuple(
+        tuple(d.lam[j - 1] * d.lam[k - 1] * pair(d, j, k) for k in range(1, n + 1))
+        for j in range(1, n + 1)
+    )
 
 
 def stabilizer(d) -> list[DihedralMove]:

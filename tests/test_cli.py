@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hypercartan import cli, engine
-from hypercartan.cli import _matrix_lines, main
+from hypercartan.cli import _matrix_block, main
 from hypercartan.core import (
     PolygonDatum,
     canonical_key,
@@ -536,10 +536,102 @@ def test_cli_import_loads_no_dataclasses():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_matrix_lines_match_per_entry_format():
+def test_matrix_block_matches_per_entry_format():
     for row in golden_catalog():
         d = row.datum()
         for rows in (cartan_matrix(d), symmetrized_cartan(d)):
-            assert _matrix_lines("  cartan", rows) == ["  cartan:"] + [
+            assert _matrix_block("  cartan", rows) == "\n".join(["  cartan:"] + [
                 "  " + " ".join(f"{v:4d}" for v in r) for r in rows
-            ]
+            ])
+
+
+def _oracle_check_text(blocks) -> tuple[int, str]:
+    """Exit code and stdout of ``check`` on (r, table) blocks, from the oracles.
+
+    Decoding, verification and the symmetry order are the reader oracle's;
+    both matrices are built and printed one entry at a time.
+    """
+    from engine_oracle import pair
+    from reader_oracle import (
+        reference_cartan,
+        reference_symcartan,
+        reference_symmetry_group,
+        reference_table_to_datum,
+        reference_verify,
+    )
+
+    def matrix(name, rows):
+        return [f"  {name}:"] + ["  " + " ".join(f"{v:4d}" for v in r) for r in rows]
+
+    lines, any_invalid = [], False
+    for index, (r, table) in enumerate(blocks, start=1):
+        d = reference_table_to_datum(table)
+        checks, square = reference_verify(d)
+        valid = all(c.passed for c in checks) and (square is None or square <= 0)
+        lines.append(f"block {index}: r = {r}: {'valid' if valid else 'INVALID'}")
+        lines += [f"  FAIL {c.name}: {c.detail}" for c in checks if not c.passed]
+        if square is not None:
+            if square != r:
+                lines.append(f"  note: recomputed Weyl square {square} differs "
+                             f"from declared {r}")
+            if square > 0:
+                lines.append(f"  FAIL weyl-square-positive: {square} > 0")
+        if valid:
+            n = d.n
+            compact = all(pair(d, i, i % n + 1) != -2 for i in range(1, n + 1))
+            lines.append(
+                f"  type={'elliptic' if square < 0 else 'parabolic'} "
+                f"compact={compact} untwisted={all(l == 1 for l in d.lam)} "
+                f"sym_order={reference_symmetry_group(d)}"
+            )
+            lines += matrix("cartan", [[int(v) for v in r] for r in reference_cartan(d)])
+            lines += matrix("symcartan", reference_symcartan(d))
+        any_invalid = any_invalid or not valid
+    return (1 if any_invalid else 0), "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_check_prints_what_the_oracles_print(capsys, tmp_path, seed):
+    """check on relabelled catalog blocks, then the mixed blocks, against the oracles."""
+    import random
+
+    from hypercartan.goldens import format_golden_block, parse_golden_text
+    from reader_oracle import dihedral_images
+
+    rng = random.Random(seed)
+    blocks = []
+    for row in golden_catalog():
+        image = rng.choice(dihedral_images(PackedDatum.from_polygon(row.datum())))
+        blocks.append((row.r, polygon_table(image.to_polygon())))
+    blocks += [(row.r, row.table) for row in parse_golden_text(CHECK_MIXED_INPUT)]
+    path = tmp_path / "relabelled.txt"
+    path.write_text("\n\n".join(format_golden_block(r, t) for r, t in blocks) + "\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out, err) == (*_oracle_check_text(blocks), "")
+
+
+# int() reads each of these as 2 or 0; the table grammar is ASCII -?[0-9]+.
+NON_GRAMMAR_ROWS = ("0 1 +2", "0_0 1 2", "0 1 \u0662")
+
+
+@pytest.mark.parametrize("row", NON_GRAMMAR_ROWS)
+def test_check_and_verify_reject_entries_outside_the_table_grammar(capsys, tmp_path, row):
+    path = tmp_path / "block.txt"
+    path.write_text(f"r = -59/2\n1 2 2\n{row}\n", encoding="utf-8")
+    message = "table entry not an ASCII integer -?[0-9]+ in block r=-59/2\n"
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"parse error: {message}")
+    code, out, err = run_cli(capsys, "verify", "--skip-engine", "--catalog", str(path))
+    assert (code, out, err) == (2, "", f"error: cannot read golden file: {message}")
+
+
+def test_table_grammar_keeps_the_minus_for_the_decoder(capsys, tmp_path):
+    """A '-' entry parses, so the decoder names the negative lambda or pairing."""
+    path = tmp_path / "block.txt"
+    for text, reason in (
+        ("r = -59/2\n-1 2 2\n0 1 2\n", "lambda row must be positive"),
+        ("r = -59/2\n1 2 2\n0 -1 2\n", "positive pairing -(-1) at distance 1, column 2"),
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out, err) == (2, "", f"parse error: {reason}\n")

@@ -10,6 +10,7 @@ from hypercartan.core import (
     InvalidRealizationError,
     PolygonDatum,
     TableDecodeError,
+    _divisibility_failures,
     _weyl_numerators,
     _weyl_system,
     cartan_matrix,
@@ -31,6 +32,8 @@ from reader_oracle import (
     assemble_gram,
     divisibility_ok,
     rank,
+    reference_cartan,
+    reference_symcartan,
     reference_symmetry_group,
     reference_table_to_datum,
     reference_verify,
@@ -582,3 +585,48 @@ def random_table(draw):
 @given(random_table())
 def test_decode_matches_oracle_on_random_tables(rows):
     _assert_decode_matches_oracle(rows)
+
+
+# --- the lambda-Gram product table against per-entry definitions ------------
+
+
+def _assert_products_match_oracle(d):
+    a = reference_cartan(d)
+    bad = [
+        (j, k)
+        for j, row in enumerate(a, start=1)
+        for k, v in enumerate(row, start=1)
+        if v.denominator != 1
+    ]
+    assert _divisibility_failures(d) == bad, d
+    if bad:
+        with pytest.raises(InvalidRealizationError, match=re.escape(str(bad))):
+            cartan_matrix(d)
+    else:
+        fast = cartan_matrix(d)
+        assert fast == a, d
+        assert all(type(v) is int for row in fast for v in row)
+    assert symmetrized_cartan(d) == reference_symcartan(d), d
+
+
+def test_products_match_per_entry_oracle_on_catalog_relabellings():
+    for d in _catalog_relabellings():
+        _assert_products_match_oracle(d)
+
+
+@given(random_polygon())
+def test_products_match_per_entry_oracle_on_random_data(d):
+    _assert_products_match_oracle(d)
+
+
+def test_product_table_is_keyed_on_the_lambdas():
+    """Same pairings, different lambdas, queried alternately: different matrices."""
+    pairings = (0, -2, -1)
+    x, y = PolygonDatum(3, pairings, (1, 1, 1)), PolygonDatum(3, pairings, (2, 1, 1))
+    for _ in range(2):
+        for d in (x, y):
+            assert cartan_matrix(d) == reference_cartan(d)
+            assert symmetrized_cartan(d) == reference_symcartan(d)
+            assert _divisibility_failures(d) == []
+    assert cartan_matrix(x) != cartan_matrix(y)
+    assert symmetrized_cartan(x) != symmetrized_cartan(y)

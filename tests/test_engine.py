@@ -586,6 +586,22 @@ def test_windows_match_unstrided_oracle():
             assert fast
 
 
+def test_capped_windows_are_the_uncapped_stream_cut_at_the_cap():
+    """_windows(lam, cap) is _windows(lam) without the windows of b > cap.
+
+    The capped sweep skips a shape whose stride passes the cap when det(0)
+    >= 0; only b = 0 would be left, and it is no window.  When det(0) < 0
+    the adjacent lambdas differ by a factor of at most 2, so the stride is
+    at most 4: only caps below 4 reach a shape whose b = 0 window the skip
+    must keep.
+    """
+    for lambda_max in (*range(1, 9), 16):
+        uncapped = list(_windows(lambda_max))
+        for cap in (0, 1, 2, 3, RADIUS_B_MAX):
+            capped = list(_windows(lambda_max, cap))
+            assert capped == [w for w in uncapped if w[1] <= cap], (lambda_max, cap)
+
+
 def test_radii_integer_order_matches_fraction_sort():
     """collect_radii is the sorted set of negative squares of the oracle's windows.
 

@@ -186,6 +186,11 @@ def test_golden_text_parser_errors():
         parse_golden_text("r = -2\n1 a 1\n")
     with pytest.raises(GoldenFormatError):
         parse_golden_text("r = -2\n")
+    # int() reads these; the table grammar is ASCII -?[0-9]+
+    for row in ("0 1 +2", "0_0 1 2", "0 1 \u0662", "0 1 - 2", "0 1 2-"):
+        with pytest.raises(GoldenFormatError, match="not an ASCII integer"):
+            parse_golden_text(f"r = -2\n1 1 1\n{row}\n")
+    assert parse_golden_text("r = -2\n1 1 1\n0 -1 2\n")[0].table[1] == (0, -1, 2)
 
 
 def test_parse_rational_reads_exactly_what_the_package_prints():
