@@ -16,18 +16,6 @@ from .core import (
     table_to_datum,
     verify_realization,
 )
-from .engine import (
-    CatalogRecord,
-    ChainState,
-    EnumerationResult,
-    ParabolicReport,
-    collect_radii,
-    extend_step,
-    partition_closed,
-    run_elliptic,
-    run_parabolic,
-    seed_triples,
-)
 
 __version__ = "0.1.0"
 
@@ -55,3 +43,13 @@ __all__ = [
     "table_to_datum",
     "verify_realization",
 ]
+
+
+def __getattr__(name: str):
+    # The engine's exports load with it on first use, so that importing
+    # ``core`` or ``goldens`` does not import the search.
+    if name in __all__:
+        from . import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -179,7 +179,7 @@ def cmd_verify(args) -> int:
             detail = ": " + "; ".join(
                 f"{c.name} ({c.detail})" for c in report.failures()
             )
-        print(f"{mark:4s} fixture/{report.name}{detail}")
+        print(f"{mark:4s} fixture/{fixture.name}{detail}")
         failures += 0 if report.valid else 1
 
     if args.skip_engine:

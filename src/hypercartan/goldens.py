@@ -3,11 +3,14 @@
 Two data files ship with the package: the full 60-entry catalog of
 realization tables (``data/catalog.txt``, in the same plain-text block
 format the CLI reads and writes) and the twelve explicit lattice
-realizations of the symmetric non-compact solutions
+realizations of the symmetric non-compact solutions A_{1,0} ... A_{3,III}
 (``data/fixtures.json``), each with its root coordinates, Weyl vector,
-symmetry order and expected Cartan matrix.  Fixtures are checked on
-integers: the lattice determinant by cofactor expansion, root membership
-by the fraction-free elimination that also solves the Weyl system.
+symmetry order and expected Cartan matrix.  The fixtures are the named
+matrices: the engine cross-check reads each one's name, radius and
+expected Cartan matrix.  Fixtures are checked on integers: the lattice
+determinant by cofactor expansion, root membership by the fraction-free
+elimination that also solves the Weyl system.  This module imports
+``core`` only; engine records reach it as arguments.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     CheckResult,
     PolygonDatum,
+    RealizationReport,
     TableDecodeError,
     _weyl_system,
     canonical_key,
@@ -29,7 +33,9 @@ from .core import (
     table_to_datum,
     verify_realization,
 )
-from .engine import CatalogRecord
+
+if TYPE_CHECKING:
+    from .engine import CatalogRecord
 
 
 class GoldenFormatError(ValueError):
@@ -44,19 +50,11 @@ class GoldenRow(NamedTuple):
         return table_to_datum(self.table)
 
 
-class NamedCartan(NamedTuple):
-    """One of the twelve symmetric non-compact matrices, with its radius."""
-
-    name: str
-    r: Fraction
-    entries: tuple[tuple[int, ...], ...]
-
-    def datum(self) -> PolygonDatum:
-        n = len(self.entries)
-        pairings = tuple(
-            self.entries[i][j] for i in range(n) for j in range(i + 1, n)
-        )
-        return PolygonDatum(n, pairings, (1,) * n)
+def _unit_polygon(m) -> PolygonDatum:
+    """The lambda = 1 polygon whose pairings are the strict upper triangle of m."""
+    n = len(m)
+    pairings = tuple(m[i][j] for i in range(n) for j in range(i + 1, n))
+    return PolygonDatum(n, pairings, (1,) * n)
 
 
 class LatticeFixture(NamedTuple):
@@ -81,31 +79,16 @@ class LatticeFixture(NamedTuple):
     def basis_gram(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(self.pairing(u, v) for v in self.basis) for u in self.basis)
 
+    def root_gram(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.pairing(u, v) for v in self.roots) for u in self.roots)
+
     def pairing(self, u, v):
         """(u, v) in the family lattice: an integer for integer coordinates."""
         g = self.family_gram
         return sum(u[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
 
     def induced_polygon(self) -> PolygonDatum:
-        n = len(self.roots)
-        pairings = tuple(
-            self.pairing(self.roots[i], self.roots[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        return PolygonDatum(n, pairings, (1,) * n)
-
-
-class FixtureReport(NamedTuple):
-    name: str
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def valid(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return _unit_polygon(self.root_gram())
 
 
 class CrossCheckReport(NamedTuple):
@@ -217,27 +200,20 @@ def lattice_fixtures() -> tuple[LatticeFixture, ...]:
     return tuple(out)
 
 
-def symmetric_noncompact_matrices() -> tuple[NamedCartan, ...]:
-    """The twelve symmetric non-compact matrices with their r values."""
-    return tuple(
-        NamedCartan(f.name, f.expected_r, f.expected_cartan)
-        for f in lattice_fixtures()
-    )
-
-
 def _det3(m) -> int:
     """Determinant of a 3x3 integer matrix by cofactor expansion along row 1."""
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def verify_fixture(f: LatticeFixture) -> FixtureReport:
+def verify_fixture(f: LatticeFixture) -> RealizationReport:
     """Re-derive everything a fixture claims and compare.
 
     Checks: the sublattice determinant, that the roots lie in the
     sublattice, root norms, the Gram matrix against the expected Cartan
     matrix, the Weyl pairings (rho, delta_i) = -1, the Weyl square, and
-    the symmetry order of the induced polygon.
+    the symmetry order of the induced polygon.  The report's Weyl square
+    is (rho, rho).
     """
     checks: list[CheckResult] = []
     n = len(f.roots)
@@ -267,11 +243,8 @@ def verify_fixture(f: LatticeFixture) -> FixtureReport:
         )
     )
 
-    bad_norm = [
-        (i + 1, f.pairing(root, root))
-        for i, root in enumerate(f.roots)
-        if f.pairing(root, root) != 2
-    ]
+    gram = f.root_gram()
+    bad_norm = [(i + 1, gram[i][i]) for i in range(n) if gram[i][i] != 2]
     checks.append(
         CheckResult(
             "root-norms", not bad_norm, f"squares != 2: {bad_norm}" if bad_norm else ""
@@ -282,7 +255,7 @@ def verify_fixture(f: LatticeFixture) -> FixtureReport:
         (i + 1, j + 1)
         for i in range(n)
         for j in range(n)
-        if f.pairing(f.roots[i], f.roots[j]) != f.expected_cartan[i][j]
+        if gram[i][j] != f.expected_cartan[i][j]
     ]
     checks.append(
         CheckResult(
@@ -312,7 +285,7 @@ def verify_fixture(f: LatticeFixture) -> FixtureReport:
         )
     )
 
-    order = symmetry_group(f.induced_polygon())
+    order = symmetry_group(_unit_polygon(gram))
     checks.append(
         CheckResult(
             "symmetry-order",
@@ -321,7 +294,7 @@ def verify_fixture(f: LatticeFixture) -> FixtureReport:
         )
     )
 
-    return FixtureReport(f.name, tuple(checks))
+    return RealizationReport(tuple(checks), rr)
 
 
 def self_check_catalog(
@@ -340,7 +313,7 @@ def self_check_catalog(
     for idx, row in enumerate(rows, start=1):
         try:
             d = row.datum()
-        except Exception as exc:  # decode failure is a data bug
+        except TableDecodeError as exc:  # decode failure is a data bug
             bad.append(f"row {idx} (r={row.r}): {exc}")
             continue
         report = verify_realization(d)
@@ -398,21 +371,22 @@ def cross_check(
                 f"radius disagrees at {key}: engine {rec.r}, golden {row.r}"
             )
 
-    for named in symmetric_noncompact_matrices():
+    for f in lattice_fixtures():
         matches = [
             rec
             for rec in records
-            if rec.r == named.r and rec.untwisted and not rec.compact
+            if rec.r == f.expected_r and rec.untwisted and not rec.compact
         ]
         if len(matches) != 1:
             mismatched.append(
-                f"{named.name}: expected a unique untwisted non-compact record "
-                f"at r={named.r}, found {len(matches)}"
+                f"{f.name}: expected a unique untwisted non-compact record "
+                f"at r={f.expected_r}, found {len(matches)}"
             )
             continue
-        if (matches[0].n, matches[0].body) != canonical_key(named.datum()):
+        rec = matches[0]
+        if (rec.n, rec.body) != canonical_key(_unit_polygon(f.expected_cartan)):
             mismatched.append(
-                f"{named.name}: record at r={named.r} does not realize the matrix"
+                f"{f.name}: record at r={f.expected_r} does not realize the matrix"
             )
 
     return CrossCheckReport(

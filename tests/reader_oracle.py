@@ -31,12 +31,13 @@ from engine_oracle import pair
 from hypercartan.core import (
     CheckResult,
     PolygonDatum,
+    RealizationReport,
     TableDecodeError,
     dihedral_relabellers,
     pack_index,
     pair_count,
 )
-from hypercartan.goldens import FixtureReport, LatticeFixture
+from hypercartan.goldens import LatticeFixture
 from rational_oracle import QMatrix, ShapeError, _bareiss_det, _integer_rows, det, solve
 
 
@@ -380,7 +381,7 @@ def reference_canonical_form(p: PackedDatum) -> PackedDatum:
     return min(images, key=lambda q: q.body)
 
 
-def reference_verify_fixture(f: LatticeFixture) -> FixtureReport:
+def reference_verify_fixture(f: LatticeFixture) -> RealizationReport:
     """``goldens.verify_fixture`` with a rational ``det`` and ``solve``."""
     checks: list[CheckResult] = []
     n = len(f.roots)
@@ -464,4 +465,4 @@ def reference_verify_fixture(f: LatticeFixture) -> FixtureReport:
         )
     )
 
-    return FixtureReport(f.name, tuple(checks))
+    return RealizationReport(tuple(checks), rr)

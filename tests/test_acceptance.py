@@ -26,7 +26,6 @@ from hypercartan.goldens import (
     cross_check,
     lattice_fixtures,
     golden_catalog,
-    symmetric_noncompact_matrices,
     verify_fixture,
 )
 
@@ -94,13 +93,16 @@ def test_criterion_2_symmetric_subcatalog(catalog1):
         problems.append(f"{len(result.records)} records, expected 16")
     if len(noncompact) != 12:
         problems.append(f"{len(noncompact)} non-compact, expected 12")
-    for named in symmetric_noncompact_matrices():
-        matches = [rec for rec in noncompact if rec.r == named.r]
+    for f in lattice_fixtures():
+        m, n = f.expected_cartan, len(f.expected_cartan)
+        upper = tuple(m[i][j] for i in range(n) for j in range(i + 1, n))
+        key = canonical_key(PolygonDatum(n, upper, (1,) * n))
+        matches = [rec for rec in noncompact if rec.r == f.expected_r]
         if len(matches) != 1:
-            problems.append(f"{named.name}: {len(matches)} records at r={named.r}")
+            problems.append(f"{f.name}: {len(matches)} records at r={f.expected_r}")
             continue
-        if (matches[0].n, matches[0].body) != canonical_key(named.datum()):
-            problems.append(f"{named.name}: matrix mismatch at r={named.r}")
+        if (matches[0].n, matches[0].body) != key:
+            problems.append(f"{f.name}: matrix mismatch at r={f.expected_r}")
     _report(
         2,
         "lambda_max=1 gives 16 records; the 12 non-compact realize the "

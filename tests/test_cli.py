@@ -484,6 +484,33 @@ def test_engine_invariant_failure_is_one_line_exit_4(capsys, monkeypatch):
     assert err == "error: engine invariant violated: extend_step received a closed chain\n"
 
 
+def test_verify_prints_each_cross_check_mismatch(capsys, monkeypatch):
+    """Doctored engine records: each mismatch is one indented line, exit 1."""
+    result = engine.run_elliptic(6)
+    records = list(result.records)
+    by_r = {rec.r: rec for rec in records if rec.untwisted and not rec.compact}
+    a10, a1i = by_r[Fraction(-23, 2)], by_r[Fraction(-4)]
+    b = next(rec for rec in records if not rec.untwisted)
+    doctored = [
+        rec._replace(untwisted=False) if rec is a10
+        else rec._replace(r=a10.r, untwisted=True, compact=False) if rec is b
+        else rec
+        for rec in records
+    ] + [a1i]
+    monkeypatch.setattr(
+        cli, "run_elliptic", lambda *a, **k: result._replace(records=tuple(doctored))
+    )
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-5:] == [
+        "FAIL engine/cross-check",
+        "     1,0: record at r=-23/2 does not realize the matrix",
+        "     1,I: expected a unique untwisted non-compact record at r=-4, found 2",
+        f"     radius disagrees at {(b.n, b.body)}: engine -23/2, golden {b.r}",
+        "FAIL: 1 failing checks",
+    ]
+
+
 def test_parabolic_closed_polygon_exits_4(capsys, monkeypatch):
     # a closed r = 0 polygon cannot exist; fake one by seeding a closed window
     closed = engine.ChainState(3, (0, -1, -2), (1, 1, 1))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from engine_oracle import pair
+from hypercartan import goldens
 from hypercartan.core import polygon_table, verify_realization
 from hypercartan.engine import run_elliptic
 from hypercartan.goldens import (
@@ -17,7 +18,6 @@ from hypercartan.goldens import (
     parse_rational,
     self_check_catalog,
     golden_catalog,
-    symmetric_noncompact_matrices,
     verify_fixture,
 )
 from reader_oracle import reference_verify_fixture
@@ -97,24 +97,24 @@ def test_self_check_detects_corruption():
     assert not checks["rows-valid"].passed
 
 
-def test_symmetric_noncompact_matrices_shape():
-    named = symmetric_noncompact_matrices()
-    assert len(named) == 12
-    by_name = {m.name: m for m in named}
-    assert by_name["1,0"].entries == ((2, 0, -1), (0, 2, -2), (-1, -2, 2))
-    assert by_name["3,III"].entries[0] == (
+def test_fixture_cartan_matrices_shape():
+    fixtures = lattice_fixtures()
+    assert len(fixtures) == 12
+    by_name = {f.name: f.expected_cartan for f in fixtures}
+    assert by_name["1,0"] == ((2, 0, -1), (0, 2, -2), (-1, -2, 2))
+    assert by_name["3,III"][0] == (
         2, -2, -11, -25, -37, -47, -50, -46, -37, -23, -11, -1,
     )
-    for m in named:
-        n = len(m.entries)
+    for m in by_name.values():
+        n = len(m)
         for i in range(n):
-            assert m.entries[i][i] == 2
+            assert m[i][i] == 2
             for j in range(n):
-                assert m.entries[i][j] == m.entries[j][i]
+                assert m[i][j] == m[j][i]
 
 
-def test_symmetric_noncompact_radius_association():
-    assert {m.name: m.r for m in symmetric_noncompact_matrices()} == {
+def test_fixture_radius_association():
+    assert {f.name: f.expected_r for f in lattice_fixtures()} == {
         "1,0": Fraction(-23, 2), "1,I": Fraction(-4), "1,II": Fraction(-3, 2),
         "1,III": Fraction(-7, 18), "2,0": Fraction(-7, 2), "2,I": Fraction(-1),
         "2,II": Fraction(-1, 2), "2,III": Fraction(-1, 8),
@@ -127,6 +127,7 @@ def test_all_fixtures_verify():
     for fixture in lattice_fixtures():
         report = verify_fixture(fixture)
         assert report.valid, (fixture.name, report.failures())
+        assert report.weyl_square == fixture.expected_r
 
 
 def test_fixture_sym_orders():
@@ -227,6 +228,71 @@ def test_cross_check_lambda2_against_subset_catches_symmetric_noncompact_matrice
     report = cross_check(list(catalog2.records))
     # the full golden catalog has rows the lambda<=2 run cannot reach
     assert report.missing and not report.extra
+
+
+def test_cross_check_names_each_mismatch():
+    records = list(run_elliptic(6).records)
+    assert cross_check(records).ok
+    (named,) = [
+        rec for rec in records
+        if rec.r == Fraction(-23, 2) and rec.untwisted and not rec.compact
+    ]
+    a, b = [rec for rec in records if not rec.untwisted][:2]
+
+    moved = [rec._replace(r=rec.r - 1) if rec is a else rec for rec in records]
+    assert cross_check(moved).mismatched == (
+        f"radius disagrees at {(a.n, a.body)}: engine {a.r - 1}, golden {a.r}",
+    )
+
+    twice = cross_check(records + [named])
+    assert not (twice.missing or twice.extra)
+    assert twice.mismatched == (
+        "1,0: expected a unique untwisted non-compact record at r=-23/2, found 2",
+    )
+
+    # 1,0 flagged twisted, and the twisted record b standing in at its radius
+    stand_in = [
+        rec._replace(untwisted=False) if rec is named
+        else rec._replace(r=named.r, untwisted=True, compact=False) if rec is b
+        else rec
+        for rec in records
+    ]
+    assert cross_check(stand_in).mismatched == (
+        "1,0: record at r=-23/2 does not realize the matrix",
+        f"radius disagrees at {(b.n, b.body)}: engine -23/2, golden {b.r}",
+    )
+
+
+def test_self_check_catalog_lets_a_decoder_bug_propagate(monkeypatch):
+    """Only TableDecodeError is a catalog fault; any other error is a bug."""
+
+    def broken(table):
+        raise RuntimeError("decoder bug")
+
+    monkeypatch.setattr(goldens, "table_to_datum", broken)
+    with pytest.raises(RuntimeError, match="decoder bug"):
+        self_check_catalog()
+
+
+def test_goldens_import_loads_no_engine():
+    """``goldens`` depends on ``core`` only; ``-S`` keeps site hooks out."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, hypercartan.goldens\n"
+        "assert 'hypercartan.engine' not in sys.modules, 'engine loaded'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_realization_on_every_row_matches_stored_r():
