@@ -7,18 +7,24 @@ Every value type is a ``NamedTuple``, and all arithmetic is exact on
 Python integers.  Polygons that differ by a rotation or reflection of
 their side labels are one solution; ``canonical_key`` names the class.
 The Gram determinant and adjugate of a 3-window of sides are closed
-forms: the search glues chains with them and verification tests
-side triples with them.  The rank and the Weyl vector of a whole
-polygon come from one fraction-free elimination.  Its last pivot D is a
-minor of full rank, so by Cramer's rule D times the solution is
-integral: the back-substitution and the Weyl square run on integers, and
-each result becomes one ``Fraction`` over D at the end.
+forms: the search glues chains with them, and verification decides a
+polygon's rank and Weyl vector from its first nondegenerate side triple.
+With D that triple's det and A its adjugate, the Gram has rank 3 exactly
+when its Schur complement vanishes, D g_mp = (A u_m) . u_p for the
+triple's columns u_m; then rho exists exactly when the triple's solution
+fits every side, and (rho, rho) = lam_T . A lam_T / D.  Only data with no
+nondegenerate triple or a failed Schur test (rank above 3) reach a
+fraction-free elimination, for the exact rank and Weyl vector.  Its last
+pivot D is a minor of full rank, so by Cramer's rule D times the
+solution is integral: the back-substitution and the Weyl square run on
+integers, and each result becomes one ``Fraction`` over D at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Sequence
@@ -73,9 +79,13 @@ class _PolygonFields(NamedTuple):
 
     def adjacent_pairs(self) -> tuple[int, ...]:
         """Cyclic-adjacent pairings (delta_1,delta_2), ..., (delta_n,delta_1)."""
-        g = self.gram
-        n = self.n
-        return tuple(g[i][(i + 1) % n] for i in range(n))
+        return _adjacent_layout(self.n)(self.pairings)
+
+
+@lru_cache(maxsize=None)
+def _adjacent_layout(n: int) -> Callable[[tuple], tuple]:
+    """Read pairs (1,2), ..., (n-1,n), (1,n) from an n-gon's packed pairings."""
+    return itemgetter(*(pack_index(n, i, i + 1) for i in range(1, n)), pack_index(n, 1, n))
 
 
 class PolygonDatum(_PolygonFields):
@@ -139,15 +149,14 @@ def dihedral_relabellers(n: int) -> tuple[Callable[[tuple], tuple], ...]:
     body of the relabelled polygon.
     """
     k = pair_count(n)
+    pos = [[0] * n for _ in range(n)]  # packed position of the pair {i, j}
+    for p, (i, j) in enumerate(combinations(range(n), 2)):
+        pos[i][j] = pos[j][i] = p
     sources = [[(i + t) % n for i in range(n)] for t in range(n)]
     sources += [[(t - 1 - i) % n for i in range(n)] for t in range(n)]
     return tuple(
         itemgetter(
-            *(
-                pack_index(n, *sorted((src[i] + 1, src[j] + 1)))
-                for i in range(n)
-                for j in range(i + 1, n)
-            ),
+            *(pos[src[i]][sj] for i in range(n) for sj in src[i + 1 :]),
             *(k + s for s in src),
         )
         for src in sources
@@ -311,8 +320,8 @@ def _table_layout(n: int) -> Callable[[list], tuple]:
     ))
 
 
-def _lorentzian_check(g: Sequence[Sequence[int]]) -> CheckResult:
-    """Some independent side triple must span a Lorentzian (det < 0) block."""
+def _first_window(g: Sequence[Sequence[int]]) -> tuple[int, int, int, int] | None:
+    """The first side triple (i, j, k), 0-based, with a nonzero Gram det, and that det."""
     n = len(g)
     for i in range(n):
         gi = g[i]
@@ -320,15 +329,43 @@ def _lorentzian_check(g: Sequence[Sequence[int]]) -> CheckResult:
             a, gj = -gi[j], g[j]
             for k in range(j + 1, n):
                 dd = _window_det(a, -gi[k], -gj[k])
-                if dd != 0:
-                    if dd < 0:
-                        return CheckResult("lorentzian", True)
-                    return CheckResult(
-                        "lorentzian",
-                        False,
-                        f"triple ({i + 1},{j + 1},{k + 1}) has det {dd} > 0",
-                    )
-    return CheckResult("lorentzian", False, "no nondegenerate side triple")
+                if dd:
+                    return i, j, k, dd
+    return None
+
+
+def _window_weyl(
+    g: Sequence[Sequence[int]], lam: Sequence[int], window: tuple[int, int, int, int]
+) -> tuple[int, Fraction | None] | None:
+    """(3, (rho, rho) or None when no rho exists), or None when g has rank > 3.
+
+    Let D be the window's det, A its adjugate, u_m = (g_mi, g_mj, g_mk) the
+    window column of side m, and lam_T = (lam_i, lam_j, lam_k).  The window
+    has rank 3, so g has rank 3 exactly when its Schur complement vanishes:
+    D g_mp = (A u_m) . u_p for all m <= p.  Then the window's columns span
+    those of g, so rho exists exactly when u_m . A lam_T = D lam_m for every
+    side m, and (rho, rho) = lam_T . A lam_T / D.  Every solution gives that
+    square, since a kernel vector of g pairs to 0 with lam.
+    """
+    i, j, k, det = window
+    gi, gj, gk = g[i], g[j], g[k]
+    a11, a12, a13, a22, a23, a33 = _window_adjugate(-gi[j], -gi[k], -gj[k])
+    cols = tuple(zip(gi, gj, gk))
+    for m, (u1, u2, u3) in enumerate(cols):
+        c1 = a11 * u1 + a12 * u2 + a13 * u3
+        c2 = a12 * u1 + a22 * u2 + a23 * u3
+        c3 = a13 * u1 + a23 * u2 + a33 * u3
+        for v, (x, y, z) in zip(g[m][m:], cols[m:]):  # symmetric: p >= m
+            if det * v != c1 * x + c2 * y + c3 * z:
+                return None
+    li, lj, lk = lam[i], lam[j], lam[k]
+    w1 = a11 * li + a12 * lj + a13 * lk
+    w2 = a12 * li + a22 * lj + a23 * lk
+    w3 = a13 * li + a23 * lj + a33 * lk
+    for l, (x, y, z) in zip(lam, cols):
+        if det * l != w1 * x + w2 * y + w3 * z:
+            return 3, None
+    return 3, Fraction(li * w1 + lj * w2 + lk * w3, det)
 
 
 def _weyl_numerators(
@@ -389,6 +426,20 @@ def _weyl_system(
 _ZERO = Fraction(0)
 
 
+# Each passed check is one shared value; only a failure builds its detail.
+_PASSED = {c.name: c for c in (
+    CheckResult("rank", True, "Gram rank is 3, need 3"),
+    *(CheckResult(name, True) for name in (
+        "lorentzian", "adjacent-pairings", "nonpositive-pairings",
+        "divisibility", "coprime-lambda", "weyl-vector",
+    )),
+)}
+
+
+def _check(name: str, failure: str) -> CheckResult:
+    return CheckResult(name, False, failure) if failure else _PASSED[name]
+
+
 def verify_realization(d: PolygonDatum) -> RealizationReport:
     """Run every structural check on polygon data, reporting all failures.
 
@@ -397,65 +448,46 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
     twisting divisibility for every ordered pair, coprime lambdas, and a
     vector rho with (rho, delta_i) = -lambda_i for every side.  Together
     with the lambda row this is exactly the rank-3 test on the stacked
-    (n+1) x n matrix.
+    (n+1) x n matrix.  The first nondegenerate side triple decides the
+    rank and rho; the elimination runs only when there is none or the
+    Gram has rank above 3.
     """
-    n, g = d.n, d.gram
-    gram_rank, y, den = _weyl_numerators(g, d.lam)
-    checks = [
-        CheckResult("rank", gram_rank == 3, f"Gram rank is {gram_rank}, need 3"),
-        _lorentzian_check(g),
-    ]
-
-    bad_adj = [
-        (i + 1, (i + 1) % n + 1, g[i][(i + 1) % n])
-        for i in range(n)
-        if not -2 <= g[i][(i + 1) % n] <= 0
-    ]
-    checks.append(
-        CheckResult(
-            "adjacent-pairings",
-            not bad_adj,
-            f"adjacent pairings outside [-2, 0]: {bad_adj}" if bad_adj else "",
-        )
-    )
-
-    bad_sign = [
-        (i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if g[i][j] > 0
-    ]
-    checks.append(
-        CheckResult(
-            "nonpositive-pairings",
-            not bad_sign,
-            f"positive pairings at {bad_sign}" if bad_sign else "",
-        )
-    )
-
-    bad_div = _divisibility_failures(d)
-    checks.append(
-        CheckResult(
-            "divisibility",
-            not bad_div,
-            f"divisibility fails for ordered pairs {bad_div}" if bad_div else "",
-        )
-    )
-
-    gl = gcd(*d.lam)
-    checks.append(
-        CheckResult("coprime-lambda", gl == 1, f"gcd(lambda) = {gl}" if gl != 1 else "")
-    )
-
-    weyl_square = None
-    if y is None:
-        checks.append(
-            CheckResult(
-                "weyl-vector", False, "no rho with (rho, delta_i) = -lambda_i"
-            )
-        )
+    n, g, lam = d.n, d.gram, d.lam
+    window = _first_window(g)
+    solved = None if window is None else _window_weyl(g, lam, window)
+    if solved is None:
+        gram_rank, y, den = _weyl_numerators(g, lam)
+        solved = gram_rank, None if y is None else Fraction(-sum(map(mul, lam, y)), den)
+    gram_rank, weyl_square = solved
+    if window is None:
+        bad_window = "no nondegenerate side triple"
     else:
-        weyl_square = Fraction(-sum(map(mul, d.lam, y)), den)
-        checks.append(CheckResult("weyl-vector", True))
-
-    return RealizationReport(tuple(checks), weyl_square)
+        i, j, k, dd = window
+        bad_window = f"triple ({i + 1},{j + 1},{k + 1}) has det {dd} > 0" if dd > 0 else ""
+    adjacent = d.adjacent_pairs()
+    bad_adj = bad_sign = ""
+    if min(adjacent) < -2 or max(adjacent) > 0:
+        bad = [
+            (i + 1, (i + 1) % n + 1, p) for i, p in enumerate(adjacent) if not -2 <= p <= 0
+        ]
+        bad_adj = f"adjacent pairings outside [-2, 0]: {bad}"
+    if max(d.pairings) > 0:
+        bad = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if g[i][j] > 0]
+        bad_sign = f"positive pairings at {bad}"
+    bad_div = _divisibility_failures(d)
+    gl = gcd(*lam)
+    checks = (
+        _check("rank", f"Gram rank is {gram_rank}, need 3" if gram_rank != 3 else ""),
+        _check("lorentzian", bad_window),
+        _check("adjacent-pairings", bad_adj),
+        _check("nonpositive-pairings", bad_sign),
+        _check("divisibility",
+               f"divisibility fails for ordered pairs {bad_div}" if bad_div else ""),
+        _check("coprime-lambda", f"gcd(lambda) = {gl}" if gl != 1 else ""),
+        _check("weyl-vector", "" if weyl_square is not None
+               else "no rho with (rho, delta_i) = -lambda_i"),
+    )
+    return RealizationReport(checks, weyl_square)
 
 
 def classify_flags(d: PolygonDatum, r: Fraction) -> RealizationFlags:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -345,14 +346,16 @@ def cross_check(
 ) -> CrossCheckReport:
     """Compare an engine catalog against the golden data.
 
-    Canonical forms must biject with the golden catalog, and the
-    twelve untwisted non-compact records must realize the named
-    symmetric matrices at their stated radii.  Golden rows that do not
-    decode are left out; ``self_check_catalog`` reports them.
+    Canonical forms must biject with the golden catalog, the engine
+    emitting each once, and the twelve untwisted non-compact records must
+    realize the named symmetric matrices at their stated radii.  Golden
+    rows that do not decode are left out; ``self_check_catalog`` reports
+    them.
     """
     if golden_rows is None:
         golden_rows = golden_catalog()
     engine_keys = {(rec.n, rec.body): rec for rec in records}
+    counts = Counter((rec.n, rec.body) for rec in records)
     golden_keys: dict[tuple[int, tuple[int, ...]], GoldenRow] = {}
     for row in golden_rows:
         try:
@@ -363,7 +366,7 @@ def cross_check(
     missing = tuple(sorted(k for k in golden_keys if k not in engine_keys))
     extra = tuple(sorted(k for k in engine_keys if k not in golden_keys))
 
-    mismatched: list[str] = []
+    mismatched = [f"engine emits {key} {c} times" for key, c in counts.items() if c > 1]
     for key, row in golden_keys.items():
         rec = engine_keys.get(key)
         if rec is not None and rec.r != row.r:
@@ -390,7 +393,7 @@ def cross_check(
             )
 
     return CrossCheckReport(
-        engine_count=len(engine_keys),
+        engine_count=len(records),
         missing=missing,
         extra=extra,
         mismatched=tuple(sorted(mismatched)),

@@ -1,18 +1,19 @@
 """Slow reference implementations for the integer reader path.
 
 ``rank``, ``solve_consistent`` and ``det_int_rows`` are the general
-``Fraction`` routines that ``verify_realization`` used before it ran one
-fraction-free pass over the integer Gram.  ``assemble_gram``,
-``weyl_vector`` and ``reflect`` are the rational matrix API ``core``
-once carried.  ``DihedralMove`` names one relabelling of the sides,
-``all_moves`` lists them in the order of ``core.dihedral_relabellers``,
-``apply_move`` relabels one side at a time through ``pair``, and
-``dihedral_images`` lists the relabellings the package computes by index
-permutation; ``divisibility_ok`` is the twisting condition for one
-ordered pair, and ``reference_cartan`` and ``reference_symcartan`` build
-both Cartan matrices one entry at a time.  ``PackedDatum`` and
-``canonical_form`` are the packed value and orbit minimum the engine
-deduplicated with before ``core.canonical_key`` replaced them.  The ``reference_*`` functions rebuild the decoded table,
+``Fraction`` routines that ``verify_realization`` used before it ran on
+integers.  ``assemble_gram``, ``weyl_vector`` and ``reflect`` are the
+rational matrix API ``core`` once carried.  ``DihedralMove`` names one
+relabelling of the sides, ``all_moves`` lists them in the order of
+``core.dihedral_relabellers``, ``apply_move`` relabels one side at a time
+through ``pair``, ``dihedral_images`` lists the relabellings the package
+computes by index permutation, and ``reference_relabellers`` builds those
+permutations with a ``pack_index`` per pair; ``divisibility_ok`` is the
+twisting condition for one ordered pair, and ``reference_cartan`` and
+``reference_symcartan`` build both Cartan matrices one entry at a time.
+``PackedDatum`` and ``canonical_form`` are the packed value and orbit
+minimum the engine deduplicated with before ``core.canonical_key``
+replaced them.  The ``reference_*`` functions rebuild the decoded table,
 the verification report, the symmetry order, the canonical form and a
 fixture's report the old way (a ``pack_index`` per table entry,
 ``assemble_gram`` and two eliminations, a determinant per side triple,
@@ -165,6 +166,23 @@ def dihedral_images(p: PackedDatum) -> tuple[PackedDatum, ...]:
     """
     return tuple(
         PackedDatum(p.n, relabel(p.body)) for relabel in dihedral_relabellers(p.n)
+    )
+
+
+def reference_relabellers(n: int) -> tuple[tuple[int, ...], ...]:
+    """The index tuples of ``core.dihedral_relabellers(n)``, in its order,
+    one ``pack_index`` of the ``sorted`` relabelled pair per pair."""
+    k = pair_count(n)
+    sources = [[(i + t) % n for i in range(n)] for t in range(n)]
+    sources += [[(t - 1 - i) % n for i in range(n)] for t in range(n)]
+    return tuple(
+        tuple(
+            pack_index(n, *sorted((src[i] + 1, src[j] + 1)))
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        + tuple(k + s for s in src)
+        for src in sources
     )
 
 

@@ -502,10 +502,11 @@ def test_verify_prints_each_cross_check_mismatch(capsys, monkeypatch):
     )
     code, out, err = run_cli(capsys, "verify")
     assert (code, err) == (1, "")
-    assert out.splitlines()[-5:] == [
+    assert out.splitlines()[-6:] == [
         "FAIL engine/cross-check",
         "     1,0: record at r=-23/2 does not realize the matrix",
         "     1,I: expected a unique untwisted non-compact record at r=-4, found 2",
+        f"     engine emits {(a1i.n, a1i.body)} 2 times",
         f"     radius disagrees at {(b.n, b.body)}: engine -23/2, golden {b.r}",
         "FAIL: 1 failing checks",
     ]

@@ -1,17 +1,22 @@
 import re
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from engine_oracle import pair
+from hypercartan import core
 from hypercartan.core import (
     InvalidRealizationError,
     PolygonDatum,
     TableDecodeError,
     _divisibility_failures,
+    _first_window,
     _weyl_numerators,
+    _window_weyl,
     _weyl_system,
     cartan_matrix,
     classify_flags,
@@ -22,7 +27,8 @@ from hypercartan.core import (
     table_to_datum,
     verify_realization,
 )
-from hypercartan.goldens import golden_catalog, lattice_fixtures
+from hypercartan.engine import run_elliptic
+from hypercartan.goldens import golden_catalog, lattice_fixtures, self_check_catalog
 from rational_oracle import QMatrix
 from reader_oracle import (
     DihedralMove,
@@ -33,6 +39,7 @@ from reader_oracle import (
     divisibility_ok,
     rank,
     reference_cartan,
+    reference_relabellers,
     reference_symcartan,
     reference_symmetry_group,
     reference_table_to_datum,
@@ -441,6 +448,13 @@ def test_dihedral_relabellers_follow_apply_move_order(n):
     ]
 
 
+@pytest.mark.parametrize("n", range(3, 21))
+def test_dihedral_relabellers_match_pack_index_oracle(n):
+    body = tuple(range(n * (n - 1) // 2 + n))
+    images = tuple(relabel(body) for relabel in dihedral_relabellers(n))
+    assert images == reference_relabellers(n)
+
+
 def test_gram_matches_pair():
     d = table_to_datum(ROW_6)
     assert d.gram == tuple(
@@ -522,6 +536,104 @@ def integer_system(draw):
 @given(integer_system())
 def test_weyl_system_matches_oracle_on_random_systems(system):
     _assert_weyl_system_matches_oracle(*system)
+
+
+# --- the window path against the elimination --------------------------------
+
+
+def _assert_window_matches_elimination(g, lam):
+    """The first window's det (or None) and the rank; with a window,
+    ``_window_weyl`` gives the elimination's rank and square, or None
+    exactly when the rank exceeds 3."""
+    rank, y, den = _weyl_numerators(g, lam)
+    square = None if y is None else Fraction(-sum(map(mul, lam, y)), den)
+    window = _first_window(g)
+    if window is not None:
+        expected = None if rank > 3 else (3, square)
+        assert _window_weyl(g, lam, window) == expected, (g, lam)
+    return None if window is None else window[3], rank
+
+
+# Gram of e1, e2, e3, -e1 in the lattice with window Gram 2I.
+POSITIVE_GRAM = [[2, 0, 0, -2], [0, 2, 0, 0], [0, 0, 2, 0], [-2, 0, 0, 2]]
+WINDOW_CASES = [
+    # (g, lam, first window det, rank)
+    # det > 0 first window, rank 3, with and without rho
+    (POSITIVE_GRAM, [1, 1, 1, -1], 8, 3),
+    (POSITIVE_GRAM, [1, 1, 1, 1], 8, 3),
+    # det < 0, rank 3, without and with rho
+    (PolygonDatum(4, (0, -3, -1, -1, -3, 0), (1, 3, 3, 2)).gram, [1, 3, 3, 2], -12, 3),
+    (table_to_datum(ROW_6).gram, [1, 6, 3, 2], -18, 3),
+    # rank 4 and 5 behind a nondegenerate first window
+    (PolygonDatum(4, (0,) * 6, (1,) * 4).gram, [1, 1, 1, 1], 8, 4),
+    (PolygonDatum(5, (-1, -3, -5, 0, -2, -4, -7, -1, -6, -2), (1,) * 5).gram, [1] * 5, -32, 5),
+    # every triple degenerate: rank 2 and rank 1
+    (PolygonDatum(3, (-2, 0, 0), (1, 1, 1)).gram, [1, 1, 1], None, 2),
+    (PolygonDatum(3, (2, 0, 0), (1, 1, 1)).gram, [1, 1, 1], None, 2),
+    (PolygonDatum(4, (2,) * 6, (1,) * 4).gram, [1, 1, 1, 1], None, 1),
+]
+
+
+@pytest.mark.parametrize("g, lam, det, rank", WINDOW_CASES)
+def test_window_path_matches_elimination_on_edge_cases(g, lam, det, rank):
+    assert _assert_window_matches_elimination(g, lam) == (det, rank)
+
+
+@st.composite
+def lattice_gram(draw):
+    """Gram of norm-2 vectors of Z^3 with a random window Gram W (so rank
+    <= 3, det W of either sign or 0), an entry pair often moved off rank 3,
+    and lambdas often in the span."""
+    a, b, c = (draw(st.integers(min_value=-3, max_value=3)) for _ in range(3))
+    w = ((2, -a, -b), (-a, 2, -c), (-b, -c, 2))
+
+    def pairing(u, v):
+        return sum(u[s] * w[s][t] * v[t] for s in range(3) for t in range(3))
+
+    roots = [v for v in product(range(-2, 3), repeat=3) if pairing(v, v) == 2]
+    vs = draw(st.lists(st.sampled_from(roots), min_size=3, max_size=8))
+    g = [[pairing(u, v) for v in vs] for u in vs]
+    if draw(st.booleans()):
+        p, q = draw(st.permutations(range(len(vs))))[:2]
+        g[p][q] = g[q][p] = g[p][q] + draw(st.sampled_from((-1, 1)))
+    if draw(st.booleans()):
+        rho = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(3)]
+        lam = [-pairing(rho, v) for v in vs]
+    else:
+        lam = [draw(st.integers(min_value=-3, max_value=3)) for _ in vs]
+    return g, lam
+
+
+@given(lattice_gram())
+def test_window_path_matches_elimination_on_lattice_data(system):
+    _assert_window_matches_elimination(*system)
+
+
+@given(random_polygon())
+def test_window_path_matches_elimination_on_random_data(d):
+    _assert_window_matches_elimination(d.gram, d.lam)
+
+
+def test_valid_data_never_reach_the_elimination(monkeypatch):
+    """No catalog row, relabelling or engine record runs ``_weyl_numerators``.
+
+    The relabellings are every dihedral image of every catalog row, so
+    they include each block of a ``check`` input made by relabelling the
+    catalog, however many copies it has.
+    """
+    calls = []
+
+    def counted(g, lam):
+        calls.append((g, lam))
+        return _weyl_numerators(g, lam)
+
+    monkeypatch.setattr(core, "_weyl_numerators", counted)
+    assert all(check.passed for check in self_check_catalog())
+    assert all(verify_realization(d).valid for d in _catalog_relabellings())
+    assert len(run_elliptic(6).records) == 60
+    assert calls == []
+    verify_realization(PolygonDatum(4, (0,) * 6, (1,) * 4))
+    assert len(calls) == 1
 
 
 def _decoded(decode, rows):

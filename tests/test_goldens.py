@@ -246,8 +246,10 @@ def test_cross_check_names_each_mismatch():
 
     twice = cross_check(records + [named])
     assert not (twice.missing or twice.extra)
+    assert twice.engine_count == 61
     assert twice.mismatched == (
         "1,0: expected a unique untwisted non-compact record at r=-23/2, found 2",
+        f"engine emits {(named.n, named.body)} 2 times",
     )
 
     # 1,0 flagged twisted, and the twisted record b standing in at its radius
@@ -261,6 +263,22 @@ def test_cross_check_names_each_mismatch():
         "1,0: record at r=-23/2 does not realize the matrix",
         f"radius disagrees at {(b.n, b.body)}: engine -23/2, golden {b.r}",
     )
+
+
+def test_cross_check_counts_and_names_duplicate_classes():
+    """A class the engine emits twice is named, whichever record repeats."""
+    records = list(run_elliptic(6).records)
+    assert cross_check(records).engine_count == 60
+    twisted = [rec for rec in records if not rec.untwisted][:2]
+    report = cross_check(records + twisted + twisted[:1])
+    assert report.engine_count == 63
+    assert not (report.missing or report.extra)
+    a, b = twisted
+    assert report.mismatched == tuple(sorted((
+        f"engine emits {(a.n, a.body)} 3 times",
+        f"engine emits {(b.n, b.body)} 2 times",
+    )))
+    assert not report.ok
 
 
 def test_self_check_catalog_lets_a_decoder_bug_propagate(monkeypatch):
