@@ -414,18 +414,6 @@ def _weyl_numerators(
     return rank, y, prev
 
 
-def _weyl_system(
-    g: Sequence[Sequence[int]], lam: Sequence[int]
-) -> tuple[int, tuple[Fraction, ...] | None]:
-    """Rank of the Gram g and one solution x of g x = -lam, or None: each x_c
-    is one ``Fraction`` y_c / D of the integral y = D x of ``_weyl_numerators``."""
-    rank, y, den = _weyl_numerators(g, lam)
-    return rank, None if y is None else tuple(Fraction(v, den) if v else _ZERO for v in y)
-
-
-_ZERO = Fraction(0)
-
-
 # Each passed check is one shared value; only a failure builds its detail.
 _PASSED = {c.name: c for c in (
     CheckResult("rank", True, "Gram rank is 3, need 3"),

@@ -445,7 +445,11 @@ def _grow(
     Returns the closed polygons and the chains still alive at the cap.
     With ``periodic`` (parabolic mode), a chain whose newest decorated
     3-window state repeats an earlier one is recorded there, keyed by
-    (period, signature), instead of being extended.
+    (period, signature), instead of being extended.  A key keeps its least
+    chain in ``_sweep_order``, whatever the seed order.  That is the first
+    chain found: seeds come in that order, ``extend_step`` keeps it (x's
+    extensions follow x, and one head key's y differ only in the last
+    window), and a chain is fixed by its windows.
     """
     closed_all: list[PolygonDatum] = []
     while chains:
@@ -458,7 +462,8 @@ def _grow(
                 if rep is None:
                     alive.append(ch)
                 else:
-                    periodic.setdefault((rep.period, rep.signature), rep)
+                    key = (rep.period, rep.signature)
+                    periodic[key] = min(periodic.get(key, rep), rep, key=_sweep_order)
             chains = alive
         if not chains:
             break
@@ -506,7 +511,7 @@ def run_elliptic(
     return EnumerationResult(tuple(records), tuple(caps))
 
 
-def _chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
+def _chain_windows(ch: ChainState | PeriodicChainReport) -> list[tuple[int, ...]]:
     """Decorated 3-window states along an open chain.
 
     Row i of the packing starts with (i, i+1), (i, i+2) and is followed by
@@ -520,6 +525,11 @@ def _chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
         windows.append((p[s], p[s + 1], p[t], lam[i - 1], lam[i], lam[i + 1]))
         s = t
     return windows
+
+
+def _sweep_order(rep: PeriodicChainReport) -> tuple:
+    """The length, then each window as (a, c, l1, l2, l3, b): the order of ``_windows``."""
+    return rep.length, [(-a, -c, *lam, -b) for a, b, c, *lam in _chain_windows(rep)]
 
 
 def _min_rotation(block: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

@@ -8,9 +8,9 @@ realizations of the symmetric non-compact solutions A_{1,0} ... A_{3,III}
 symmetry order and expected Cartan matrix.  The fixtures are the named
 matrices: the engine cross-check reads each one's name, radius and
 expected Cartan matrix.  Fixtures are checked on integers: the lattice
-determinant by cofactor expansion, root membership by the fraction-free
-elimination that also solves the Weyl system.  This module imports
-``core`` only; engine records reach it as arguments.
+determinant by cofactor expansion, root membership by Cramer's rule on
+the 3x3 basis.  This module imports public ``core`` names only; engine
+records reach it as arguments.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import (
     PolygonDatum,
     RealizationReport,
     TableDecodeError,
-    _weyl_system,
     canonical_key,
     symmetry_group,
     table_to_datum,
@@ -76,9 +75,6 @@ class LatticeFixture(NamedTuple):
     lattice: str
     expected_det: int
     expected_cartan: tuple[tuple[int, ...], ...]
-
-    def basis_gram(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.pairing(u, v) for v in self.basis) for u in self.basis)
 
     def root_gram(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(self.pairing(u, v) for v in self.roots) for u in self.roots)
@@ -219,7 +215,9 @@ def verify_fixture(f: LatticeFixture) -> RealizationReport:
     checks: list[CheckResult] = []
     n = len(f.roots)
 
-    d = _det3(f.basis_gram())
+    # det(B F B^T) = det(B)^2 det(F) for basis B and family Gram F
+    db = _det3(f.basis)
+    d = db * db * _det3(f.family_gram)
     checks.append(
         CheckResult(
             "lattice-determinant",
@@ -228,14 +226,12 @@ def verify_fixture(f: LatticeFixture) -> RealizationReport:
         )
     )
 
-    # coords solve basis^T coords = root: the system g x = -lam with
-    # g = basis^T and lam = -root
-    basis_t = tuple(zip(*f.basis))
+    # Cramer's rule: coordinate i of a root is det(basis, row i := root) / db
     non_integral = []
     for idx, root in enumerate(f.roots, start=1):
-        rank, coords = _weyl_system(basis_t, [-v for v in root])
-        if rank != 3 or any(x.denominator != 1 for x in coords):
-            non_integral.append((idx, coords))
+        nums = [_det3(f.basis[:i] + (root,) + f.basis[i + 1 :]) for i in range(3)]
+        if not db or any(v % db for v in nums):
+            non_integral.append((idx, tuple(Fraction(v, db) for v in nums) if db else None))
     checks.append(
         CheckResult(
             "roots-in-lattice",

@@ -1,7 +1,7 @@
 """Exact rational linear algebra for small dense matrices: a test oracle.
 
-The package computes on integers through closed forms and one
-fraction-free elimination (``core._weyl_system``); this general
+The package computes on integers through closed forms, Cramer's rule and
+one fraction-free elimination (``core._weyl_numerators``); this general
 ``Fraction`` matrix API is what it used before, kept so the tests can
 compare the integer paths against it.
 

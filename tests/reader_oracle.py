@@ -404,7 +404,7 @@ def reference_verify_fixture(f: LatticeFixture) -> RealizationReport:
     checks: list[CheckResult] = []
     n = len(f.roots)
 
-    d = det(QMatrix.from_rows(f.basis_gram()))
+    d = det(QMatrix.from_rows([[f.pairing(u, v) for v in f.basis] for u in f.basis]))
     checks.append(
         CheckResult(
             "lattice-determinant",

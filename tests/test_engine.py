@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -264,6 +265,49 @@ def test_run_parabolic_properties():
 def test_run_parabolic_periodic_chains_exist():
     report = run_parabolic(2, 16)
     assert report.periodic
+
+
+@pytest.mark.parametrize("lambda_max", [1, 2, 3, 6])
+def test_run_parabolic_does_not_depend_on_seed_order(monkeypatch, lambda_max):
+    """Reversed and shuffled r = 0 seeds give the same reports: each
+    (period, signature) keeps its least chain, not the first to arrive."""
+    expected = run_parabolic(lambda_max)
+    seeds = seed_triples(0, lambda_max)
+    shuffled = seeds[:]
+    random.Random(lambda_max).shuffle(shuffled)
+    for order in (seeds[::-1], shuffled):
+        monkeypatch.setattr(engine, "seed_triples", lambda r, lm, order=order: order)
+        assert run_parabolic(lambda_max) == expected
+
+
+def test_run_parabolic_reports_the_least_chain_of_each_class(monkeypatch):
+    """Each (period, signature) is reported by the least chain detected with
+    it: the shortest, then by windows (a, c, l1, l2, l3, b) in turn."""
+    detected = []
+    detect = engine._detect_period
+
+    def recording(ch):
+        rep = detect(ch)
+        if rep is not None:
+            detected.append(rep)
+        return rep
+
+    def order(x):
+        n = x.length
+        return n, [
+            (-pair(x, i, i + 1), -pair(x, i + 1, i + 2), *x.lam[i - 1 : i + 2],
+             -pair(x, i, i + 2))
+            for i in range(1, n - 1)
+        ]
+
+    monkeypatch.setattr(engine, "_detect_period", recording)
+    report = run_parabolic(2, 16)
+    least = {}
+    for rep in detected:
+        key = (rep.period, rep.signature)
+        least[key] = min(least.get(key, rep), rep, key=order)
+    assert len(detected) > len(least)
+    assert report.periodic == tuple(least[key] for key in sorted(least))
 
 
 def test_catalog_polygons_have_a_radius_window():

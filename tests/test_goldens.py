@@ -1,3 +1,5 @@
+import ast
+import inspect
 from collections import Counter
 from fractions import Fraction
 
@@ -168,6 +170,31 @@ def test_verify_fixture_matches_rational_oracle():
         failing |= {c.name for c in report.failures()}
     # both the sublattice test and the determinant test are seen failing
     assert {"roots-in-lattice", "lattice-determinant"} <= failing
+
+
+def test_verify_fixture_singular_basis_fails_without_raising():
+    """A basis of rank 2: the lattice determinant is 0 and no root has coordinates."""
+    f = lattice_fixtures()[0]
+    b1, b2, _ = f.basis
+    singular = f._replace(basis=(b1, b2, tuple(x + y for x, y in zip(b1, b2))))
+    checks = {c.name: c for c in verify_fixture(singular).checks}
+    assert not checks["lattice-determinant"].passed
+    assert checks["lattice-determinant"].detail.startswith("det 0, expected ")
+    assert not checks["roots-in-lattice"].passed
+    expected = [(i, None) for i in range(1, len(f.roots) + 1)]
+    assert checks["roots-in-lattice"].detail == f"roots outside the sublattice: {expected}"
+
+
+def test_goldens_imports_only_public_core_names():
+    tree = ast.parse(inspect.getsource(goldens))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "core"
+        for alias in node.names
+    ]
+    assert "canonical_key" in imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 def test_golden_text_parser_round_trip():
