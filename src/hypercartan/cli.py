@@ -102,14 +102,9 @@ def cmd_enumerate(args) -> int:
         result = run_elliptic(args.lambda_max, args.max_sides, r_filter=r_filter)
         records = _filtered(result.records, args.untwisted_only, args.noncompact_only)
         _emit_records(records, args.format, out)
-        if result.cap_events:
-            for ev in result.cap_events:
-                print(
-                    f"warning: chain cap {args.max_sides} hit at r={ev.r}",
-                    file=sys.stderr,
-                )
-            return EXIT_CAP
-        return EXIT_OK
+        for r in result.cap_events:
+            print(f"warning: chain cap {args.max_sides} hit at r={r}", file=sys.stderr)
+        return EXIT_CAP if result.cap_events else EXIT_OK
 
     if r_filter not in (None, Fraction(0)):
         print("error: parabolic mode runs at r = 0 only", file=sys.stderr)
@@ -167,7 +162,7 @@ def cmd_verify(args) -> int:
 
     for check in self_check_catalog(golden_rows):
         mark = "ok" if check.passed else "FAIL"
-        detail = f": {check.detail}" if (check.detail and not check.passed) else ""
+        detail = f": {check.detail}" if check.detail else ""
         print(f"{mark:4s} catalog/{check.name}{detail}")
         failures += 0 if check.passed else 1
 

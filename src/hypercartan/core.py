@@ -269,6 +269,10 @@ def polygon_table(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
 # The most sides a decoded table may have (the catalog's largest has 12):
 # verification scans O(n^3) side triples, for seconds on 200 degenerate sides.
 MAX_TABLE_SIDES = 64
+# Every table entry is below this (the catalog's largest is 50): a rank above 3
+# sends the data to the elimination, whose integer minors grow with the
+# entries' digits: about 1 s for 64 sides of 18 digits, 5 s at 50.
+MAX_TABLE_ENTRY = 10**18
 
 
 def table_to_datum(table: Sequence[tuple[int, ...]]) -> PolygonDatum:
@@ -288,6 +292,8 @@ def table_to_datum(table: Sequence[tuple[int, ...]]) -> PolygonDatum:
         raise TableDecodeError(
             f"expected {1 + n // 2} rows for an {n}-gon, got {len(table)}"
         )
+    if max(map(max, table)) >= MAX_TABLE_ENTRY:
+        raise TableDecodeError("table entries must be below 10^18")
     lam, *rest = table
     if min(lam) < 1:
         raise TableDecodeError("lambda row must be positive")
@@ -414,18 +420,17 @@ def _weyl_numerators(
     return rank, y, prev
 
 
-# Each passed check is one shared value; only a failure builds its detail.
-_PASSED = {c.name: c for c in (
-    CheckResult("rank", True, "Gram rank is 3, need 3"),
-    *(CheckResult(name, True) for name in (
-        "lorentzian", "adjacent-pairings", "nonpositive-pairings",
-        "divisibility", "coprime-lambda", "weyl-vector",
-    )),
-)}
+_PASSED: dict[str, CheckResult] = {}
 
 
-def _check(name: str, failure: str) -> CheckResult:
-    return CheckResult(name, False, failure) if failure else _PASSED[name]
+def check_result(name: str, failure: str = "") -> CheckResult:
+    """A failed check with detail ``failure`` if it is non-empty, else a pass.
+
+    A passed check carries no detail, and is one shared value per name.
+    """
+    if failure:
+        return CheckResult(name, False, failure)
+    return _PASSED.get(name) or _PASSED.setdefault(name, CheckResult(name, True))
 
 
 def verify_realization(d: PolygonDatum) -> RealizationReport:
@@ -465,15 +470,15 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
     bad_div = _divisibility_failures(d)
     gl = gcd(*lam)
     checks = (
-        _check("rank", f"Gram rank is {gram_rank}, need 3" if gram_rank != 3 else ""),
-        _check("lorentzian", bad_window),
-        _check("adjacent-pairings", bad_adj),
-        _check("nonpositive-pairings", bad_sign),
-        _check("divisibility",
-               f"divisibility fails for ordered pairs {bad_div}" if bad_div else ""),
-        _check("coprime-lambda", f"gcd(lambda) = {gl}" if gl != 1 else ""),
-        _check("weyl-vector", "" if weyl_square is not None
-               else "no rho with (rho, delta_i) = -lambda_i"),
+        check_result("rank", f"Gram rank is {gram_rank}, need 3" if gram_rank != 3 else ""),
+        check_result("lorentzian", bad_window),
+        check_result("adjacent-pairings", bad_adj),
+        check_result("nonpositive-pairings", bad_sign),
+        check_result("divisibility",
+                     f"divisibility fails for ordered pairs {bad_div}" if bad_div else ""),
+        check_result("coprime-lambda", f"gcd(lambda) = {gl}" if gl != 1 else ""),
+        check_result("weyl-vector", "" if weyl_square is not None
+                     else "no rho with (rho, delta_i) = -lambda_i"),
     )
     return RealizationReport(checks, weyl_square)
 

@@ -114,14 +114,9 @@ class CatalogRecord(NamedTuple):
     kind: str
 
 
-class CapEvent(NamedTuple):
-    r: Fraction
-    length: int
-
-
 class EnumerationResult(NamedTuple):
     records: tuple[CatalogRecord, ...]
-    cap_events: tuple[CapEvent, ...]
+    cap_events: tuple[Fraction, ...]  # radii whose chains reached max_sides, ascending
 
 
 class PeriodicChainReport(NamedTuple):
@@ -475,10 +470,9 @@ def _grow(
 
 def _run_radius(
     r: Fraction, seeds: list[ChainState], max_sides: int
-) -> tuple[list[CatalogRecord], CapEvent | None]:
+) -> tuple[list[CatalogRecord], bool]:
     closed, capped = _grow(seeds, max_sides)
-    cap = CapEvent(r, capped[0].length) if capped else None
-    return _dedup_records(r, closed), cap
+    return _dedup_records(r, closed), bool(capped)
 
 
 def run_elliptic(
@@ -491,23 +485,23 @@ def run_elliptic(
 
     Deterministic: the catalog is sorted by (r, n, canonical body), since
     radii are searched in ascending order and each radius's records come
-    out of ``_dedup_records`` ordered by (n, body).  Hitting ``max_sides``
-    on a live chain is reported as a cap event, and that radius's output
-    is partial.
+    out of ``_dedup_records`` ordered by (n, body).  When a live chain
+    hits ``max_sides``, its radius is listed in ``cap_events``, and that
+    radius's output is partial.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
     records: list[CatalogRecord] = []
-    caps: list[CapEvent] = []
+    caps: list[Fraction] = []
     for r, seeds in _seed_map(lambda_max).items():
         if r_filter is not None and r != r_filter:
             continue
-        recs, cap = _run_radius(r, seeds, max_sides)
+        recs, capped = _run_radius(r, seeds, max_sides)
         records.extend(recs)
-        if cap is not None:
-            caps.append(cap)
+        if capped:
+            caps.append(r)
     return EnumerationResult(tuple(records), tuple(caps))
 
 

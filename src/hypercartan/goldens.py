@@ -29,6 +29,7 @@ from .core import (
     RealizationReport,
     TableDecodeError,
     canonical_key,
+    check_result,
     symmetry_group,
     table_to_datum,
     verify_realization,
@@ -212,19 +213,12 @@ def verify_fixture(f: LatticeFixture) -> RealizationReport:
     the symmetry order of the induced polygon.  The report's Weyl square
     is (rho, rho).
     """
-    checks: list[CheckResult] = []
     n = len(f.roots)
+    gram = f.root_gram()
 
     # det(B F B^T) = det(B)^2 det(F) for basis B and family Gram F
     db = _det3(f.basis)
     d = db * db * _det3(f.family_gram)
-    checks.append(
-        CheckResult(
-            "lattice-determinant",
-            d == f.expected_det,
-            f"det {d}, expected {f.expected_det} ({f.lattice})",
-        )
-    )
 
     # Cramer's rule: coordinate i of a root is det(basis, row i := root) / db
     non_integral = []
@@ -232,78 +226,43 @@ def verify_fixture(f: LatticeFixture) -> RealizationReport:
         nums = [_det3(f.basis[:i] + (root,) + f.basis[i + 1 :]) for i in range(3)]
         if not db or any(v % db for v in nums):
             non_integral.append((idx, tuple(Fraction(v, db) for v in nums) if db else None))
-    checks.append(
-        CheckResult(
-            "roots-in-lattice",
-            not non_integral,
-            f"roots outside the sublattice: {non_integral}" if non_integral else "",
-        )
-    )
 
-    gram = f.root_gram()
     bad_norm = [(i + 1, gram[i][i]) for i in range(n) if gram[i][i] != 2]
-    checks.append(
-        CheckResult(
-            "root-norms", not bad_norm, f"squares != 2: {bad_norm}" if bad_norm else ""
-        )
-    )
-
     gram_mismatch = [
         (i + 1, j + 1)
         for i in range(n)
         for j in range(n)
         if gram[i][j] != f.expected_cartan[i][j]
     ]
-    checks.append(
-        CheckResult(
-            "gram-matches-cartan",
-            not gram_mismatch,
-            f"pairs off: {gram_mismatch}" if gram_mismatch else "",
-        )
-    )
-
-    bad_weyl = [
-        (i + 1, f.pairing(f.rho, root))
-        for i, root in enumerate(f.roots)
-        if f.pairing(f.rho, root) != -1
-    ]
-    checks.append(
-        CheckResult(
-            "weyl-pairings",
-            not bad_weyl,
-            f"(rho, delta_i) != -1 at {bad_weyl}" if bad_weyl else "",
-        )
-    )
-
+    weyl = [(i + 1, f.pairing(f.rho, root)) for i, root in enumerate(f.roots)]
+    bad_weyl = [(i, p) for i, p in weyl if p != -1]
     rr = f.pairing(f.rho, f.rho)
-    checks.append(
-        CheckResult(
-            "weyl-square", rr == f.expected_r, f"(rho, rho) = {rr}, expected {f.expected_r}"
-        )
-    )
-
     order = symmetry_group(_unit_polygon(gram))
-    checks.append(
-        CheckResult(
-            "symmetry-order",
-            order == f.expected_sym_order,
-            f"order {order}, expected {f.expected_sym_order}",
-        )
-    )
 
-    return RealizationReport(tuple(checks), rr)
+    checks = (
+        check_result("lattice-determinant", "" if d == f.expected_det
+                     else f"det {d}, expected {f.expected_det} ({f.lattice})"),
+        check_result("roots-in-lattice", "" if not non_integral
+                     else f"roots outside the sublattice: {non_integral}"),
+        check_result("root-norms", f"squares != 2: {bad_norm}" if bad_norm else ""),
+        check_result("gram-matches-cartan",
+                     f"pairs off: {gram_mismatch}" if gram_mismatch else ""),
+        check_result("weyl-pairings",
+                     f"(rho, delta_i) != -1 at {bad_weyl}" if bad_weyl else ""),
+        check_result("weyl-square", "" if rr == f.expected_r
+                     else f"(rho, rho) = {rr}, expected {f.expected_r}"),
+        check_result("symmetry-order", "" if order == f.expected_sym_order
+                     else f"order {order}, expected {f.expected_sym_order}"),
+    )
+    return RealizationReport(checks, rr)
 
 
 def self_check_catalog(
     rows: tuple[GoldenRow, ...] | None = None,
 ) -> list[CheckResult]:
     """The golden catalog's own consistency: decode, verify, recount."""
-    checks: list[CheckResult] = []
     if rows is None:
         rows = golden_catalog()
-    checks.append(
-        CheckResult("catalog-size", len(rows) == 60, f"{len(rows)} rows, expected 60")
-    )
     bad: list[str] = []
     untwisted = 0
     compact = 0
@@ -324,16 +283,14 @@ def self_check_catalog(
             untwisted += 1
         if all(p != -2 for p in d.adjacent_pairs()):
             compact += 1
-    checks.append(
-        CheckResult("rows-valid", not bad, "; ".join(bad) if bad else "")
-    )
-    checks.append(
-        CheckResult("untwisted-count", untwisted == 16, f"{untwisted}, expected 16")
-    )
-    checks.append(
-        CheckResult("compact-count", compact == 7, f"{compact}, expected 7")
-    )
-    return checks
+    return [
+        check_result("catalog-size",
+                     "" if len(rows) == 60 else f"{len(rows)} rows, expected 60"),
+        check_result("rows-valid", "; ".join(bad)),
+        check_result("untwisted-count",
+                     "" if untwisted == 16 else f"{untwisted}, expected 16"),
+        check_result("compact-count", "" if compact == 7 else f"{compact}, expected 7"),
+    ]
 
 
 def cross_check(

@@ -200,7 +200,7 @@ def radius_slice_mismatches(
         alone = run_elliptic(lambda_max, max_sides, r_filter=r)
         expected = EnumerationResult(
             tuple(rec for rec in full.records if rec.r == r),
-            tuple(ev for ev in full.cap_events if ev.r == r),
+            tuple(ev for ev in full.cap_events if ev == r),
         )
         if alone != expected:
             mismatches.append(r)

@@ -199,6 +199,8 @@ def reference_table_to_datum(table) -> PolygonDatum:
         raise TableDecodeError(
             f"expected {1 + n // 2} rows for an {n}-gon, got {len(table)}"
         )
+    if any(value >= 10**18 for row in table for value in row):
+        raise TableDecodeError("table entries must be below 10^18")
     lam = table[0]
     if any(l < 1 for l in lam):
         raise TableDecodeError("lambda row must be positive")
@@ -313,7 +315,11 @@ def reference_verify(d):
     gram = assemble_gram(d)
     gram_rank = rank(gram)
     checks = [
-        CheckResult("rank", gram_rank == 3, f"Gram rank is {gram_rank}, need 3"),
+        CheckResult(
+            "rank",
+            gram_rank == 3,
+            f"Gram rank is {gram_rank}, need 3" if gram_rank != 3 else "",
+        ),
         _reference_lorentzian(d),
     ]
     bad_adj = [
@@ -409,7 +415,9 @@ def reference_verify_fixture(f: LatticeFixture) -> RealizationReport:
         CheckResult(
             "lattice-determinant",
             d == f.expected_det,
-            f"det {d}, expected {f.expected_det} ({f.lattice})",
+            f"det {d}, expected {f.expected_det} ({f.lattice})"
+            if d != f.expected_det
+            else "",
         )
     )
 
@@ -470,7 +478,9 @@ def reference_verify_fixture(f: LatticeFixture) -> RealizationReport:
     rr = f.pairing(f.rho, f.rho)
     checks.append(
         CheckResult(
-            "weyl-square", rr == f.expected_r, f"(rho, rho) = {rr}, expected {f.expected_r}"
+            "weyl-square",
+            rr == f.expected_r,
+            f"(rho, rho) = {rr}, expected {f.expected_r}" if rr != f.expected_r else "",
         )
     )
 
@@ -479,7 +489,9 @@ def reference_verify_fixture(f: LatticeFixture) -> RealizationReport:
         CheckResult(
             "symmetry-order",
             order == f.expected_sym_order,
-            f"order {order}, expected {f.expected_sym_order}",
+            f"order {order}, expected {f.expected_sym_order}"
+            if order != f.expected_sym_order
+            else "",
         )
     )
 

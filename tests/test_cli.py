@@ -112,7 +112,11 @@ def test_enumerate_cap_exit_code(capsys):
         capsys, "enumerate", "--lambda-max", "1", "--max-sides", "4"
     )
     assert code == 3
-    assert "cap" in err
+    radii = (
+        "-1/2", "-5/11", "-7/18", "-11/32", "-3/10", "-1/4", "-13/54",
+        "-5/22", "-1/6", "-4/25", "-1/8", "-2/23", "-1/14", "-1/24",
+    )
+    assert err.splitlines() == [f"warning: chain cap 4 hit at r={r}" for r in radii]
 
 
 def test_enumerate_parabolic_mode(capsys):
@@ -302,6 +306,21 @@ def test_check_refuses_more_than_64_sides(capsys, tmp_path):
     assert "FAIL lorentzian: no nondegenerate side triple" in out
 
 
+# A 4-gon whose last row sits at the entry bound; one less decodes, with Gram rank 4.
+_BIG_ENTRY_BLOCK = "r = -1\n1 1 1 1\n0 0 0 0\n" + " ".join([str(10**18)] * 4) + "\n"
+
+
+def test_check_refuses_entries_of_10_to_the_18(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(_BIG_ENTRY_BLOCK)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", "parse error: table entries must be below 10^18\n")
+    path.write_text(_BIG_ENTRY_BLOCK.replace(str(10**18), str(10**18 - 1)))
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert "  FAIL rank: Gram rank is 4, need 3" in out.splitlines()
+
+
 CHECK_MIXED_INPUT = """\
 r = -59/2
 1 2 2
@@ -436,8 +455,9 @@ def test_verify_catalog_accepts_only_the_same_classes(capsys, tmp_path):
         ("r = -1\n1 1 1\n0 1 2\n1 1 1\n", "expected 2 rows for an 3-gon, got 3"),
         ("r = -1\n-1 1 1\n0 1 2\n", "lambda row must be positive"),
         (_all_minus_one_block(65), "a table has at most 64 sides, got 65"),
+        (_BIG_ENTRY_BLOCK, "table entries must be below 10^18"),
     ],
-    ids=["extra-row", "negative-lambda", "too-many-sides"],
+    ids=["extra-row", "negative-lambda", "too-many-sides", "entry-too-large"],
 )
 def test_verify_catalog_with_undecodable_row_fails_cleanly(capsys, tmp_path, text, reason):
     """The engine cross-check skips a row that does not decode; rows-valid names it."""

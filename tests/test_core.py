@@ -637,6 +637,14 @@ def test_valid_data_never_reach_the_elimination(monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_result_shares_each_passed_check():
+    assert core.check_result("rank") is core.check_result("rank", "")
+    assert core.check_result("rank") == core.CheckResult("rank", True, "")
+    assert core.check_result("rank", "Gram rank is 4, need 3") == core.CheckResult(
+        "rank", False, "Gram rank is 4, need 3"
+    )
+
+
 def _decoded(decode, rows):
     try:
         return decode(rows)
@@ -674,6 +682,13 @@ MALFORMED_TABLES = [
     ((1, 1, 1), (0, 1)),
     ((1, 1, 1, 1), (0, 1, 0, 1)),
     ((1, 0, 1), (0, -1, 2)),
+    # an entry at the bound, alone and before a negative entry, a bad lambda
+    # or an antipodal mismatch
+    ((1, 1, 1), (0, 1, 10**18)),
+    ((1, 1, 1), (0, 1, 10**400)),
+    ((1, 1, 1), (-1, 1, 10**18)),
+    ((0, 1, 10**18), (0, 1, 2)),
+    ((1, 1, 1, 1), (0, 1, 0, 1), (10**18, 3, 4, 3)),
 ]
 
 

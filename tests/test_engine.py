@@ -242,8 +242,16 @@ def test_run_elliptic_r_filter():
 
 def test_run_elliptic_cap_event():
     result = run_elliptic(1, max_sides=4)
-    assert result.cap_events
-    assert all(ev.length == 4 for ev in result.cap_events)
+    # the radii whose chains reach 4 sides, in ascending order
+    assert result.cap_events == tuple(map(Fraction, (
+        "-1/2", "-5/11", "-7/18", "-11/32", "-3/10", "-1/4", "-13/54",
+        "-5/22", "-1/6", "-4/25", "-1/8", "-2/23", "-1/14", "-1/24",
+    )))
+    seeds = _seed_map(1)
+    for r in seeds:
+        _, capped = engine._grow(seeds[r], 4)
+        assert bool(capped) == (r in result.cap_events)
+        assert all(ch.length == 4 for ch in capped)
     # radii whose chains were cut off report partial catalogs, so fewer records
     assert len(result.records) < 16
 

@@ -172,6 +172,18 @@ def test_verify_fixture_matches_rational_oracle():
     assert {"roots-in-lattice", "lattice-determinant"} <= failing
 
 
+def test_passed_checks_carry_no_detail():
+    """A pass has detail ""; a failure names what failed."""
+    checks = [c for row in golden_catalog() for c in verify_realization(row.datum()).checks]
+    checks += [c for f in _mutated_fixtures() for c in verify_fixture(f).checks]
+    checks += self_check_catalog()
+    checks += self_check_catalog(golden_catalog()[1:])  # 59 rows: some pass, some fail
+    passed = [c for c in checks if c.passed]
+    assert len(passed) > len(golden_catalog()) * 7 + len(lattice_fixtures()) * 7
+    assert [c for c in passed if c.detail] == []
+    assert all(c.detail for c in checks if not c.passed)
+
+
 def test_verify_fixture_singular_basis_fails_without_raising():
     """A basis of rank 2: the lattice determinant is 0 and no root has coordinates."""
     f = lattice_fixtures()[0]
