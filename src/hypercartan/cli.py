@@ -48,7 +48,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_ENGINE = 4
 
-# The search cost grows about as lambda^2.2-2.5 past 24 (64 takes about 3 s);
+# The search cost grows about as lambda^2.0-2.5 past 24 (64 takes about 2 s);
 # a far larger --lambda-max would build lambda^2 partner tables and not finish.
 LAMBDA_MAX_CEILING = 64
 

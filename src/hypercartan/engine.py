@@ -9,6 +9,12 @@ is within assumption (N) below, then seeds, for each radius, every
 window whose square is exactly r.  Both sweeps run one window scan.  It
 enumerates the admissible shapes (a, c, lam) directly, from a table of
 the lambdas allowed next to each lambda across an adjacent pairing.
+Read from its other end, a window (a, b, c, l1, l2, l3) is its mirror
+(c, b, a, l3, l2, l1); the stride, num and det below are symmetric under
+a <-> c, l1 <-> l3, so a window and its mirror have one square.  The
+scan therefore visits only the shapes with (a, l1) <= (c, l3): radius
+collection needs no mirror, and the seed sweep adds the mirror of each
+seed that is not its own.
 For one shape num and det are integer quadratics in b.  num is positive
 at b = 0 and has leading coefficient -l2^2 < 0, so r <= 0 holds exactly
 up to the floor of num's larger root: the scan stops there, and the
@@ -156,14 +162,24 @@ def _partners(lambda_max: int, a: int) -> list[tuple[int, ...]]:
 
 def _windows(
     lambda_max: int, b_cap: int | None = None
-) -> Iterator[tuple[int, int, int, tuple[int, int, int], int, int]]:
-    """Admissible hyperbolic 3-windows (a, b, c, lam, num, det) of square r <= 0.
+) -> Iterator[
+    tuple[int, int, int, tuple[int, int, int], tuple[int, int, int] | None, int, int]
+]:
+    """Admissible hyperbolic 3-windows (a, b, c, lam, mirror, num, det) of square r <= 0.
 
     Adjacent pairings run over [0, ADJACENT_MAX], lambdas over
     [1, lambda_max]^3 with the twisting divisibility for every ordered
     pair, and the long pairing upward from 0 to the shape's bound, or to
     ``b_cap`` if that is smaller.  The Weyl square of a window is
     num / det, with det < 0.
+
+    Only one window of each mirror pair is yielded: the shapes with
+    (a, l1) <= (c, l3).  The mirror (c, b, a, l3, l2, l1) of a window has
+    the same num, det and stride, since each is symmetric under a <-> c,
+    l1 <-> l3, and it is admissible exactly when the window is (the
+    partner relation is symmetric).  ``mirror`` is (l3, l2, l1), built
+    once per shape, or None when the window is its own mirror
+    (a == c, l1 == l3).
 
     Shapes are enumerated directly: l2 runs over the partners of l1
     across a, l3 over the partners of l2 across c, which is the
@@ -182,7 +198,7 @@ def _windows(
     """
     for a in range(ADJACENT_MAX + 1):
         across_a = _partners(lambda_max, a)
-        for c in range(ADJACENT_MAX + 1):
+        for c in range(a, ADJACENT_MAX + 1):
             across_c = _partners(lambda_max, c)
             # det(b) = 8 - 2(a^2 + b^2 + c^2) - 2abc
             d1 = -2 * a * c
@@ -192,13 +208,17 @@ def _windows(
             # no window: skip such shapes before solving num's quadratic.
             s_max = b_cap if b_cap is not None and d0 >= 0 else lambda_max * lambda_max
             for l1 in range(1, lambda_max + 1):
+                l3_min = l1 if c == a else 1  # (a, l1) <= (c, l3)
                 for l2 in across_a[l1]:
                     for l3 in across_c[l2]:
+                        if l3 < l3_min:
+                            continue
                         g = gcd(l1, l3)
                         s = (l1 // g) * (l3 // g)
                         if s > s_max:
                             continue
                         lam = (l1, l2, l3)
+                        mirror = None if c == a and l3 == l1 else (l3, l2, l1)
                         # num(b) = lam^T adj(g) lam with adj(g) =
                         # (4 - c^2, 2a + bc, ac + 2b, 4 - b^2, 2c + ab, 4 - a^2)
                         n2 = -l2 * l2
@@ -217,7 +237,7 @@ def _windows(
                         d, dd, ddd = d0, d1 * s - 2 * ss, -4 * ss
                         for b in range(0, b_max + 1, s):
                             if d < 0:
-                                yield a, b, c, lam, num, d
+                                yield a, b, c, lam, mirror, num, d
                             num += dnum
                             dnum += ddnum
                             d += dd
@@ -242,7 +262,7 @@ def collect_radii(lambda_max: int) -> tuple[Fraction, ...]:
         raise ValueError("lambda_max must be >= 1")
     windows = _windows(lambda_max, RADIUS_B_MAX)
     # r = num/det with det < 0, so r < 0 iff num > 0
-    squares = {_square_key(num, d) for _, _, _, _, num, d in windows if num > 0}
+    squares = {_square_key(num, d) for _, _, _, _, _, num, d in windows if num > 0}
     # p/q < p'/q' iff p (L/q) < p' (L/q') for a common multiple L of the
     # denominators: an exact integer sort key.
     common = lcm(*(q for _, q in squares))
@@ -258,10 +278,12 @@ def _seeds(
     by_key: dict[tuple[int, int], list[ChainState]] = {
         (r.numerator, r.denominator): [] for r in radii
     }
-    for a, b, c, lam, num, d in _windows(lambda_max):
+    for a, b, c, lam, mirror, num, d in _windows(lambda_max):
         bucket = by_key.get(_square_key(num, d))
         if bucket is not None:
             bucket.append(ChainState(3, (-a, -b, -c), lam))
+            if mirror is not None:
+                bucket.append(ChainState(3, (-c, -b, -a), mirror))
     return {r: by_key[r.numerator, r.denominator] for r in radii}
 
 
@@ -441,10 +463,8 @@ def _grow(
     With ``periodic`` (parabolic mode), a chain whose newest decorated
     3-window state repeats an earlier one is recorded there, keyed by
     (period, signature), instead of being extended.  A key keeps its least
-    chain in ``_sweep_order``, whatever the seed order.  That is the first
-    chain found: seeds come in that order, ``extend_step`` keeps it (x's
-    extensions follow x, and one head key's y differ only in the last
-    window), and a chain is fixed by its windows.
+    chain in ``_sweep_order``, taken explicitly with ``min``, so the report
+    does not depend on the order in which the sweep emits seeds.
     """
     closed_all: list[PolygonDatum] = []
     while chains:
@@ -522,7 +542,15 @@ def _chain_windows(ch: ChainState | PeriodicChainReport) -> list[tuple[int, ...]
 
 
 def _sweep_order(rep: PeriodicChainReport) -> tuple:
-    """The length, then each window as (a, c, l1, l2, l3, b): the order of ``_windows``."""
+    """The length, then each window as (a, c, l1, l2, l3, b), lexicographically.
+
+    This is the order in which a full window sweep, one that visits both
+    windows of each mirror pair, emits seeds, and ``extend_step`` keeps it
+    (x's extensions follow x, and one head key's y differ only in the last
+    window).  So the least chain of a periodic class is the one a full
+    sweep finds first.  ``_grow`` takes that minimum explicitly, so the
+    half sweep of ``_windows`` reports the same chains.
+    """
     return rep.length, [(-a, -c, *lam, -b) for a, b, c, *lam in _chain_windows(rep)]
 
 

@@ -7,7 +7,9 @@ a divisibility test per triple, every long pairing b with a divisibility
 test per b, and evaluates num and det per window from the closed forms,
 as the engine did before it enumerated admissible shapes directly and
 stepped the long pairing by second differences; its bound on b comes
-from a callback.  ``long_pairing_bound(r_max)`` bounds b for squares at
+from a callback; it yields both windows of each mirror pair, and
+``half`` and ``mirror_expanded`` relate its stream to the engine's.
+``long_pairing_bound(r_max)`` bounds b for squares at
 most r_max, as the seed sweep did before it stopped at num's larger root
 (the same bound at r_max = 0).  The tests compare the fast paths against
 them.  ``radius_slice_mismatches`` compares a full
@@ -109,7 +111,10 @@ def long_pairing_bound(r_max: Fraction) -> BMax:
 
 
 def windows(lambda_max: int, b_max: BMax):
-    """engine._windows over every lambda triple and every long pairing."""
+    """engine._windows over every (a, c) and lambda triple and every long pairing.
+
+    Both mirror windows of a pair are yielded, in the order (a, c, lam, b).
+    """
     for a in range(ADJACENT_MAX + 1):
         for c in range(ADJACENT_MAX + 1):
             for lam in itertools.product(range(1, lambda_max + 1), repeat=3):
@@ -120,6 +125,32 @@ def windows(lambda_max: int, b_max: BMax):
                     d = _window_det(a, b, c)
                     if d < 0 and long_divisible(b, l1, l3):
                         yield a, b, c, lam, window_square_num(a, b, c, l1, l2, l3), d
+
+
+def half(stream) -> list:
+    """The windows (a, b, c, lam, num, det) of ``stream`` with (a, l1) <= (c, l3), in order.
+
+    Reading a window from its other end swaps a and c and reverses lam and
+    keeps b, num and det; this keeps one window of each such mirror pair.
+    """
+    return [w for w in stream if (w[0], w[3][0]) <= (w[2], w[3][2])]
+
+
+def mirror_expanded(half_windows):
+    """engine._windows' windows (a, b, c, lam, mirror, num, det) as (a, b, c, lam, num, det).
+
+    Each window is followed by its mirror (c, b, a, mirror, num, det) when
+    ``mirror`` is not None.
+    """
+    for a, b, c, lam, mirror, num, d in half_windows:
+        yield a, b, c, lam, num, d
+        if mirror is not None:
+            yield c, b, a, mirror, num, d
+
+
+def mirror_seed(ch: ChainState) -> ChainState:
+    """A seed window read from its other end."""
+    return ChainState(3, ch.pairings[::-1], ch.lam[::-1])
 
 
 def reached_chains(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):

@@ -131,7 +131,7 @@ def test_seed_triples_rejects_positive_target():
 def test_seed_triples_matches_exhaustive_scan():
     for r in (Fraction(-23, 2), Fraction(-7), Fraction(-1, 2), Fraction(0)):
         fast = [(s.pairings, s.lam) for s in seed_triples(r, 2)]
-        assert fast == _exhaustive_seeds(r, 2)
+        assert sorted(fast) == sorted(_exhaustive_seeds(r, 2))
 
 
 def test_seed_map_agrees_with_seed_triples():
@@ -254,6 +254,32 @@ def test_run_elliptic_cap_event():
         assert all(ch.length == 4 for ch in capped)
     # radii whose chains were cut off report partial catalogs, so fewer records
     assert len(result.records) < 16
+
+
+@pytest.mark.parametrize(
+    "lambda_max, max_sides",
+    [(2, DEFAULT_MAX_SIDES), (3, DEFAULT_MAX_SIDES), (6, DEFAULT_MAX_SIDES), (6, 5), (6, 8)],
+)
+def test_run_elliptic_does_not_depend_on_seed_order(monkeypatch, lambda_max, max_sides):
+    """Reversed and shuffled seeds at every radius give the same records and
+    cap events: the window sweep may emit seeds in any order."""
+    expected = run_elliptic(lambda_max, max_sides)
+    assert bool(expected.cap_events) == (max_sides < DEFAULT_MAX_SIDES)
+    seeds = engine._seeds
+
+    def reversed_seeds(radii, lm):
+        return {r: found[::-1] for r, found in seeds(radii, lm).items()}
+
+    def shuffled_seeds(radii, lm):
+        rng = random.Random(lambda_max)
+        found = seeds(radii, lm)
+        for bucket in found.values():
+            rng.shuffle(bucket)
+        return found
+
+    for reorder in (reversed_seeds, shuffled_seeds):
+        monkeypatch.setattr(engine, "_seeds", reorder)
+        assert run_elliptic(lambda_max, max_sides) == expected
 
 
 def test_run_parabolic_properties():
@@ -622,9 +648,11 @@ def test_packed_keys_and_extension_match_pair_oracle():
 def test_windows_match_unstrided_oracle():
     """The shape enumeration and second-difference scan yield the oracle's windows.
 
-    Same windows, same num and det, same order, for both sweeps: the seed
-    sweep's bound is num's larger root, the oracle's long-pairing bound at
-    r_max = 0, and the radius sweep clips it to RADIUS_B_MAX.
+    The oracle's windows with (a, l1) <= (c, l3), with the same num and
+    det, in the oracle's order, for both sweeps: the seed sweep's bound is
+    num's larger root, the oracle's long-pairing bound at r_max = 0, and
+    the radius sweep clips it to RADIUS_B_MAX.  A window's mirror lambdas
+    are lam reversed, or None when the window is its own mirror.
     """
     root = oracle.long_pairing_bound(Fraction(0))
 
@@ -634,7 +662,11 @@ def test_windows_match_unstrided_oracle():
     for lambda_max in range(1, 9):
         for b_cap, b_max in ((None, root), (RADIUS_B_MAX, capped)):
             fast = list(_windows(lambda_max, b_cap))
-            assert fast == list(oracle.windows(lambda_max, b_max)), lambda_max
+            expected = oracle.half(oracle.windows(lambda_max, b_max))
+            assert [w[:4] + w[5:] for w in fast] == expected, lambda_max
+            for a, _, c, lam, mirror, *_ in fast:
+                self_mirror = (a, lam[0]) == (c, lam[2])
+                assert mirror == (None if self_mirror else lam[::-1]), (a, c, lam)
             assert fast
 
 
@@ -669,10 +701,11 @@ def test_radii_integer_order_matches_fraction_sort():
 
 
 def test_windows_are_exactly_the_non_positive_squares():
-    """_windows(4) is every hyperbolic window with num >= 0 (r <= 0), b <= 200.
+    """_windows(4) and its mirrors are every hyperbolic window with num >= 0
+    (r <= 0), b <= 200.
 
-    A brute-force scan of each shape over b in [0, 200], in search order;
-    no shape's bound comes near 200.
+    A brute-force scan of each shape over b in [0, 200], compared as a
+    multiset; no shape's bound comes near 200.
     """
     brute = []
     for a, c, lam in _all_shapes(4):
@@ -682,7 +715,7 @@ def test_windows_are_exactly_the_non_positive_squares():
             if d < 0 and num >= 0 and oracle.long_divisible(b, lam[0], lam[2]):
                 brute.append((a, b, c, lam, num, d))
     fast = list(_windows(4))
-    assert fast == brute
+    assert sorted(oracle.mirror_expanded(fast)) == sorted(brute)
     assert max(b for _, b, *_ in fast) < 100
 
 
@@ -691,7 +724,7 @@ def test_seed_map_matches_sweep_bounded_by_largest_radius():
 
     That bound is the one the seed sweep used before it stopped at num's
     larger root; every seed has square <= max(radii), so both find the
-    same windows in the same order.
+    same windows at each radius, compared as multisets.
     """
     for lambda_max in range(1, 9):
         radii = collect_radii(lambda_max)
@@ -701,4 +734,21 @@ def test_seed_map_matches_sweep_bounded_by_largest_radius():
             bucket = buckets.get(Fraction(num, d))
             if bucket is not None:
                 bucket.append(ChainState(3, (-a, -b, -c), lam))
-        assert list(_seed_map(lambda_max).items()) == list(buckets.items()), lambda_max
+        seeds = _seed_map(lambda_max)
+        assert list(seeds) == list(buckets), lambda_max
+        for r in radii:
+            assert sorted(seeds[r]) == sorted(buckets[r]), (lambda_max, r)
+
+
+def test_half_sweep_and_its_mirrors_are_the_full_sweep():
+    """_windows plus the mirror of each window that is not its own mirror is
+    the oracle's full stream, as a multiset, for both sweeps and small caps;
+    every radius's seeds are closed under the mirror, as a multiset."""
+    root = oracle.long_pairing_bound(Fraction(0))
+    for lambda_max in range(1, 9):
+        for cap in (None, 0, 1, 2, 3, RADIUS_B_MAX):
+            b_max = root if cap is None else lambda *q, cap=cap: min(root(*q), cap)
+            expanded = sorted(oracle.mirror_expanded(_windows(lambda_max, cap)))
+            assert expanded == sorted(oracle.windows(lambda_max, b_max)), (lambda_max, cap)
+        for r, seeds in _seed_map(lambda_max).items():
+            assert sorted(seeds) == sorted(map(oracle.mirror_seed, seeds)), (lambda_max, r)
