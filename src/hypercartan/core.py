@@ -12,7 +12,10 @@ polygon's rank and Weyl vector from its first nondegenerate side triple.
 With D that triple's det and A its adjugate, the Gram has rank 3 exactly
 when its Schur complement vanishes, D g_mp = (A u_m) . u_p for the
 triple's columns u_m; then rho exists exactly when the triple's solution
-fits every side, and (rho, rho) = lam_T . A lam_T / D.  Only data with no
+fits every side, and (rho, rho) = lam_T . A lam_T / D.  A side m of the
+triple has u_m a column of the triple's Gram, so A u_m = D e_m and its
+Schur row and Weyl equation hold identically: only the pairs and sides
+outside the triple are tested.  Only data with no
 nondegenerate triple or a failed Schur test (rank above 3) reach a
 fraction-free elimination, for the exact rank and Weyl vector.  Its last
 pivot D is a minor of full rank, so by Cramer's rule D times the
@@ -352,24 +355,32 @@ def _window_weyl(
     those of g, so rho exists exactly when u_m . A lam_T = D lam_m for every
     side m, and (rho, rho) = lam_T . A lam_T / D.  Every solution gives that
     square, since a kernel vector of g pairs to 0 with lam.
+
+    For a side m of the window, u_m is a column of the window's Gram, so
+    A u_m = D e_m: its Schur row (A u_m) . u_p = D g_mp and its Weyl
+    equation u_m . A lam_T = (A u_m) . lam_T = D lam_m hold identically
+    (A is symmetric, so a pair with p in the window holds too).  Only the
+    pairs and the sides outside {i, j, k} are tested.
     """
     i, j, k, det = window
     gi, gj, gk = g[i], g[j], g[k]
     a11, a12, a13, a22, a23, a33 = _window_adjugate(-gi[j], -gi[k], -gj[k])
-    cols = tuple(zip(gi, gj, gk))
-    for m, (u1, u2, u3) in enumerate(cols):
+    off = [m for m in range(len(g)) if m != i and m != j and m != k]
+    cols = [(gi[m], gj[m], gk[m]) for m in off]
+    for s, (u1, u2, u3) in enumerate(cols):
         c1 = a11 * u1 + a12 * u2 + a13 * u3
         c2 = a12 * u1 + a22 * u2 + a23 * u3
         c3 = a13 * u1 + a23 * u2 + a33 * u3
-        for v, (x, y, z) in zip(g[m][m:], cols[m:]):  # symmetric: p >= m
-            if det * v != c1 * x + c2 * y + c3 * z:
+        gm = g[off[s]]
+        for p, (x, y, z) in zip(off[s:], cols[s:]):  # symmetric: p >= m
+            if det * gm[p] != c1 * x + c2 * y + c3 * z:
                 return None
     li, lj, lk = lam[i], lam[j], lam[k]
     w1 = a11 * li + a12 * lj + a13 * lk
     w2 = a12 * li + a22 * lj + a23 * lk
     w3 = a13 * li + a23 * lj + a33 * lk
-    for l, (x, y, z) in zip(lam, cols):
-        if det * l != w1 * x + w2 * y + w3 * z:
+    for m, (x, y, z) in zip(off, cols):
+        if det * lam[m] != w1 * x + w2 * y + w3 * z:
             return 3, None
     return 3, Fraction(li * w1 + lj * w2 + lk * w3, det)
 

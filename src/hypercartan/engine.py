@@ -37,6 +37,12 @@ A chain is a packed tuple of its pairings, row-major over the strict
 upper triangle.  The join keys of two overlapping chains are slices of
 it, the glued chain is a concatenation, and gluing reads its pairings at
 fixed offsets: no pairing is looked up by (i, j) in the chain loop.
+The offsets depend on the length alone, so a gluing round takes one key
+layout for its length and slices every chain's keys inline.  A chain is
+glued to its whole head bucket at once: its Weyl row (the seed window's
+adjugate times its lambdas, the det, lambda_1 and its packed row 1) is
+computed once per chain and bucket, and each pair costs one exact
+division and the divisibility test.
 
 Closed polygons are deduplicated by ``core.canonical_key``, re-verified
 and decorated; the final catalog depends only on (lambda_max, mode).
@@ -196,10 +202,11 @@ def _windows(
     second differences 2 n2 s^2 and -4 s^2, so each window costs a few
     additions.
     """
+    partners = [_partners(lambda_max, a) for a in range(ADJACENT_MAX + 1)]
     for a in range(ADJACENT_MAX + 1):
-        across_a = _partners(lambda_max, a)
+        across_a = partners[a]
         for c in range(a, ADJACENT_MAX + 1):
-            across_c = _partners(lambda_max, c)
+            across_c = partners[c]
             # det(b) = 8 - 2(a^2 + b^2 + c^2) - 2abc
             d1 = -2 * a * c
             d0 = 8 - 2 * (a * a + c * c)
@@ -279,7 +286,8 @@ def _seeds(
         (r.numerator, r.denominator): [] for r in radii
     }
     for a, b, c, lam, mirror, num, d in _windows(lambda_max):
-        bucket = by_key.get(_square_key(num, d))
+        g = gcd(num, d)  # the key of ``_square_key``, inline: one call less per window
+        bucket = by_key.get((-num // g, -d // g))
         if bucket is not None:
             bucket.append(ChainState(3, (-a, -b, -c), lam))
             if mirror is not None:
@@ -319,41 +327,27 @@ def partition_closed(
     return closed, extendable
 
 
-# Join keys.  Packed rows 1, 2, 3 take offsets 0..m-2, m-1..2m-4 and
-# 2m-3..3m-7.  The tail key is x's rows 2 and 3, the head key y's rows 1
-# and 2 without their pairs with side m, each with the overlap's lambdas;
-# ``_glue`` shows why these rows suffice.
+def _join_layout(m: int) -> tuple[int, int, int, int]:
+    """Join-key offsets (head_end, row2, head2_end, tail_end) of a length-m chain.
+
+    Packed rows 1, 2, 3 take offsets 0..m-2, m-1..2m-4 and 2m-3..3m-7.
+    The head key of y is p[:head_end] + p[row2:head2_end] + lam[:-1], its
+    rows 1 and 2 without their pairs with side m; the tail key of x is
+    p[row2:tail_end] + lam[1:], its rows 2 and 3.  Each holds the
+    overlap's lambdas; ``_glue`` shows why these rows suffice.  head_end
+    is also the offset of the closing pair (1, m).
+    """
+    return m - 2, m - 1, 2 * m - 4, 3 * m - 6
 
 
-def _head_key(ch: ChainState) -> tuple:
-    p, m = ch.pairings, ch.length
-    return p[: m - 2] + p[m - 1 : 2 * m - 4] + ch.lam[:-1]
-
-
-def _tail_key(ch: ChainState) -> tuple:
-    p, m = ch.pairings, ch.length
-    return p[m - 1 : 3 * m - 6] + ch.lam[1:]
-
-
-def _divisible_both(l1: int, ln: int, g: int) -> bool:
-    return (ln * g) % l1 == 0 and (l1 * g) % ln == 0
-
-
-def _extended_chain(x: ChainState, y: ChainState, g1n: int) -> ChainState:
-    """x's side 1 followed by y's sides: row 1 is x's row 1 plus g1n."""
-    return ChainState(
-        x.length + 1,
-        x.pairings[: x.length - 1] + (g1n,) + y.pairings,
-        x.lam[:1] + y.lam,
-    )
-
-
-def _glue(x: ChainState, y: ChainState) -> list[ChainState]:
-    """Extensions of chain x by the last side of an overlapping chain y.
+def _glue(x: ChainState, ys: list[ChainState]) -> list[ChainState]:
+    """Extensions of chain x by the last side of each overlapping chain y in ys.
 
     The join keys are assumed equal.  Only (delta_1, delta_n), n = m + 1,
     is unknown; it must come out a non-positive integer satisfying
-    divisibility against both lambdas.
+    divisibility against both lambdas.  The extension is x's side 1
+    followed by y's sides: its row 1 is x's row 1 plus (delta_1, delta_n).
+    Extensions come out in the order of ys.
 
     Both chains are realized at one Weyl square r (a seed window is, and so
     is each glued chain, by what follows).  delta_2, delta_3 and rho are
@@ -371,18 +365,26 @@ def _glue(x: ChainState, y: ChainState) -> list[ChainState]:
     of A1 = (4 - c^2) l1 + (2a + bc) l2 + (ac + 2b) l3 is >= 0 (c <= 2), and
     all vanish only at a = b = 0, c = 2, where det = 0: A1 > 0, the geometric
     (delta_1, delta_n) is the unique solution, and the glued Gram has rank 3.
+    That row (A, det, lambda_1 and x's row 1) depends on x alone, so it is
+    computed once for all of ys.
     """
     m = x.length
-    xp, yp = x.pairings, y.pairings
+    xp = x.pairings
     # x: (1,2), (1,3), (2,3) at offsets 0, 1, m-1; y: (1,m), (2,m) at m-2, 2m-4
     a, b, c = -xp[0], -xp[1], -xp[m - 1]
     a1, a2, a3 = _adj_mul(a, b, c, x.lam[:3])
-    g1n, rem = divmod(
-        y.lam[-1] * _window_det(a, b, c) - a2 * yp[m - 2] - a3 * yp[2 * m - 4], a1
-    )
-    if rem or g1n > 0 or not _divisible_both(x.lam[0], y.lam[-1], g1n):
-        return []
-    return [_extended_chain(x, y, g1n)]
+    det = _window_det(a, b, c)
+    l1 = x.lam[0]
+    head, lam1 = xp[: m - 1], x.lam[:1]
+    i2n, i3n = m - 2, 2 * m - 4
+    out: list[ChainState] = []
+    for y in ys:
+        yp, ln = y.pairings, y.lam[-1]
+        g1n, rem = divmod(ln * det - a2 * yp[i2n] - a3 * yp[i3n], a1)
+        if rem or g1n > 0 or (ln * g1n) % l1 or (l1 * g1n) % ln:
+            continue
+        out.append(ChainState(m + 1, head + (g1n,) + yp, lam1 + y.lam))
+    return out
 
 
 def extend_step(extendable: list[ChainState]) -> list[ChainState]:
@@ -391,22 +393,30 @@ def extend_step(extendable: list[ChainState]) -> list[ChainState]:
     Matches ordered pairs (X, Y) whose overlap agrees (X's sides 2..m
     carry the same pairings and lambdas as Y's sides 1..m-1) via a hash
     join on the key rows, then computes the unknown closing-side pairing
-    for each pair.
+    for each pair, one head bucket of Y per X.
     """
-    if extendable:
-        m = extendable[0].length
-        for ch in extendable:
-            if ch.length != m:
-                raise EngineError("extend_step needs chains of equal length")
-            if ch.closing_pair >= -2:
-                raise EngineError("extend_step received a closed chain")
+    if not extendable:
+        return []
+    m = extendable[0].length
+    head_end, row2, head2_end, tail_end = _join_layout(m)
     by_head: dict[tuple, list[ChainState]] = {}
     for ch in extendable:
-        by_head.setdefault(_head_key(ch), []).append(ch)
+        if ch.length != m:
+            raise EngineError("extend_step needs chains of equal length")
+        p = ch.pairings
+        if p[head_end] >= -2:  # the closing pair (1, m)
+            raise EngineError("extend_step received a closed chain")
+        key = p[:head_end] + p[row2:head2_end] + ch.lam[:-1]
+        bucket = by_head.get(key)
+        if bucket is None:
+            by_head[key] = [ch]
+        else:
+            bucket.append(ch)
     out: list[ChainState] = []
     for x in extendable:
-        for y in by_head.get(_tail_key(x), ()):
-            out.extend(_glue(x, y))
+        ys = by_head.get(x.pairings[row2:tail_end] + x.lam[1:])
+        if ys:
+            out.extend(_glue(x, ys))
     return out
 
 

@@ -19,6 +19,9 @@ fixture's report the old way (a ``pack_index`` per table entry,
 ``assemble_gram`` and two eliminations, a determinant per side triple,
 ``apply_move`` images and stabilizers, a rational ``det`` and ``solve``
 per fixture), so the tests can compare the fast paths against them.
+``all_pairs_window_weyl`` is ``core._window_weyl`` as it was before it
+left out the window's own sides: the Schur test on every pair of sides
+and the Weyl equation on every side.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from hypercartan.core import (
     PolygonDatum,
     RealizationReport,
     TableDecodeError,
+    _window_adjugate,
     dihedral_relabellers,
     pack_index,
     pair_count,
@@ -290,6 +294,29 @@ def det_int_rows(rows) -> int:
     if any(len(r) != len(a) for r in a):
         raise ShapeError("determinant of a non-square matrix")
     return _bareiss_det(a)
+
+
+def all_pairs_window_weyl(g, lam, window):
+    """``core._window_weyl`` testing every pair m <= p and every side m."""
+    i, j, k, det = window
+    gi, gj, gk = g[i], g[j], g[k]
+    a11, a12, a13, a22, a23, a33 = _window_adjugate(-gi[j], -gi[k], -gj[k])
+    cols = tuple(zip(gi, gj, gk))
+    for m, (u1, u2, u3) in enumerate(cols):
+        c1 = a11 * u1 + a12 * u2 + a13 * u3
+        c2 = a12 * u1 + a22 * u2 + a23 * u3
+        c3 = a13 * u1 + a23 * u2 + a33 * u3
+        for v, (x, y, z) in zip(g[m][m:], cols[m:]):
+            if det * v != c1 * x + c2 * y + c3 * z:
+                return None
+    li, lj, lk = lam[i], lam[j], lam[k]
+    w1 = a11 * li + a12 * lj + a13 * lk
+    w2 = a12 * li + a22 * lj + a23 * lk
+    w3 = a13 * li + a23 * lj + a33 * lk
+    for l, (x, y, z) in zip(lam, cols):
+        if det * l != w1 * x + w2 * y + w3 * z:
+            return 3, None
+    return 3, Fraction(li * w1 + lj * w2 + lk * w3, det)
 
 
 def _reference_lorentzian(d) -> CheckResult:

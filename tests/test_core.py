@@ -4,7 +4,7 @@ from itertools import product
 from operator import mul
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from engine_oracle import pair
@@ -33,6 +33,7 @@ from reader_oracle import (
     DihedralMove,
     NotHyperbolicError,
     all_moves,
+    all_pairs_window_weyl,
     apply_move,
     assemble_gram,
     divisibility_ok,
@@ -613,6 +614,66 @@ def test_window_path_matches_elimination_on_lattice_data(system):
 @given(random_polygon())
 def test_window_path_matches_elimination_on_random_data(d):
     _assert_window_matches_elimination(d.gram, d.lam)
+
+
+@st.composite
+def symmetric_gram(draw):
+    """A symmetric integer matrix with diagonal 2 and lambdas, of any rank.
+
+    Sides are drawn as norm-2 vectors of Z^3 with a random window Gram,
+    as in ``lattice_gram``, or as free entries; repeated sides often make
+    the first triples degenerate, and one entry pair is often moved.
+    """
+    entry = st.integers(min_value=-4, max_value=4)
+    if draw(st.booleans()):
+        g, lam = draw(lattice_gram())
+        g = [list(row) for row in g]
+    else:
+        n = draw(st.integers(min_value=3, max_value=8))
+        g = [[2] * n for _ in range(n)]
+        for m in range(n):
+            for p in range(m + 1, n):
+                g[m][p] = g[p][m] = draw(entry)
+        lam = [draw(entry) for _ in range(n)]
+    if draw(st.booleans()):
+        # repeat a side in front: the triples through both copies are degenerate
+        m = draw(st.integers(min_value=0, max_value=len(g) - 1))
+        g = [[g[m][m]] + g[m]] + [[row[m]] + row for row in g]
+        lam = [lam[m]] + lam
+    return g, lam
+
+
+# (g, lam): the window (1,3,4) behind a repeated side; a positive det; Gram
+# rank 4 and 5; rank 3 with no rho
+SCHUR_CASES = [
+    ([[2, 2, 0, 0], [2, 2, 0, 0], [0, 0, 2, -3], [0, 0, -3, 2]], [1, 1, 1, 1]),
+    (POSITIVE_GRAM, [1, 1, 1, -1]),
+    (PolygonDatum(4, (0,) * 6, (1,) * 4).gram, [1, 1, 1, 1]),
+    (PolygonDatum(5, (-1, -3, -5, 0, -2, -4, -7, -1, -6, -2), (1,) * 5).gram, [1] * 5),
+    (PolygonDatum(4, (0, -3, -1, -1, -3, 0), (1, 3, 3, 2)).gram, [1, 3, 3, 2]),
+]
+
+
+def test_schur_cases_cover_the_window_shapes():
+    windows = [_first_window(g) for g, _ in SCHUR_CASES]
+    assert windows[0][:3] == (0, 2, 3) and windows[1][3] > 0
+    ranks = [_weyl_numerators(g, lam)[0] for g, lam in SCHUR_CASES]
+    assert ranks[2:4] == [4, 5]
+    assert ranks[4] == 3 and _window_weyl(*SCHUR_CASES[4], windows[4]) == (3, None)
+
+
+@given(symmetric_gram())
+@example(SCHUR_CASES[0])
+@example(SCHUR_CASES[1])
+@example(SCHUR_CASES[2])
+@example(SCHUR_CASES[3])
+@example(SCHUR_CASES[4])
+def test_window_weyl_skips_only_identities(system):
+    """The Schur test on off-window sides decides as the all-pairs test does."""
+    g, lam = system
+    window = _first_window(g)
+    if window is not None:
+        assert _window_weyl(g, lam, window) == all_pairs_window_weyl(g, lam, window)
 
 
 def test_valid_data_never_reach_the_elimination(monkeypatch):

@@ -14,13 +14,10 @@ from hypercartan.engine import (
     ChainState,
     _chain_windows,
     _detect_period,
-    _divisible_both,
-    _extended_chain,
     _glue,
-    _head_key,
+    _join_layout,
     _min_rotation,
     _seed_map,
-    _tail_key,
     _windows,
     collect_radii,
     extend_step,
@@ -483,7 +480,7 @@ def _fraction_glue(x, y):
             if cand.denominator != 1:
                 continue
             g14 = int(cand)
-            if g14 > 0 or not _divisible_both(l1, ln, g14):
+            if g14 > 0 or not oracle.long_divisible(g14, l1, ln):
                 continue
             if _det4(pair(x, 1, 2), pair(x, 1, 3), g14, pair(x, 2, 3), g24, g34) != 0:
                 continue
@@ -505,23 +502,24 @@ def _fraction_glue(x, y):
     if g1n_exact.denominator != 1:
         return []
     g1n = int(g1n_exact)
-    if g1n > 0 or not _divisible_both(l1, ln, g1n):
+    if g1n > 0 or not oracle.long_divisible(g1n, l1, ln):
         return []
     return [oracle.extended_chain(x, y, g1n)]
 
 
-def _overlapping_pairs(lambda_max):
-    """Every ordered pair of overlapping open chains the search meets."""
+def _head_buckets(lambda_max):
+    """Every chain x the search extends, with its non-empty head bucket ys."""
     for seeds in _seed_map(lambda_max).values():
         chains = seeds
         while chains:
             _, ext = partition_closed(chains)
             by_head = {}
             for ch in ext:
-                by_head.setdefault(_head_key(ch), []).append(ch)
+                by_head.setdefault(_head(ch), []).append(ch)
             for x in ext:
-                for y in by_head.get(_tail_key(x), ()):
-                    yield x, y
+                ys = by_head.get(_tail(x))
+                if ys:
+                    yield x, ys
             if not ext or ext[0].length >= DEFAULT_MAX_SIDES:
                 break
             chains = extend_step(ext)
@@ -529,13 +527,21 @@ def _overlapping_pairs(lambda_max):
 
 def test_glue_matches_fraction_oracle():
     outcomes = set()
-    for x, y in _overlapping_pairs(3):
-        fast = _glue(x, y)
-        assert fast == _fraction_glue(x, y), (x, y)
-        outcomes.add((x.length == 3, bool(fast)))
+    shared = 0
+    for x, ys in _head_buckets(3):
+        per_y = []
+        for y in ys:
+            fast = _glue(x, [y])
+            assert fast == _fraction_glue(x, y), (x, y)
+            outcomes.add((x.length == 3, bool(fast)))
+            per_y.extend(fast)
+        # one Weyl row of x serves its whole bucket, in the bucket's order
+        assert _glue(x, ys) == per_y, x
+        shared += len(ys) >= 2 and len(per_y) >= 2
     # both branches of the oracle (length 3, and the composition across
     # y's first window beyond), each seen accepting and rejecting
     assert len(outcomes) == 4
+    assert shared
 
 
 def test_glue_candidates_have_rank_3():
@@ -553,7 +559,7 @@ def test_glue_candidates_have_rank_3():
         _, ext = partition_closed(list(oracle.reached_chains(seeds, parabolic)))
         if parabolic:
             ext = [ch for ch in ext if _detect_period(ch) is None]
-        for x, y in _joined(ext, _head_key, _tail_key):
+        for x, y in _joined(ext, _head, _tail):
             m = x.length
             rho = _first_window_weyl(x).coords
             g2n, g3n = pair(y, 1, m), pair(y, 2, m)
@@ -620,12 +626,35 @@ def _joined(chains, head_key, tail_key):
     return [(x, y) for x in chains for y in by_head.get(tail_key(x), ())]
 
 
-def test_packed_keys_and_extension_match_pair_oracle():
-    """Row keys, concatenated extensions and offset reads agree with pair().
+def _head(ch):
+    """y's head key, sliced at ``_join_layout`` as ``extend_step`` slices it."""
+    head_end, row2, head2_end, _ = _join_layout(ch.length)
+    return ch.pairings[:head_end] + ch.pairings[row2:head2_end] + ch.lam[:-1]
+
+
+def _tail(ch):
+    """x's tail key, sliced at ``_join_layout`` as ``extend_step`` slices it."""
+    _, row2, _, tail_end = _join_layout(ch.length)
+    return ch.pairings[row2:tail_end] + ch.lam[1:]
+
+
+def test_packed_keys_and_extension_match_pair_oracle(monkeypatch):
+    """The join layout, extend_step's head buckets and extensions agree with pair().
 
     Joining on the key rows pairs exactly the chains whose whole overlap
-    agrees, entry by entry through pair().
+    agrees, entry by entry through pair().  extend_step hands ``_glue``
+    each x with its non-empty head bucket, so the (x, y) pairs it glues
+    are the oracle's join in order, and its output is the per-pair
+    extensions concatenated in that order.
     """
+    calls = []
+    glue = engine._glue
+
+    def recorded(x, ys):
+        calls.append((x, ys))
+        return glue(x, ys)
+
+    monkeypatch.setattr(engine, "_glue", recorded)
     runs = [(seeds, False) for seeds in _seed_map(3).values()]
     runs.append((seed_triples(0, 3), True))
     lengths = set()
@@ -635,14 +664,28 @@ def test_packed_keys_and_extension_match_pair_oracle():
         for ch in chains:
             lengths.add(ch.length)
             assert ch.closing_pair == pair(ch, 1, ch.length), ch
+            assert ch.pairings[_join_layout(ch.length)[0]] == ch.closing_pair, ch
             assert _chain_windows(ch) == oracle.chain_windows(ch), ch
-        pairs = _joined(chains, oracle.head_key, oracle.tail_key)
-        assert _joined(chains, _head_key, _tail_key) == pairs
-        for x, y in pairs:
-            for g1n in (0, -1, -7):
-                assert _extended_chain(x, y, g1n) == oracle.extended_chain(x, y, g1n)
-        joined += len(pairs)
-    assert {3, 4, 5, 6} <= lengths and joined
+        assert _joined(chains, _head, _tail) == _joined(
+            chains, oracle.head_key, oracle.tail_key
+        )
+        for m in sorted({ch.length for ch in chains}):
+            _, ext = partition_closed([ch for ch in chains if ch.length == m])
+            if parabolic:
+                ext = [ch for ch in ext if _detect_period(ch) is None]
+            pairs = _joined(ext, oracle.head_key, oracle.tail_key)
+            calls.clear()
+            glued = extend_step(ext)
+            assert all(ys for _, ys in calls)
+            assert [(x, y) for x, ys in calls for y in ys] == pairs
+            per_pair = []
+            for x, y in pairs:
+                for ch in glue(x, [y]):
+                    assert ch == oracle.extended_chain(x, y, ch.pairings[m - 1]), (x, y)
+                    per_pair.append(ch)
+            assert glued == per_pair
+            joined += len(pairs)
+    assert lengths == set(range(3, 13)) and joined
 
 
 def test_windows_match_unstrided_oracle():
