@@ -3,25 +3,27 @@
 The search runs on Python integers and works radius by radius.  A
 3-window of consecutive sides has pairings -a, -b, -c and lambdas
 (l1, l2, l3); its Weyl square is r = num / det, where det < 0 is the
-window's Gram determinant and num = lam^T adj(g) lam.  The search first
-collects every square r < 0 attained by a window whose long pairing b
-is within assumption (N) below, then seeds, for each radius, every
-window whose square is exactly r.  Both sweeps run one window scan.  It
+window's Gram determinant and num = lam^T adj(g) lam.  The search
+visits each window once: a narrow pass over the windows whose long
+pairing b is within assumption (N) below collects every square r < 0
+with its windows as seeds, and a wide pass over larger b adds the
+windows of those squares.  Both passes run one window scan.  It
 enumerates the admissible shapes (a, c, lam) directly, from a table of
 the lambdas allowed next to each lambda across an adjacent pairing.
 Read from its other end, a window (a, b, c, l1, l2, l3) is its mirror
 (c, b, a, l3, l2, l1); the stride, num and det below are symmetric under
 a <-> c, l1 <-> l3, so a window and its mirror have one square.  The
-scan therefore visits only the shapes with (a, l1) <= (c, l3): radius
-collection needs no mirror, and the seed sweep adds the mirror of each
-seed that is not its own.
+scan therefore visits only the shapes with (a, l1) <= (c, l3), and each
+seed brings its mirror when that is not itself.
 For one shape num and det are integer quadratics in b.  num is positive
 at b = 0 and has leading coefficient -l2^2 < 0, so r <= 0 holds exactly
 up to the floor of num's larger root: the scan stops there, and the
-seed sweep needs no other bound.  b steps over the multiples of
+wide pass needs no other bound.  b steps over the multiples of
 (l1/g)(l3/g), g = gcd(l1, l3), which are exactly the values that pass
 the twisting divisibility, and num and det follow it by constant second
-differences.  Radii are sorted by an exact integer key.
+differences.  The wide pass finds a window's radius by the float
+num / det, checked exactly; distinct radii have distinct floats, so
+sorting by them is exact.
 
 From the seeds the search repeatedly glues overlapping open chains.  Two
 chains of one radius join when the second and third sides of one and
@@ -52,7 +54,7 @@ Every result is a ``NamedTuple``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -166,18 +168,19 @@ def _partners(lambda_max: int, a: int) -> list[tuple[int, ...]]:
     ]
 
 
+Window = tuple[int, int, int, tuple[int, int, int], tuple[int, int, int] | None, int, int]
+
+
 def _windows(
-    lambda_max: int, b_cap: int | None = None
-) -> Iterator[
-    tuple[int, int, int, tuple[int, int, int], tuple[int, int, int] | None, int, int]
-]:
+    lambda_max: int, b_cap: int | None = None, b_min: int = 0
+) -> Iterator[Window]:
     """Admissible hyperbolic 3-windows (a, b, c, lam, mirror, num, det) of square r <= 0.
 
     Adjacent pairings run over [0, ADJACENT_MAX], lambdas over
     [1, lambda_max]^3 with the twisting divisibility for every ordered
-    pair, and the long pairing upward from 0 to the shape's bound, or to
-    ``b_cap`` if that is smaller.  The Weyl square of a window is
-    num / det, with det < 0.
+    pair, and the long pairing upward from ``b_min`` to the shape's
+    bound, or to ``b_cap`` if that is smaller.  The Weyl square of a
+    window is num / det, with det < 0.
 
     Only one window of each mirror pair is yielded: the shapes with
     (a, l1) <= (c, l3).  The mirror (c, b, a, l3, l2, l1) of a window has
@@ -197,10 +200,11 @@ def _windows(
     floor(x / E) = floor(floor(x) / E), so isqrt gives that floor
     exactly.  The long pairing steps over the multiples of
     s = (l1/g)(l3/g), g = gcd(l1, l3): l1 | l3 b and l3 | l1 b hold
-    exactly for those b, since l1/g and l3/g are coprime.  Along that
-    stride num and det are quadratics in the step count with constant
-    second differences 2 n2 s^2 and -4 s^2, so each window costs a few
-    additions.
+    exactly for those b, since l1/g and l3/g are coprime.  It starts at
+    the first multiple b0 >= b_min, where num, det and their first
+    differences come from the closed forms.  Along that stride num and
+    det are quadratics in the step count with constant second
+    differences 2 n2 s^2 and -4 s^2, so each window costs a few additions.
     """
     partners = [_partners(lambda_max, a) for a in range(ADJACENT_MAX + 1)]
     for a in range(ADJACENT_MAX + 1):
@@ -239,10 +243,14 @@ def _windows(
                         b_max = (n1 + isqrt(n1 * n1 - 4 * n2 * n0)) // (-2 * n2)
                         if b_cap is not None and b_max > b_cap:
                             b_max = b_cap
-                        ss = s * s
-                        num, dnum, ddnum = n0, n2 * ss + n1 * s, 2 * n2 * ss
-                        d, dd, ddd = d0, d1 * s - 2 * ss, -4 * ss
-                        for b in range(0, b_max + 1, s):
+                        if b_max < b_min:
+                            continue
+                        b0 = -(-b_min // s) * s
+                        t, ss = 2 * b0 + s, s * s  # f(b0 + s) - f(b0) = (f2 t + f1) s
+                        num, dnum = (n2 * b0 + n1) * b0 + n0, (n2 * t + n1) * s
+                        d, dd = (d1 - 2 * b0) * b0 + d0, (d1 - 2 * t) * s
+                        ddnum, ddd = 2 * n2 * ss, -4 * ss
+                        for b in range(b0, b_max + 1, s):
                             if d < 0:
                                 yield a, b, c, lam, mirror, num, d
                             num += dnum
@@ -251,48 +259,57 @@ def _windows(
                             dd += ddd
 
 
-def _square_key(num: int, d: int) -> tuple[int, int]:
-    """The Weyl square num/d (d < 0) in lowest terms, as (numerator, denominator)."""
-    g = gcd(num, d)
-    return -num // g, -d // g
-
-
-def collect_radii(lambda_max: int) -> tuple[Fraction, ...]:
-    """All Weyl squares r < 0 attainable by a bounded admissible 3-window.
+def collect_radii(lambda_max: int) -> dict[Fraction, list[ChainState]]:
+    """All Weyl squares r < 0 of a bounded admissible 3-window, each with those windows.
 
     The long pairing is scanned over [0, RADIUS_B_MAX], the one place
     assumption (N) enters; adjacent pairings over [0, 2]; lambdas over
     [1, lambda_max]^3 with the twisting divisibility for every ordered
-    pair.  Sorted ascending.
+    pair.  Each window, and its mirror, is a seed of its square.  Sorted
+    ascending by the float p / q, which is exact: distinct radii have
+    distinct floats (see ``_add_seeds``).
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    windows = _windows(lambda_max, RADIUS_B_MAX)
-    # r = num/det with det < 0, so r < 0 iff num > 0
-    squares = {_square_key(num, d) for _, _, _, _, _, num, d in windows if num > 0}
-    # p/q < p'/q' iff p (L/q) < p' (L/q') for a common multiple L of the
-    # denominators: an exact integer sort key.
-    common = lcm(*(q for _, q in squares))
-    return tuple(
-        Fraction(p, q) for p, q in sorted(squares, key=lambda pq: pq[0] * (common // pq[1]))
-    )
-
-
-def _seeds(
-    radii: tuple[Fraction, ...], lambda_max: int
-) -> dict[Fraction, list[ChainState]]:
-    """Windows whose Weyl square is one of ``radii`` (all <= 0), by square."""
-    by_key: dict[tuple[int, int], list[ChainState]] = {
-        (r.numerator, r.denominator): [] for r in radii
-    }
-    for a, b, c, lam, mirror, num, d in _windows(lambda_max):
-        g = gcd(num, d)  # the key of ``_square_key``, inline: one call less per window
-        bucket = by_key.get((-num // g, -d // g))
-        if bucket is not None:
+    by_key: dict[tuple[int, int], list[ChainState]] = {}
+    for a, b, c, lam, mirror, num, d in _windows(lambda_max, RADIUS_B_MAX):
+        if num > 0:  # r = num/det with det < 0, so r < 0 iff num > 0
+            g = gcd(num, d)
+            bucket = by_key.setdefault((-num // g, -d // g), [])
             bucket.append(ChainState(3, (-a, -b, -c), lam))
             if mirror is not None:
                 bucket.append(ChainState(3, (-c, -b, -a), mirror))
-    return {r: by_key[r.numerator, r.denominator] for r in radii}
+    ascending = sorted(by_key, key=lambda pq: pq[0] / pq[1])
+    return {Fraction(p, q): by_key[p, q] for p, q in ascending}
+
+
+def _add_seeds(
+    seeds: dict[Fraction, list[ChainState]], windows: Iterator[Window]
+) -> dict[Fraction, list[ChainState]]:
+    """Add each of ``windows`` whose square is a key of ``seeds``, and its mirror, to seeds.
+
+    A window is looked up by the float num / d and accepted only if its
+    square is exactly the key's, p d == num q.  int / int is correctly
+    rounded, so equal squares give equal floats and no seed is missed.
+    Two distinct keys sharing a float raise EngineError; radii never do:
+    their denominators divide some |det| <= 512 (b <= 14), so two of them
+    differ by at least 1/512^2, far above a float step at their size.
+    """
+    by_float: dict[float, tuple[int, int, list[ChainState]]] = {}
+    for r, bucket in seeds.items():
+        p, q = r.numerator, r.denominator
+        first = by_float.setdefault(p / q, (p, q, bucket))
+        if first[2] is not bucket:
+            raise EngineError(f"squares {first[0]}/{first[1]} and {r} share a float")
+    for a, b, c, lam, mirror, num, d in windows:
+        hit = by_float.get(num / d)
+        if hit is not None:
+            p, q, bucket = hit
+            if p * d == num * q:
+                bucket.append(ChainState(3, (-a, -b, -c), lam))
+                if mirror is not None:
+                    bucket.append(ChainState(3, (-c, -b, -a), mirror))
+    return seeds
 
 
 def seed_triples(r: Fraction | int, lambda_max: int) -> list[ChainState]:
@@ -300,12 +317,14 @@ def seed_triples(r: Fraction | int, lambda_max: int) -> list[ChainState]:
     target = Fraction(r)
     if target > 0:
         raise ValueError("the Weyl square of a seed window is never positive")
-    return _seeds((target,), lambda_max)[target]
+    return _add_seeds({target: []}, _windows(lambda_max))[target]
 
 
 def _seed_map(lambda_max: int) -> dict[Fraction, list[ChainState]]:
-    """Seeds for every radius of collect_radii(lambda_max), in one sweep."""
-    return _seeds(collect_radii(lambda_max), lambda_max)
+    """Seeds for every radius of collect_radii(lambda_max), each window visited once:
+    collect_radii seeds the windows with b <= RADIUS_B_MAX, this the wider ones."""
+    wide = _windows(lambda_max, b_min=RADIUS_B_MAX + 1)
+    return _add_seeds(collect_radii(lambda_max), wide)
 
 
 def partition_closed(
@@ -502,7 +521,7 @@ def _run_radius(
     r: Fraction, seeds: list[ChainState], max_sides: int
 ) -> tuple[list[CatalogRecord], bool]:
     closed, capped = _grow(seeds, max_sides)
-    return _dedup_records(r, closed), bool(capped)
+    return (_dedup_records(r, closed) if closed else []), bool(capped)
 
 
 def run_elliptic(

@@ -11,7 +11,9 @@ from a callback; it yields both windows of each mirror pair, and
 ``half`` and ``mirror_expanded`` relate its stream to the engine's.
 ``long_pairing_bound(r_max)`` bounds b for squares at
 most r_max, as the seed sweep did before it stopped at num's larger root
-(the same bound at r_max = 0).  The tests compare the fast paths against
+(the same bound at r_max = 0).  ``bucketed_seeds`` files windows under
+their squares by an exact gcd-reduced key, as the seed sweep did before
+it looked windows up by float.  The tests compare the fast paths against
 them.  ``radius_slice_mismatches`` compares a full
 run against the same search run one radius at a time.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable
 
 from hypercartan.core import _window_adjugate, _window_det, pack_index
@@ -151,6 +153,17 @@ def mirror_expanded(half_windows):
 def mirror_seed(ch: ChainState) -> ChainState:
     """A seed window read from its other end."""
     return ChainState(3, ch.pairings[::-1], ch.lam[::-1])
+
+
+def bucketed_seeds(radii, windows) -> dict:
+    """The windows (a, b, c, lam, num, det) of square r, as seeds, for each r in radii."""
+    buckets = {(r.numerator, r.denominator): [] for r in radii}
+    for a, b, c, lam, num, d in windows:
+        g = gcd(num, d)
+        bucket = buckets.get((-num // g, -d // g))
+        if bucket is not None:
+            bucket.append(ChainState(3, (-a, -b, -c), lam))
+    return {r: buckets[r.numerator, r.denominator] for r in radii}
 
 
 def reached_chains(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):

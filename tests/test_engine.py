@@ -6,12 +6,14 @@ from math import isqrt
 import pytest
 
 from hypercartan import engine
-from hypercartan.cli import _record_json
+from hypercartan.cli import LAMBDA_MAX_CEILING, _record_json
 from hypercartan.core import _adj_mul, _window_det, verify_realization
 from hypercartan.engine import (
     DEFAULT_MAX_SIDES,
     RADIUS_B_MAX,
     ChainState,
+    EngineError,
+    _add_seeds,
     _chain_windows,
     _detect_period,
     _glue,
@@ -262,21 +264,25 @@ def test_run_elliptic_does_not_depend_on_seed_order(monkeypatch, lambda_max, max
     cap events: the window sweep may emit seeds in any order."""
     expected = run_elliptic(lambda_max, max_sides)
     assert bool(expected.cap_events) == (max_sides < DEFAULT_MAX_SIDES)
-    seeds = engine._seeds
+    seed_map = engine._seed_map
+    ran = []
 
-    def reversed_seeds(radii, lm):
-        return {r: found[::-1] for r, found in seeds(radii, lm).items()}
+    def reversed_seeds(lm):
+        ran.append("reversed")
+        return {r: found[::-1] for r, found in seed_map(lm).items()}
 
-    def shuffled_seeds(radii, lm):
+    def shuffled_seeds(lm):
+        ran.append("shuffled")
         rng = random.Random(lambda_max)
-        found = seeds(radii, lm)
+        found = seed_map(lm)
         for bucket in found.values():
             rng.shuffle(bucket)
         return found
 
     for reorder in (reversed_seeds, shuffled_seeds):
-        monkeypatch.setattr(engine, "_seeds", reorder)
+        monkeypatch.setattr(engine, "_seed_map", reorder)
         assert run_elliptic(lambda_max, max_sides) == expected
+    assert ran == ["reversed", "shuffled"]
 
 
 def test_run_parabolic_properties():
@@ -730,17 +736,82 @@ def test_capped_windows_are_the_uncapped_stream_cut_at_the_cap():
 
 
 def test_radii_integer_order_matches_fraction_sort():
-    """collect_radii is the sorted set of negative squares of the oracle's windows.
+    """collect_radii is the sorted set of negative squares of the oracle's windows,
+    each with exactly the oracle's windows of that square as its seeds.
 
-    The oracle scans every long pairing up to RADIUS_B_MAX, with no root bound.
+    The oracle scans every long pairing up to RADIUS_B_MAX, with no root
+    bound, and yields both windows of each mirror pair; the seeds are
+    compared as multisets.
     """
     for lambda_max in range(1, 9):
-        squares = {
-            Fraction(num, d)
-            for *_, num, d in oracle.windows(lambda_max, lambda *_: RADIUS_B_MAX)
-            if num > 0
-        }
-        assert collect_radii(lambda_max) == tuple(sorted(squares)), lambda_max
+        narrow = [
+            w for w in oracle.windows(lambda_max, lambda *_: RADIUS_B_MAX) if w[4] > 0
+        ]
+        squares = sorted({Fraction(num, d) for *_, num, d in narrow})
+        radii = collect_radii(lambda_max)
+        assert tuple(radii) == tuple(squares), lambda_max
+        expected = oracle.bucketed_seeds(squares, narrow)
+        for r in squares:
+            assert sorted(radii[r]) == sorted(expected[r]), (lambda_max, r)
+
+
+def test_split_sweep_is_the_full_sweep():
+    """_windows(lam, cap) and _windows(lam, b_min=cap + 1) split _windows(lam)
+    at the cap, each half in sweep order; so does a lower bound alone.
+
+    A lower bound such as 15 is a multiple of few strides, so most shapes
+    start at the first multiple above it, from the closed forms there.
+    """
+    for lambda_max in range(1, 9):
+        full = list(_windows(lambda_max))
+        for cap in (0, 1, 2, 3, RADIUS_B_MAX):
+            assert list(_windows(lambda_max, cap)) == [w for w in full if w[1] <= cap]
+            wide = list(_windows(lambda_max, b_min=cap + 1))
+            assert wide == [w for w in full if w[1] > cap], (lambda_max, cap)
+        for b_min in (5, 7, 16, 33):
+            wide = list(_windows(lambda_max, b_min=b_min))
+            assert wide == [w for w in full if w[1] >= b_min], (lambda_max, b_min)
+
+
+def test_window_float_is_the_float_of_its_reduced_square():
+    """num / d, a correctly rounded int / int, is p / q for num / d = p / q in lowest terms."""
+    for lambda_max in range(1, 13):
+        for *_, num, d in _windows(lambda_max):
+            r = Fraction(num, d)
+            assert num / d == r.numerator / r.denominator, (num, d)
+
+
+def test_add_seeds_matches_exact_bucketing():
+    """_add_seeds files the windows under the same squares as gcd-reduced keys
+    do, r = 0 included, compared as multisets."""
+    for lambda_max in range(1, 9):
+        radii = [*collect_radii(lambda_max), Fraction(0)]
+        windows = list(_windows(lambda_max))
+        fast = _add_seeds({r: [] for r in radii}, iter(windows))
+        expected = oracle.bucketed_seeds(radii, oracle.mirror_expanded(windows))
+        assert list(fast) == radii
+        for r in radii:
+            assert sorted(fast[r]) == sorted(expected[r]), (lambda_max, r)
+        assert fast[Fraction(0)] and all(fast.values())
+
+
+def test_add_seeds_checks_float_hits_exactly():
+    """Two keys sharing a float raise; a window whose float matches a key
+    but whose square differs from it is not a seed of that key."""
+    near_third = Fraction(*(-1 / 3).as_integer_ratio())
+    assert near_third != Fraction(-1, 3) and float(near_third) == -1 / 3
+    with pytest.raises(EngineError, match="share a float"):
+        _add_seeds({Fraction(-1, 3): [], near_third: []}, iter(()))
+    third = (0, 0, 0, (1, 1, 1), None, 1, -3)  # num / det = -1/3
+    assert _add_seeds({near_third: []}, iter([third])) == {near_third: []}
+    assert _add_seeds({Fraction(-1, 3): []}, iter([third]))[Fraction(-1, 3)]
+
+
+def test_radii_at_the_lambda_ceiling_have_distinct_floats_in_order():
+    radii = list(collect_radii(LAMBDA_MAX_CEILING))
+    floats = [r.numerator / r.denominator for r in radii]
+    assert radii == sorted(radii)
+    assert all(x < y for x, y in zip(floats, floats[1:]))
 
 
 def test_windows_are_exactly_the_non_positive_squares():
