@@ -106,10 +106,6 @@ class ChainState(NamedTuple):
     pairings: tuple[int, ...]
     lam: tuple[int, ...]
 
-    @property
-    def closing_pair(self) -> int:
-        return self.pairings[self.length - 2]  # (1, length) ends row 1
-
 
 class CatalogRecord(NamedTuple):
     """One classified solution, canonical under dihedral relabelling."""
@@ -202,9 +198,11 @@ def _windows(
     s = (l1/g)(l3/g), g = gcd(l1, l3): l1 | l3 b and l3 | l1 b hold
     exactly for those b, since l1/g and l3/g are coprime.  It starts at
     the first multiple b0 >= b_min, where num, det and their first
-    differences come from the closed forms.  Along that stride num and
-    det are quadratics in the step count with constant second
-    differences 2 n2 s^2 and -4 s^2, so each window costs a few additions.
+    differences come from the closed forms; num(b0) < 0 puts b0 past the
+    larger root, so such a shape is skipped before the root is taken.
+    Along that stride num and det are quadratics in the step count with
+    constant second differences 2 n2 s^2 and -4 s^2, so each window costs
+    a few additions.
     """
     partners = [_partners(lambda_max, a) for a in range(ADJACENT_MAX + 1)]
     for a in range(ADJACENT_MAX + 1):
@@ -240,14 +238,15 @@ def _windows(
                             + (4 - a * a) * l3 * l3
                             + 2 * (2 * a * l1 * l2 + a * c * l1 * l3 + 2 * c * l2 * l3)
                         )
+                        b0 = -(-b_min // s) * s
+                        num = (n2 * b0 + n1) * b0 + n0
+                        if num < 0:  # b0 is past num's larger root
+                            continue
                         b_max = (n1 + isqrt(n1 * n1 - 4 * n2 * n0)) // (-2 * n2)
                         if b_cap is not None and b_max > b_cap:
                             b_max = b_cap
-                        if b_max < b_min:
-                            continue
-                        b0 = -(-b_min // s) * s
                         t, ss = 2 * b0 + s, s * s  # f(b0 + s) - f(b0) = (f2 t + f1) s
-                        num, dnum = (n2 * b0 + n1) * b0 + n0, (n2 * t + n1) * s
+                        dnum = (n2 * t + n1) * s
                         d, dd = (d1 - 2 * b0) * b0 + d0, (d1 - 2 * t) * s
                         ddnum, ddd = 2 * n2 * ss, -4 * ss
                         for b in range(b0, b_max + 1, s):

@@ -85,9 +85,6 @@ class LatticeFixture(NamedTuple):
         g = self.family_gram
         return sum(u[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
 
-    def induced_polygon(self) -> PolygonDatum:
-        return _unit_polygon(self.root_gram())
-
 
 class CrossCheckReport(NamedTuple):
     engine_count: int

@@ -21,7 +21,8 @@ fixture's report the old way (a ``pack_index`` per table entry,
 per fixture), so the tests can compare the fast paths against them.
 ``all_pairs_window_weyl`` is ``core._window_weyl`` as it was before it
 left out the window's own sides: the Schur test on every pair of sides
-and the Weyl equation on every side.
+and the Weyl equation on every side.  ``unit_polygon`` reads a fixture's
+root Gram as its lambda = 1 polygon, one ``pack_index`` per pair.
 """
 
 from __future__ import annotations
@@ -432,6 +433,16 @@ def reference_canonical_form(p: PackedDatum) -> PackedDatum:
     return min(images, key=lambda q: q.body)
 
 
+def unit_polygon(gram) -> PolygonDatum:
+    """The lambda = 1 polygon of a root Gram matrix, one ``pack_index`` per pair."""
+    n = len(gram)
+    pairings = [0] * pair_count(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pairings[pack_index(n, i, j)] = gram[i - 1][j - 1]
+    return PolygonDatum(n, tuple(pairings), (1,) * n)
+
+
 def reference_verify_fixture(f: LatticeFixture) -> RealizationReport:
     """``goldens.verify_fixture`` with a rational ``det`` and ``solve``."""
     checks: list[CheckResult] = []
@@ -511,7 +522,7 @@ def reference_verify_fixture(f: LatticeFixture) -> RealizationReport:
         )
     )
 
-    order = reference_symmetry_group(f.induced_polygon())
+    order = reference_symmetry_group(unit_polygon(f.root_gram()))
     checks.append(
         CheckResult(
             "symmetry-order",

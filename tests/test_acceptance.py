@@ -296,7 +296,7 @@ def test_criterion_9_parabolic_properties():
         report = run_parabolic(lam_max, cap)
         periodic_total += len(report.periodic)
         chains = engine_oracle.reached_chains(seed_triples(0, lam_max), True, cap)
-        closing = sum(1 for ch in chains if ch.closing_pair >= -2)
+        closing = sum(1 for ch in chains if ch.pairings[ch.length - 2] >= -2)
         if closing:
             problems.append(f"{closing} r=0 chains close at lambda<={lam_max}")
         closing_total += closing

@@ -545,17 +545,30 @@ def test_parabolic_closed_polygon_exits_4(capsys, monkeypatch):
 
 
 def test_import_surface():
-    """The CLI loads no rational matrix module, and every exported name resolves."""
+    """The CLI loads no rational matrix module, and the package alone loads no module.
+
+    Each name is imported from its own module; ``-S`` keeps site hooks,
+    which may import anything, out of the check.
+    """
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    src = Path(__file__).resolve().parent.parent / "src"
     code = (
-        "import sys, hypercartan.cli, hypercartan\n"
+        "import sys, hypercartan\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('hypercartan.'))\n"
+        "assert not loaded, loaded\n"
+        "import hypercartan.cli\n"
         "assert 'hypercartan.linalg' not in sys.modules, sorted(sys.modules)\n"
-        "missing = [n for n in hypercartan.__all__ if not hasattr(hypercartan, n)]\n"
-        "assert not missing, missing\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
     assert proc.returncode == 0, proc.stderr
 
 

@@ -104,7 +104,7 @@ def test_seed_triples_finds_base_triangle():
     assert len(match) == 1
     chain = match[0]
     assert _first_window_weyl(chain).coords == (2, Fraction(9, 2), 5)
-    assert chain.closing_pair == -1  # closed: >= -2
+    assert chain.pairings[chain.length - 2] == -1  # closed: >= -2
 
 
 def test_seed_triples_twisted_triangle():
@@ -115,7 +115,7 @@ def test_seed_triples_twisted_triangle():
     assert len(match) == 1
     chain = match[0]
     assert _first_window_weyl(chain).coords == (Fraction(15, 2), 3, 8)
-    assert chain.closing_pair == -2  # closed at the boundary value
+    assert chain.pairings[chain.length - 2] == -2  # closed at the boundary value
 
 
 def test_seed_triples_empty_below_minimum():
@@ -289,7 +289,7 @@ def test_run_parabolic_properties():
     report = run_parabolic(2, 16)
     # no r = 0 chain reaches the closing threshold (see run_parabolic)
     chains = list(oracle.reached_chains(seed_triples(0, 2), True))
-    assert chains and all(ch.closing_pair < -2 for ch in chains)
+    assert chains and all(ch.pairings[ch.length - 2] < -2 for ch in chains)
     assert report.capped_chains >= 0
     for per in report.periodic:
         assert per.length <= 16
@@ -669,8 +669,8 @@ def test_packed_keys_and_extension_match_pair_oracle(monkeypatch):
         chains = list(oracle.reached_chains(seeds, parabolic))
         for ch in chains:
             lengths.add(ch.length)
-            assert ch.closing_pair == pair(ch, 1, ch.length), ch
-            assert ch.pairings[_join_layout(ch.length)[0]] == ch.closing_pair, ch
+            assert ch.pairings[ch.length - 2] == pair(ch, 1, ch.length), ch
+            assert _join_layout(ch.length)[0] == ch.length - 2, ch
             assert _chain_windows(ch) == oracle.chain_windows(ch), ch
         assert _joined(chains, _head, _tail) == _joined(
             chains, oracle.head_key, oracle.tail_key

