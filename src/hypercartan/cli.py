@@ -12,7 +12,6 @@ import gc
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 from .core import (
@@ -198,15 +197,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-@lru_cache(maxsize=None)
-def _block_format(n: int) -> str:
-    """printf format of an n x n integer matrix: n lines of n '%4d' entries."""
-    return ("\n  " + " ".join(["%4d"] * n)) * n
+class _Cells(dict):
+    """Matrix entries and their printed cells, each entry formatted at first use."""
+
+    def __missing__(self, value: int) -> str:
+        self[value] = cell = "%4d" % value
+        return cell
 
 
-def _matrix_block(name: str, rows) -> str:
-    """'name:' and one line per row of a square matrix, entries right-aligned in 4."""
-    return f"{name}:" + _block_format(len(rows)) % sum(rows, ())
+def _matrix_block(rows, cells: _Cells) -> str:
+    """One line per row of a square matrix, each after a newline, entries right-aligned in 4."""
+    cell = cells.__getitem__
+    return "".join(["\n  " + " ".join(map(cell, row)) for row in rows])
 
 
 def cmd_check(args) -> int:
@@ -223,30 +225,34 @@ def cmd_check(args) -> int:
         return EXIT_USAGE
 
     any_invalid = False
+    cells = _Cells()
     for index, (row, datum) in enumerate(data, start=1):
         report = verify_realization(datum)
-        square_ok = report.weyl_square is None or report.weyl_square <= 0
-        valid = report.valid and square_ok
-        lines = [f"block {index}: r = {row.r}: "
-                 f"{'valid' if valid else 'INVALID'}"]
-        for check in report.checks:
-            if not check.passed:
-                lines.append(f"  FAIL {check.name}: {check.detail}")
-        if report.weyl_square is not None:
-            if report.weyl_square != row.r:
+        square = report.weyl_square
+        failures = report.failures()
+        # A Fraction's denominator is positive: its numerator carries the sign.
+        square_ok = square is None or square.numerator <= 0
+        valid = square_ok and not failures
+        lines = [f"block {index}: r = {row.r}: {'valid' if valid else 'INVALID'}"]
+        lines += [f"  FAIL {check.name}: {check.detail}" for check in failures]
+        if square is not None:
+            if square != row.r:
                 lines.append(
-                    f"  note: recomputed Weyl square {report.weyl_square}"
-                    f" differs from declared {row.r}"
+                    f"  note: recomputed Weyl square {square} differs from declared {row.r}"
                 )
             if not square_ok:
-                lines.append(f"  FAIL weyl-square-positive: {report.weyl_square} > 0")
+                lines.append(f"  FAIL weyl-square-positive: {square} > 0")
         if valid:
-            flags = classify_flags(datum, report.weyl_square)
+            flags = classify_flags(datum, square)
             lines.append(f"  type={flags.kind} compact={flags.compact} "
                          f"untwisted={flags.untwisted} "
                          f"sym_order={symmetry_group(datum)}")
-            lines.append(_matrix_block("  cartan", cartan_matrix(datum)))
-            lines.append(_matrix_block("  symcartan", symmetrized_cartan(datum)))
+            cartan = _matrix_block(cartan_matrix(datum), cells)
+            if flags.untwisted:  # both matrices are the Gram
+                symcartan = cartan
+            else:
+                symcartan = _matrix_block(symmetrized_cartan(datum), cells)
+            lines.append(f"  cartan:{cartan}\n  symcartan:{symcartan}")
         else:
             any_invalid = True
         sys.stdout.write("\n".join(lines) + "\n")

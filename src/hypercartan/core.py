@@ -4,7 +4,10 @@ The objects here describe a labelled polygon on the hyperbolic plane
 through pure combinatorial data: the pairwise products of its norm-2
 side vectors and the positive twisting coefficients attached to them.
 Every value type is a ``NamedTuple``, and all arithmetic is exact on
-Python integers.  Polygons that differ by a rotation or reflection of
+Python integers.  A polygon's Gram is read row-major from its packed
+pairings followed by a 2, through one cached index layout per n, and its
+rows are slices of that read; an untwisted polygon's Cartan matrix is
+its Gram.  Polygons that differ by a rotation or reflection of
 their side labels are one solution; ``canonical_key`` names the class.
 The Gram determinant and adjugate of a 3-window of sides are closed
 forms: the search glues chains with them, and verification decides a
@@ -56,18 +59,24 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+@lru_cache(maxsize=None)
+def _gram_layout(n: int) -> Callable[[tuple], tuple]:
+    """Read an n-gon's Gram, row-major, from its packed pairings followed by 2."""
+    k = pair_count(n)
+    return itemgetter(*(
+        k if i == j else pack_index(n, min(i, j) + 1, max(i, j) + 1)
+        for i in range(n)
+        for j in range(n)
+    ))
+
+
 @lru_cache(maxsize=64)
 def _gram(n: int, pairings: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     # Cached for the few data in use at a time: verification and the Cartan
     # data of one polygon all read its Gram, while a caller holding many
     # polygons (``check`` on a large file) keeps no Gram alive.
-    g = [[2] * n for _ in range(n)]
-    values = iter(pairings)
-    for i in range(n):
-        row = g[i]
-        for j in range(i + 1, n):
-            row[j] = g[j][i] = next(values)
-    return tuple(map(tuple, g))
+    flat = _gram_layout(n)(pairings + (2,))
+    return tuple([flat[i : i + n] for i in range(0, n * n, n)])
 
 
 class _PolygonFields(NamedTuple):
@@ -107,7 +116,7 @@ class PolygonDatum(_PolygonFields):
             raise InvalidRealizationError("wrong number of pairings")
         if len(lam) != n:
             raise InvalidRealizationError("wrong number of lambdas")
-        if any(l < 1 for l in lam):
+        if min(lam) < 1:
             raise InvalidRealizationError("lambdas must be positive")
         return tuple.__new__(cls, (n, pairings, lam))
 
@@ -135,10 +144,10 @@ class RealizationReport(NamedTuple):
 
     @property
     def valid(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all([c.passed for c in self.checks])
 
     def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return tuple([c for c in self.checks if not c.passed])
 
 
 @lru_cache(maxsize=None)
@@ -221,11 +230,14 @@ def _products(
 
 def _divisibility_failures(d: PolygonDatum) -> list[tuple[int, int]]:
     """Ordered pairs (j, k), 1-based, where lambda_j does not divide lambda_k g_jk."""
-    # The diagonal lambda_j * 2 and every row with lambda_j = 1 always pass.
+    # The diagonal lambda_j * 2 and every row with lambda_j = 1 always pass,
+    # and a row passes whole when gcd(lambda_j, row) = lambda_j.
+    if max(d.lam) == 1:
+        return []
     return [
         (j + 1, k + 1)
         for j, (lj, row) in enumerate(zip(d.lam, _products(*d)))
-        if lj != 1
+        if gcd(lj, *row) != lj
         for k, v in enumerate(row)
         if v % lj
     ]
@@ -234,15 +246,15 @@ def _divisibility_failures(d: PolygonDatum) -> list[tuple[int, int]]:
 def cartan_matrix(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
     """Twisted generalized Cartan matrix a_jk = lambda_k (delta_j, delta_k) / lambda_j."""
     # One stored value per unordered pair and lambda >= 1: a_jk = 0 iff a_kj = 0.
-    entries = []
-    for lj, row in zip(d.lam, _products(*d)):
-        if lj != 1:
-            if any(v % lj for v in row):
-                bad = _divisibility_failures(d)
-                raise InvalidRealizationError(f"divisibility fails for ordered pairs {bad}")
-            row = tuple([v // lj for v in row])
-        entries.append(row)
-    return tuple(entries)
+    if max(d.lam) == 1:
+        return d.gram
+    bad = _divisibility_failures(d)
+    if bad:
+        raise InvalidRealizationError(f"divisibility fails for ordered pairs {bad}")
+    return tuple([
+        row if lj == 1 else tuple([v // lj for v in row])
+        for lj, row in zip(d.lam, _products(*d))
+    ])
 
 
 def symmetrized_cartan(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
@@ -289,7 +301,7 @@ def table_to_datum(table: Sequence[tuple[int, ...]]) -> PolygonDatum:
         raise TableDecodeError(
             f"a table has at most {MAX_TABLE_SIDES} sides, got {n}"
         )
-    if any(len(row) != n for row in table):
+    if set(map(len, table)) != {n}:
         raise TableDecodeError("ragged table rows")
     if len(table) != 1 + n // 2:
         raise TableDecodeError(
@@ -444,6 +456,15 @@ def check_result(name: str, failure: str = "") -> CheckResult:
     return _PASSED.get(name) or _PASSED.setdefault(name, CheckResult(name, True))
 
 
+# The checks of ``verify_realization``, in report order, and the one tuple it
+# reports when all of them pass.
+_REALIZATION_CHECKS = (
+    "rank", "lorentzian", "adjacent-pairings", "nonpositive-pairings",
+    "divisibility", "coprime-lambda", "weyl-vector",
+)
+_ALL_PASSED = tuple(map(check_result, _REALIZATION_CHECKS))
+
+
 def verify_realization(d: PolygonDatum) -> RealizationReport:
     """Run every structural check on polygon data, reporting all failures.
 
@@ -454,7 +475,8 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
     with the lambda row this is exactly the rank-3 test on the stacked
     (n+1) x n matrix.  The first nondegenerate side triple decides the
     rank and rho; the elimination runs only when there is none or the
-    Gram has rank above 3.
+    Gram has rank above 3.  When every check passes, the report holds one
+    shared tuple of passed checks.
     """
     n, g, lam = d.n, d.gram, d.lam
     window = _first_window(g)
@@ -480,18 +502,20 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
         bad_sign = f"positive pairings at {bad}"
     bad_div = _divisibility_failures(d)
     gl = gcd(*lam)
-    checks = (
-        check_result("rank", f"Gram rank is {gram_rank}, need 3" if gram_rank != 3 else ""),
-        check_result("lorentzian", bad_window),
-        check_result("adjacent-pairings", bad_adj),
-        check_result("nonpositive-pairings", bad_sign),
-        check_result("divisibility",
-                     f"divisibility fails for ordered pairs {bad_div}" if bad_div else ""),
-        check_result("coprime-lambda", f"gcd(lambda) = {gl}" if gl != 1 else ""),
-        check_result("weyl-vector", "" if weyl_square is not None
-                     else "no rho with (rho, delta_i) = -lambda_i"),
+    failures = (
+        f"Gram rank is {gram_rank}, need 3" if gram_rank != 3 else "",
+        bad_window,
+        bad_adj,
+        bad_sign,
+        f"divisibility fails for ordered pairs {bad_div}" if bad_div else "",
+        f"gcd(lambda) = {gl}" if gl != 1 else "",
+        "" if weyl_square is not None else "no rho with (rho, delta_i) = -lambda_i",
     )
-    return RealizationReport(checks, weyl_square)
+    if any(failures):
+        return RealizationReport(
+            tuple(map(check_result, _REALIZATION_CHECKS, failures)), weyl_square
+        )
+    return RealizationReport(_ALL_PASSED, weyl_square)
 
 
 def classify_flags(d: PolygonDatum, r: Fraction) -> RealizationFlags:
@@ -500,11 +524,12 @@ def classify_flags(d: PolygonDatum, r: Fraction) -> RealizationFlags:
     Elliptic means r < 0, parabolic means r = 0; compact means no adjacent
     pairing equals -2 (no vertex at infinity); untwisted means lambda = 1.
     """
-    if r > 0:
+    # A Fraction's denominator is positive: its numerator carries the sign.
+    if r.numerator > 0:
         raise ValueError(f"Weyl square must be <= 0, got {r}")
-    kind = "elliptic" if r < 0 else "parabolic"
-    compact = all(p != -2 for p in d.adjacent_pairs())
-    untwisted = all(l == 1 for l in d.lam)
+    kind = "elliptic" if r.numerator < 0 else "parabolic"
+    compact = -2 not in d.adjacent_pairs()
+    untwisted = max(d.lam) == 1  # lambdas are positive
     return RealizationFlags(kind, compact, untwisted)
 
 

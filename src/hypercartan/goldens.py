@@ -9,7 +9,8 @@ symmetry order and expected Cartan matrix.  The fixtures are the named
 matrices: the engine cross-check reads each one's name, radius and
 expected Cartan matrix.  Fixtures are checked on integers: the lattice
 determinant by cofactor expansion, root membership by Cramer's rule on
-the 3x3 basis.  This module imports public ``core`` names only; engine
+the 3x3 basis, and the Weyl pairings on D rho, for D the lcm of rho's
+denominators.  This module imports public ``core`` names only; engine
 records reach it as arguments.
 """
 
@@ -21,6 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -100,15 +102,16 @@ class CrossCheckReport(NamedTuple):
 # A rational as the package prints one: an optional sign, ASCII digits and
 # an optional /denominator.  No exponent, decimal point or underscore, so
 # the value costs no more than its digits.
-RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """``text`` without surrounding whitespace, read as RATIONAL; else GoldenFormatError."""
-    token = text.strip()
-    if RATIONAL.fullmatch(token):
+    match = RATIONAL.fullmatch(text.strip())
+    if match:
+        p, q = match.groups()
         try:
-            return Fraction(token)
+            return Fraction(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError):  # int digit limit, zero denominator
             pass
     raise GoldenFormatError(f"bad rational {text!r}")
@@ -131,9 +134,10 @@ def parse_golden_text(text: str) -> list[GoldenRow]:
         if not block:
             continue
         head = block[0]
-        if "=" not in head or not head.split("=")[0].strip() == "r":
+        name, eq, value = head.partition("=")
+        if not eq or name.strip() != "r":
             raise GoldenFormatError(f"block must start with 'r = ...', got {head!r}")
-        r = parse_rational(head.split("=", 1)[1])
+        r = parse_rational(value)
         # Entries are ASCII integers -?[0-9]+, whitespace-separated.  int()
         # also reads '+2', '0_0' and non-ASCII digits such as '\u0662'; with
         # '+', '_' and non-ASCII text ruled out by one scan of the block, it
@@ -141,7 +145,7 @@ def parse_golden_text(text: str) -> list[GoldenRow]:
         # lambda or a positive pairing reaches table_to_datum, which names it.
         entries = "".join(block[1:])
         try:
-            table_rows = tuple(tuple(map(int, line.split())) for line in block[1:])
+            table_rows = tuple([tuple(map(int, line.split())) for line in block[1:]])
         except ValueError:  # a token int() refuses, or one past its digit limit
             table_rows = None
         if table_rows is None or not entries.isascii() or "+" in entries or "_" in entries:
@@ -231,9 +235,12 @@ def verify_fixture(f: LatticeFixture) -> RealizationReport:
         for j in range(n)
         if gram[i][j] != f.expected_cartan[i][j]
     ]
-    weyl = [(i + 1, f.pairing(f.rho, root)) for i, root in enumerate(f.roots)]
-    bad_weyl = [(i, p) for i, p in weyl if p != -1]
-    rr = f.pairing(f.rho, f.rho)
+    # D rho is integral for the lcm D of rho's denominators: pair it on integers.
+    den = lcm(*(x.denominator for x in f.rho))
+    rho = tuple([x.numerator * (den // x.denominator) for x in f.rho])
+    weyl = [(i + 1, f.pairing(rho, root)) for i, root in enumerate(f.roots)]
+    bad_weyl = [(i, Fraction(p, den)) for i, p in weyl if p != -den]
+    rr = Fraction(f.pairing(rho, rho), den * den)
     order = symmetry_group(_unit_polygon(gram))
 
     checks = (

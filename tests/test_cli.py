@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypercartan import cli, engine
 from hypercartan.cli import _matrix_block, main
@@ -16,8 +22,9 @@ from hypercartan.core import (
     verify_realization,
 )
 from hypercartan.engine import EngineError, InvariantViolation
-from hypercartan.goldens import golden_catalog
-from reader_oracle import PackedDatum
+from hypercartan.goldens import format_golden_block, golden_catalog
+from reader_oracle import PackedDatum, dihedral_images
+from test_core import random_table
 
 
 def run_cli(capsys, *argv):
@@ -598,12 +605,30 @@ def test_cli_import_loads_no_dataclasses():
 
 
 def test_matrix_block_matches_per_entry_format():
+    """Each row prints as its entries in '%4d', also where '%4d' widens.
+
+    One cell cache serves every matrix, as in ``check``, and is read both
+    cold and warm: the catalog's matrices, twisted symmetrized rows with
+    entries of seven digits, and entries of 10^4 and more or -1000 and less.
+    """
+    matrices = []
     for row in golden_catalog():
         d = row.datum()
-        for rows in (cartan_matrix(d), symmetrized_cartan(d)):
-            assert _matrix_block("  cartan", rows) == "\n".join(["  cartan:"] + [
-                "  " + " ".join(f"{v:4d}" for v in r) for r in rows
-            ])
+        matrices += [cartan_matrix(d), symmetrized_cartan(d)]
+    wide = [
+        PolygonDatum(3, (-2, -3000, -1), (50, 7, 11)),
+        PolygonDatum(4, (-1, -10**4, 0, -2, -999, -1), (1, 9, 1, 10**3)),
+    ]
+    assert all(max(d.lam) > 1 for d in wide)
+    matrices += [symmetrized_cartan(d) for d in wide]
+    matrices += [((10**4, -1000, 2), (-1001, 99999, 0), (-10**9, 123456, -999))]
+    cells = cli._Cells()
+    for _ in range(2):
+        for rows in matrices:
+            assert _matrix_block(rows, cells) == "".join(
+                "\n  " + " ".join(f"{v:4d}" for v in r) for r in rows
+            )
+    assert any(len(cell) > 4 for cell in cells.values())
 
 
 def _oracle_check_text(blocks) -> tuple[int, str]:
@@ -669,6 +694,66 @@ def test_check_prints_what_the_oracles_print(capsys, tmp_path, seed):
     path.write_text("\n\n".join(format_golden_block(r, t) for r, t in blocks) + "\n")
     code, out, err = run_cli(capsys, "check", str(path))
     assert (code, out, err) == (*_oracle_check_text(blocks), "")
+
+
+def _decodable(rows):
+    """A random table with its entries made nonnegative and its antipodal row consistent."""
+    lam, *rest = rows
+    rest = [tuple(map(abs, row)) for row in rest]
+    h = len(lam) // 2
+    if 2 * h == len(lam):
+        rest[-1] = rest[-1][:h] * 2
+    return (lam, *rest)
+
+
+@st.composite
+def check_block(draw):
+    """One (r, table) block for ``check``.
+
+    A relabelled catalog row (valid, twisted or not), the same with one
+    lambda raised (mostly invalid), or a random table (invalid, mostly of rank
+    above 3), declaring its catalog radius or a random one.
+    """
+    kind = draw(st.sampled_from(("catalog", "raised", "random")))
+    radius = st.fractions(min_value=-60, max_value=3, max_denominator=24)
+    if kind == "random":
+        return draw(radius), _decodable(draw(random_table()))
+    row = draw(st.sampled_from(golden_catalog()))
+    image = draw(st.sampled_from(dihedral_images(PackedDatum.from_polygon(row.datum()))))
+    table = polygon_table(image.to_polygon())
+    if kind == "raised":
+        lam = list(table[0])
+        lam[draw(st.integers(0, len(lam) - 1))] += draw(st.integers(1, 3))
+        table = (tuple(lam), *table[1:])
+    return draw(st.just(row.r) | radius), table
+
+
+def _check_blocks(blocks) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``check`` on a file of the blocks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blocks.txt"
+        path.write_text("\n\n".join(format_golden_block(r, t) for r, t in blocks) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+_UNTWISTED_ROW = next(row for row in golden_catalog() if max(row.table[0]) == 1)
+_TWISTED_ROW = next(row for row in golden_catalog() if max(row.table[0]) > 1)
+
+
+@settings(max_examples=60)
+@given(st.lists(check_block(), min_size=1, max_size=4))
+@example([
+    (_UNTWISTED_ROW.r, _UNTWISTED_ROW.table),
+    (_TWISTED_ROW.r, _TWISTED_ROW.table),
+    (_TWISTED_ROW.r, ((7,) + _TWISTED_ROW.table[0][1:], *_TWISTED_ROW.table[1:])),
+    (Fraction(-1), ((1, 1, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0))),  # rank 4
+])
+def test_check_prints_what_the_oracles_print_on_random_tables(blocks):
+    """Valid, twisted, invalid and rank-4 blocks in one file, against the oracles."""
+    assert _check_blocks(blocks) == (*_oracle_check_text(blocks), "")
 
 
 # int() reads each of these as 2 or 0; the table grammar is ASCII -?[0-9]+.
