@@ -14,14 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import (
-    TableDecodeError,
-    cartan_matrix,
-    classify_flags,
-    symmetrized_cartan,
-    symmetry_group,
-    verify_realization,
-)
+from .core import TableDecodeError, verify_realization
 from .engine import (
     DEFAULT_MAX_SIDES,
     CatalogRecord,
@@ -243,15 +236,15 @@ def cmd_check(args) -> int:
             if not square_ok:
                 lines.append(f"  FAIL weyl-square-positive: {square} > 0")
         if valid:
-            flags = classify_flags(datum, square)
+            flags = report.flags
             lines.append(f"  type={flags.kind} compact={flags.compact} "
                          f"untwisted={flags.untwisted} "
-                         f"sym_order={symmetry_group(datum)}")
-            cartan = _matrix_block(cartan_matrix(datum), cells)
+                         f"sym_order={report.sym_order}")
+            cartan = _matrix_block(report.cartan, cells)
             if flags.untwisted:  # both matrices are the Gram
                 symcartan = cartan
             else:
-                symcartan = _matrix_block(symmetrized_cartan(datum), cells)
+                symcartan = _matrix_block(report.symcartan, cells)
             lines.append(f"  cartan:{cartan}\n  symcartan:{symcartan}")
         else:
             any_invalid = True

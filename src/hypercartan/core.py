@@ -4,11 +4,12 @@ The objects here describe a labelled polygon on the hyperbolic plane
 through pure combinatorial data: the pairwise products of its norm-2
 side vectors and the positive twisting coefficients attached to them.
 Every value type is a ``NamedTuple``, and all arithmetic is exact on
-Python integers.  A polygon's Gram is read row-major from its packed
-pairings followed by a 2, through one cached index layout per n, and its
-rows are slices of that read; an untwisted polygon's Cartan matrix is
-its Gram.  Polygons that differ by a rotation or reflection of
-their side labels are one solution; ``canonical_key`` names the class.
+Python integers.  ``verify_realization`` decorates a polygon in one pass:
+it reads the Gram row-major from the packed pairings followed by a 2 (one
+cached index layout per n) and a twisted polygon's lambda-Gram rows once,
+for the checks and both Cartan matrices (an untwisted polygon's are its
+Gram).  Polygons that differ by a rotation or reflection of their side
+labels are one solution; ``canonical_key`` names the class.
 The Gram determinant and adjugate of a 3-window of sides are closed
 forms: the search glues chains with them, and verification decides a
 polygon's rank and Weyl vector from its first nondegenerate side triple.
@@ -70,11 +71,9 @@ def _gram_layout(n: int) -> Callable[[tuple], tuple]:
     ))
 
 
-@lru_cache(maxsize=64)
 def _gram(n: int, pairings: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    # Cached for the few data in use at a time: verification and the Cartan
-    # data of one polygon all read its Gram, while a caller holding many
-    # polygons (``check`` on a large file) keeps no Gram alive.
+    # Built once per call and not kept: ``verify_realization`` reads it for
+    # the checks and the Cartan data of one polygon in a single pass.
     flat = _gram_layout(n)(pairings + (2,))
     return tuple([flat[i : i + n] for i in range(0, n * n, n)])
 
@@ -127,7 +126,7 @@ class PolygonDatum(_PolygonFields):
 
 
 class RealizationFlags(NamedTuple):
-    kind: str  # "elliptic" | "parabolic"
+    kind: str | None  # "elliptic" | "parabolic"; None on data not valid with r <= 0
     compact: bool
     untwisted: bool
 
@@ -139,8 +138,18 @@ class CheckResult(NamedTuple):
 
 
 class RealizationReport(NamedTuple):
+    """Checks and Weyl square of polygon data, and its decoration when valid.
+
+    ``verify_realization`` always sets ``flags``; their kind, both Cartan matrices
+    and the symmetry order are set exactly when every check passes and r <= 0.
+    """
+
     checks: tuple[CheckResult, ...]
     weyl_square: Fraction | None
+    flags: RealizationFlags | None = None
+    cartan: tuple[tuple[int, ...], ...] | None = None
+    symcartan: tuple[tuple[int, ...], ...] | None = None
+    sym_order: int | None = None
 
     @property
     def valid(self) -> bool:
@@ -218,51 +227,64 @@ def _adj_mul(a: int, b: int, c: int, v: tuple[int, ...]) -> tuple[int, int, int]
     )
 
 
-@lru_cache(maxsize=64)
-def _products(
-    n: int, pairings: tuple[int, ...], lam: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    # Rows lambda_k (delta_j, delta_k) of the Gram, 0-based.  Cached like
-    # ``_gram``: the divisibility check and both Cartan matrices of one
-    # polygon read the same rows, one after the other.
-    return tuple([tuple(map(mul, lam, row)) for row in _gram(n, pairings)])
+def _products(g, lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
+    """Rows lambda_k (delta_j, delta_k) of the Gram g, 0-based; None when every lambda is 1."""
+    if max(lam) == 1:
+        return None
+    # A list first: tuple(map(...)) resizes its tuple, and such rows piled up
+    # in CPython's tuple free lists (0.6 MB of peak memory on 2,400 blocks).
+    return tuple([tuple([*map(mul, lam, row)]) for row in g])
 
 
-def _divisibility_failures(d: PolygonDatum) -> list[tuple[int, int]]:
+def _divisibility_failures(lam: tuple[int, ...], prods) -> list[tuple[int, int]]:
     """Ordered pairs (j, k), 1-based, where lambda_j does not divide lambda_k g_jk."""
-    # The diagonal lambda_j * 2 and every row with lambda_j = 1 always pass,
-    # and a row passes whole when gcd(lambda_j, row) = lambda_j.
-    if max(d.lam) == 1:
+    # ``prods`` is ``_products(g, lam)``.  The diagonal lambda_j * 2 and rows
+    # with lambda_j = 1 pass, and a row passes whole if gcd(lambda_j, row) = lambda_j.
+    if prods is None:
         return []
     return [
         (j + 1, k + 1)
-        for j, (lj, row) in enumerate(zip(d.lam, _products(*d)))
+        for j, (lj, row) in enumerate(zip(lam, prods))
         if gcd(lj, *row) != lj
         for k, v in enumerate(row)
         if v % lj
     ]
 
 
+def _cartan(g, lam, prods) -> tuple[tuple[int, ...], ...]:
+    # Rows lambda_k g_jk / lambda_j of data that pass the divisibility check;
+    # an untwisted polygon's is its Gram.
+    if prods is None:
+        return g
+    return tuple([
+        row if lj == 1 else tuple([v // lj for v in row]) for lj, row in zip(lam, prods)
+    ])
+
+
+def _symcartan(g, lam, prods) -> tuple[tuple[int, ...], ...]:
+    # Rows lambda_j lambda_k g_jk; an untwisted polygon's is its Gram.
+    if prods is None:
+        return g
+    return tuple([
+        row if lj == 1 else tuple([lj * v for v in row]) for lj, row in zip(lam, prods)
+    ])
+
+
 def cartan_matrix(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
     """Twisted generalized Cartan matrix a_jk = lambda_k (delta_j, delta_k) / lambda_j."""
     # One stored value per unordered pair and lambda >= 1: a_jk = 0 iff a_kj = 0.
-    if max(d.lam) == 1:
-        return d.gram
-    bad = _divisibility_failures(d)
+    g, lam = d.gram, d.lam
+    prods = _products(g, lam)
+    bad = _divisibility_failures(lam, prods)
     if bad:
         raise InvalidRealizationError(f"divisibility fails for ordered pairs {bad}")
-    return tuple([
-        row if lj == 1 else tuple([v // lj for v in row])
-        for lj, row in zip(d.lam, _products(*d))
-    ])
+    return _cartan(g, lam, prods)
 
 
 def symmetrized_cartan(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
     """Symmetric matrix b_jk = lambda_j lambda_k (delta_j, delta_k)."""
-    return tuple([
-        row if lj == 1 else tuple([lj * v for v in row])
-        for lj, row in zip(d.lam, _products(*d))
-    ])
+    g, lam = d.gram, d.lam
+    return _symcartan(g, lam, _products(g, lam))
 
 
 def polygon_table(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
@@ -323,7 +345,9 @@ def table_to_datum(table: Sequence[tuple[int, ...]]) -> PolygonDatum:
                     )
                 if 2 * dist == n and j > h and value != row[j - h - 1]:
                     raise TableDecodeError(f"antipodal row inconsistent at column {j}")
-    return PolygonDatum(n, _table_layout(n)([-v for row in rest for v in row]), lam)
+    # The shape and lambda checks of ``PolygonDatum`` have passed above.
+    pairings = _table_layout(n)([-v for row in rest for v in row])
+    return tuple.__new__(PolygonDatum, (n, pairings, lam))
 
 
 @lru_cache(maxsize=None)
@@ -477,8 +501,12 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
     rank and rho; the elimination runs only when there is none or the
     Gram has rank above 3.  When every check passes, the report holds one
     shared tuple of passed checks.
+
+    This is the one decoration pass: the Gram, the adjacent pairs and the
+    lambda-Gram rows of a twisted polygon are built once; the rows serve
+    the divisibility check and both Cartan matrices.
     """
-    n, g, lam = d.n, d.gram, d.lam
+    n, g, lam = d.n, _gram(d.n, d.pairings), d.lam
     window = _first_window(g)
     solved = None if window is None else _window_weyl(g, lam, window)
     if solved is None:
@@ -500,7 +528,8 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
     if max(d.pairings) > 0:
         bad = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if g[i][j] > 0]
         bad_sign = f"positive pairings at {bad}"
-    bad_div = _divisibility_failures(d)
+    prods = _products(g, lam)
+    bad_div = _divisibility_failures(lam, prods)
     gl = gcd(*lam)
     failures = (
         f"Gram rank is {gram_rank}, need 3" if gram_rank != 3 else "",
@@ -512,28 +541,41 @@ def verify_realization(d: PolygonDatum) -> RealizationReport:
         "" if weyl_square is not None else "no rho with (rho, delta_i) = -lambda_i",
     )
     if any(failures):
-        return RealizationReport(
-            tuple(map(check_result, _REALIZATION_CHECKS, failures)), weyl_square
-        )
-    return RealizationReport(_ALL_PASSED, weyl_square)
+        checks = tuple(map(check_result, _REALIZATION_CHECKS, failures))
+        return RealizationReport(checks, weyl_square, _flags(adjacent, lam, None))
+    flags = _flags(adjacent, lam, weyl_square)
+    if flags.kind is None:
+        return RealizationReport(_ALL_PASSED, weyl_square, flags)
+    return RealizationReport(
+        _ALL_PASSED, weyl_square, flags,
+        _cartan(g, lam, prods), _symcartan(g, lam, prods), symmetry_group(d),
+    )
+
+
+def _flags(adjacent, lam, r: Fraction | None) -> RealizationFlags:
+    # Kind: elliptic for r < 0, parabolic for r = 0, else None (a Fraction's
+    # numerator carries its sign).  Compact: no adjacent pairing is -2 (no
+    # vertex at infinity).  Untwisted: lambda = 1, as lambdas are positive.
+    kind = None
+    if r is not None and r.numerator <= 0:
+        kind = "elliptic" if r.numerator < 0 else "parabolic"
+    return RealizationFlags(kind, -2 not in adjacent, max(lam) == 1)
 
 
 def classify_flags(d: PolygonDatum, r: Fraction) -> RealizationFlags:
-    """Type, compactness and twisting flags of a realization with Weyl square r.
-
-    Elliptic means r < 0, parabolic means r = 0; compact means no adjacent
-    pairing equals -2 (no vertex at infinity); untwisted means lambda = 1.
-    """
-    # A Fraction's denominator is positive: its numerator carries the sign.
+    """Type, compactness and twisting flags of a realization with Weyl square r."""
     if r.numerator > 0:
         raise ValueError(f"Weyl square must be <= 0, got {r}")
-    kind = "elliptic" if r.numerator < 0 else "parabolic"
-    compact = -2 not in d.adjacent_pairs()
-    untwisted = max(d.lam) == 1  # lambdas are positive
-    return RealizationFlags(kind, compact, untwisted)
+    return _flags(d.adjacent_pairs(), d.lam, r)
 
 
 def symmetry_group(d: PolygonDatum) -> int:
     """Order of the stabilizer of the decorated cyclic sequence in the dihedral group."""
-    body = d.pairings + d.lam
-    return sum(relabel(body) == body for relabel in dihedral_relabellers(d.n))
+    # The fixing rotations are the multiples of the least one, t0, which
+    # divides n; the fixing reflections, if any, are a coset of them, so one
+    # of the first t0 reflections fixes the body when any does.
+    n, body = d.n, d.pairings + d.lam
+    relabel = dihedral_relabellers(n)
+    t0 = next((t for t in range(1, n) if n % t == 0 and relabel[t](body) == body), n)
+    mirrored = any(relabel[t](body) == body for t in range(n, n + t0))
+    return (1 + mirrored) * n // t0

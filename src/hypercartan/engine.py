@@ -62,12 +62,8 @@ from .core import (
     _adj_mul,
     _window_det,
     canonical_key,
-    cartan_matrix,
-    classify_flags,
     pair_count,
     polygon_table,
-    symmetrized_cartan,
-    symmetry_group,
     verify_realization,
 )
 
@@ -458,7 +454,7 @@ def _record_from_canonical(
         raise InvariantViolation(
             f"emitted datum has square {report.weyl_square}, expected {r}"
         )
-    flags = classify_flags(d, report.weyl_square)
+    flags = report.flags
     return CatalogRecord(
         r=r,
         n=d.n,
@@ -466,9 +462,9 @@ def _record_from_canonical(
         lam=d.lam,
         pairings=d.pairings,
         table=polygon_table(d),
-        cartan=cartan_matrix(d),
-        symcartan=symmetrized_cartan(d),
-        sym_order=symmetry_group(d),
+        cartan=report.cartan,
+        symcartan=report.symcartan,
+        sym_order=report.sym_order,
         compact=flags.compact,
         untwisted=flags.untwisted,
         kind=flags.kind,

@@ -283,10 +283,8 @@ def self_check_catalog(
             bad.append(
                 f"row {idx}: recomputed square {report.weyl_square} != {row.r}"
             )
-        if all(l == 1 for l in d.lam):
-            untwisted += 1
-        if all(p != -2 for p in d.adjacent_pairs()):
-            compact += 1
+        untwisted += report.flags.untwisted
+        compact += report.flags.compact
     return [
         check_result("catalog-size",
                      "" if len(rows) == 60 else f"{len(rows)} rows, expected 60"),

@@ -36,6 +36,7 @@ from engine_oracle import pair
 from hypercartan.core import (
     CheckResult,
     PolygonDatum,
+    RealizationFlags,
     RealizationReport,
     TableDecodeError,
     _window_adjugate,
@@ -414,6 +415,14 @@ def reference_symcartan(d) -> tuple[tuple[int, ...], ...]:
         tuple(d.lam[j - 1] * d.lam[k - 1] * pair(d, j, k) for k in range(1, n + 1))
         for j in range(1, n + 1)
     )
+
+
+def reference_flags(d, square) -> RealizationFlags:
+    """``RealizationFlags`` by per-entry scans; the kind is None when square is."""
+    n = d.n
+    kind = None if square is None else "elliptic" if square < 0 else "parabolic"
+    compact = all(pair(d, i, i % n + 1) != -2 for i in range(1, n + 1))
+    return RealizationFlags(kind, compact, all(l == 1 for l in d.lam))
 
 
 def stabilizer(d) -> list[DihedralMove]:

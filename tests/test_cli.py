@@ -24,7 +24,7 @@ from hypercartan.core import (
 from hypercartan.engine import EngineError, InvariantViolation
 from hypercartan.goldens import format_golden_block, golden_catalog
 from reader_oracle import PackedDatum, dihedral_images
-from test_core import random_table
+from test_core import decodable, random_table
 
 
 def run_cli(capsys, *argv):
@@ -696,16 +696,6 @@ def test_check_prints_what_the_oracles_print(capsys, tmp_path, seed):
     assert (code, out, err) == (*_oracle_check_text(blocks), "")
 
 
-def _decodable(rows):
-    """A random table with its entries made nonnegative and its antipodal row consistent."""
-    lam, *rest = rows
-    rest = [tuple(map(abs, row)) for row in rest]
-    h = len(lam) // 2
-    if 2 * h == len(lam):
-        rest[-1] = rest[-1][:h] * 2
-    return (lam, *rest)
-
-
 @st.composite
 def check_block(draw):
     """One (r, table) block for ``check``.
@@ -717,7 +707,7 @@ def check_block(draw):
     kind = draw(st.sampled_from(("catalog", "raised", "random")))
     radius = st.fractions(min_value=-60, max_value=3, max_denominator=24)
     if kind == "random":
-        return draw(radius), _decodable(draw(random_table()))
+        return draw(radius), decodable(draw(random_table()))
     row = draw(st.sampled_from(golden_catalog()))
     image = draw(st.sampled_from(dihedral_images(PackedDatum.from_polygon(row.datum()))))
     table = polygon_table(image.to_polygon())
@@ -754,6 +744,48 @@ _TWISTED_ROW = next(row for row in golden_catalog() if max(row.table[0]) > 1)
 def test_check_prints_what_the_oracles_print_on_random_tables(blocks):
     """Valid, twisted, invalid and rank-4 blocks in one file, against the oracles."""
     assert _check_blocks(blocks) == (*_oracle_check_text(blocks), "")
+
+
+def test_check_scans_each_twisted_block_once(capsys, tmp_path, monkeypatch):
+    """One divisibility scan per twisted block, valid or not, and none more.
+
+    The input is two relabelled copies of the catalog (44 valid twisted
+    blocks each), the mixed blocks (two valid twisted) and a twisted row
+    with one lambda raised (invalid); an untwisted block has no product
+    rows, and its call returns at once.
+    """
+    import random
+
+    from hypercartan import core
+    from hypercartan.goldens import parse_golden_text
+
+    scans, calls = [], []
+
+    def counted(lam, prods):
+        calls.append(lam)
+        if prods is not None:
+            scans.append(lam)
+        return scan(lam, prods)
+
+    scan = core._divisibility_failures
+    monkeypatch.setattr(core, "_divisibility_failures", counted)
+    rng = random.Random(5)
+    blocks = []
+    for _ in range(2):
+        for row in golden_catalog():
+            image = rng.choice(dihedral_images(PackedDatum.from_polygon(row.datum())))
+            blocks.append((row.r, polygon_table(image.to_polygon())))
+    blocks += [(row.r, row.table) for row in parse_golden_text(CHECK_MIXED_INPUT)]
+    row = _TWISTED_ROW
+    blocks.append((row.r, ((7,) + row.table[0][1:], *row.table[1:])))
+    path = tmp_path / "blocks.txt"
+    path.write_text("\n\n".join(format_golden_block(r, t) for r, t in blocks) + "\n")
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 1
+    twisted = [t[0] for _, t in blocks if max(t[0]) > 1]
+    assert (len(twisted), out.count("untwisted=False")) == (91, 90)
+    assert scans == twisted
+    assert len(calls) == len(blocks)
 
 
 # int() reads each of these as 2 or 0; the table grammar is ASCII -?[0-9]+.

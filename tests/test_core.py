@@ -39,6 +39,7 @@ from reader_oracle import (
     divisibility_ok,
     rank,
     reference_cartan,
+    reference_flags,
     reference_relabellers,
     reference_symcartan,
     reference_symmetry_group,
@@ -779,6 +780,11 @@ def test_decode_matches_oracle_on_random_tables(rows):
 # --- the lambda-Gram product table against per-entry definitions ------------
 
 
+def _scan(d):
+    """``_divisibility_failures`` on the lambda-Gram rows of d."""
+    return _divisibility_failures(d.lam, core._products(d.gram, d.lam))
+
+
 def _assert_products_match_oracle(d):
     a = reference_cartan(d)
     bad = [
@@ -787,7 +793,7 @@ def _assert_products_match_oracle(d):
         for k, v in enumerate(row, start=1)
         if v.denominator != 1
     ]
-    assert _divisibility_failures(d) == bad, d
+    assert _scan(d) == bad, d
     if bad:
         with pytest.raises(InvalidRealizationError, match=re.escape(str(bad))):
             cartan_matrix(d)
@@ -816,6 +822,80 @@ def test_product_table_is_keyed_on_the_lambdas():
         for d in (x, y):
             assert cartan_matrix(d) == reference_cartan(d)
             assert symmetrized_cartan(d) == reference_symcartan(d)
-            assert _divisibility_failures(d) == []
+            assert _scan(d) == []
     assert cartan_matrix(x) != cartan_matrix(y)
     assert symmetrized_cartan(x) != symmetrized_cartan(y)
+
+
+# --- the one decoration pass against the reader oracles ----------------------
+
+
+def _assert_decoration_matches_oracle(d):
+    """Report, flags, both matrices and the symmetry order of one pass, per entry.
+
+    The matrices and the symmetry order are set exactly for data that pass
+    every check with (rho, rho) <= 0, and the flags' kind with them.
+    """
+    report = verify_realization(d)
+    checks, square = reference_verify(d)
+    assert (report.checks, report.weyl_square) == (checks, square), d
+    decorated = all(c.passed for c in checks) and square <= 0
+    assert report.flags == reference_flags(d, square if decorated else None), d
+    if not decorated:
+        assert report[3:] == (None, None, None), d
+        return
+    assert report.cartan == reference_cartan(d), d
+    assert all(type(v) is int for row in report.cartan for v in row)
+    assert report.symcartan == reference_symcartan(d), d
+    assert report.sym_order == reference_symmetry_group(d), d
+    assert report.flags == classify_flags(d, square)
+    assert (report.cartan, report.symcartan) == (cartan_matrix(d), symmetrized_cartan(d))
+    assert report.sym_order == symmetry_group(d)
+
+
+def test_decoration_matches_oracle_on_catalog_relabellings():
+    for d in _catalog_relabellings():
+        _assert_decoration_matches_oracle(d)
+
+
+def decodable(rows):
+    """A random table with its entries made nonnegative and its antipodal row consistent."""
+    lam, *rest = rows
+    rest = [tuple(map(abs, row)) for row in rest]
+    h = len(lam) // 2
+    if 2 * h == len(lam):
+        rest[-1] = rest[-1][:h] * 2
+    return (lam, *rest)
+
+
+def _gram_polygon(system):
+    """The polygon of a ``symmetric_gram`` system, its lambdas made positive."""
+    g, lam = system
+    n = len(g)
+    pairings = tuple(g[i][j] for i in range(n) for j in range(i + 1, n))
+    return PolygonDatum(n, pairings, tuple(abs(l) or 1 for l in lam))
+
+
+@given(random_table())
+@example(((1, 1, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0)))  # rank 4
+@example(((1, 1, 1), (0, 0, 0)))  # a positive-det first triple: r > 0
+@example(((2, 1, 1), (0, 1, 2)))  # valid, twisted
+def test_decoration_matches_oracle_on_random_tables(rows):
+    _assert_decoration_matches_oracle(table_to_datum(decodable(rows)))
+
+
+@given(symmetric_gram())
+@example(SCHUR_CASES[2])  # rank 4
+@example(SCHUR_CASES[3])  # rank 5
+@example(SCHUR_CASES[4])  # rank 3 with no rho
+def test_decoration_matches_oracle_on_random_grams(system):
+    _assert_decoration_matches_oracle(_gram_polygon(system))
+
+
+def test_flags_have_no_kind_without_a_square_at_most_zero():
+    """No drawn valid datum has (rho, rho) > 0, so the kernel is tested alone."""
+    adjacent, lam = (0, -2, -1), (1, 2, 1)
+    kinds = [core._flags(adjacent, lam, r).kind for r in (None, Fraction(1, 2))]
+    assert kinds == [None, None]
+    assert core._flags(adjacent, lam, Fraction(0)) == ("parabolic", False, False)
+    assert core._flags((0, -1, -1), (1,) * 3, Fraction(-3)) == ("elliptic", True, True)
