@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 1 a verification or check failed, 2 bad usage or
 unparseable input, 3 the enumeration hit the max-sides cap somewhere, 4 an
-engine invariant failed (an engine bug, reported as one line on stderr).
+engine invariant failed (an engine bug, reported as one line on stderr),
+141 the reader closed standard output early (as in ``hypercartan check
+big.txt | head``): the command stops quietly, with nothing on stderr,
+and 141 = 128 + SIGPIPE is what a shell reports for a program that
+SIGPIPE ends.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,9 +44,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_ENGINE = 4
+EXIT_PIPE = 141
 
-# 64 took 0.81-1.07 s from a fresh process (2-vCPU Xeon, Python 3.11); the cost
-# grows about as lambda^1.9-2.3 past 24, so a far larger value would not finish.
+# 64 took 0.68-0.88 s from a fresh process on a quiet shared 2-vCPU Xeon host,
+# and up to 1.4 s while that host was loaded (Python 3.11); the cost grows about
+# as lambda^2.0-2.2 past 24, so a far larger value would not finish.
 LAMBDA_MAX_CEILING = 64
 
 
@@ -338,10 +345,19 @@ def main(argv=None) -> int:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
-    except EngineError as exc:  # InvariantViolation included
-        print(f"error: engine invariant violated: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
+        try:
+            code = args.func(args)
+        except EngineError as exc:  # InvariantViolation included
+            print(f"error: engine invariant violated: {exc}", file=sys.stderr)
+            code = EXIT_ENGINE
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that the flush at
+        # shutdown writes nowhere instead of raising again, and stop.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -216,17 +216,6 @@ def _window_adjugate(a: int, b: int, c: int) -> tuple[int, int, int, int, int, i
     return (4 - c * c, 2 * a + b * c, a * c + 2 * b, 4 - b * b, 2 * c + a * b, 4 - a * a)
 
 
-def _adj_mul(a: int, b: int, c: int, v: tuple[int, ...]) -> tuple[int, int, int]:
-    """adj(g) v for the window Gram g."""
-    a11, a12, a13, a22, a23, a33 = _window_adjugate(a, b, c)
-    v1, v2, v3 = v
-    return (
-        a11 * v1 + a12 * v2 + a13 * v3,
-        a12 * v1 + a22 * v2 + a23 * v3,
-        a13 * v1 + a23 * v2 + a33 * v3,
-    )
-
-
 def _products(g, lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
     """Rows lambda_k (delta_j, delta_k) of the Gram g, 0-based; None when every lambda is 1."""
     if max(lam) == 1:

@@ -21,30 +21,41 @@ up to the floor of num's larger root: the scan stops there, and the
 wide pass needs no other bound.  b steps over the multiples of
 (l1/g)(l3/g), g = gcd(l1, l3), which are exactly the values that pass
 the twisting divisibility, and num and det follow it by constant second
-differences.  The wide pass finds a window's radius by the float
-num / det, checked exactly; distinct radii have distinct floats, so
-sorting by them is exact.
+differences.  Both passes find a window's radius by the float num / det,
+checked exactly by cross-multiplication; distinct radii have distinct
+floats, so sorting by them is exact.  A radius p / q is the integer
+pair (p, q) in lowest terms with q > 0, reduced by one gcd per radius;
+a ``Fraction`` is built only for a record, a cap event, the ``r_filter``
+and the argument of ``seed_triples``.
 
-From the seeds the search repeatedly glues overlapping open chains.  Two
-chains of one radius join when the second and third sides of one and
-the first and second of the other carry the same pairings and lambdas;
-those rows decide the whole overlap.  The single unknown pairing
-(delta_1, delta_n) comes from one gluing equation at every length: the
-Weyl-vector equation (rho, delta_n) = -lambda_n, through the integer
-adjugate of the chain's first window, which is always its seed window.
-An exact division is the integrality test.  Gluing stops when every
-chain has closed or died.
+From the seeds the search repeatedly glues overlapping open chains.  The
+single unknown pairing (delta_1, delta_n) of a glued chain comes from
+one gluing equation at every length: the Weyl-vector equation
+(rho, delta_n) = -lambda_n, through the integer adjugate of the chain's
+first window, which is always its seed window.  An exact division is
+the integrality test.  Gluing stops when every chain has closed or died.
+
+Seeds join on their 2-side overlap: x's sides 2, 3 against y's sides
+1, 2, one pairing and two lambdas, by a hash join.  Longer chains join
+by lineage.  A chain glued from x and y has x as its sides 1..m and y as
+its sides 2..m+1.  Within one radius no two live chains of one length
+are equal: the seeds are distinct windows, a glued chain determines both
+its parents, and one pair of parents gives at most one (delta_1,
+delta_n).  So x's sides 2..m equal y's sides 1..m-1 exactly when x's
+right parent is y's left parent, and each chain is glued to the live
+extensions of its right parent.  A round's extensions come out grouped
+by their left parent, so those extensions are a range of the next
+round's list: the join slices no key and hashes nothing.
 
 A chain is a packed tuple of its pairings, row-major over the strict
-upper triangle.  The join keys of two overlapping chains are slices of
-it, the glued chain is a concatenation, and gluing reads its pairings at
-fixed offsets: no pairing is looked up by (i, j) in the chain loop.
-The offsets depend on the length alone, so a gluing round takes one key
-layout for its length and slices every chain's keys inline.  A chain is
-glued to its whole head bucket at once: its Weyl row (the seed window's
-adjugate times its lambdas, the det, lambda_1 and its packed row 1) is
-computed once per chain and bucket, and each pair costs one exact
-division and the divisibility test.
+upper triangle, built with ``tuple.__new__``.  The glued chain is a
+concatenation, and gluing reads its pairings at fixed offsets: no
+pairing is looked up by (i, j) in the chain loop.  A chain is glued to
+all its partners at once: its Weyl row (the seed window's adjugate
+times its lambdas, the det, lambda_1 and its packed row 1) is computed
+once per chain, and each pair costs one exact division and the
+divisibility test.  Elliptic and parabolic mode share this loop; the
+period filter, like closure, keeps the order of the chains.
 
 Closed polygons are deduplicated by ``core.canonical_key``, re-verified
 and decorated; the final catalog depends only on (lambda_max, mode).
@@ -55,12 +66,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     PolygonDatum,
-    _adj_mul,
-    _window_det,
     canonical_key,
     pair_count,
     polygon_table,
@@ -254,33 +263,50 @@ def _windows(
                             dd += ddd
 
 
-def collect_radii(lambda_max: int) -> dict[Fraction, list[ChainState]]:
+Radius = tuple[int, int]  # p / q in lowest terms, q > 0
+
+
+def collect_radii(lambda_max: int) -> dict[Radius, list[ChainState]]:
     """All Weyl squares r < 0 of a bounded admissible 3-window, each with those windows.
 
     The long pairing is scanned over [0, RADIUS_B_MAX], the one place
     assumption (N) enters; adjacent pairings over [0, 2]; lambdas over
     [1, lambda_max]^3 with the twisting divisibility for every ordered
-    pair.  Each window, and its mirror, is a seed of its square.  Sorted
-    ascending by the float p / q, which is exact: distinct radii have
-    distinct floats (see ``_add_seeds``).
+    pair.  Each window, and its mirror, is a seed of its square.  A
+    radius r = p / q is keyed by the integer pair (p, q) in lowest terms
+    with q > 0.  A window is filed under its float num / det and checked
+    exactly against the first window of that float, num d' == num' d, so
+    one gcd per radius reduces its key; two squares sharing a float raise
+    EngineError (see ``_add_seeds``: radii never do).  Sorted ascending by
+    the float, which is exact for distinct floats.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    by_key: dict[tuple[int, int], list[ChainState]] = {}
+    new = tuple.__new__
+    by_float: dict[float, tuple[int, int, list[ChainState]]] = {}
     for a, b, c, lam, mirror, num, d in _windows(lambda_max, RADIUS_B_MAX):
         if num > 0:  # r = num/det with det < 0, so r < 0 iff num > 0
-            g = gcd(num, d)
-            bucket = by_key.setdefault((-num // g, -d // g), [])
-            bucket.append(ChainState(3, (-a, -b, -c), lam))
+            r = num / d
+            hit = by_float.get(r)
+            if hit is None:
+                hit = by_float[r] = (num, d, [])
+            elif hit[0] * d != num * hit[1]:
+                raise EngineError(f"squares {hit[0]}/{hit[1]} and {num}/{d} share a float")
+            bucket = hit[2]
+            bucket.append(new(ChainState, (3, (-a, -b, -c), lam)))
             if mirror is not None:
-                bucket.append(ChainState(3, (-c, -b, -a), mirror))
-    ascending = sorted(by_key, key=lambda pq: pq[0] / pq[1])
-    return {Fraction(p, q): by_key[p, q] for p, q in ascending}
+                bucket.append(new(ChainState, (3, (-c, -b, -a), mirror)))
+    radii: dict[Radius, list[ChainState]] = {}
+    for r in sorted(by_float):
+        num, d, bucket = by_float[r]
+        g = gcd(num, d)
+        radii[-num // g, -d // g] = bucket
+    return radii
 
 
 def _add_seeds(
-    seeds: dict[Fraction, list[ChainState]], windows: Iterator[Window]
-) -> dict[Fraction, list[ChainState]]:
+    seeds: dict[Radius, list[ChainState]], windows: Iterator[Window]
+) -> dict[Radius, list[ChainState]]:
     """Add each of ``windows`` whose square is a key of ``seeds``, and its mirror, to seeds.
 
     A window is looked up by the float num / d and accepted only if its
@@ -291,19 +317,19 @@ def _add_seeds(
     differ by at least 1/512^2, far above a float step at their size.
     """
     by_float: dict[float, tuple[int, int, list[ChainState]]] = {}
-    for r, bucket in seeds.items():
-        p, q = r.numerator, r.denominator
+    for (p, q), bucket in seeds.items():
         first = by_float.setdefault(p / q, (p, q, bucket))
         if first[2] is not bucket:
-            raise EngineError(f"squares {first[0]}/{first[1]} and {r} share a float")
+            raise EngineError(f"squares {first[0]}/{first[1]} and {p}/{q} share a float")
+    new = tuple.__new__
     for a, b, c, lam, mirror, num, d in windows:
         hit = by_float.get(num / d)
         if hit is not None:
             p, q, bucket = hit
             if p * d == num * q:
-                bucket.append(ChainState(3, (-a, -b, -c), lam))
+                bucket.append(new(ChainState, (3, (-a, -b, -c), lam)))
                 if mirror is not None:
-                    bucket.append(ChainState(3, (-c, -b, -a), mirror))
+                    bucket.append(new(ChainState, (3, (-c, -b, -a), mirror)))
     return seeds
 
 
@@ -312,10 +338,11 @@ def seed_triples(r: Fraction | int, lambda_max: int) -> list[ChainState]:
     target = Fraction(r)
     if target > 0:
         raise ValueError("the Weyl square of a seed window is never positive")
-    return _add_seeds({target: []}, _windows(lambda_max))[target]
+    key = (target.numerator, target.denominator)
+    return _add_seeds({key: []}, _windows(lambda_max))[key]
 
 
-def _seed_map(lambda_max: int) -> dict[Fraction, list[ChainState]]:
+def _seed_map(lambda_max: int) -> dict[Radius, list[ChainState]]:
     """Seeds for every radius of collect_radii(lambda_max), each window visited once:
     collect_radii seeds the windows with b <= RADIUS_B_MAX, this the wider ones."""
     wide = _windows(lambda_max, b_min=RADIUS_B_MAX + 1)
@@ -341,37 +368,20 @@ def partition_closed(
     return closed, extendable
 
 
-def _join_layout(m: int) -> tuple[int, int, int, int]:
-    """Join-key offsets (head_end, row2, head2_end, tail_end) of a length-m chain.
-
-    Packed rows 1, 2, 3 take offsets 0..m-2, m-1..2m-4 and 2m-3..3m-7.
-    The head key of y is p[:head_end] + p[row2:head2_end] + lam[:-1], its
-    rows 1 and 2 without their pairs with side m; the tail key of x is
-    p[row2:tail_end] + lam[1:], its rows 2 and 3.  Each holds the
-    overlap's lambdas; ``_glue`` shows why these rows suffice.  head_end
-    is also the offset of the closing pair (1, m).
-    """
-    return m - 2, m - 1, 2 * m - 4, 3 * m - 6
+Lineage = tuple[list[ChainState], list[int], list[int]]
 
 
-def _glue(x: ChainState, ys: list[ChainState]) -> list[ChainState]:
-    """Extensions of chain x by the last side of each overlapping chain y in ys.
+def _glue(
+    x: ChainState, chains: list[ChainState], js: Sequence[int]
+) -> list[tuple[ChainState, int]]:
+    """Extensions of chain x by the last side of each chain y = chains[j], j in js.
 
-    The join keys are assumed equal.  Only (delta_1, delta_n), n = m + 1,
-    is unknown; it must come out a non-positive integer satisfying
-    divisibility against both lambdas.  The extension is x's side 1
-    followed by y's sides: its row 1 is x's row 1 plus (delta_1, delta_n).
-    Extensions come out in the order of ys.
-
-    Both chains are realized at one Weyl square r (a seed window is, and so
-    is each glued chain, by what follows).  delta_2, delta_3 and rho are
-    independent: delta_3 = -delta_2 would give (rho, delta_3) = lambda_2 > 0;
-    for r < 0 the plane of delta_2, delta_3 (pairing 0, -1 or -2) holds no
-    negative vector, and for r = 0 its null vectors are the multiples of
-    delta_2 + delta_3, where (rho, delta_2) = 0 != -lambda_2.  Their Gram is
-    the same in x as for y's sides 1, 2, so x and y are isometric on the
-    whole space.  Each side k is fixed by (delta_k, delta_2),
-    (delta_k, delta_3) and lambda_k, so the key rows decide the overlap.
+    Each y's sides 1..m-1 are assumed to be x's sides 2..m.  Only
+    (delta_1, delta_n), n = m + 1, is unknown; it must come out a
+    non-positive integer satisfying divisibility against both lambdas.
+    The extension is x's side 1 followed by y's sides: its row 1 is x's
+    row 1 plus (delta_1, delta_n).  Each extension comes with the index j
+    of its y, in the order of js.
 
     x's first window is its seed window (an extension keeps x's first three
     sides): det < 0, and the Weyl equation (rho, delta_n) = -lambda_n reads
@@ -380,58 +390,121 @@ def _glue(x: ChainState, ys: list[ChainState]) -> list[ChainState]:
     all vanish only at a = b = 0, c = 2, where det = 0: A1 > 0, the geometric
     (delta_1, delta_n) is the unique solution, and the glued Gram has rank 3.
     That row (A, det, lambda_1 and x's row 1) depends on x alone, so it is
-    computed once for all of ys.
+    computed once for all of js.
     """
     m = x.length
-    xp = x.pairings
+    xp, xlam = x.pairings, x.lam
     # x: (1,2), (1,3), (2,3) at offsets 0, 1, m-1; y: (1,m), (2,m) at m-2, 2m-4
     a, b, c = -xp[0], -xp[1], -xp[m - 1]
-    a1, a2, a3 = _adj_mul(a, b, c, x.lam[:3])
-    det = _window_det(a, b, c)
-    l1 = x.lam[0]
-    head, lam1 = xp[: m - 1], x.lam[:1]
+    l1, l2, l3 = xlam[0], xlam[1], xlam[2]
+    # adj(g) lam with adj(g) = (4 - c^2, 2a + bc, ac + 2b, 4 - b^2, 2c + ab, 4 - a^2)
+    a12, a13, a23 = 2 * a + b * c, a * c + 2 * b, 2 * c + a * b
+    a1 = (4 - c * c) * l1 + a12 * l2 + a13 * l3
+    a2 = a12 * l1 + (4 - b * b) * l2 + a23 * l3
+    a3 = a13 * l1 + a23 * l2 + (4 - a * a) * l3
+    det = 8 - 2 * (a * a + b * b + c * c) - 2 * a * b * c
+    head, lam1, n = xp[: m - 1], xlam[:1], m + 1
     i2n, i3n = m - 2, 2 * m - 4
-    out: list[ChainState] = []
-    for y in ys:
-        yp, ln = y.pairings, y.lam[-1]
+    new = tuple.__new__
+    out: list[tuple[ChainState, int]] = []
+    for j in js:
+        _, yp, ylam = chains[j]
+        ln = ylam[-1]
         g1n, rem = divmod(ln * det - a2 * yp[i2n] - a3 * yp[i3n], a1)
         if rem or g1n > 0 or (ln * g1n) % l1 or (l1 * g1n) % ln:
             continue
-        out.append(ChainState(m + 1, head + (g1n,) + yp, lam1 + y.lam))
+        out.append((new(ChainState, (n, head + (g1n,) + yp, lam1 + ylam)), j))
     return out
 
 
-def extend_step(extendable: list[ChainState]) -> list[ChainState]:
-    """One gluing round: all chains one side longer.
+def _seed_partners(seeds: list[ChainState]) -> list[Sequence[int]]:
+    """For each seed x, the indices of the seeds y with y's sides 1, 2 equal to x's sides 2, 3.
 
-    Matches ordered pairs (X, Y) whose overlap agrees (X's sides 2..m
-    carry the same pairings and lambdas as Y's sides 1..m-1) via a hash
-    join on the key rows, then computes the unknown closing-side pairing
-    for each pair, one head bucket of Y per X.
+    A hash join on the 2-side overlap: the pairing between the two sides
+    and their lambdas, (delta_2, delta_3), lambda_2, lambda_3 of x against
+    (delta_1, delta_2), lambda_1, lambda_2 of y.
     """
-    if not extendable:
-        return []
-    m = extendable[0].length
-    head_end, row2, head2_end, tail_end = _join_layout(m)
-    by_head: dict[tuple, list[ChainState]] = {}
-    for ch in extendable:
-        if ch.length != m:
-            raise EngineError("extend_step needs chains of equal length")
-        p = ch.pairings
-        if p[head_end] >= -2:  # the closing pair (1, m)
-            raise EngineError("extend_step received a closed chain")
-        key = p[:head_end] + p[row2:head2_end] + ch.lam[:-1]
+    by_head: dict[tuple[int, int, int], list[int]] = {}
+    for j, (_, p, lam) in enumerate(seeds):
+        key = (p[0], lam[0], lam[1])
         bucket = by_head.get(key)
         if bucket is None:
-            by_head[key] = [ch]
+            by_head[key] = [j]
         else:
-            bucket.append(ch)
+            bucket.append(j)
+    return [by_head.get((p[2], lam[1], lam[2]), ()) for _, p, lam in seeds]
+
+
+def _lineage_partners(chains: list[ChainState], lineage: Lineage) -> list[range]:
+    """For each chain of ``chains``, the indices in it of its right parent's live extensions.
+
+    ``lineage`` is the previous round's (glued, lefts, rights): its
+    extensions with, for each, the indices of its left and right parent
+    in that round's chains.  ``chains`` is what is left of ``glued`` after
+    closure and the period filter, in order; its chains are matched to
+    ``glued`` by identity.  ``glued`` lists the extensions of each left
+    parent together, so its live ones are a range of ``chains``.
+    """
+    glued, lefts, rights = lineage
+    parents = max(lefts[-1], max(rights)) + 1 if glued else 0
+    lo = [0] * parents
+    hi = [0] * parents
+    own: list[int] = []  # each live chain's right parent
+    k, n = 0, len(chains)
+    nxt = chains[0]
+    for ch, i, j in zip(glued, lefts, rights):
+        if ch is nxt:
+            if lo[i] == hi[i]:
+                lo[i] = k
+            k += 1
+            hi[i] = k
+            own.append(j)
+            nxt = chains[k] if k < n else None
+    if k != n:
+        raise EngineError("extend_step needs the live chains of its previous round")
+    return [range(lo[j], hi[j]) for j in own]
+
+
+def extend_step(
+    chains: list[ChainState], lineage: Lineage | None = None
+) -> tuple[list[ChainState], Lineage]:
+    """One gluing round: all chains one side longer, and the lineage of the new chains.
+
+    Pairs each x with every y whose sides 1..m-1 are x's sides 2..m and
+    glues the pairs of one x at once (``_glue``).  Seeds (no ``lineage``)
+    find their partners by a hash join on the 2-side overlap.  Longer
+    chains join by ``lineage``, what the previous round returned: y
+    overlaps x exactly when y's left parent is x's right parent, since no
+    two live chains of one radius and length are equal (see the module
+    docstring), so x's partners are the live extensions of its right
+    parent, a range of ``chains``.  Extensions come out in the order of
+    x, then of y in ``chains``.
+    """
+    if not chains:
+        return [], ([], [], [])
+    m = chains[0].length
+    for ch in chains:
+        if ch.length != m:
+            raise EngineError("extend_step needs chains of equal length")
+        if ch.pairings[m - 2] >= -2:  # the closing pair (1, m)
+            raise EngineError("extend_step received a closed chain")
+    if lineage is not None:
+        partners = _lineage_partners(chains, lineage)
+    elif m == 3:
+        partners = _seed_partners(chains)
+    else:
+        raise EngineError("extend_step joins chains past the seeds by their lineage")
     out: list[ChainState] = []
-    for x in extendable:
-        ys = by_head.get(x.pairings[row2:tail_end] + x.lam[1:])
-        if ys:
-            out.extend(_glue(x, ys))
-    return out
+    lefts: list[int] = []
+    rights: list[int] = []
+    for i, x in enumerate(chains):
+        js = partners[i]
+        if js:
+            for ch, j in _glue(x, chains, js):
+                out.append(ch)
+                lefts.append(i)
+                rights.append(j)
+    return out, (out, lefts, rights)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +561,11 @@ def _grow(
     3-window state repeats an earlier one is recorded there, keyed by
     (period, signature), instead of being extended.  A key keeps its least
     chain in ``_sweep_order``, taken explicitly with ``min``, so the report
-    does not depend on the order in which the sweep emits seeds.
+    does not depend on the order in which the sweep emits seeds.  Each
+    round after the seeds joins by the lineage of the round before.
     """
     closed_all: list[PolygonDatum] = []
+    lineage = None
     while chains:
         closed, chains = partition_closed(chains)
         closed_all.extend(closed)
@@ -508,15 +583,15 @@ def _grow(
             break
         if chains[0].length >= max_sides:
             return closed_all, chains
-        chains = extend_step(chains)
+        chains, lineage = extend_step(chains, lineage)
     return closed_all, []
 
 
 def _run_radius(
-    r: Fraction, seeds: list[ChainState], max_sides: int
+    r: Radius, seeds: list[ChainState], max_sides: int
 ) -> tuple[list[CatalogRecord], bool]:
     closed, capped = _grow(seeds, max_sides)
-    return (_dedup_records(r, closed) if closed else []), bool(capped)
+    return (_dedup_records(Fraction(*r), closed) if closed else []), bool(capped)
 
 
 def run_elliptic(
@@ -537,15 +612,18 @@ def run_elliptic(
         raise ValueError("lambda_max must be >= 1")
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
+    only = None
+    if r_filter is not None:
+        only = Fraction(r_filter).as_integer_ratio()
     records: list[CatalogRecord] = []
     caps: list[Fraction] = []
     for r, seeds in _seed_map(lambda_max).items():
-        if r_filter is not None and r != r_filter:
+        if only is not None and r != only:
             continue
         recs, capped = _run_radius(r, seeds, max_sides)
         records.extend(recs)
         if capped:
-            caps.append(r)
+            caps.append(Fraction(*r))
     return EnumerationResult(tuple(records), tuple(caps))
 
 
@@ -570,8 +648,8 @@ def _sweep_order(rep: PeriodicChainReport) -> tuple:
 
     This is the order in which a full window sweep, one that visits both
     windows of each mirror pair, emits seeds, and ``extend_step`` keeps it
-    (x's extensions follow x, and one head key's y differ only in the last
-    window).  So the least chain of a periodic class is the one a full
+    (x's extensions follow x, and x's partners, the extensions of one
+    parent, differ only in the last window).  So the least chain of a periodic class is the one a full
     sweep finds first.  ``_grow`` takes that minimum explicitly, so the
     half sweep of ``_windows`` reports the same chains.
     """

@@ -2,7 +2,11 @@
 
 ``pair`` looks one pairing up by its side indices, as ``ChainState.pair``
 and ``PolygonDatum.pair`` did.  The join keys and the extended chain are
-rebuilt entry by entry through it.  The window scan walks every (a, c, lam) triple with
+rebuilt entry by entry through it, and ``key_join`` is one gluing round
+as a hash join on the whole overlap, as ``extend_step`` glued before it
+joined chains by lineage; ``reached_chains`` runs the chain loop on it.
+``radius`` reads an engine radius key (p, q) as a ``Fraction``, checking
+that it is in lowest terms.  The window scan walks every (a, c, lam) triple with
 a divisibility test per triple, every long pairing b with a divisibility
 test per b, and evaluates num and det per window from the closed forms,
 as the engine did before it enumerated admissible shapes directly and
@@ -33,7 +37,6 @@ from hypercartan.engine import (
     EnumerationResult,
     _detect_period,
     collect_radii,
-    extend_step,
     partition_closed,
     run_elliptic,
 )
@@ -169,8 +172,9 @@ def bucketed_seeds(radii, windows) -> dict:
 def reached_chains(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):
     """Every chain the chain loop meets from these seeds, length by length.
 
-    Follows engine._grow: closed chains stop, and with ``parabolic`` a
-    chain whose newest window state repeats is set aside.
+    Follows engine._grow, gluing each round by ``key_join``: closed
+    chains stop, and with ``parabolic`` a chain whose newest window state
+    repeats is set aside.
     """
     chains = seeds
     while chains:
@@ -180,7 +184,7 @@ def reached_chains(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):
             chains = [ch for ch in chains if _detect_period(ch) is None]
         if not chains or chains[0].length >= max_sides:
             break
-        chains = extend_step(chains)
+        chains = key_join(chains)[1]
 
 
 def head_key(ch: ChainState) -> tuple:
@@ -207,6 +211,53 @@ def extended_chain(x: ChainState, y: ChainState, g1n: int) -> ChainState:
             newp.append(pair(y, i - 1, j - 1))
     lam = (x.lam[0],) + y.lam
     return ChainState(n, tuple(newp), lam)
+
+
+def weyl_pairing(x: ChainState, y: ChainState) -> Fraction:
+    """(delta_1, delta_n) of x glued to y over the rationals, n = x.length + 1.
+
+    The Weyl equation (rho, delta_n) = -lambda_n on x's first window:
+    A1 g1n = lambda_n det - A2 (delta_2, delta_n) - A3 (delta_3, delta_n),
+    with A = adj(g) lam and y's sides 1, 2, m standing for sides 2, 3, n.
+    """
+    m = x.length
+    a, b, c = -pair(x, 1, 2), -pair(x, 1, 3), -pair(x, 2, 3)
+    a11, a12, a13, a22, a23, a33 = _window_adjugate(a, b, c)
+    l1, l2, l3 = x.lam[:3]
+    ln = y.lam[-1]
+    rhs = (
+        ln * _window_det(a, b, c)
+        - (a12 * l1 + a22 * l2 + a23 * l3) * pair(y, 1, m)
+        - (a13 * l1 + a23 * l2 + a33 * l3) * pair(y, 2, m)
+    )
+    return Fraction(rhs, a11 * l1 + a12 * l2 + a13 * l3)
+
+
+def key_join(chains: list[ChainState]) -> tuple[list[tuple], list[ChainState]]:
+    """One gluing round by a hash join on the whole overlap: the pairs and the extensions.
+
+    x and y join when tail_key(x) == head_key(y), in the order of x, then
+    of y in ``chains``.  A pair extends x when its ``weyl_pairing`` is a
+    non-positive integer passing the divisibility against lambda_1 and
+    lambda_n; the extensions come out in the order of the pairs.
+    """
+    by_head: dict[tuple, list[ChainState]] = {}
+    for y in chains:
+        by_head.setdefault(head_key(y), []).append(y)
+    pairs = [(x, y) for x in chains for y in by_head.get(tail_key(x), ())]
+    out = []
+    for x, y in pairs:
+        g1n = weyl_pairing(x, y)
+        if g1n.denominator == 1 and g1n <= 0 and long_divisible(int(g1n), x.lam[0], y.lam[-1]):
+            out.append(extended_chain(x, y, int(g1n)))
+    return pairs, out
+
+
+def radius(key: tuple[int, int]) -> Fraction:
+    """The square p / q of an engine radius key (p, q), which must be in lowest terms with q > 0."""
+    p, q = key
+    assert type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1, key
+    return Fraction(p, q)
 
 
 def chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
@@ -237,7 +288,8 @@ def radius_slice_mismatches(
     ascending order.
     """
     with_records = sorted({rec.r for rec in full.records})
-    empty = next(r for r in collect_radii(lambda_max) if r not in with_records)
+    radii = map(radius, collect_radii(lambda_max))
+    empty = next(r for r in radii if r not in with_records)
     mismatches: list = []
     concatenated: list = []
     for r in with_records + [empty]:

@@ -219,7 +219,7 @@ def _oracle_catalog(bound=60):
     to 2, and keeps the dihedral classes that verify with a Weyl square
     in the admissible radius set.
     """
-    targets = set(collect_radii(2))
+    targets = set(map(engine_oracle.radius, collect_radii(2)))
     found: dict[tuple, Fraction] = {}
 
     for pairings in itertools.product(range(-2, 1), repeat=3):

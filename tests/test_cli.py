@@ -404,6 +404,39 @@ def test_console_entry_point_subprocess():
     assert len(proc.stdout.splitlines()) == 16
 
 
+def test_closed_stdout_exits_quietly(tmp_path):
+    """A reader that closes the pipe early stops the command with exit 141 and
+    nothing on stderr: after a few bytes of a long output, and before any
+    byte of a short one, which stays in the stdout buffer until the end."""
+    import os
+    import subprocess
+    import sys
+
+    blocks = [format_golden_block(row.r, row.table) for row in golden_catalog()]
+    path = tmp_path / "catalog40.txt"
+    path.write_text("\n\n".join(blocks * 40) + "\n")  # about 1.2 MB of output
+    with subprocess.Popen(
+        [sys.executable, "-m", "hypercartan.cli", "check", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(10) == b"block 1: r"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait() == cli.EXIT_PIPE == 141
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hypercartan.cli", "verify", "--skip-engine"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
 def test_verify_skip_engine(capsys):
     code, out, _ = run_cli(capsys, "verify", "--skip-engine")
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 
 from hypercartan import engine
 from hypercartan.cli import LAMBDA_MAX_CEILING, _record_json
-from hypercartan.core import _adj_mul, _window_det, verify_realization
+from hypercartan.core import _window_adjugate, _window_det, verify_realization
 from hypercartan.engine import (
     DEFAULT_MAX_SIDES,
     RADIUS_B_MAX,
@@ -17,7 +17,6 @@ from hypercartan.engine import (
     _chain_windows,
     _detect_period,
     _glue,
-    _join_layout,
     _min_rotation,
     _seed_map,
     _windows,
@@ -79,7 +78,7 @@ def _exhaustive_seeds(r, lambda_max, b_to=200):
 
 
 def test_collect_radii_contains_known_values():
-    radii = collect_radii(2)
+    radii = list(map(oracle.radius, collect_radii(2)))
     assert Fraction(-59, 2) in radii
     assert Fraction(-22) in radii
     assert all(r < 0 for r in radii)
@@ -87,13 +86,13 @@ def test_collect_radii_contains_known_values():
 
 
 def test_collect_radii_untwisted_values():
-    radii = collect_radii(1)
+    radii = list(map(oracle.radius, collect_radii(1)))
     for r in SYMMETRIC_NONCOMPACT_RADII[:5] + [Fraction(-23, 2), Fraction(-4)]:
         assert r in radii
 
 
 def test_collect_radii_monotone_in_lambda():
-    assert set(collect_radii(1)) <= set(collect_radii(2))
+    assert set(map(oracle.radius, collect_radii(1))) <= set(map(oracle.radius, collect_radii(2)))
 
 
 def test_seed_triples_finds_base_triangle():
@@ -137,7 +136,7 @@ def test_seed_map_agrees_with_seed_triples():
     buckets = _seed_map(2)
     for r in (Fraction(-59, 2), Fraction(-22), Fraction(-7)):
         direct = {(s.pairings, s.lam) for s in seed_triples(r, 2)}
-        bucketed = {(s.pairings, s.lam) for s in buckets[r]}
+        bucketed = {(s.pairings, s.lam) for s in buckets[r.as_integer_ratio()]}
         assert direct == bucketed
 
 
@@ -154,7 +153,7 @@ def test_partition_closed():
 def test_extend_step_reaches_seven_quadrangle():
     r = Fraction(-7)
     _, extendable = partition_closed(seed_triples(r, 3))
-    chains4 = extend_step(extendable)
+    chains4, _ = extend_step(extendable)
     assert all(c.length == 4 for c in chains4)
     target = [
         c
@@ -173,13 +172,13 @@ def test_extend_step_rejects_fractional_pairing():
     x = ChainState(3, (0, -3, -1), (1, 3, 3))
     y = ChainState(3, (-1, -4, 0), (3, 3, 1))
     # overlap matches, but the Weyl equation gives (delta_1, delta_4) = -6/5
-    assert extend_step([x, y]) == []
+    assert extend_step([x, y])[0] == []
 
 
 def test_extended_chains_keep_weyl_consistency():
     r = Fraction(-7)
     _, extendable = partition_closed(seed_triples(r, 3))
-    for chain in extend_step(extendable):
+    for chain in extend_step(extendable)[0]:
         x = _first_window_weyl(chain).coords
         for j in range(1, chain.length + 1):
             paired = sum(x[i] * pair(chain, i + 1, j) for i in range(3))
@@ -249,7 +248,7 @@ def test_run_elliptic_cap_event():
     seeds = _seed_map(1)
     for r in seeds:
         _, capped = engine._grow(seeds[r], 4)
-        assert bool(capped) == (r in result.cap_events)
+        assert bool(capped) == (oracle.radius(r) in result.cap_events)
         assert all(ch.length == 4 for ch in capped)
     # radii whose chains were cut off report partial catalogs, so fewer records
     assert len(result.records) < 16
@@ -404,9 +403,17 @@ def test_extend_step_rejects_mixed_or_closed_input():
     closed3 = ChainState(3, (0, -1, -2), (1, 1, 1))
     with pytest.raises(EngineError):
         extend_step([open3, closed3])
-    four = extend_step(partition_closed(seed_triples(Fraction(-7), 3))[1])
+    four, _ = extend_step(partition_closed(seed_triples(Fraction(-7), 3))[1])
     with pytest.raises(EngineError):
         extend_step([open3, four[0]])
+    # past the seeds a round joins by the previous round's lineage only,
+    # and only the chains that round glued
+    live, lineage = extend_step(partition_closed(seed_triples(Fraction(-7, 18), 1))[1])
+    assert len(live) >= 2 and partition_closed(live)[1] == live
+    with pytest.raises(EngineError, match="lineage"):
+        extend_step(live)
+    with pytest.raises(EngineError, match="live chains"):
+        extend_step(live[::-1], lineage)
 
 
 def test_run_elliptic_r_filter_unattained():
@@ -514,21 +521,28 @@ def _fraction_glue(x, y):
 
 
 def _head_buckets(lambda_max):
-    """Every chain x the search extends, with its non-empty head bucket ys."""
+    """Every chain x the search extends, with the chains ys the oracle's key join pairs it with."""
     for seeds in _seed_map(lambda_max).values():
         chains = seeds
         while chains:
             _, ext = partition_closed(chains)
-            by_head = {}
-            for ch in ext:
-                by_head.setdefault(_head(ch), []).append(ch)
-            for x in ext:
-                ys = by_head.get(_tail(x))
-                if ys:
-                    yield x, ys
+            pairs, glued = oracle.key_join(ext)
+            for _, group in itertools.groupby(pairs, key=lambda xy: id(xy[0])):
+                group = list(group)
+                yield group[0][0], [y for _, y in group]
             if not ext or ext[0].length >= DEFAULT_MAX_SIDES:
                 break
-            chains = extend_step(ext)
+            chains = glued
+
+
+def _glued(x, ys):
+    """_glue(x, ys, every index of ys): the extensions, each checked to end with its y."""
+    items = _glue(x, ys, range(len(ys)))
+    js = [j for _, j in items]
+    assert js == sorted(set(js)), x
+    for ch, j in items:
+        assert ch.lam[1:] == ys[j].lam and ch.pairings[-len(ys[j].pairings):] == ys[j].pairings
+    return [ch for ch, _ in items]
 
 
 def test_glue_matches_fraction_oracle():
@@ -537,12 +551,12 @@ def test_glue_matches_fraction_oracle():
     for x, ys in _head_buckets(3):
         per_y = []
         for y in ys:
-            fast = _glue(x, [y])
+            fast = _glued(x, [y])
             assert fast == _fraction_glue(x, y), (x, y)
             outcomes.add((x.length == 3, bool(fast)))
             per_y.extend(fast)
-        # one Weyl row of x serves its whole bucket, in the bucket's order
-        assert _glue(x, ys) == per_y, x
+        # one Weyl row of x serves all its partners, in their order
+        assert _glued(x, ys) == per_y, x
         shared += len(ys) >= 2 and len(per_y) >= 2
     # both branches of the oracle (length 3, and the composition across
     # y's first window beyond), each seen accepting and rejecting
@@ -565,7 +579,7 @@ def test_glue_candidates_have_rank_3():
         _, ext = partition_closed(list(oracle.reached_chains(seeds, parabolic)))
         if parabolic:
             ext = [ch for ch in ext if _detect_period(ch) is None]
-        for x, y in _joined(ext, _head, _tail):
+        for x, y in oracle.key_join(ext)[0]:
             m = x.length
             rho = _first_window_weyl(x).coords
             g2n, g3n = pair(y, 1, m), pair(y, 2, m)
@@ -593,7 +607,7 @@ def _all_shapes(lambda_max):
 
 
 def test_long_pairing_bound_matches_brute_force_scan():
-    r_maxes = {max(collect_radii(k)) for k in range(1, 5)}
+    r_maxes = {max(map(oracle.radius, collect_radii(k))) for k in range(1, 5)}
     r_maxes |= {Fraction(0), Fraction(-1), Fraction(-59, 2), Fraction(-1, 24)}
     for r_max in r_maxes:
         p, q = r_max.numerator, r_max.denominator
@@ -618,80 +632,87 @@ def test_first_adjugate_coordinate_is_positive():
     for a, c, lam in _all_shapes(4):
         for b in range(201):
             if _window_det(a, b, c) < 0:
-                assert _adj_mul(a, b, c, lam)[0] > 0, (a, b, c, lam)
+                a11, a12, a13, *_ = _window_adjugate(a, b, c)
+                assert a11 * lam[0] + a12 * lam[1] + a13 * lam[2] > 0, (a, b, c, lam)
 
 
 # --- slow oracles for the packed-tuple chain kernel -------------------------
 
 
-def _joined(chains, head_key, tail_key):
-    """Ordered pairs (x, y) with tail_key(x) == head_key(y)."""
-    by_head = {}
-    for ch in chains:
-        by_head.setdefault(head_key(ch), []).append(ch)
-    return [(x, y) for x in chains for y in by_head.get(tail_key(x), ())]
+def _engine_rounds(monkeypatch, seeds, periodic=None):
+    """engine._grow on these seeds, round by round: (chains, pairs glued, extensions).
 
+    ``chains`` is the list handed to extend_step, the pairs are (x, y) in
+    the order _glue is handed them, and the extensions are extend_step's.
+    Also returns the chains alive at the cap.
+    """
+    rounds = []
+    glue, step = engine._glue, engine.extend_step
 
-def _head(ch):
-    """y's head key, sliced at ``_join_layout`` as ``extend_step`` slices it."""
-    head_end, row2, head2_end, _ = _join_layout(ch.length)
-    return ch.pairings[:head_end] + ch.pairings[row2:head2_end] + ch.lam[:-1]
+    def recorded_glue(x, chains, js):
+        assert js, x  # _glue only sees chains with partners
+        rounds[-1][1].extend((x, chains[j]) for j in js)
+        return glue(x, chains, js)
 
+    def recorded_step(chains, lineage=None):
+        rounds.append((list(chains), [], []))
+        out = step(chains, lineage)
+        rounds[-1][2].extend(out[0])
+        return out
 
-def _tail(ch):
-    """x's tail key, sliced at ``_join_layout`` as ``extend_step`` slices it."""
-    _, row2, _, tail_end = _join_layout(ch.length)
-    return ch.pairings[row2:tail_end] + ch.lam[1:]
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "_glue", recorded_glue)
+        patched.setattr(engine, "extend_step", recorded_step)
+        _, capped = engine._grow(seeds, DEFAULT_MAX_SIDES, periodic)
+    return rounds, capped
 
 
 def test_packed_keys_and_extension_match_pair_oracle(monkeypatch):
-    """The join layout, extend_step's head buckets and extensions agree with pair().
+    """Packed offsets, the pairs _glue is handed and the extensions agree with pair().
 
-    Joining on the key rows pairs exactly the chains whose whole overlap
-    agrees, entry by entry through pair().  extend_step hands ``_glue``
-    each x with its non-empty head bucket, so the (x, y) pairs it glues
-    are the oracle's join in order, and its output is the per-pair
-    extensions concatenated in that order.
+    Every chain the loop meets has its closing pair at offset m - 2 and
+    the windows pair() reads.  In every round the (x, y) pairs glued are
+    the oracle's key join on the whole overlap, in order, and the output
+    is the oracle's extensions of those pairs, each the concatenation
+    pair() builds.
     """
-    calls = []
-    glue = engine._glue
-
-    def recorded(x, ys):
-        calls.append((x, ys))
-        return glue(x, ys)
-
-    monkeypatch.setattr(engine, "_glue", recorded)
-    runs = [(seeds, False) for seeds in _seed_map(3).values()]
-    runs.append((seed_triples(0, 3), True))
+    runs = [(seeds, None) for seeds in _seed_map(3).values()]
+    runs.append((seed_triples(0, 3), {}))
     lengths = set()
     joined = 0
-    for seeds, parabolic in runs:
-        chains = list(oracle.reached_chains(seeds, parabolic))
-        for ch in chains:
-            lengths.add(ch.length)
-            assert ch.pairings[ch.length - 2] == pair(ch, 1, ch.length), ch
-            assert _join_layout(ch.length)[0] == ch.length - 2, ch
-            assert _chain_windows(ch) == oracle.chain_windows(ch), ch
-        assert _joined(chains, _head, _tail) == _joined(
-            chains, oracle.head_key, oracle.tail_key
-        )
-        for m in sorted({ch.length for ch in chains}):
-            _, ext = partition_closed([ch for ch in chains if ch.length == m])
-            if parabolic:
-                ext = [ch for ch in ext if _detect_period(ch) is None]
-            pairs = _joined(ext, oracle.head_key, oracle.tail_key)
-            calls.clear()
-            glued = extend_step(ext)
-            assert all(ys for _, ys in calls)
-            assert [(x, y) for x, ys in calls for y in ys] == pairs
-            per_pair = []
-            for x, y in pairs:
-                for ch in glue(x, [y]):
-                    assert ch == oracle.extended_chain(x, y, ch.pairings[m - 1]), (x, y)
-                    per_pair.append(ch)
-            assert glued == per_pair
+    for seeds, periodic in runs:
+        rounds, _ = _engine_rounds(monkeypatch, seeds, periodic)
+        for chains, pairs, glued in rounds:
+            m = chains[0].length
+            for ch in chains:
+                lengths.add(ch.length)
+                assert ch.pairings[m - 2] == pair(ch, 1, m), ch
+                assert _chain_windows(ch) == oracle.chain_windows(ch), ch
+            assert (pairs, glued) == oracle.key_join(chains)
+            lengths.update(ch.length for ch in glued)
             joined += len(pairs)
     assert lengths == set(range(3, 13)) and joined
+
+
+def test_lineage_join_is_the_key_join(monkeypatch):
+    """At every radius for lambda <= 6, and at r = 0 with the period filter
+    for lambda <= 2, each round glues the pairs of the oracle's key join, in
+    order, and outputs its extensions in order.  No two live chains of one
+    radius and length are equal, the lemma that makes the lineage join the
+    key join."""
+    runs = [(seeds, None) for lm in range(1, 7) for seeds in _seed_map(lm).values()]
+    runs += [(seed_triples(0, lm), {}) for lm in (1, 2)]
+    rounds_seen = lineage_rounds = 0
+    for seeds, periodic in runs:
+        rounds, capped = _engine_rounds(monkeypatch, seeds, periodic)
+        assert len(set(capped)) == len(capped)
+        for chains, pairs, glued in rounds:
+            assert len(set(chains)) == len(chains), chains[0].length
+            assert (pairs, glued) == oracle.key_join(chains), chains[0].length
+            rounds_seen += 1
+            lineage_rounds += chains[0].length > 3 and bool(pairs)
+    print(f"{rounds_seen} rounds, {lineage_rounds} joined by lineage")
+    assert rounds_seen > 1000 and lineage_rounds > 100
 
 
 def test_windows_match_unstrided_oracle():
@@ -749,10 +770,10 @@ def test_radii_integer_order_matches_fraction_sort():
         ]
         squares = sorted({Fraction(num, d) for *_, num, d in narrow})
         radii = collect_radii(lambda_max)
-        assert tuple(radii) == tuple(squares), lambda_max
+        assert list(map(oracle.radius, radii)) == squares, lambda_max
         expected = oracle.bucketed_seeds(squares, narrow)
         for r in squares:
-            assert sorted(radii[r]) == sorted(expected[r]), (lambda_max, r)
+            assert sorted(radii[r.as_integer_ratio()]) == sorted(expected[r]), (lambda_max, r)
 
 
 def test_split_sweep_is_the_full_sweep():
@@ -785,31 +806,50 @@ def test_add_seeds_matches_exact_bucketing():
     """_add_seeds files the windows under the same squares as gcd-reduced keys
     do, r = 0 included, compared as multisets."""
     for lambda_max in range(1, 9):
-        radii = [*collect_radii(lambda_max), Fraction(0)]
+        keys = [*collect_radii(lambda_max), (0, 1)]
+        radii = list(map(oracle.radius, keys))
         windows = list(_windows(lambda_max))
-        fast = _add_seeds({r: [] for r in radii}, iter(windows))
+        fast = _add_seeds({key: [] for key in keys}, iter(windows))
         expected = oracle.bucketed_seeds(radii, oracle.mirror_expanded(windows))
-        assert list(fast) == radii
-        for r in radii:
-            assert sorted(fast[r]) == sorted(expected[r]), (lambda_max, r)
-        assert fast[Fraction(0)] and all(fast.values())
+        assert list(fast) == keys
+        for key, r in zip(keys, radii):
+            assert sorted(fast[key]) == sorted(expected[r]), (lambda_max, r)
+        assert fast[0, 1] and all(fast.values())
 
 
 def test_add_seeds_checks_float_hits_exactly():
     """Two keys sharing a float raise; a window whose float matches a key
     but whose square differs from it is not a seed of that key."""
-    near_third = Fraction(*(-1 / 3).as_integer_ratio())
-    assert near_third != Fraction(-1, 3) and float(near_third) == -1 / 3
+    near_third = (-1 / 3).as_integer_ratio()
+    assert Fraction(*near_third) != Fraction(-1, 3) and near_third[0] / near_third[1] == -1 / 3
     with pytest.raises(EngineError, match="share a float"):
-        _add_seeds({Fraction(-1, 3): [], near_third: []}, iter(()))
+        _add_seeds({(-1, 3): [], near_third: []}, iter(()))
     third = (0, 0, 0, (1, 1, 1), None, 1, -3)  # num / det = -1/3
     assert _add_seeds({near_third: []}, iter([third])) == {near_third: []}
-    assert _add_seeds({Fraction(-1, 3): []}, iter([third]))[Fraction(-1, 3)]
+    assert _add_seeds({(-1, 3): []}, iter([third]))[-1, 3]
+
+
+def test_collect_radii_checks_float_hits_exactly(monkeypatch):
+    """The narrow pass files windows of one square under one reduced key,
+    and two squares sharing a float raise instead of merging."""
+    near_third = (-1 / 3).as_integer_ratio()
+    third = (0, 0, 0, (1, 1, 1), None, 1, -3)  # num / det = -1/3
+    third_again = (0, 1, 0, (1, 2, 1), None, 2, -6)
+    close = (0, 2, 0, (1, 1, 1), None, -near_third[0], -near_third[1])
+    windows = [third, third_again]
+    monkeypatch.setattr(engine, "_windows", lambda *args: iter(windows))
+    radii = collect_radii(1)
+    assert list(radii) == [(-1, 3)]
+    assert [s.lam for s in radii[-1, 3]] == [(1, 1, 1), (1, 2, 1)]
+    windows = [third, close]
+    with pytest.raises(EngineError, match="share a float"):
+        collect_radii(1)
 
 
 def test_radii_at_the_lambda_ceiling_have_distinct_floats_in_order():
-    radii = list(collect_radii(LAMBDA_MAX_CEILING))
-    floats = [r.numerator / r.denominator for r in radii]
+    keys = list(collect_radii(LAMBDA_MAX_CEILING))
+    radii = list(map(oracle.radius, keys))
+    floats = [p / q for p, q in keys]
     assert radii == sorted(radii)
     assert all(x < y for x, y in zip(floats, floats[1:]))
 
@@ -841,7 +881,7 @@ def test_seed_map_matches_sweep_bounded_by_largest_radius():
     same windows at each radius, compared as multisets.
     """
     for lambda_max in range(1, 9):
-        radii = collect_radii(lambda_max)
+        radii = list(map(oracle.radius, collect_radii(lambda_max)))
         buckets = {r: [] for r in radii}
         sweep = oracle.windows(lambda_max, oracle.long_pairing_bound(max(radii)))
         for a, b, c, lam, num, d in sweep:
@@ -849,9 +889,9 @@ def test_seed_map_matches_sweep_bounded_by_largest_radius():
             if bucket is not None:
                 bucket.append(ChainState(3, (-a, -b, -c), lam))
         seeds = _seed_map(lambda_max)
-        assert list(seeds) == list(buckets), lambda_max
+        assert list(map(oracle.radius, seeds)) == list(buckets), lambda_max
         for r in radii:
-            assert sorted(seeds[r]) == sorted(buckets[r]), (lambda_max, r)
+            assert sorted(seeds[r.as_integer_ratio()]) == sorted(buckets[r]), (lambda_max, r)
 
 
 def test_half_sweep_and_its_mirrors_are_the_full_sweep():
