@@ -46,9 +46,9 @@ EXIT_CAP = 3
 EXIT_ENGINE = 4
 EXIT_PIPE = 141
 
-# 64 took 0.68-0.88 s from a fresh process on a quiet shared 2-vCPU Xeon host,
-# and up to 1.4 s while that host was loaded (Python 3.11); the cost grows about
-# as lambda^2.0-2.2 past 24, so a far larger value would not finish.
+# 64 took 0.68-1.15 s over 7 fresh-process runs on a shared 2-vCPU Xeon host
+# (Python 3.11); the cost grows about as lambda^2.1 from 24 to 64, so a far
+# larger value would not finish.
 LAMBDA_MAX_CEILING = 64
 
 

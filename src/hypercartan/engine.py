@@ -36,26 +36,36 @@ first window, which is always its seed window.  An exact division is
 the integrality test.  Gluing stops when every chain has closed or died.
 
 Seeds join on their 2-side overlap: x's sides 2, 3 against y's sides
-1, 2, one pairing and two lambdas, by a hash join.  Longer chains join
-by lineage.  A chain glued from x and y has x as its sides 1..m and y as
-its sides 2..m+1.  Within one radius no two live chains of one length
-are equal: the seeds are distinct windows, a glued chain determines both
-its parents, and one pair of parents gives at most one (delta_1,
-delta_n).  So x's sides 2..m equal y's sides 1..m-1 exactly when x's
-right parent is y's left parent, and each chain is glued to the live
-extensions of its right parent.  A round's extensions come out grouped
-by their left parent, so those extensions are a range of the next
-round's list: the join slices no key and hashes nothing.
+1, 2, one pairing and two lambdas, by a hash join within their radius.
+Longer chains join by lineage.  A chain glued from x and y has x as its
+sides 1..m and y as its sides 2..m+1.  Within one radius no two live
+chains of one length are equal: the seeds are distinct windows, a glued
+chain determines both its parents, and one pair of parents gives at
+most one (delta_1, delta_n).  So x's sides 2..m equal y's sides 1..m-1
+exactly when x's right parent is y's left parent, and each chain is
+glued to the live extensions of its right parent.  Chains of two radii
+never overlap, since a window determines its square.  A round emits the
+live extensions of each left parent together, so a chain's partners
+are one range of its round, handed to it when the round before ends:
+the join hashes nothing and matches no chain.  An extension with (delta_1, delta_n) >= -2 is closed where that
+is computed: it goes with its radius to ``partition_closed`` and is not
+glued again.
+
+One chain loop runs every radius, in passes of ``_PASS_RADII`` radii in
+ascending order: a pass pops and joins its radii's seeds radius by
+radius, then glues one round per length over all its radii at once,
+each chain carrying its radius.  Parabolic mode runs it as the one
+radius 0; its period filter keeps the order of the chains and moves
+each partner range to the count of chains kept before it.
 
 A chain is a packed tuple of its pairings, row-major over the strict
 upper triangle, built with ``tuple.__new__``.  The glued chain is a
 concatenation, and gluing reads its pairings at fixed offsets: no
 pairing is looked up by (i, j) in the chain loop.  A chain is glued to
-all its partners at once: its Weyl row (the seed window's adjugate
-times its lambdas, the det, lambda_1 and its packed row 1) is computed
-once per chain, and each pair costs one exact division and the
-divisibility test.  Elliptic and parabolic mode share this loop; the
-period filter, like closure, keeps the order of the chains.
+all its partners at once.  Its Weyl row (the seed window's adjugate
+times its lambdas, the det and lambda_1) is computed once per seed and
+handed down to the seed's extensions, which keep its first window; each
+pair costs one exact division and the divisibility test.
 
 Closed polygons are deduplicated by ``core.canonical_key``, re-verified
 and decorated; the final catalog depends only on (lambda_max, mode).
@@ -368,12 +378,36 @@ def partition_closed(
     return closed, extendable
 
 
-Lineage = tuple[list[ChainState], list[int], list[int]]
+# (A1, A2, A3, det, lambda_1, (lambda_1,)) of a chain's first window, with
+# A = adj(g) lam: all that gluing needs of x beyond its pairings.
+WeylRow = tuple[int, int, int, int, int, tuple[int]]
+# Of each live chain of a round: its radius, its Weyl row (None for a
+# seed), and its partners, the indices in the round of the chains it is
+# glued to: a bucket of the seed join, then a range.
+Lineage = tuple[list[Radius], list[WeylRow | None], list[Sequence[int]]]
+
+
+def _weyl_row(x: ChainState) -> WeylRow:
+    """The Weyl row of x's first window, its seed window, which its extensions keep."""
+    xp, lam = x.pairings, x.lam
+    # (1,2), (1,3), (2,3) at offsets 0, 1, m-1
+    a, b, c = -xp[0], -xp[1], -xp[x.length - 1]
+    l1, l2, l3 = lam[0], lam[1], lam[2]
+    # adj(g) = (4 - c^2, 2a + bc, ac + 2b, 4 - b^2, 2c + ab, 4 - a^2)
+    a12, a13, a23 = 2 * a + b * c, a * c + 2 * b, 2 * c + a * b
+    return (
+        (4 - c * c) * l1 + a12 * l2 + a13 * l3,
+        a12 * l1 + (4 - b * b) * l2 + a23 * l3,
+        a13 * l1 + a23 * l2 + (4 - a * a) * l3,
+        8 - 2 * (a * a + b * b + c * c) - 2 * a * b * c,
+        l1,
+        lam[:1],
+    )
 
 
 def _glue(
-    x: ChainState, chains: list[ChainState], js: Sequence[int]
-) -> list[tuple[ChainState, int]]:
+    x: ChainState, row: WeylRow, chains: list[ChainState], js: Sequence[int]
+) -> list[tuple[ChainState, int | None]]:
     """Extensions of chain x by the last side of each chain y = chains[j], j in js.
 
     Each y's sides 1..m-1 are assumed to be x's sides 2..m.  Only
@@ -381,130 +415,192 @@ def _glue(
     non-positive integer satisfying divisibility against both lambdas.
     The extension is x's side 1 followed by y's sides: its row 1 is x's
     row 1 plus (delta_1, delta_n).  Each extension comes with the index j
-    of its y, in the order of js.
+    of its y, in the order of js, or with None when (delta_1, delta_n)
+    >= -2: that is its closing pair, so it is closed and is never glued.
 
-    x's first window is its seed window (an extension keeps x's first three
-    sides): det < 0, and the Weyl equation (rho, delta_n) = -lambda_n reads
+    ``row`` is x's ``_weyl_row``.  x's first window is its seed window:
+    det < 0, and the Weyl equation (rho, delta_n) = -lambda_n reads
     A1 g1n = lambda_n det - A2 g2n - A3 g3n with A = adj(g) lam.  Every term
     of A1 = (4 - c^2) l1 + (2a + bc) l2 + (ac + 2b) l3 is >= 0 (c <= 2), and
     all vanish only at a = b = 0, c = 2, where det = 0: A1 > 0, the geometric
     (delta_1, delta_n) is the unique solution, and the glued Gram has rank 3.
-    That row (A, det, lambda_1 and x's row 1) depends on x alone, so it is
-    computed once for all of js.
+    Each pair costs one exact division and the divisibility test.
     """
+    a1, a2, a3, det, l1, lam1 = row
     m = x.length
-    xp, xlam = x.pairings, x.lam
-    # x: (1,2), (1,3), (2,3) at offsets 0, 1, m-1; y: (1,m), (2,m) at m-2, 2m-4
-    a, b, c = -xp[0], -xp[1], -xp[m - 1]
-    l1, l2, l3 = xlam[0], xlam[1], xlam[2]
-    # adj(g) lam with adj(g) = (4 - c^2, 2a + bc, ac + 2b, 4 - b^2, 2c + ab, 4 - a^2)
-    a12, a13, a23 = 2 * a + b * c, a * c + 2 * b, 2 * c + a * b
-    a1 = (4 - c * c) * l1 + a12 * l2 + a13 * l3
-    a2 = a12 * l1 + (4 - b * b) * l2 + a23 * l3
-    a3 = a13 * l1 + a23 * l2 + (4 - a * a) * l3
-    det = 8 - 2 * (a * a + b * b + c * c) - 2 * a * b * c
-    head, lam1, n = xp[: m - 1], xlam[:1], m + 1
-    i2n, i3n = m - 2, 2 * m - 4
+    head, n = x.pairings[: m - 1], m + 1
+    i2n, i3n = m - 2, 2 * m - 4  # y's (1,m), (2,m)
     new = tuple.__new__
-    out: list[tuple[ChainState, int]] = []
+    out: list[tuple[ChainState, int | None]] = []
     for j in js:
         _, yp, ylam = chains[j]
         ln = ylam[-1]
         g1n, rem = divmod(ln * det - a2 * yp[i2n] - a3 * yp[i3n], a1)
         if rem or g1n > 0 or (ln * g1n) % l1 or (l1 * g1n) % ln:
             continue
-        out.append((new(ChainState, (n, head + (g1n,) + yp, lam1 + ylam)), j))
+        ch = new(ChainState, (n, head + (g1n,) + yp, lam1 + ylam))
+        out.append((ch, j if g1n < -2 else None))
     return out
 
 
-def _seed_partners(seeds: list[ChainState]) -> list[Sequence[int]]:
-    """For each seed x, the indices of the seeds y with y's sides 1, 2 equal to x's sides 2, 3.
-
-    A hash join on the 2-side overlap: the pairing between the two sides
-    and their lambdas, (delta_2, delta_3), lambda_2, lambda_3 of x against
-    (delta_1, delta_2), lambda_1, lambda_2 of y.
-    """
-    by_head: dict[tuple[int, int, int], list[int]] = {}
-    for j, (_, p, lam) in enumerate(seeds):
-        key = (p[0], lam[0], lam[1])
-        bucket = by_head.get(key)
-        if bucket is None:
-            by_head[key] = [j]
-        else:
-            bucket.append(j)
-    return [by_head.get((p[2], lam[1], lam[2]), ()) for _, p, lam in seeds]
-
-
-def _lineage_partners(chains: list[ChainState], lineage: Lineage) -> list[range]:
-    """For each chain of ``chains``, the indices in it of its right parent's live extensions.
-
-    ``lineage`` is the previous round's (glued, lefts, rights): its
-    extensions with, for each, the indices of its left and right parent
-    in that round's chains.  ``chains`` is what is left of ``glued`` after
-    closure and the period filter, in order; its chains are matched to
-    ``glued`` by identity.  ``glued`` lists the extensions of each left
-    parent together, so its live ones are a range of ``chains``.
-    """
-    glued, lefts, rights = lineage
-    parents = max(lefts[-1], max(rights)) + 1 if glued else 0
-    lo = [0] * parents
-    hi = [0] * parents
-    own: list[int] = []  # each live chain's right parent
-    k, n = 0, len(chains)
-    nxt = chains[0]
-    for ch, i, j in zip(glued, lefts, rights):
-        if ch is nxt:
-            if lo[i] == hi[i]:
-                lo[i] = k
-            k += 1
-            hi[i] = k
-            own.append(j)
-            nxt = chains[k] if k < n else None
-    if k != n:
-        raise EngineError("extend_step needs the live chains of its previous round")
-    return [range(lo[j], hi[j]) for j in own]
-
-
 def extend_step(
-    chains: list[ChainState], lineage: Lineage | None = None
-) -> tuple[list[ChainState], Lineage]:
-    """One gluing round: all chains one side longer, and the lineage of the new chains.
+    chains: list[ChainState], lineage: Lineage
+) -> tuple[list[ChainState], Lineage, dict[Radius, list[ChainState]]]:
+    """One gluing round over the radii of a pass at once.
 
-    Pairs each x with every y whose sides 1..m-1 are x's sides 2..m and
-    glues the pairs of one x at once (``_glue``).  Seeds (no ``lineage``)
-    find their partners by a hash join on the 2-side overlap.  Longer
-    chains join by ``lineage``, what the previous round returned: y
-    overlaps x exactly when y's left parent is x's right parent, since no
-    two live chains of one radius and length are equal (see the module
-    docstring), so x's partners are the live extensions of its right
-    parent, a range of ``chains``.  Extensions come out in the order of
-    x, then of y in ``chains``.
+    ``chains`` are the live chains of one length, grouped by radius, with
+    their lineage: from ``_join_seeds`` for seeds, else from the round
+    before.  Returns the live extensions, in the order of x, then of y,
+    each with its right parent's range of them as its partners (see the
+    module docstring), and the closed extensions of each radius.
     """
-    if not chains:
-        return [], ([], [], [])
-    m = chains[0].length
-    for ch in chains:
-        if ch.length != m:
-            raise EngineError("extend_step needs chains of equal length")
-        if ch.pairings[m - 2] >= -2:  # the closing pair (1, m)
-            raise EngineError("extend_step received a closed chain")
-    if lineage is not None:
-        partners = _lineage_partners(chains, lineage)
-    elif m == 3:
-        partners = _seed_partners(chains)
-    else:
-        raise EngineError("extend_step joins chains past the seeds by their lineage")
+    radii, rows, partners = lineage
+    if not len(radii) == len(rows) == len(partners) == len(chains):
+        raise EngineError("extend_step needs the lineage of its chains")
     out: list[ChainState] = []
-    lefts: list[int] = []
-    rights: list[int] = []
-    for i, x in enumerate(chains):
-        js = partners[i]
+    out_radii: list[Radius] = []
+    out_rows: list[WeylRow | None] = []
+    rights: list[int] = []  # each live extension's right parent
+    at: list[int] = []  # where each chain's live extensions start in out
+    closing: dict[Radius, list[ChainState]] = {}
+    for x, r, row, js in zip(chains, radii, rows, partners):
+        at.append(len(out))
         if js:
-            for ch, j in _glue(x, chains, js):
-                out.append(ch)
-                lefts.append(i)
-                rights.append(j)
-    return out, (out, lefts, rights)
+            if row is None:  # a seed
+                row = _weyl_row(x)
+            for ch, j in _glue(x, row, chains, js):
+                if j is None:
+                    closing.setdefault(r, []).append(ch)
+                else:
+                    out.append(ch)
+                    out_radii.append(r)
+                    out_rows.append(row)
+                    rights.append(j)
+    at.append(len(out))
+    lineage = (out_radii, out_rows, [range(at[j], at[j + 1]) for j in rights])
+    return out, lineage, closing
+
+
+def _close(
+    closed: dict[Radius, list[PolygonDatum]], r: Radius, chains: list[ChainState]
+) -> None:
+    """File the polygons ``partition_closed`` builds from ``chains`` under radius r."""
+    done = partition_closed(chains)[0]
+    if done:
+        closed.setdefault(r, []).extend(done)
+
+
+def _drop_periodic(
+    chains: list[ChainState],
+    lineage: Lineage,
+    periodic: dict[tuple, PeriodicChainReport],
+) -> tuple[list[ChainState], Lineage]:
+    """The chains whose newest decorated 3-window state repeats no earlier one.
+
+    A chain whose state repeats is recorded in ``periodic`` instead,
+    keyed by (period, signature).  A key keeps its least chain in
+    ``_sweep_order``, taken only when the key is hit again, so the report
+    does not depend on the seed order.  Kept chains keep their order, so
+    a partner range moves to the number of chains kept before its bounds.
+    """
+    radii, rows, partners = lineage
+    kept: list[ChainState] = []
+    kept_radii: list[Radius] = []
+    kept_rows: list[WeylRow | None] = []
+    kept_partners: list[range] = []  # past the seeds, partners are ranges
+    before = [0]
+    for ch, r, row, js in zip(chains, radii, rows, partners):
+        rep = _detect_period(ch)
+        if rep is None:
+            kept.append(ch)
+            kept_radii.append(r)
+            kept_rows.append(row)
+            kept_partners.append(js)
+        else:
+            key = (rep.period, rep.signature)
+            least = periodic.get(key)
+            if least is None or _sweep_order(rep) < _sweep_order(least):
+                periodic[key] = rep
+        before.append(len(kept))
+    moved = [range(before[js.start], before[js.stop]) for js in kept_partners]
+    return kept, (kept_radii, kept_rows, moved)
+
+
+def _join_seeds(
+    seeds: dict[Radius, list[ChainState]],
+    radii: list[Radius],
+    closed: dict[Radius, list[PolygonDatum]],
+) -> tuple[list[ChainState], Lineage]:
+    """The live seeds of ``radii``, popped from ``seeds``, with their lineage.
+
+    Radius by radius, seeds with (delta_1, delta_3) >= -2 are closed
+    (filed in ``closed``), and the others are joined on x's (delta_2,
+    delta_3), lambda_2, lambda_3 against y's (delta_1, delta_2),
+    lambda_1, lambda_2 by a hash join freed with the radius.
+    """
+    live: list[ChainState] = []
+    live_radii: list[Radius] = []
+    partners: list[Sequence[int]] = []
+    for r in radii:
+        first = len(live)
+        by_head: dict[tuple[int, int, int], list[int]] = {}
+        closing: list[ChainState] = []
+        for x in seeds.pop(r):
+            _, p, lam = x
+            if p[1] >= -2:  # the closing pair (1, 3)
+                closing.append(x)
+                continue
+            key = (p[0], lam[0], lam[1])
+            bucket = by_head.get(key)
+            if bucket is None:
+                by_head[key] = [len(live)]
+            else:
+                bucket.append(len(live))
+            live.append(x)
+        if closing:
+            _close(closed, r, closing)
+        live_radii += [r] * (len(live) - first)
+        partners += [by_head.get((p[2], lam[1], lam[2]), ()) for _, p, lam in live[first:]]
+    return live, (live_radii, [None] * len(live), partners)
+
+
+# Radii glued together in one pass of the chain loop.  The chains of a
+# round die together, and CPython keeps up to 2000 freed tuples of each
+# size below 20 for reuse; gluing every radius at lambda = 16 at once left
+# about 0.5 MB of dead chain tuples there, which passes of this many radii
+# reuse from one pass to the next.
+_PASS_RADII = 128
+
+
+def _chain_loop(
+    seeds: dict[Radius, list[ChainState]],
+    max_sides: int,
+    periodic: dict[tuple, PeriodicChainReport] | None = None,
+) -> tuple[dict[Radius, list[PolygonDatum]], list[Radius]]:
+    """Glue the seeds of every radius until each chain has closed or died, or reached max_sides.
+
+    Returns each radius's closed polygons, in the order a search of that
+    radius alone closes them, and the radius of each chain alive at the
+    cap, in order; ``seeds`` is emptied.  Radii go in passes (see the
+    module docstring).  With ``periodic`` (parabolic mode) each round's
+    live extensions pass ``_drop_periodic``; a seed has one window, so it
+    never repeats one.
+    """
+    closed: dict[Radius, list[PolygonDatum]] = {}
+    capped: list[Radius] = []
+    order = list(seeds)
+    for first in range(0, len(order), _PASS_RADII):
+        chains, lineage = _join_seeds(seeds, order[first : first + _PASS_RADII], closed)
+        while chains:
+            if chains[0].length >= max_sides:
+                capped += lineage[0]
+                break
+            chains, lineage, closing = extend_step(chains, lineage)
+            for r, group in closing.items():
+                _close(closed, r, group)
+            if periodic is not None:
+                chains, lineage = _drop_periodic(chains, lineage, periodic)
+    return closed, capped
 
 
 # ---------------------------------------------------------------------------
@@ -549,51 +645,6 @@ def _dedup_records(r: Fraction, closed: list[PolygonDatum]) -> list[CatalogRecor
     return [_record_from_canonical(r, key) for key in sorted(keys)]
 
 
-def _grow(
-    chains: list[ChainState],
-    max_sides: int,
-    periodic: dict[tuple, PeriodicChainReport] | None = None,
-) -> tuple[list[PolygonDatum], list[ChainState]]:
-    """Glue chains until every one has closed or died, or reached max_sides.
-
-    Returns the closed polygons and the chains still alive at the cap.
-    With ``periodic`` (parabolic mode), a chain whose newest decorated
-    3-window state repeats an earlier one is recorded there, keyed by
-    (period, signature), instead of being extended.  A key keeps its least
-    chain in ``_sweep_order``, taken explicitly with ``min``, so the report
-    does not depend on the order in which the sweep emits seeds.  Each
-    round after the seeds joins by the lineage of the round before.
-    """
-    closed_all: list[PolygonDatum] = []
-    lineage = None
-    while chains:
-        closed, chains = partition_closed(chains)
-        closed_all.extend(closed)
-        if periodic is not None:
-            alive: list[ChainState] = []
-            for ch in chains:
-                rep = _detect_period(ch)
-                if rep is None:
-                    alive.append(ch)
-                else:
-                    key = (rep.period, rep.signature)
-                    periodic[key] = min(periodic.get(key, rep), rep, key=_sweep_order)
-            chains = alive
-        if not chains:
-            break
-        if chains[0].length >= max_sides:
-            return closed_all, chains
-        chains, lineage = extend_step(chains, lineage)
-    return closed_all, []
-
-
-def _run_radius(
-    r: Radius, seeds: list[ChainState], max_sides: int
-) -> tuple[list[CatalogRecord], bool]:
-    closed, capped = _grow(seeds, max_sides)
-    return (_dedup_records(Fraction(*r), closed) if closed else []), bool(capped)
-
-
 def run_elliptic(
     lambda_max: int,
     max_sides: int = DEFAULT_MAX_SIDES,
@@ -603,28 +654,34 @@ def run_elliptic(
     """The full elliptic classification for lambda_i <= lambda_max.
 
     Deterministic: the catalog is sorted by (r, n, canonical body), since
-    radii are searched in ascending order and each radius's records come
-    out of ``_dedup_records`` ordered by (n, body).  When a live chain
-    hits ``max_sides``, its radius is listed in ``cap_events``, and that
-    radius's output is partial.
+    each radius's closed polygons are deduplicated in ascending radius
+    order and come out of ``_dedup_records`` ordered by (n, body).  When
+    a live chain hits ``max_sides``, its radius is listed in
+    ``cap_events``, and that radius's output is partial.  ``r_filter``
+    searches that square alone.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
-    only = None
-    if r_filter is not None:
-        only = Fraction(r_filter).as_integer_ratio()
+    if r_filter is None:
+        seeds = _seed_map(lambda_max)
+    else:
+        # One sweep finds every window of square r < 0, and r is a radius
+        # of collect_radii exactly when one of them has b <= RADIUS_B_MAX.
+        square = Fraction(r_filter)
+        found = seed_triples(square, lambda_max) if square < 0 else []
+        narrow = any(-ch.pairings[1] <= RADIUS_B_MAX for ch in found)
+        seeds = {square.as_integer_ratio(): found} if narrow else {}
+    radii = list(seeds)
+    closed, capped = _chain_loop(seeds, max_sides)
     records: list[CatalogRecord] = []
-    caps: list[Fraction] = []
-    for r, seeds in _seed_map(lambda_max).items():
-        if only is not None and r != only:
-            continue
-        recs, capped = _run_radius(r, seeds, max_sides)
-        records.extend(recs)
-        if capped:
-            caps.append(Fraction(*r))
-    return EnumerationResult(tuple(records), tuple(caps))
+    for r in radii:
+        polygons = closed.get(r)
+        if polygons:
+            records.extend(_dedup_records(Fraction(*r), polygons))
+    caps = tuple(Fraction(*r) for r in dict.fromkeys(capped))
+    return EnumerationResult(tuple(records), caps)
 
 
 def _chain_windows(ch: ChainState | PeriodicChainReport) -> list[tuple[int, ...]]:
@@ -649,9 +706,10 @@ def _sweep_order(rep: PeriodicChainReport) -> tuple:
     This is the order in which a full window sweep, one that visits both
     windows of each mirror pair, emits seeds, and ``extend_step`` keeps it
     (x's extensions follow x, and x's partners, the extensions of one
-    parent, differ only in the last window).  So the least chain of a periodic class is the one a full
-    sweep finds first.  ``_grow`` takes that minimum explicitly, so the
-    half sweep of ``_windows`` reports the same chains.
+    parent, differ only in the last window).  So the least chain of a
+    periodic class is the one a full sweep finds first.
+    ``_drop_periodic`` takes that minimum explicitly, so the half sweep of
+    ``_windows`` reports the same chains.
     """
     return rep.length, [(-a, -c, *lam, -b) for a, b, c, *lam in _chain_windows(rep)]
 
@@ -701,8 +759,8 @@ def run_parabolic(
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
     periodic: dict[tuple, PeriodicChainReport] = {}
-    closed, capped = _grow(seed_triples(0, lambda_max), max_sides, periodic)
+    closed, capped = _chain_loop({(0, 1): seed_triples(0, lambda_max)}, max_sides, periodic)
     if closed:
-        raise InvariantViolation(f"a chain closed at r = 0: {closed[0]}")
+        raise InvariantViolation(f"a chain closed at r = 0: {closed[0, 1][0]}")
     reports = tuple(periodic[key] for key in sorted(periodic))
     return ParabolicReport(reports, len(capped))

@@ -4,7 +4,8 @@
 and ``PolygonDatum.pair`` did.  The join keys and the extended chain are
 rebuilt entry by entry through it, and ``key_join`` is one gluing round
 as a hash join on the whole overlap, as ``extend_step`` glued before it
-joined chains by lineage; ``reached_chains`` runs the chain loop on it.
+joined chains by lineage; ``rounds`` runs the chain loop of one radius on
+it, and ``reached_chains`` lists the chains that loop meets.
 ``radius`` reads an engine radius key (p, q) as a ``Fraction``, checking
 that it is in lowest terms.  The window scan walks every (a, c, lam) triple with
 a divisibility test per triple, every long pairing b with a divisibility
@@ -169,22 +170,31 @@ def bucketed_seeds(radii, windows) -> dict:
     return {r: buckets[r.numerator, r.denominator] for r in radii}
 
 
-def reached_chains(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):
-    """Every chain the chain loop meets from these seeds, length by length.
+def rounds(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):
+    """The chain loop of one radius on these seeds, gluing by ``key_join``: one round per length.
 
-    Follows engine._grow, gluing each round by ``key_join``: closed
-    chains stop, and with ``parabolic`` a chain whose newest window state
-    repeats is set aside.
+    Each round is (met, closed, live, joined): the chains of that length,
+    the polygons ``partition_closed`` builds from them, the chains left
+    after closure and, with ``parabolic``, after setting aside each chain
+    whose newest window state repeats, and ``key_join(live)``, the pairs
+    glued and the next round's chains.  At ``max_sides`` the live chains
+    are alive at the cap and joined is ([], []).  This is the per-radius
+    loop the engine ran before it glued many radii per round.
     """
     chains = seeds
     while chains:
-        yield from chains
-        _, chains = partition_closed(chains)
+        closed, live = partition_closed(chains)
         if parabolic:
-            chains = [ch for ch in chains if _detect_period(ch) is None]
-        if not chains or chains[0].length >= max_sides:
-            break
-        chains = key_join(chains)[1]
+            live = [ch for ch in live if _detect_period(ch) is None]
+        joined = key_join(live) if live and live[0].length < max_sides else ([], [])
+        yield chains, closed, live, joined
+        chains = joined[1]
+
+
+def reached_chains(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):
+    """Every chain the chain loop meets from these seeds, length by length."""
+    for met, *_ in rounds(seeds, parabolic, max_sides):
+        yield from met
 
 
 def head_key(ch: ChainState) -> tuple:

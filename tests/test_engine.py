@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -13,12 +13,14 @@ from hypercartan.engine import (
     RADIUS_B_MAX,
     ChainState,
     EngineError,
+    EnumerationResult,
     _add_seeds,
     _chain_windows,
     _detect_period,
     _glue,
     _min_rotation,
     _seed_map,
+    _weyl_row,
     _windows,
     collect_radii,
     extend_step,
@@ -150,18 +152,31 @@ def test_partition_closed():
     assert extendable == [open_chain]  # the non-coprime closed chain is dropped
 
 
+def _first_round(r, seeds):
+    """The seeds of square r alone, joined and glued once.
+
+    Returns the live chains of length 4, the polygons closed at length 4
+    and every extension, live or closed.
+    """
+    key = r.as_integer_ratio()
+    live, lineage = engine._join_seeds({key: seeds}, [key], {})
+    chains4, _, closing = extend_step(live, lineage)
+    closing = closing.get(key, [])
+    return chains4, partition_closed(closing)[0], chains4 + closing
+
+
 def test_extend_step_reaches_seven_quadrangle():
     r = Fraction(-7)
-    _, extendable = partition_closed(seed_triples(r, 3))
-    chains4, _ = extend_step(extendable)
-    assert all(c.length == 4 for c in chains4)
+    live, closed, chains4 = _first_round(r, seed_triples(r, 3))
+    assert chains4 and all(c.length == 4 for c in chains4)
     target = [
         c
         for c in chains4
         if c.pairings == (0, -3, -1, -1, -3, 0) and c.lam == (1, 3, 3, 1)
     ]
     assert len(target) == 1
-    closed, _ = partition_closed(chains4)
+    # (delta_1, delta_4) = -1 closes it: it is filed as a polygon, not glued on
+    assert target[0] not in live
     assert any(
         d.pairings == (0, -3, -1, -1, -3, 0) and d.lam == (1, 3, 3, 1)
         for d in closed
@@ -172,13 +187,12 @@ def test_extend_step_rejects_fractional_pairing():
     x = ChainState(3, (0, -3, -1), (1, 3, 3))
     y = ChainState(3, (-1, -4, 0), (3, 3, 1))
     # overlap matches, but the Weyl equation gives (delta_1, delta_4) = -6/5
-    assert extend_step([x, y])[0] == []
+    assert _first_round(Fraction(-1), [x, y]) == ([], [], [])
 
 
 def test_extended_chains_keep_weyl_consistency():
     r = Fraction(-7)
-    _, extendable = partition_closed(seed_triples(r, 3))
-    for chain in extend_step(extendable)[0]:
+    for chain in _first_round(r, seed_triples(r, 3))[2]:
         x = _first_window_weyl(chain).coords
         for j in range(1, chain.length + 1):
             paired = sum(x[i] * pair(chain, i + 1, j) for i in range(3))
@@ -238,6 +252,49 @@ def test_run_elliptic_r_filter():
     assert result.records[0].n == 3
 
 
+@pytest.mark.parametrize("max_sides", [DEFAULT_MAX_SIDES, 5])
+def test_r_filter_searches_its_own_square(max_sides):
+    """At every radius for lambda <= 6, run_elliptic(r_filter=r), which
+    sweeps for square r alone, gives the full run's records and cap events
+    at r."""
+    for lambda_max in range(1, 7):
+        full = run_elliptic(lambda_max, max_sides)
+        for key in collect_radii(lambda_max):
+            r = oracle.radius(key)
+            expected = EnumerationResult(
+                tuple(rec for rec in full.records if rec.r == r),
+                tuple(ev for ev in full.cap_events if ev == r),
+            )
+            assert run_elliptic(lambda_max, max_sides, r_filter=r) == expected, (lambda_max, r)
+
+
+def test_r_filter_skips_squares_that_are_not_radii(monkeypatch):
+    """A square that only windows past RADIUS_B_MAX reach is no radius:
+    filtering on it gives nothing, though its seeds glue chains to the
+    cap.  r = 0 and r > 0 give nothing without a sweep."""
+    radii = set(collect_radii(6))
+    wide = []
+    for *_, num, d in _windows(6, b_min=RADIUS_B_MAX + 1):
+        g = gcd(num, d)
+        key = (-num // g, -d // g)
+        if num > 0 and key not in radii and key not in wide:
+            wide.append(key)
+    capping = [
+        key for key in wide
+        if engine._chain_loop({key: seed_triples(Fraction(*key), 6)}, 4)[1]
+    ]
+    assert len(capping) >= 10
+    for key in capping[:10]:
+        assert run_elliptic(6, 4, r_filter=Fraction(*key)) == EnumerationResult((), ())
+
+    def no_sweep(r, lambda_max):
+        raise AssertionError(f"swept for r = {r}")
+
+    monkeypatch.setattr(engine, "seed_triples", no_sweep)
+    for r in (Fraction(0), Fraction(1, 2), Fraction(3)):
+        assert run_elliptic(6, 4, r_filter=r) == EnumerationResult((), ())
+
+
 def test_run_elliptic_cap_event():
     result = run_elliptic(1, max_sides=4)
     # the radii whose chains reach 4 sides, in ascending order
@@ -245,11 +302,12 @@ def test_run_elliptic_cap_event():
         "-1/2", "-5/11", "-7/18", "-11/32", "-3/10", "-1/4", "-13/54",
         "-5/22", "-1/6", "-4/25", "-1/8", "-2/23", "-1/14", "-1/24",
     )))
-    seeds = _seed_map(1)
-    for r in seeds:
-        _, capped = engine._grow(seeds[r], 4)
+    for r, seeds in _seed_map(1).items():
+        _, capped = engine._chain_loop({r: seeds}, 4)
         assert bool(capped) == (oracle.radius(r) in result.cap_events)
-        assert all(ch.length == 4 for ch in capped)
+        # one entry per chain alive at 4 sides, as the per-radius loop leaves
+        *_, (met, _, live, _) = oracle.rounds(seeds, False, 4)
+        assert capped == ([r] * len(live) if met[0].length == 4 else [])
     # radii whose chains were cut off report partial catalogs, so fewer records
     assert len(result.records) < 16
 
@@ -346,6 +404,30 @@ def test_run_parabolic_reports_the_least_chain_of_each_class(monkeypatch):
     assert report.periodic == tuple(least[key] for key in sorted(least))
 
 
+def test_run_parabolic_orders_a_class_only_on_a_second_hit(monkeypatch):
+    """A periodic chain whose (period, signature) is new is stored as it
+    is; _sweep_order is taken, for both chains, only when a key is hit
+    again."""
+    order, detect = engine._sweep_order, engine._detect_period
+    ordered, hits = [], []
+
+    def counted_order(rep):
+        ordered.append(rep)
+        return order(rep)
+
+    def recorded_detect(ch):
+        rep = detect(ch)
+        if rep is not None:
+            hits.append((rep.period, rep.signature))
+        return rep
+
+    monkeypatch.setattr(engine, "_sweep_order", counted_order)
+    monkeypatch.setattr(engine, "_detect_period", recorded_detect)
+    report = run_parabolic(6)
+    assert len(report.periodic) == len(set(hits))
+    assert len(ordered) == 2 * (len(hits) - len(set(hits))) > 0
+
+
 def test_catalog_polygons_have_a_radius_window():
     """Assumption (N) on the catalog: some 3 consecutive sides have b <= RADIUS_B_MAX.
 
@@ -396,24 +478,42 @@ def test_weyl_square_strictly_monotone_in_long_pairing():
                     prev = rp
 
 
-def test_extend_step_rejects_mixed_or_closed_input():
-    from hypercartan.engine import EngineError
+def test_extend_step_rejects_mixed_or_closed_input(monkeypatch):
+    """extend_step takes the open chains of one length and their lineage.
 
-    open3 = ChainState(3, (0, -3, -1), (1, 3, 3))
-    closed3 = ChainState(3, (0, -1, -2), (1, 1, 1))
-    with pytest.raises(EngineError):
-        extend_step([open3, closed3])
-    four, _ = extend_step(partition_closed(seed_triples(Fraction(-7), 3))[1])
-    with pytest.raises(EngineError):
-        extend_step([open3, four[0]])
-    # past the seeds a round joins by the previous round's lineage only,
-    # and only the chains that round glued
-    live, lineage = extend_step(partition_closed(seed_triples(Fraction(-7, 18), 1))[1])
+    It raises on a lineage that is not one entry per chain.  The chain
+    loop hands it only open chains of one length, each past the seeds with
+    its Weyl row, and partners inside the round; it hands nothing closed
+    on.
+    """
+    key = (-7, 18)
+    live, (radii, rows, partners) = engine._join_seeds(
+        {key: seed_triples(Fraction(*key), 1)}, [key], {}
+    )
     assert len(live) >= 2 and partition_closed(live)[1] == live
     with pytest.raises(EngineError, match="lineage"):
-        extend_step(live)
-    with pytest.raises(EngineError, match="live chains"):
-        extend_step(live[::-1], lineage)
+        extend_step(live, (radii, rows[1:], partners))
+    with pytest.raises(EngineError, match="lineage"):
+        extend_step(live[1:], (radii, rows, partners))
+    step = engine.extend_step
+    lengths = []
+
+    def checked(chains, lineage):
+        m = chains[0].length
+        assert all(ch.length == m and ch.pairings[m - 2] < -2 for ch in chains), m
+        for ch, row, js in zip(chains, *lineage[1:]):
+            assert all(0 <= j < len(chains) for j in js), m
+            assert row == (None if m == 3 else _weyl_row(ch)), m
+        out, out_lineage, closing = step(chains, lineage)
+        assert partition_closed(out)[1] == out
+        assert all(partition_closed(group)[1] == [] for group in closing.values())
+        lengths.append(m)
+        return out, out_lineage, closing
+
+    monkeypatch.setattr(engine, "extend_step", checked)
+    run_elliptic(3)
+    run_parabolic(2, 16)
+    assert set(lengths) == set(range(3, 12))
 
 
 def test_run_elliptic_r_filter_unattained():
@@ -536,12 +636,18 @@ def _head_buckets(lambda_max):
 
 
 def _glued(x, ys):
-    """_glue(x, ys, every index of ys): the extensions, each checked to end with its y."""
-    items = _glue(x, ys, range(len(ys)))
-    js = [j for _, j in items]
+    """_glue(x, its Weyl row, ys, every index of ys): the extensions, each ending with a y.
+
+    A live extension comes with the index of its y, in increasing order;
+    a closed one, (delta_1, delta_n) >= -2, with None.
+    """
+    items = _glue(x, _weyl_row(x), ys, range(len(ys)))
+    js = [j for _, j in items if j is not None]
     assert js == sorted(set(js)), x
     for ch, j in items:
-        assert ch.lam[1:] == ys[j].lam and ch.pairings[-len(ys[j].pairings):] == ys[j].pairings
+        assert (j is None) == (ch.pairings[ch.length - 2] >= -2), ch
+        tails = [y for y in ys if ch.lam[1:] == y.lam and ch.pairings[-len(y.pairings):] == y.pairings]
+        assert tails if j is None else ys[j] in tails, ch
     return [ch for ch, _ in items]
 
 
@@ -639,82 +745,131 @@ def test_first_adjugate_coordinate_is_positive():
 # --- slow oracles for the packed-tuple chain kernel -------------------------
 
 
-def _engine_rounds(monkeypatch, seeds, periodic=None):
-    """engine._grow on these seeds, round by round: (chains, pairs glued, extensions).
+def _loop_calls(monkeypatch, seed_map, max_sides=DEFAULT_MAX_SIDES, periodic=None):
+    """engine._chain_loop on a copy of seed_map, recording each _glue call.
 
-    ``chains`` is the list handed to extend_step, the pairs are (x, y) in
-    the order _glue is handed them, and the extensions are extend_step's.
-    Also returns the chains alive at the cap.
+    Returns the calls, each (x, the ys it is handed, its extensions), and
+    the loop's (closed, capped).
     """
-    rounds = []
-    glue, step = engine._glue, engine.extend_step
+    calls = []
+    glue = engine._glue
 
-    def recorded_glue(x, chains, js):
+    def recorded_glue(x, row, chains, js):
         assert js, x  # _glue only sees chains with partners
-        rounds[-1][1].extend((x, chains[j]) for j in js)
-        return glue(x, chains, js)
-
-    def recorded_step(chains, lineage=None):
-        rounds.append((list(chains), [], []))
-        out = step(chains, lineage)
-        rounds[-1][2].extend(out[0])
-        return out
+        assert row == _weyl_row(x), x
+        items = glue(x, row, chains, js)
+        calls.append((x, [chains[j] for j in js], [ch for ch, _ in items]))
+        return items
 
     with monkeypatch.context() as patched:
         patched.setattr(engine, "_glue", recorded_glue)
-        patched.setattr(engine, "extend_step", recorded_step)
-        _, capped = engine._grow(seeds, DEFAULT_MAX_SIDES, periodic)
-    return rounds, capped
+        result = engine._chain_loop(dict(seed_map), max_sides, periodic)
+    return calls, result
+
+
+def _per_radius_loop(seed_map, parabolic, max_sides=DEFAULT_MAX_SIDES):
+    """``engine_oracle.rounds`` on every radius of seed_map, one radius at a time.
+
+    Returns the radius of every chain it glues, its key join (pairs,
+    extensions) per (radius, length) that joins a pair, the closed
+    polygons of each radius that closes one, in order, and the radius of
+    each chain alive at max_sides, in order.  Checks that no two live
+    chains of one radius and length are equal.
+    """
+    radius_of, joins, closed, capped = {}, {}, {}, []
+    for r, seeds in seed_map.items():
+        for _, done, live, joined in oracle.rounds(seeds, parabolic, max_sides):
+            assert len(set(live)) == len(live), (r, live[0].length)
+            if done:
+                closed.setdefault(r, []).extend(done)
+            if joined[0]:
+                joins[r, live[0].length] = joined
+                radius_of.update(dict.fromkeys(live, r))
+            elif live and live[0].length >= max_sides:
+                capped += [r] * len(live)
+    return radius_of, joins, closed, capped
+
+
+def _joins_by_radius(calls, radius_of):
+    """The recorded _glue calls as (pairs, extensions) per (radius, length), in call order."""
+    joins = {}
+    for x, ys, out in calls:
+        pairs, glued = joins.setdefault((radius_of[x], x.length), ([], []))
+        pairs.extend((x, y) for y in ys)
+        glued.extend(out)
+    return joins
+
+
+def _loop_runs():
+    """Seed maps of every radius for lambda <= 6, and of r = 0 with the period filter for lambda <= 2."""
+    runs = [(_seed_map(lm), False) for lm in range(1, 7)]
+    return runs + [({(0, 1): seed_triples(0, lm)}, True) for lm in (1, 2)]
 
 
 def test_packed_keys_and_extension_match_pair_oracle(monkeypatch):
     """Packed offsets, the pairs _glue is handed and the extensions agree with pair().
 
-    Every chain the loop meets has its closing pair at offset m - 2 and
-    the windows pair() reads.  In every round the (x, y) pairs glued are
-    the oracle's key join on the whole overlap, in order, and the output
-    is the oracle's extensions of those pairs, each the concatenation
-    pair() builds.
+    Every chain the loop glues or makes has its closing pair at offset
+    m - 2 and the windows pair() reads.  Per radius and length, the
+    (x, y) pairs glued are the oracle's key join on the whole overlap, in
+    order, and the extensions are the oracle's extensions of those pairs,
+    each the concatenation pair() builds.
     """
-    runs = [(seeds, None) for seeds in _seed_map(3).values()]
-    runs.append((seed_triples(0, 3), {}))
+    runs = [(_seed_map(3), False), ({(0, 1): seed_triples(0, 3)}, True)]
     lengths = set()
-    joined = 0
-    for seeds, periodic in runs:
-        rounds, _ = _engine_rounds(monkeypatch, seeds, periodic)
-        for chains, pairs, glued in rounds:
-            m = chains[0].length
-            for ch in chains:
-                lengths.add(ch.length)
+    for seed_map, parabolic in runs:
+        calls, _ = _loop_calls(monkeypatch, seed_map, periodic={} if parabolic else None)
+        for x, ys, out in calls:
+            for ch in [x, *ys, *out]:
+                m = ch.length
+                lengths.add(m)
                 assert ch.pairings[m - 2] == pair(ch, 1, m), ch
                 assert _chain_windows(ch) == oracle.chain_windows(ch), ch
-            assert (pairs, glued) == oracle.key_join(chains)
-            lengths.update(ch.length for ch in glued)
-            joined += len(pairs)
-    assert lengths == set(range(3, 13)) and joined
+        radius_of, joins, _, _ = _per_radius_loop(seed_map, parabolic)
+        assert _joins_by_radius(calls, radius_of) == joins
+    assert lengths == set(range(3, 13))
 
 
 def test_lineage_join_is_the_key_join(monkeypatch):
     """At every radius for lambda <= 6, and at r = 0 with the period filter
-    for lambda <= 2, each round glues the pairs of the oracle's key join, in
-    order, and outputs its extensions in order.  No two live chains of one
-    radius and length are equal, the lemma that makes the lineage join the
-    key join."""
-    runs = [(seeds, None) for lm in range(1, 7) for seeds in _seed_map(lm).values()]
-    runs += [(seed_triples(0, lm), {}) for lm in (1, 2)]
+    for lambda <= 2, the chain loop glues, per radius and round, the pairs
+    of the oracle's key join, in order, and makes its extensions in order.
+    The oracle also checks that no two live chains of one radius and length
+    are equal, the lemma that makes the lineage join the key join."""
     rounds_seen = lineage_rounds = 0
-    for seeds, periodic in runs:
-        rounds, capped = _engine_rounds(monkeypatch, seeds, periodic)
-        assert len(set(capped)) == len(capped)
-        for chains, pairs, glued in rounds:
-            assert len(set(chains)) == len(chains), chains[0].length
-            assert (pairs, glued) == oracle.key_join(chains), chains[0].length
-            rounds_seen += 1
-            lineage_rounds += chains[0].length > 3 and bool(pairs)
-    print(f"{rounds_seen} rounds, {lineage_rounds} joined by lineage")
+    for seed_map, parabolic in _loop_runs():
+        radius_of, joins, _, _ = _per_radius_loop(seed_map, parabolic)
+        calls, _ = _loop_calls(monkeypatch, seed_map, periodic={} if parabolic else None)
+        assert _joins_by_radius(calls, radius_of) == joins
+        rounds_seen += len(joins)
+        lineage_rounds += sum(m > 3 for _, m in joins)
+    print(f"{rounds_seen} rounds joined, {lineage_rounds} by lineage")
     assert rounds_seen > 1000 and lineage_rounds > 100
 
 
+def test_chain_loop_closes_and_caps_as_the_per_radius_loop():
+    """Per radius, the chain loop closes the polygons the per-radius loop
+    closes, in order, and at max_sides 3 to 8 (and the default) leaves
+    chains of the same radii alive at the cap: every radius for lambda <= 6,
+    and r = 0 with the period filter for lambda <= 2.  A loop that stops at
+    max_sides is the uncapped one cut there, so one oracle run serves all."""
+    capped_runs = 0
+    for seed_map, parabolic in _loop_runs():
+        rounds = {r: list(oracle.rounds(seeds, parabolic)) for r, seeds in seed_map.items()}
+        for max_sides in (3, 4, 5, 6, 7, 8, DEFAULT_MAX_SIDES):
+            closed, capped = {}, []
+            for r, found in rounds.items():
+                for met, done, live, _ in found:
+                    if met[0].length > max_sides:
+                        break
+                    if done:
+                        closed.setdefault(r, []).extend(done)
+                    if met[0].length == max_sides:
+                        capped += [r] * len(live)
+            periodic = {} if parabolic else None
+            assert engine._chain_loop(dict(seed_map), max_sides, periodic) == (closed, capped)
+            capped_runs += bool(capped)
+    assert capped_runs >= 6 * 6
 def test_windows_match_unstrided_oracle():
     """The shape enumeration and second-difference scan yield the oracle's windows.
 
