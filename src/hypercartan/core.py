@@ -259,23 +259,6 @@ def _symcartan(g, lam, prods) -> tuple[tuple[int, ...], ...]:
     ])
 
 
-def cartan_matrix(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
-    """Twisted generalized Cartan matrix a_jk = lambda_k (delta_j, delta_k) / lambda_j."""
-    # One stored value per unordered pair and lambda >= 1: a_jk = 0 iff a_kj = 0.
-    g, lam = d.gram, d.lam
-    prods = _products(g, lam)
-    bad = _divisibility_failures(lam, prods)
-    if bad:
-        raise InvalidRealizationError(f"divisibility fails for ordered pairs {bad}")
-    return _cartan(g, lam, prods)
-
-
-def symmetrized_cartan(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
-    """Symmetric matrix b_jk = lambda_j lambda_k (delta_j, delta_k)."""
-    g, lam = d.gram, d.lam
-    return _symcartan(g, lam, _products(g, lam))
-
-
 def polygon_table(d: PolygonDatum) -> tuple[tuple[int, ...], ...]:
     """Encode a polygon as its realization table.
 
@@ -549,13 +532,6 @@ def _flags(adjacent, lam, r: Fraction | None) -> RealizationFlags:
     if r is not None and r.numerator <= 0:
         kind = "elliptic" if r.numerator < 0 else "parabolic"
     return RealizationFlags(kind, -2 not in adjacent, max(lam) == 1)
-
-
-def classify_flags(d: PolygonDatum, r: Fraction) -> RealizationFlags:
-    """Type, compactness and twisting flags of a realization with Weyl square r."""
-    if r.numerator > 0:
-        raise ValueError(f"Weyl square must be <= 0, got {r}")
-    return _flags(d.adjacent_pairs(), d.lam, r)
 
 
 def symmetry_group(d: PolygonDatum) -> int:

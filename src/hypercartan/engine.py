@@ -47,16 +47,18 @@ glued to the live extensions of its right parent.  Chains of two radii
 never overlap, since a window determines its square.  A round emits the
 live extensions of each left parent together, so a chain's partners
 are one range of its round, handed to it when the round before ends:
-the join hashes nothing and matches no chain.  An extension with (delta_1, delta_n) >= -2 is closed where that
-is computed: it goes with its radius to ``partition_closed`` and is not
-glued again.
+the join hashes nothing and matches no chain.  An extension with
+(delta_1, delta_n) >= -2 is closed where that is computed: it goes to
+``partition_closed`` and is not glued again.
 
 One chain loop runs every radius, in passes of ``_PASS_RADII`` radii in
 ascending order: a pass pops and joins its radii's seeds radius by
-radius, then glues one round per length over all its radii at once,
-each chain carrying its radius.  Parabolic mode runs it as the one
-radius 0; its period filter keeps the order of the chains and moves
-each partner range to the count of chains kept before it.
+radius, then glues one round per length over all its radii at once.  A
+chain holds no radius: all its windows share one Weyl square, as a
+polygon's do, so its radius is the square of its first window, its seed
+window (``_seed_square``).  Parabolic mode runs the loop as the one
+radius 0; its period filter keeps the order of the chains and moves each
+partner range to the count of chains kept before it.
 
 A chain is a packed tuple of its pairings, row-major over the strict
 upper triangle, built with ``tuple.__new__``.  The glued chain is a
@@ -67,8 +69,10 @@ times its lambdas, the det and lambda_1) is computed once per seed and
 handed down to the seed's extensions, which keep its first window; each
 pair costs one exact division and the divisibility test.
 
-Closed polygons are deduplicated by ``core.canonical_key``, re-verified
-and decorated; the final catalog depends only on (lambda_max, mode).
+The closed polygons of every radius are deduplicated together by
+``core.canonical_key``, re-verified and decorated; each record takes its
+radius from the verification, and the catalog is sorted by (r, n, body),
+so it depends only on (lambda_max, mode).
 Every result is a ``NamedTuple``.
 """
 
@@ -381,10 +385,10 @@ def partition_closed(
 # (A1, A2, A3, det, lambda_1, (lambda_1,)) of a chain's first window, with
 # A = adj(g) lam: all that gluing needs of x beyond its pairings.
 WeylRow = tuple[int, int, int, int, int, tuple[int]]
-# Of each live chain of a round: its radius, its Weyl row (None for a
-# seed), and its partners, the indices in the round of the chains it is
-# glued to: a bucket of the seed join, then a range.
-Lineage = tuple[list[Radius], list[WeylRow | None], list[Sequence[int]]]
+# Of each live chain of a round: its Weyl row (None for a seed), and its
+# partners, the indices in the round of the chains it is glued to: a
+# bucket of the seed join, then a range.
+Lineage = tuple[list[WeylRow | None], list[Sequence[int]]]
 
 
 def _weyl_row(x: ChainState) -> WeylRow:
@@ -403,6 +407,14 @@ def _weyl_row(x: ChainState) -> WeylRow:
         l1,
         lam[:1],
     )
+
+
+def _seed_square(x: ChainState) -> Radius:
+    """The radius of x: its seed window's Weyl square, which every window of x shares."""
+    a1, a2, a3, det, l1, _ = _weyl_row(x)
+    num = l1 * a1 + x.lam[1] * a2 + x.lam[2] * a3
+    g = gcd(num, det)  # det < 0, so the key has q = -det / g > 0
+    return -num // g, -det // g
 
 
 def _glue(
@@ -445,49 +457,37 @@ def _glue(
 
 def extend_step(
     chains: list[ChainState], lineage: Lineage
-) -> tuple[list[ChainState], Lineage, dict[Radius, list[ChainState]]]:
+) -> tuple[list[ChainState], Lineage, list[ChainState]]:
     """One gluing round over the radii of a pass at once.
 
     ``chains`` are the live chains of one length, grouped by radius, with
     their lineage: from ``_join_seeds`` for seeds, else from the round
     before.  Returns the live extensions, in the order of x, then of y,
     each with its right parent's range of them as its partners (see the
-    module docstring), and the closed extensions of each radius.
+    module docstring), and the closed extensions, in the same order.
     """
-    radii, rows, partners = lineage
-    if not len(radii) == len(rows) == len(partners) == len(chains):
+    rows, partners = lineage
+    if not len(rows) == len(partners) == len(chains):
         raise EngineError("extend_step needs the lineage of its chains")
     out: list[ChainState] = []
-    out_radii: list[Radius] = []
     out_rows: list[WeylRow | None] = []
     rights: list[int] = []  # each live extension's right parent
     at: list[int] = []  # where each chain's live extensions start in out
-    closing: dict[Radius, list[ChainState]] = {}
-    for x, r, row, js in zip(chains, radii, rows, partners):
+    closing: list[ChainState] = []
+    for x, row, js in zip(chains, rows, partners):
         at.append(len(out))
         if js:
             if row is None:  # a seed
                 row = _weyl_row(x)
             for ch, j in _glue(x, row, chains, js):
                 if j is None:
-                    closing.setdefault(r, []).append(ch)
+                    closing.append(ch)
                 else:
                     out.append(ch)
-                    out_radii.append(r)
                     out_rows.append(row)
                     rights.append(j)
     at.append(len(out))
-    lineage = (out_radii, out_rows, [range(at[j], at[j + 1]) for j in rights])
-    return out, lineage, closing
-
-
-def _close(
-    closed: dict[Radius, list[PolygonDatum]], r: Radius, chains: list[ChainState]
-) -> None:
-    """File the polygons ``partition_closed`` builds from ``chains`` under radius r."""
-    done = partition_closed(chains)[0]
-    if done:
-        closed.setdefault(r, []).extend(done)
+    return out, (out_rows, [range(at[j], at[j + 1]) for j in rights]), closing
 
 
 def _drop_periodic(
@@ -503,17 +503,14 @@ def _drop_periodic(
     does not depend on the seed order.  Kept chains keep their order, so
     a partner range moves to the number of chains kept before its bounds.
     """
-    radii, rows, partners = lineage
     kept: list[ChainState] = []
-    kept_radii: list[Radius] = []
     kept_rows: list[WeylRow | None] = []
     kept_partners: list[range] = []  # past the seeds, partners are ranges
     before = [0]
-    for ch, r, row, js in zip(chains, radii, rows, partners):
+    for ch, row, js in zip(chains, *lineage):
         rep = _detect_period(ch)
         if rep is None:
             kept.append(ch)
-            kept_radii.append(r)
             kept_rows.append(row)
             kept_partners.append(js)
         else:
@@ -523,28 +520,25 @@ def _drop_periodic(
                 periodic[key] = rep
         before.append(len(kept))
     moved = [range(before[js.start], before[js.stop]) for js in kept_partners]
-    return kept, (kept_radii, kept_rows, moved)
+    return kept, (kept_rows, moved)
 
 
 def _join_seeds(
-    seeds: dict[Radius, list[ChainState]],
-    radii: list[Radius],
-    closed: dict[Radius, list[PolygonDatum]],
-) -> tuple[list[ChainState], Lineage]:
-    """The live seeds of ``radii``, popped from ``seeds``, with their lineage.
+    seeds: dict[Radius, list[ChainState]], radii: list[Radius]
+) -> tuple[list[ChainState], Lineage, list[ChainState]]:
+    """The live seeds of ``radii``, popped from ``seeds``, their lineage and the closed seeds.
 
-    Radius by radius, seeds with (delta_1, delta_3) >= -2 are closed
-    (filed in ``closed``), and the others are joined on x's (delta_2,
-    delta_3), lambda_2, lambda_3 against y's (delta_1, delta_2),
-    lambda_1, lambda_2 by a hash join freed with the radius.
+    Radius by radius, seeds with (delta_1, delta_3) >= -2 are closed, and
+    the others are joined on x's (delta_2, delta_3), lambda_2, lambda_3
+    against y's (delta_1, delta_2), lambda_1, lambda_2 by a hash join
+    freed with the radius.
     """
     live: list[ChainState] = []
-    live_radii: list[Radius] = []
     partners: list[Sequence[int]] = []
+    closing: list[ChainState] = []
     for r in radii:
         first = len(live)
         by_head: dict[tuple[int, int, int], list[int]] = {}
-        closing: list[ChainState] = []
         for x in seeds.pop(r):
             _, p, lam = x
             if p[1] >= -2:  # the closing pair (1, 3)
@@ -557,11 +551,8 @@ def _join_seeds(
             else:
                 bucket.append(len(live))
             live.append(x)
-        if closing:
-            _close(closed, r, closing)
-        live_radii += [r] * (len(live) - first)
         partners += [by_head.get((p[2], lam[1], lam[2]), ()) for _, p, lam in live[first:]]
-    return live, (live_radii, [None] * len(live), partners)
+    return live, ([None] * len(live), partners), closing
 
 
 # Radii glued together in one pass of the chain loop.  The chains of a
@@ -576,28 +567,27 @@ def _chain_loop(
     seeds: dict[Radius, list[ChainState]],
     max_sides: int,
     periodic: dict[tuple, PeriodicChainReport] | None = None,
-) -> tuple[dict[Radius, list[PolygonDatum]], list[Radius]]:
+) -> tuple[list[PolygonDatum], list[ChainState]]:
     """Glue the seeds of every radius until each chain has closed or died, or reached max_sides.
 
-    Returns each radius's closed polygons, in the order a search of that
-    radius alone closes them, and the radius of each chain alive at the
-    cap, in order; ``seeds`` is emptied.  Radii go in passes (see the
-    module docstring).  With ``periodic`` (parabolic mode) each round's
-    live extensions pass ``_drop_periodic``; a seed has one window, so it
+    Returns the closed polygons and the chains alive at the cap, in
+    order; ``seeds`` is emptied.  Radii go in passes (see the module
+    docstring).  With ``periodic`` (parabolic mode) each round's live
+    extensions pass ``_drop_periodic``; a seed has one window, so it
     never repeats one.
     """
-    closed: dict[Radius, list[PolygonDatum]] = {}
-    capped: list[Radius] = []
+    closed: list[PolygonDatum] = []
+    capped: list[ChainState] = []
     order = list(seeds)
     for first in range(0, len(order), _PASS_RADII):
-        chains, lineage = _join_seeds(seeds, order[first : first + _PASS_RADII], closed)
+        chains, lineage, closing = _join_seeds(seeds, order[first : first + _PASS_RADII])
+        closed += partition_closed(closing)[0]
         while chains:
             if chains[0].length >= max_sides:
-                capped += lineage[0]
+                capped += chains
                 break
             chains, lineage, closing = extend_step(chains, lineage)
-            for r, group in closing.items():
-                _close(closed, r, group)
+            closed += partition_closed(closing)[0]
             if periodic is not None:
                 chains, lineage = _drop_periodic(chains, lineage, periodic)
     return closed, capped
@@ -608,9 +598,7 @@ def _chain_loop(
 # ---------------------------------------------------------------------------
 
 
-def _record_from_canonical(
-    r: Fraction, key: tuple[int, tuple[int, ...]]
-) -> CatalogRecord:
+def _record_from_canonical(key: tuple[int, tuple[int, ...]]) -> CatalogRecord:
     n, body = key
     k = pair_count(n)
     d = PolygonDatum(n, tuple([-v for v in body[:k]]), body[k:])
@@ -619,13 +607,9 @@ def _record_from_canonical(
         raise InvariantViolation(
             f"emitted datum fails verification: {report.failures()}"
         )
-    if report.weyl_square != r:
-        raise InvariantViolation(
-            f"emitted datum has square {report.weyl_square}, expected {r}"
-        )
     flags = report.flags
     return CatalogRecord(
-        r=r,
+        r=report.weyl_square,
         n=d.n,
         body=body,
         lam=d.lam,
@@ -640,11 +624,6 @@ def _record_from_canonical(
     )
 
 
-def _dedup_records(r: Fraction, closed: list[PolygonDatum]) -> list[CatalogRecord]:
-    keys = {canonical_key(poly) for poly in closed}
-    return [_record_from_canonical(r, key) for key in sorted(keys)]
-
-
 def run_elliptic(
     lambda_max: int,
     max_sides: int = DEFAULT_MAX_SIDES,
@@ -653,10 +632,10 @@ def run_elliptic(
 ) -> EnumerationResult:
     """The full elliptic classification for lambda_i <= lambda_max.
 
-    Deterministic: the catalog is sorted by (r, n, canonical body), since
-    each radius's closed polygons are deduplicated in ascending radius
-    order and come out of ``_dedup_records`` ordered by (n, body).  When
-    a live chain hits ``max_sides``, its radius is listed in
+    Deterministic: the closed polygons are deduplicated by
+    ``canonical_key``, each record takes its r from ``verify_realization``,
+    and the catalog is sorted by (r, n, canonical body).  When a live
+    chain hits ``max_sides``, its seed window's square is listed in
     ``cap_events``, and that radius's output is partial.  ``r_filter``
     searches that square alone.
     """
@@ -673,15 +652,11 @@ def run_elliptic(
         found = seed_triples(square, lambda_max) if square < 0 else []
         narrow = any(-ch.pairings[1] <= RADIUS_B_MAX for ch in found)
         seeds = {square.as_integer_ratio(): found} if narrow else {}
-    radii = list(seeds)
     closed, capped = _chain_loop(seeds, max_sides)
-    records: list[CatalogRecord] = []
-    for r in radii:
-        polygons = closed.get(r)
-        if polygons:
-            records.extend(_dedup_records(Fraction(*r), polygons))
-    caps = tuple(Fraction(*r) for r in dict.fromkeys(capped))
-    return EnumerationResult(tuple(records), caps)
+    records = sorted(map(_record_from_canonical, {canonical_key(poly) for poly in closed}))
+    # Distinct radii have distinct floats (see ``collect_radii``).
+    squares = sorted(set(map(_seed_square, capped)), key=lambda r: r[0] / r[1])
+    return EnumerationResult(tuple(records), tuple(Fraction(*r) for r in squares))
 
 
 def _chain_windows(ch: ChainState | PeriodicChainReport) -> list[tuple[int, ...]]:
@@ -761,6 +736,6 @@ def run_parabolic(
     periodic: dict[tuple, PeriodicChainReport] = {}
     closed, capped = _chain_loop({(0, 1): seed_triples(0, lambda_max)}, max_sides, periodic)
     if closed:
-        raise InvariantViolation(f"a chain closed at r = 0: {closed[0, 1][0]}")
+        raise InvariantViolation(f"a chain closed at r = 0: {closed[0]}")
     reports = tuple(periodic[key] for key in sorted(periodic))
     return ParabolicReport(reports, len(capped))

@@ -7,7 +7,9 @@ as a hash join on the whole overlap, as ``extend_step`` glued before it
 joined chains by lineage; ``rounds`` runs the chain loop of one radius on
 it, and ``reached_chains`` lists the chains that loop meets.
 ``radius`` reads an engine radius key (p, q) as a ``Fraction``, checking
-that it is in lowest terms.  The window scan walks every (a, c, lam) triple with
+that it is in lowest terms, and ``first_window_square`` is the square of a
+chain's or polygon's sides 1, 2, 3, the radius it belongs to.  The window
+scan walks every (a, c, lam) triple with
 a divisibility test per triple, every long pairing b with a divisibility
 test per b, and evaluates num and det per window from the closed forms,
 as the engine did before it enumerated admissible shapes directly and
@@ -61,6 +63,12 @@ def window_square_num(a: int, b: int, c: int, l1: int, l2: int, l3: int) -> int:
         + a33 * l3 * l3
         + 2 * (a12 * l1 * l2 + a13 * l1 * l3 + a23 * l2 * l3)
     )
+
+
+def first_window_square(x) -> Fraction:
+    """The Weyl square of sides 1, 2, 3 of a chain or polygon x, from the closed forms."""
+    a, b, c = -pair(x, 1, 2), -pair(x, 1, 3), -pair(x, 2, 3)
+    return Fraction(window_square_num(a, b, c, *x.lam[:3]), _window_det(a, b, c))
 
 
 def adjacent_divisible(a: int, c: int, l1: int, l2: int, l3: int) -> bool:

@@ -13,11 +13,10 @@ from hypercartan import cli, engine
 from hypercartan.cli import _matrix_block, main
 from hypercartan.core import (
     PolygonDatum,
+    _products,
+    _symcartan,
     canonical_key,
-    cartan_matrix,
-    classify_flags,
     polygon_table,
-    symmetrized_cartan,
     symmetry_group,
     verify_realization,
 )
@@ -55,10 +54,10 @@ def test_records_round_trip(capsys):
         assert report.valid
         assert str(Fraction(report.weyl_square)) == rec["r"]
         assert [list(r) for r in polygon_table(d)] == rec["polygon_table"]
-        assert [list(r) for r in cartan_matrix(d)] == rec["cartan"]
-        assert [list(r) for r in symmetrized_cartan(d)] == rec["symcartan"]
+        assert [list(r) for r in report.cartan] == rec["cartan"]
+        assert [list(r) for r in report.symcartan] == rec["symcartan"]
         assert symmetry_group(d) == rec["sym_order"]
-        flags = classify_flags(d, report.weyl_square)
+        flags = report.flags
         assert (flags.kind, flags.compact, flags.untwisted) == (
             rec["type"],
             rec["compact"],
@@ -385,7 +384,7 @@ def test_check_prints_twisted_cartan(capsys, tmp_path):
     assert "valid" in out
     # a_13 = lambda_3 g_13 / lambda_1 = -1; a_31 = lambda_1 g_31 / lambda_3 = -4
     d = PolygonDatum(3, (0, -2, -1), (2, 1, 1))
-    a = cartan_matrix(d)
+    a = verify_realization(d).cartan
     assert (a[0][2], a[2][0]) == (-1, -4)
     assert "cartan" in out
 
@@ -524,7 +523,7 @@ def test_verify_non_utf8_catalog_is_usage_error(capsys, tmp_path):
 
 def test_engine_invariant_failure_is_one_line_exit_4(capsys, monkeypatch):
     def broken(*args, **kwargs):
-        raise InvariantViolation("emitted datum has square -1, expected -2")
+        raise InvariantViolation("a chain closed at r = 0: (3, (0, -1, -2), (1, 1, 1))")
 
     monkeypatch.setattr(cli, "run_elliptic", broken)
     code, out, err = run_cli(capsys, "enumerate", "--lambda-max", "1")
@@ -532,7 +531,7 @@ def test_engine_invariant_failure_is_one_line_exit_4(capsys, monkeypatch):
     assert out == ""
     assert err == (
         "error: engine invariant violated: "
-        "emitted datum has square -1, expected -2\n"
+        "a chain closed at r = 0: (3, (0, -1, -2), (1, 1, 1))\n"
     )
 
     def failing(*args, **kwargs):
@@ -646,14 +645,15 @@ def test_matrix_block_matches_per_entry_format():
     """
     matrices = []
     for row in golden_catalog():
-        d = row.datum()
-        matrices += [cartan_matrix(d), symmetrized_cartan(d)]
+        report = verify_realization(row.datum())
+        matrices += [report.cartan, report.symcartan]
     wide = [
         PolygonDatum(3, (-2, -3000, -1), (50, 7, 11)),
         PolygonDatum(4, (-1, -10**4, 0, -2, -999, -1), (1, 9, 1, 10**3)),
     ]
     assert all(max(d.lam) > 1 for d in wide)
-    matrices += [symmetrized_cartan(d) for d in wide]
+    # both fail verification, so no report holds their rows: the kernel builds them
+    matrices += [_symcartan(d.gram, d.lam, _products(d.gram, d.lam)) for d in wide]
     matrices += [((10**4, -1000, 2), (-1001, 99999, 0), (-10**9, 123456, -999))]
     cells = cli._Cells()
     for _ in range(2):

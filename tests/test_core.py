@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -17,11 +16,8 @@ from hypercartan.core import (
     _first_window,
     _weyl_numerators,
     _window_weyl,
-    cartan_matrix,
-    classify_flags,
     dihedral_relabellers,
     polygon_table,
-    symmetrized_cartan,
     symmetry_group,
     table_to_datum,
     verify_realization,
@@ -116,18 +112,30 @@ def test_divisibility_examples():
     assert divisibility_ok(1, 7, -13)
 
 
+def _matrices(d):
+    """``core._cartan`` and ``core._symcartan`` of d from its lambda-Gram rows.
+
+    The Cartan matrix is meaningful only on data that pass the
+    divisibility check; neither kernel checks anything else.
+    """
+    g = d.gram
+    prods = core._products(g, d.lam)
+    return core._cartan(g, d.lam, prods), core._symcartan(g, d.lam, prods)
+
+
 def test_cartan_matrix_untwisted_equals_gram():
     d = triangle(0, -1, -2)
-    a = cartan_matrix(d)
+    report = verify_realization(d)
+    a = report.cartan
     assert QMatrix.from_rows(a) == assemble_gram(d)
     # the symmetrizer diag(1/lambda_j^2) is the identity
-    assert symmetrized_cartan(d) == a
+    assert report.symcartan == a
 
 
 def test_cartan_matrix_a10():
     d = triangle(0, -1, -2)
     a10 = ((2, 0, -1), (0, 2, -2), (-1, -2, 2))
-    assert cartan_matrix(d) == a10
+    assert verify_realization(d).cartan == a10
     # the catalog row r=-23/2 carries the same matrix up to relabelling
     row = table_to_datum(((1, 1, 1), (0, 1, 2)))
     images = {apply_move(row, m).pairings for m in all_moves(3)}
@@ -136,7 +144,7 @@ def test_cartan_matrix_a10():
 
 def test_cartan_matrix_twisted_entries():
     d = table_to_datum(ROW_6)
-    a = cartan_matrix(d)
+    a = verify_realization(d).cartan
     assert a[1][3] == -2  # lambda_4 * g_24 / lambda_2
     assert a[3][1] == -18
     assert a[0][2] == -9
@@ -144,28 +152,29 @@ def test_cartan_matrix_twisted_entries():
 
 
 def test_cartan_matrix_divisibility_error():
-    # lambda_1 = 2 does not divide lambda_3 (delta_1, delta_3) = -1; the
-    # message lists every failing ordered pair
-    with pytest.raises(
-        InvalidRealizationError,
-        match=re.escape("divisibility fails for ordered pairs [(1, 3)]"),
+    # lambda_1 = 2 does not divide lambda_3 (delta_1, delta_3) = -1; the scan
+    # and the check's message list every failing ordered pair, and no Cartan
+    # matrix is reported
+    for d, bad in (
+        (triangle(0, -1, -1, lam=(2, 1, 1)), [(1, 3)]),
+        (triangle(-1, -1, -1, lam=(2, 1, 1)), [(1, 2), (1, 3)]),
     ):
-        cartan_matrix(triangle(0, -1, -1, lam=(2, 1, 1)))
-    with pytest.raises(
-        InvalidRealizationError,
-        match=re.escape("divisibility fails for ordered pairs [(1, 2), (1, 3)]"),
-    ):
-        cartan_matrix(triangle(-1, -1, -1, lam=(2, 1, 1)))
+        assert _scan(d) == bad
+        report = verify_realization(d)
+        assert ("divisibility", False, f"divisibility fails for ordered pairs {bad}") in (
+            report.failures()
+        )
+        assert report.cartan is None
 
 
 def test_symmetrized_cartan_untwisted():
     d = triangle(-1, -2, 0)
-    assert QMatrix.from_rows(symmetrized_cartan(d)) == assemble_gram(d)
+    assert QMatrix.from_rows(verify_realization(d).symcartan) == assemble_gram(d)
 
 
 def test_symmetrized_cartan_twisted():
     d = table_to_datum(ROW_59_2)
-    b = symmetrized_cartan(d)
+    b = verify_realization(d).symcartan
     assert b[1][1] == 8
     assert b[1][2] == -4
     assert b[0][2] == -4
@@ -173,7 +182,8 @@ def test_symmetrized_cartan_twisted():
 
 def test_symmetrized_is_scaled_gram():
     d = table_to_datum(ROW_6)
-    a, b = cartan_matrix(d), symmetrized_cartan(d)
+    report = verify_realization(d)
+    a, b = report.cartan, report.symcartan
     for j in range(4):
         for k in range(4):
             assert b[j][k] == d.lam[j] * d.lam[k] * pair(d, j + 1, k + 1)
@@ -304,22 +314,22 @@ def test_verify_lorentzian_failure_on_definite_triangle():
 
 def test_classify_flags_examples():
     d = table_to_datum(((1, 1, 1), (0, 1, 2)))
-    w = verify_realization(d).weyl_square
-    flags = classify_flags(d, w)
+    flags = verify_realization(d).flags
     assert (flags.kind, flags.compact, flags.untwisted) == ("elliptic", False, True)
 
     quad = table_to_datum(ROW_7_QUAD)
-    flags = classify_flags(quad, verify_realization(quad).weyl_square)
+    flags = verify_realization(quad).flags
     assert (flags.kind, flags.compact, flags.untwisted) == ("elliptic", True, False)
 
     square = table_to_datum(((1, 1, 1, 1), (1, 1, 1, 1), (4, 4, 4, 4)))
-    flags = classify_flags(square, verify_realization(square).weyl_square)
+    flags = verify_realization(square).flags
     assert (flags.kind, flags.compact, flags.untwisted) == ("elliptic", True, True)
 
 
 def test_classify_flags_rejects_positive_square():
-    with pytest.raises(ValueError):
-        classify_flags(triangle(0, 0, 0), Fraction(1))
+    report = verify_realization(triangle(0, 0, 0))
+    assert report.weyl_square > 0
+    assert report.flags.kind is None
 
 
 @given(st.integers(min_value=0, max_value=23))
@@ -327,8 +337,7 @@ def test_classify_flags_dihedral_invariant(index):
     d = table_to_datum(ROW_6)
     moves = all_moves(d.n)
     image = apply_move(d, moves[index % len(moves)])
-    w = verify_realization(d).weyl_square
-    assert classify_flags(image, w) == classify_flags(d, w)
+    assert verify_realization(image).flags == verify_realization(d).flags
 
 
 def test_symmetry_group_full_triangle():
@@ -794,14 +803,11 @@ def _assert_products_match_oracle(d):
         if v.denominator != 1
     ]
     assert _scan(d) == bad, d
-    if bad:
-        with pytest.raises(InvalidRealizationError, match=re.escape(str(bad))):
-            cartan_matrix(d)
-    else:
-        fast = cartan_matrix(d)
+    fast, sym = _matrices(d)
+    if not bad:
         assert fast == a, d
         assert all(type(v) is int for row in fast for v in row)
-    assert symmetrized_cartan(d) == reference_symcartan(d), d
+    assert sym == reference_symcartan(d), d
 
 
 def test_products_match_per_entry_oracle_on_catalog_relabellings():
@@ -820,11 +826,10 @@ def test_product_table_is_keyed_on_the_lambdas():
     x, y = PolygonDatum(3, pairings, (1, 1, 1)), PolygonDatum(3, pairings, (2, 1, 1))
     for _ in range(2):
         for d in (x, y):
-            assert cartan_matrix(d) == reference_cartan(d)
-            assert symmetrized_cartan(d) == reference_symcartan(d)
+            assert _matrices(d) == (reference_cartan(d), reference_symcartan(d))
             assert _scan(d) == []
-    assert cartan_matrix(x) != cartan_matrix(y)
-    assert symmetrized_cartan(x) != symmetrized_cartan(y)
+    assert _matrices(x)[0] != _matrices(y)[0]
+    assert _matrices(x)[1] != _matrices(y)[1]
 
 
 # --- the one decoration pass against the reader oracles ----------------------
@@ -848,8 +853,8 @@ def _assert_decoration_matches_oracle(d):
     assert all(type(v) is int for row in report.cartan for v in row)
     assert report.symcartan == reference_symcartan(d), d
     assert report.sym_order == reference_symmetry_group(d), d
-    assert report.flags == classify_flags(d, square)
-    assert (report.cartan, report.symcartan) == (cartan_matrix(d), symmetrized_cartan(d))
+    assert report.flags == core._flags(d.adjacent_pairs(), d.lam, square)
+    assert (report.cartan, report.symcartan) == _matrices(d)
     assert report.sym_order == symmetry_group(d)
 
 

@@ -159,9 +159,8 @@ def _first_round(r, seeds):
     and every extension, live or closed.
     """
     key = r.as_integer_ratio()
-    live, lineage = engine._join_seeds({key: seeds}, [key], {})
+    live, lineage, _ = engine._join_seeds({key: seeds}, [key])
     chains4, _, closing = extend_step(live, lineage)
-    closing = closing.get(key, [])
     return chains4, partition_closed(closing)[0], chains4 + closing
 
 
@@ -305,9 +304,11 @@ def test_run_elliptic_cap_event():
     for r, seeds in _seed_map(1).items():
         _, capped = engine._chain_loop({r: seeds}, 4)
         assert bool(capped) == (oracle.radius(r) in result.cap_events)
-        # one entry per chain alive at 4 sides, as the per-radius loop leaves
+        # the chains alive at 4 sides, in order, as the per-radius loop
+        # leaves them, each of square r
         *_, (met, _, live, _) = oracle.rounds(seeds, False, 4)
-        assert capped == ([r] * len(live) if met[0].length == 4 else [])
+        assert capped == (live if met[0].length == 4 else [])
+        assert {oracle.first_window_square(x) for x in capped} <= {oracle.radius(r)}
     # radii whose chains were cut off report partial catalogs, so fewer records
     assert len(result.records) < 16
 
@@ -487,26 +488,28 @@ def test_extend_step_rejects_mixed_or_closed_input(monkeypatch):
     on.
     """
     key = (-7, 18)
-    live, (radii, rows, partners) = engine._join_seeds(
-        {key: seed_triples(Fraction(*key), 1)}, [key], {}
+    live, (rows, partners), _ = engine._join_seeds(
+        {key: seed_triples(Fraction(*key), 1)}, [key]
     )
     assert len(live) >= 2 and partition_closed(live)[1] == live
     with pytest.raises(EngineError, match="lineage"):
-        extend_step(live, (radii, rows[1:], partners))
+        extend_step(live, (rows[1:], partners))
     with pytest.raises(EngineError, match="lineage"):
-        extend_step(live[1:], (radii, rows, partners))
+        extend_step(live, (rows, partners[1:]))
+    with pytest.raises(EngineError, match="lineage"):
+        extend_step(live[1:], (rows, partners))
     step = engine.extend_step
     lengths = []
 
     def checked(chains, lineage):
         m = chains[0].length
         assert all(ch.length == m and ch.pairings[m - 2] < -2 for ch in chains), m
-        for ch, row, js in zip(chains, *lineage[1:]):
+        for ch, row, js in zip(chains, *lineage):
             assert all(0 <= j < len(chains) for j in js), m
             assert row == (None if m == 3 else _weyl_row(ch)), m
         out, out_lineage, closing = step(chains, lineage)
         assert partition_closed(out)[1] == out
-        assert all(partition_closed(group)[1] == [] for group in closing.values())
+        assert partition_closed(closing)[1] == []
         lengths.append(m)
         return out, out_lineage, closing
 
@@ -847,12 +850,22 @@ def test_lineage_join_is_the_key_join(monkeypatch):
     assert rounds_seen > 1000 and lineage_rounds > 100
 
 
+def _by_square(chains):
+    """Chains or polygons grouped by the square of their first window, each group in order."""
+    groups = {}
+    for x in chains:
+        groups.setdefault(oracle.first_window_square(x), []).append(x)
+    return groups
+
+
 def test_chain_loop_closes_and_caps_as_the_per_radius_loop():
     """Per radius, the chain loop closes the polygons the per-radius loop
     closes, in order, and at max_sides 3 to 8 (and the default) leaves
-    chains of the same radii alive at the cap: every radius for lambda <= 6,
-    and r = 0 with the period filter for lambda <= 2.  A loop that stops at
-    max_sides is the uncapped one cut there, so one oracle run serves all."""
+    chains of the same squares alive at the cap, in order: every radius for
+    lambda <= 6, and r = 0 with the period filter for lambda <= 2.  The
+    loop's one list of closed polygons is grouped by square to compare.  A
+    loop that stops at max_sides is the uncapped one cut there, so one
+    oracle run serves all."""
     capped_runs = 0
     for seed_map, parabolic in _loop_runs():
         rounds = {r: list(oracle.rounds(seeds, parabolic)) for r, seeds in seed_map.items()}
@@ -863,13 +876,40 @@ def test_chain_loop_closes_and_caps_as_the_per_radius_loop():
                     if met[0].length > max_sides:
                         break
                     if done:
-                        closed.setdefault(r, []).extend(done)
+                        closed.setdefault(oracle.radius(r), []).extend(done)
                     if met[0].length == max_sides:
-                        capped += [r] * len(live)
+                        capped += [oracle.radius(r)] * len(live)
             periodic = {} if parabolic else None
-            assert engine._chain_loop(dict(seed_map), max_sides, periodic) == (closed, capped)
+            got_closed, got_capped = engine._chain_loop(dict(seed_map), max_sides, periodic)
+            assert _by_square(got_closed) == closed
+            assert list(map(oracle.first_window_square, got_capped)) == capped
             capped_runs += bool(capped)
     assert capped_runs >= 6 * 6
+
+
+def test_seed_square_is_the_radius_of_every_seed_closed_polygon_and_capped_chain():
+    """For lambda <= 6, ``_seed_square`` of each seed is its ``_seed_map``
+    key; each polygon the chain loop closes has its first window's square
+    (closed form) equal to its verified Weyl square and to the radius the
+    per-radius loop files it under; and at max_sides 4 the squares of the
+    chains alive at the cap are, in order, the radii the per-radius loop
+    leaves them under."""
+    for lambda_max in range(1, 7):
+        seed_map = _seed_map(lambda_max)
+        for key, seeds in seed_map.items():
+            assert all(engine._seed_square(x) == key for x in seeds), key
+        _, _, filed, _ = _per_radius_loop(seed_map, False)
+        closed, _ = engine._chain_loop(dict(seed_map), DEFAULT_MAX_SIDES)
+        for poly in closed:
+            assert oracle.first_window_square(poly) == verify_realization(poly).weyl_square, poly
+        assert sorted((oracle.radius(r), p) for r, ps in filed.items() for p in ps) == sorted(
+            (oracle.first_window_square(p), p) for p in closed
+        )
+        *_, oracle_capped = _per_radius_loop(seed_map, False, 4)
+        _, capped = engine._chain_loop(dict(seed_map), 4)
+        assert capped and list(map(engine._seed_square, capped)) == oracle_capped
+
+
 def test_windows_match_unstrided_oracle():
     """The shape enumeration and second-difference scan yield the oracle's windows.
 
