@@ -56,9 +56,12 @@ ascending order: a pass pops and joins its radii's seeds radius by
 radius, then glues one round per length over all its radii at once.  A
 chain holds no radius: all its windows share one Weyl square, as a
 polygon's do, so its radius is the square of its first window, its seed
-window (``_seed_square``).  Parabolic mode runs the loop as the one
-radius 0; its period filter keeps the order of the chains and moves each
-partner range to the count of chains kept before it.
+window (``_seed_square``).  A round keeps the order of its radii, and
+within a radius that of x, then of x's partners, which differ only in
+their last window: the capped chains come out ascending by radius, and
+from sorted seeds every round is sorted by windows.  Parabolic mode runs
+the loop as the one radius 0; its period filter keeps the order of the
+chains and moves each partner range to the count of chains kept before it.
 
 A chain is a packed tuple of its pairings, row-major over the strict
 upper triangle, built with ``tuple.__new__``.  The glued chain is a
@@ -84,6 +87,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     PolygonDatum,
+    _window_adjugate,
+    _window_det,
     canonical_key,
     pair_count,
     polygon_table,
@@ -397,13 +402,12 @@ def _weyl_row(x: ChainState) -> WeylRow:
     # (1,2), (1,3), (2,3) at offsets 0, 1, m-1
     a, b, c = -xp[0], -xp[1], -xp[x.length - 1]
     l1, l2, l3 = lam[0], lam[1], lam[2]
-    # adj(g) = (4 - c^2, 2a + bc, ac + 2b, 4 - b^2, 2c + ab, 4 - a^2)
-    a12, a13, a23 = 2 * a + b * c, a * c + 2 * b, 2 * c + a * b
+    a11, a12, a13, a22, a23, a33 = _window_adjugate(a, b, c)
     return (
-        (4 - c * c) * l1 + a12 * l2 + a13 * l3,
-        a12 * l1 + (4 - b * b) * l2 + a23 * l3,
-        a13 * l1 + a23 * l2 + (4 - a * a) * l3,
-        8 - 2 * (a * a + b * b + c * c) - 2 * a * b * c,
+        a11 * l1 + a12 * l2 + a13 * l3,
+        a12 * l1 + a22 * l2 + a23 * l3,
+        a13 * l1 + a23 * l2 + a33 * l3,
+        _window_det(a, b, c),
         l1,
         lam[:1],
     )
@@ -498,10 +502,10 @@ def _drop_periodic(
     """The chains whose newest decorated 3-window state repeats no earlier one.
 
     A chain whose state repeats is recorded in ``periodic`` instead,
-    keyed by (period, signature).  A key keeps its least chain in
-    ``_sweep_order``, taken only when the key is hit again, so the report
-    does not depend on the seed order.  Kept chains keep their order, so
-    a partner range moves to the number of chains kept before its bounds.
+    keyed by (period, signature), unless the key is already there: the
+    chains come in the order of ``run_parabolic``'s seeds (see there), so a
+    key's first chain is its least.  Kept chains keep their order, so a
+    partner range moves to the number of chains kept before its bounds.
     """
     kept: list[ChainState] = []
     kept_rows: list[WeylRow | None] = []
@@ -514,10 +518,7 @@ def _drop_periodic(
             kept_rows.append(row)
             kept_partners.append(js)
         else:
-            key = (rep.period, rep.signature)
-            least = periodic.get(key)
-            if least is None or _sweep_order(rep) < _sweep_order(least):
-                periodic[key] = rep
+            periodic.setdefault((rep.period, rep.signature), rep)
         before.append(len(kept))
     moved = [range(before[js.start], before[js.stop]) for js in kept_partners]
     return kept, (kept_rows, moved)
@@ -636,8 +637,8 @@ def run_elliptic(
     ``canonical_key``, each record takes its r from ``verify_realization``,
     and the catalog is sorted by (r, n, canonical body).  When a live
     chain hits ``max_sides``, its seed window's square is listed in
-    ``cap_events``, and that radius's output is partial.  ``r_filter``
-    searches that square alone.
+    ``cap_events``, ascending as the chain loop leaves them, and that
+    radius's output is partial.  ``r_filter`` searches that square alone.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
@@ -654,12 +655,11 @@ def run_elliptic(
         seeds = {square.as_integer_ratio(): found} if narrow else {}
     closed, capped = _chain_loop(seeds, max_sides)
     records = sorted(map(_record_from_canonical, {canonical_key(poly) for poly in closed}))
-    # Distinct radii have distinct floats (see ``collect_radii``).
-    squares = sorted(set(map(_seed_square, capped)), key=lambda r: r[0] / r[1])
+    squares = dict.fromkeys(map(_seed_square, capped))
     return EnumerationResult(tuple(records), tuple(Fraction(*r) for r in squares))
 
 
-def _chain_windows(ch: ChainState | PeriodicChainReport) -> list[tuple[int, ...]]:
+def _chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
     """Decorated 3-window states along an open chain.
 
     Row i of the packing starts with (i, i+1), (i, i+2) and is followed by
@@ -673,20 +673,6 @@ def _chain_windows(ch: ChainState | PeriodicChainReport) -> list[tuple[int, ...]
         windows.append((p[s], p[s + 1], p[t], lam[i - 1], lam[i], lam[i + 1]))
         s = t
     return windows
-
-
-def _sweep_order(rep: PeriodicChainReport) -> tuple:
-    """The length, then each window as (a, c, l1, l2, l3, b), lexicographically.
-
-    This is the order in which a full window sweep, one that visits both
-    windows of each mirror pair, emits seeds, and ``extend_step`` keeps it
-    (x's extensions follow x, and x's partners, the extensions of one
-    parent, differ only in the last window).  So the least chain of a
-    periodic class is the one a full sweep finds first.
-    ``_drop_periodic`` takes that minimum explicitly, so the half sweep of
-    ``_windows`` reports the same chains.
-    """
-    return rep.length, [(-a, -c, *lam, -b) for a, b, c, *lam in _chain_windows(rep)]
 
 
 def _min_rotation(block: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -723,6 +709,11 @@ def run_parabolic(
     ``max_sides`` is counted as capped.  Exploratory mode: the parabolic
     classification itself is out of scope here.
 
+    Each (period, signature) reports its least chain, the shortest, then
+    by windows (a, c, l1, l2, l3, b), whatever order ``seed_triples``
+    finds seeds in: sorted seeds give sorted rounds (see the module
+    docstring), so ``_drop_periodic`` meets each key's least chain first.
+
     No r = 0 chain ever closes.  A closed polygon bounds a cone
     {x : (x, delta_i) <= 0 for all i} whose interior vectors all have
     negative square.  (rho, delta_i) = -lambda_i < 0 on every side puts
@@ -733,8 +724,10 @@ def run_parabolic(
         raise ValueError("lambda_max must be >= 1")
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
+    seeds = seed_triples(0, lambda_max)
+    seeds.sort(key=lambda x: (-x.pairings[0], -x.pairings[2], *x.lam, -x.pairings[1]))
     periodic: dict[tuple, PeriodicChainReport] = {}
-    closed, capped = _chain_loop({(0, 1): seed_triples(0, lambda_max)}, max_sides, periodic)
+    closed, capped = _chain_loop({(0, 1): seeds}, max_sides, periodic)
     if closed:
         raise InvariantViolation(f"a chain closed at r = 0: {closed[0]}")
     reports = tuple(periodic[key] for key in sorted(periodic))

@@ -23,6 +23,9 @@ their squares by an exact gcd-reduced key, as the seed sweep did before
 it looked windows up by float.  The tests compare the fast paths against
 them.  ``radius_slice_mismatches`` compares a full
 run against the same search run one radius at a time.
+``trimmed_windows`` trims the window graph, and ``uncertified_squares``
+lists the trimmed squares that ``collect_radii`` misses: the certificate
+for assumption (N) at one lambda_max.
 """
 
 from __future__ import annotations
@@ -322,3 +325,43 @@ def radius_slice_mismatches(
     if tuple(concatenated) != full.records:
         mismatches.append(None)
     return mismatches
+
+
+def trimmed_windows(lambda_max: int) -> list:
+    """The windows (a, b, c, lam, num, det) of square r < 0 left by trimming the window graph.
+
+    The nodes are the windows of ``windows`` with num > 0, both of each
+    mirror pair, with no bound but num's larger root.  An edge w -> w'
+    joins two windows of one square with w's (c, l2, l3) equal to w''s
+    (a, l1, l2), the overlap gluing joins on.  Windows with no
+    predecessor or no successor are dropped until none is.  Squares are
+    keyed by the float num / det: equal squares give equal floats, so a
+    shared float can only merge squares and keep more windows.
+    """
+    kept = [w for w in windows(lambda_max, long_pairing_bound(Fraction(0))) if w[4] > 0]
+    while True:
+        heads = {(num / d, a, lam[0], lam[1]) for a, _, _, lam, num, d in kept}
+        tails = {(num / d, c, lam[1], lam[2]) for _, _, c, lam, num, d in kept}
+        trimmed = [
+            (a, b, c, lam, num, d)
+            for a, b, c, lam, num, d in kept
+            if (num / d, c, *lam[1:]) in heads and (num / d, a, *lam[:2]) in tails
+        ]
+        if len(trimmed) == len(kept):
+            return kept
+        kept = trimmed
+
+
+def uncertified_squares(lambda_max: int) -> list[Fraction]:
+    """The squares of ``trimmed_windows`` that are not radii of collect_radii(lambda_max), ascending.
+
+    A trimmed window's square num / det is matched to the radius p / q of
+    its float and checked exactly, p det == num q.
+    """
+    radii = {p / q: (p, q) for p, q in collect_radii(lambda_max)}
+    missed = set()
+    for *_, num, d in trimmed_windows(lambda_max):
+        hit = radii.get(num / d)
+        if hit is None or hit[0] * d != num * hit[1]:
+            missed.add(Fraction(num, d))
+    return sorted(missed)

@@ -123,7 +123,7 @@ def _matrices(d):
     return core._cartan(g, d.lam, prods), core._symcartan(g, d.lam, prods)
 
 
-def test_cartan_matrix_untwisted_equals_gram():
+def test_untwisted_cartan_is_the_gram():
     d = triangle(0, -1, -2)
     report = verify_realization(d)
     a = report.cartan
@@ -132,7 +132,7 @@ def test_cartan_matrix_untwisted_equals_gram():
     assert report.symcartan == a
 
 
-def test_cartan_matrix_a10():
+def test_triangle_cartan_is_a10():
     d = triangle(0, -1, -2)
     a10 = ((2, 0, -1), (0, 2, -2), (-1, -2, 2))
     assert verify_realization(d).cartan == a10
@@ -142,7 +142,7 @@ def test_cartan_matrix_a10():
     assert d.pairings in images
 
 
-def test_cartan_matrix_twisted_entries():
+def test_twisted_cartan_entries():
     d = table_to_datum(ROW_6)
     a = verify_realization(d).cartan
     assert a[1][3] == -2  # lambda_4 * g_24 / lambda_2
@@ -151,7 +151,7 @@ def test_cartan_matrix_twisted_entries():
     assert a[2][0] == -1
 
 
-def test_cartan_matrix_divisibility_error():
+def test_divisibility_failure_lists_pairs_and_reports_no_cartan():
     # lambda_1 = 2 does not divide lambda_3 (delta_1, delta_3) = -1; the scan
     # and the check's message list every failing ordered pair, and no Cartan
     # matrix is reported
@@ -312,7 +312,7 @@ def test_verify_lorentzian_failure_on_definite_triangle():
     assert report.weyl_square is not None and report.weyl_square > 0
 
 
-def test_classify_flags_examples():
+def test_flags_examples():
     d = table_to_datum(((1, 1, 1), (0, 1, 2)))
     flags = verify_realization(d).flags
     assert (flags.kind, flags.compact, flags.untwisted) == ("elliptic", False, True)
@@ -326,14 +326,14 @@ def test_classify_flags_examples():
     assert (flags.kind, flags.compact, flags.untwisted) == ("elliptic", True, True)
 
 
-def test_classify_flags_rejects_positive_square():
+def test_positive_square_has_no_flag_kind():
     report = verify_realization(triangle(0, 0, 0))
     assert report.weyl_square > 0
     assert report.flags.kind is None
 
 
 @given(st.integers(min_value=0, max_value=23))
-def test_classify_flags_dihedral_invariant(index):
+def test_flags_dihedral_invariant(index):
     d = table_to_datum(ROW_6)
     moves = all_moves(d.n)
     image = apply_move(d, moves[index % len(moves)])

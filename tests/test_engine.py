@@ -405,28 +405,39 @@ def test_run_parabolic_reports_the_least_chain_of_each_class(monkeypatch):
     assert report.periodic == tuple(least[key] for key in sorted(least))
 
 
-def test_run_parabolic_orders_a_class_only_on_a_second_hit(monkeypatch):
-    """A periodic chain whose (period, signature) is new is stored as it
-    is; _sweep_order is taken, for both chains, only when a key is hit
-    again."""
-    order, detect = engine._sweep_order, engine._detect_period
-    ordered, hits = [], []
+@pytest.mark.parametrize("lambda_max", range(1, 7))
+def test_run_parabolic_sorts_its_seeds_and_reports_each_first_hit(monkeypatch, lambda_max):
+    """run_parabolic hands the chain loop the r = 0 seeds in the order a full
+    sweep emits them, by window (a, c, l1, l2, l3, b), and reports for each
+    (period, signature) the first chain detected with it."""
+    handed, detected = [], []
+    loop, detect = engine._chain_loop, engine._detect_period
 
-    def counted_order(rep):
-        ordered.append(rep)
-        return order(rep)
+    def recorded_loop(seeds, max_sides, periodic=None):
+        handed.append({r: found[:] for r, found in seeds.items()})
+        return loop(seeds, max_sides, periodic)
 
     def recorded_detect(ch):
         rep = detect(ch)
         if rep is not None:
-            hits.append((rep.period, rep.signature))
+            detected.append(rep)
         return rep
 
-    monkeypatch.setattr(engine, "_sweep_order", counted_order)
+    def window(x):
+        return -pair(x, 1, 2), -pair(x, 2, 3), *x.lam, -pair(x, 1, 3)
+
+    monkeypatch.setattr(engine, "_chain_loop", recorded_loop)
     monkeypatch.setattr(engine, "_detect_period", recorded_detect)
-    report = run_parabolic(6)
-    assert len(report.periodic) == len(set(hits))
-    assert len(ordered) == 2 * (len(hits) - len(set(hits))) > 0
+    report = run_parabolic(lambda_max)
+    [(r, seeds)] = handed[0].items()
+    assert len(handed) == 1 and r == (0, 1)
+    assert sorted(seeds) == sorted(seed_triples(0, lambda_max))
+    keys = list(map(window, seeds))
+    assert keys == sorted(set(keys))
+    first = {}
+    for rep in detected:
+        first.setdefault((rep.period, rep.signature), rep)
+    assert report.periodic == tuple(first[key] for key in sorted(first))
 
 
 def test_catalog_polygons_have_a_radius_window():
@@ -453,6 +464,41 @@ def test_larger_radius_bound_changes_no_record(monkeypatch):
     monkeypatch.setattr(engine, "RADIUS_B_MAX", 20)
     assert len(collect_radii(6)) > len(radii)
     assert run_elliptic(6).records == records
+
+
+def test_window_graph_certifies_assumption_n():
+    """Every square left by trimming the window graph is a radius, for lambda <= 16.
+
+    Every cyclic window of a polygon is a node of the graph.  Its three
+    sides are linearly independent: otherwise line 3 would pass through
+    the vertex of lines 1 and 2 and meet line 2 twice.  So their Gram, in
+    signature (2, 1), has det < 0, and r < 0 gives num > 0.  Consecutive
+    windows of a polygon share an edge, so its windows form a closed walk,
+    and trimming drops none of them.  So when every kept square is a radius
+    of collect_radii, every polygon's square is searched, and the wide
+    pass seeds it with all its windows: the run is complete at that
+    lambda_max without (N).
+    """
+    for lambda_max in range(1, 17):
+        assert oracle.uncertified_squares(lambda_max) == [], lambda_max
+    kept = oracle.trimmed_windows(16)
+    print(f"(N) certified at lambda <= 16: {len(kept)} windows kept at lambda 16")
+    assert kept
+
+
+def test_catalog_windows_survive_window_graph_trimming():
+    """Each of the catalog's 328 cyclic windows is a trimmed window at lambda 6."""
+    kept = {w[:4] for w in oracle.trimmed_windows(6)}
+    cyclic = []
+    for row in golden_catalog():
+        d = row.datum()
+        n = d.n
+        for i in range(1, n + 1):
+            j, k = i % n + 1, (i + 1) % n + 1
+            a, b, c = -pair(d, i, j), -pair(d, i, k), -pair(d, j, k)
+            cyclic.append((a, b, c, (d.lam[i - 1], d.lam[j - 1], d.lam[k - 1])))
+    assert len(cyclic) == 328
+    assert [w for w in cyclic if w not in kept] == []
 
 
 def test_weyl_square_strictly_monotone_in_long_pairing():
@@ -804,9 +850,10 @@ def _joins_by_radius(calls, radius_of):
 
 
 def _loop_runs():
-    """Seed maps of every radius for lambda <= 6, and of r = 0 with the period filter for lambda <= 2."""
-    runs = [(_seed_map(lm), False) for lm in range(1, 7)]
-    return runs + [({(0, 1): seed_triples(0, lm)}, True) for lm in (1, 2)]
+    """(lambda_max, seed map, parabolic): every radius for lambda <= 6, and
+    r = 0 with the period filter for lambda <= 2."""
+    runs = [(lm, _seed_map(lm), False) for lm in range(1, 7)]
+    return runs + [(lm, {(0, 1): seed_triples(0, lm)}, True) for lm in (1, 2)]
 
 
 def test_packed_keys_and_extension_match_pair_oracle(monkeypatch):
@@ -840,7 +887,7 @@ def test_lineage_join_is_the_key_join(monkeypatch):
     The oracle also checks that no two live chains of one radius and length
     are equal, the lemma that makes the lineage join the key join."""
     rounds_seen = lineage_rounds = 0
-    for seed_map, parabolic in _loop_runs():
+    for _, seed_map, parabolic in _loop_runs():
         radius_of, joins, _, _ = _per_radius_loop(seed_map, parabolic)
         calls, _ = _loop_calls(monkeypatch, seed_map, periodic={} if parabolic else None)
         assert _joins_by_radius(calls, radius_of) == joins
@@ -865,9 +912,10 @@ def test_chain_loop_closes_and_caps_as_the_per_radius_loop():
     lambda <= 6, and r = 0 with the period filter for lambda <= 2.  The
     loop's one list of closed polygons is grouped by square to compare.  A
     loop that stops at max_sides is the uncapped one cut there, so one
-    oracle run serves all."""
+    oracle run serves all.  run_elliptic's cap events are those squares,
+    strictly ascending, as the chain loop leaves them."""
     capped_runs = 0
-    for seed_map, parabolic in _loop_runs():
+    for lambda_max, seed_map, parabolic in _loop_runs():
         rounds = {r: list(oracle.rounds(seeds, parabolic)) for r, seeds in seed_map.items()}
         for max_sides in (3, 4, 5, 6, 7, 8, DEFAULT_MAX_SIDES):
             closed, capped = {}, []
@@ -884,6 +932,10 @@ def test_chain_loop_closes_and_caps_as_the_per_radius_loop():
             assert _by_square(got_closed) == closed
             assert list(map(oracle.first_window_square, got_capped)) == capped
             capped_runs += bool(capped)
+            if not parabolic:
+                events = run_elliptic(lambda_max, max_sides).cap_events
+                assert all(r < s for r, s in zip(events, events[1:])), (lambda_max, max_sides)
+                assert set(events) == set(capped)
     assert capped_runs >= 6 * 6
 
 
