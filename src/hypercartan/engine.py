@@ -60,8 +60,9 @@ window (``_seed_square``).  A round keeps the order of its radii, and
 within a radius that of x, then of x's partners, which differ only in
 their last window: the capped chains come out ascending by radius, and
 from sorted seeds every round is sorted by windows.  Parabolic mode runs
-the loop as the one radius 0; its period filter keeps the order of the
-chains and moves each partner range to the count of chains kept before it.
+the loop as the one radius 0, and ``extend_step`` settles a periodic
+extension where it is glued, as it does a closed one: it never goes live,
+so the partner ranges need no moving.
 
 A chain is a packed tuple of its pairings, row-major over the strict
 upper triangle, built with ``tuple.__new__``.  The glued chain is a
@@ -460,7 +461,9 @@ def _glue(
 
 
 def extend_step(
-    chains: list[ChainState], lineage: Lineage
+    chains: list[ChainState],
+    lineage: Lineage,
+    periodic: dict[tuple, PeriodicChainReport] | None = None,
 ) -> tuple[list[ChainState], Lineage, list[ChainState]]:
     """One gluing round over the radii of a pass at once.
 
@@ -469,6 +472,9 @@ def extend_step(
     before.  Returns the live extensions, in the order of x, then of y,
     each with its right parent's range of them as its partners (see the
     module docstring), and the closed extensions, in the same order.
+    With ``periodic`` (parabolic mode) an extension whose newest window
+    repeats its seed window is settled there instead of going live:
+    ``periodic`` keeps the first chain of each (period, signature).
     """
     rows, partners = lineage
     if not len(rows) == len(partners) == len(chains):
@@ -486,42 +492,17 @@ def extend_step(
             for ch, j in _glue(x, row, chains, js):
                 if j is None:
                     closing.append(ch)
-                else:
-                    out.append(ch)
-                    out_rows.append(row)
-                    rights.append(j)
+                    continue
+                if periodic is not None:
+                    rep = _detect_period(ch)
+                    if rep is not None:
+                        periodic.setdefault((rep.period, rep.signature), rep)
+                        continue
+                out.append(ch)
+                out_rows.append(row)
+                rights.append(j)
     at.append(len(out))
     return out, (out_rows, [range(at[j], at[j + 1]) for j in rights]), closing
-
-
-def _drop_periodic(
-    chains: list[ChainState],
-    lineage: Lineage,
-    periodic: dict[tuple, PeriodicChainReport],
-) -> tuple[list[ChainState], Lineage]:
-    """The chains whose newest decorated 3-window state repeats no earlier one.
-
-    A chain whose state repeats is recorded in ``periodic`` instead,
-    keyed by (period, signature), unless the key is already there: the
-    chains come in the order of ``run_parabolic``'s seeds (see there), so a
-    key's first chain is its least.  Kept chains keep their order, so a
-    partner range moves to the number of chains kept before its bounds.
-    """
-    kept: list[ChainState] = []
-    kept_rows: list[WeylRow | None] = []
-    kept_partners: list[range] = []  # past the seeds, partners are ranges
-    before = [0]
-    for ch, row, js in zip(chains, *lineage):
-        rep = _detect_period(ch)
-        if rep is None:
-            kept.append(ch)
-            kept_rows.append(row)
-            kept_partners.append(js)
-        else:
-            periodic.setdefault((rep.period, rep.signature), rep)
-        before.append(len(kept))
-    moved = [range(before[js.start], before[js.stop]) for js in kept_partners]
-    return kept, (kept_rows, moved)
 
 
 def _join_seeds(
@@ -573,9 +554,8 @@ def _chain_loop(
 
     Returns the closed polygons and the chains alive at the cap, in
     order; ``seeds`` is emptied.  Radii go in passes (see the module
-    docstring).  With ``periodic`` (parabolic mode) each round's live
-    extensions pass ``_drop_periodic``; a seed has one window, so it
-    never repeats one.
+    docstring).  ``periodic`` (parabolic mode) goes to ``extend_step``,
+    which settles each periodic extension there.
     """
     closed: list[PolygonDatum] = []
     capped: list[ChainState] = []
@@ -587,10 +567,8 @@ def _chain_loop(
             if chains[0].length >= max_sides:
                 capped += chains
                 break
-            chains, lineage, closing = extend_step(chains, lineage)
+            chains, lineage, closing = extend_step(chains, lineage, periodic)
             closed += partition_closed(closing)[0]
-            if periodic is not None:
-                chains, lineage = _drop_periodic(chains, lineage, periodic)
     return closed, capped
 
 
@@ -682,20 +660,25 @@ def _min_rotation(block: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
 
 
 def _detect_period(ch: ChainState) -> PeriodicChainReport | None:
-    """Report a recurring decorated 3-window state, if the newest one repeats."""
-    windows = _chain_windows(ch)
-    last = windows[-1]
-    for i, w in enumerate(windows[:-1]):
-        if w == last:
-            block = tuple(windows[i:-1])
-            return PeriodicChainReport(
-                period=len(windows) - 1 - i,
-                signature=_min_rotation(block),
-                length=ch.length,
-                lam=ch.lam,
-                pairings=ch.pairings,
-            )
-    return None
+    """Report ch as periodic if its newest decorated 3-window repeats its seed window.
+
+    ch is glued from two live chains x and y.  A live chain's windows are
+    pairwise distinct, by induction on its length: it is a seed, or it was
+    glued from two live chains and its newest window did not repeat its
+    seed window.  ch's windows are x's followed by y's last, and y's are
+    ch's from the second on, so y's last can repeat only ch's first, its
+    seed window.  The period is then length - 3.
+    """
+    p, lam, n = ch.pairings, ch.lam, ch.length
+    if p[-3:] + lam[-3:] != (p[0], p[1], p[n - 1]) + lam[:3]:
+        return None
+    return PeriodicChainReport(
+        period=n - 3,
+        signature=_min_rotation(tuple(_chain_windows(ch)[:-1])),
+        length=n,
+        lam=lam,
+        pairings=p,
+    )
 
 
 def run_parabolic(
@@ -703,16 +686,16 @@ def run_parabolic(
 ) -> ParabolicReport:
     """The r = 0 pipeline: periodic-chain detection on the r = 0 seeds.
 
-    Chains whose newest decorated 3-window state repeats an earlier one
-    are reported with their period and a rotation-invariant signature
-    instead of being extended further; anything still alive at
-    ``max_sides`` is counted as capped.  Exploratory mode: the parabolic
-    classification itself is out of scope here.
+    Chains whose newest decorated 3-window repeats their seed window are
+    reported with their period and a rotation-invariant signature instead
+    of being extended further; anything still alive at ``max_sides`` is
+    counted as capped.  Exploratory mode: the parabolic classification
+    itself is out of scope here.
 
     Each (period, signature) reports its least chain, the shortest, then
     by windows (a, c, l1, l2, l3, b), whatever order ``seed_triples``
     finds seeds in: sorted seeds give sorted rounds (see the module
-    docstring), so ``_drop_periodic`` meets each key's least chain first.
+    docstring), so ``extend_step`` meets each key's least chain first.
 
     No r = 0 chain ever closes.  A closed polygon bounds a cone
     {x : (x, delta_i) <= 0 for all i} whose interior vectors all have

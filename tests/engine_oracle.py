@@ -20,8 +20,10 @@ from a callback; it yields both windows of each mirror pair, and
 most r_max, as the seed sweep did before it stopped at num's larger root
 (the same bound at r_max = 0).  ``bucketed_seeds`` files windows under
 their squares by an exact gcd-reduced key, as the seed sweep did before
-it looked windows up by float.  The tests compare the fast paths against
-them.  ``radius_slice_mismatches`` compares a full
+it looked windows up by float.  ``detect_period`` scans every earlier
+window of a chain for its newest one, as the period test did before it
+compared the newest window with the seed window alone.  The tests compare
+the fast paths against them.  ``radius_slice_mismatches`` compares a full
 run against the same search run one radius at a time.
 ``trimmed_windows`` trims the window graph, and ``uncertified_squares``
 lists the trimmed squares that ``collect_radii`` misses: the certificate
@@ -41,7 +43,7 @@ from hypercartan.engine import (
     DEFAULT_MAX_SIDES,
     ChainState,
     EnumerationResult,
-    _detect_period,
+    PeriodicChainReport,
     collect_radii,
     partition_closed,
     run_elliptic,
@@ -196,7 +198,7 @@ def rounds(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):
     while chains:
         closed, live = partition_closed(chains)
         if parabolic:
-            live = [ch for ch in live if _detect_period(ch) is None]
+            live = [ch for ch in live if detect_period(ch) is None]
         joined = key_join(live) if live and live[0].length < max_sides else ([], [])
         yield chains, closed, live, joined
         chains = joined[1]
@@ -294,6 +296,28 @@ def chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
         )
         for i in range(1, ch.length - 1)
     ]
+
+
+def detect_period(ch: ChainState) -> PeriodicChainReport | None:
+    """engine._detect_period as a full scan: the newest window against every earlier one.
+
+    The first earlier window equal to the newest starts the period's block,
+    the windows up to the newest; the signature is the block's least
+    rotation.
+    """
+    windows = chain_windows(ch)
+    last = windows[-1]
+    for i, w in enumerate(windows[:-1]):
+        if w == last:
+            block = tuple(windows[i:-1])
+            return PeriodicChainReport(
+                period=len(windows) - 1 - i,
+                signature=min(block[k:] + block[:k] for k in range(len(block))),
+                length=ch.length,
+                lam=ch.lam,
+                pairings=ch.pairings,
+            )
+    return None
 
 
 def radius_slice_mismatches(

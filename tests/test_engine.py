@@ -16,7 +16,6 @@ from hypercartan.engine import (
     EnumerationResult,
     _add_seeds,
     _chain_windows,
-    _detect_period,
     _glue,
     _min_rotation,
     _seed_map,
@@ -351,7 +350,7 @@ def test_run_parabolic_properties():
     assert report.capped_chains >= 0
     for per in report.periodic:
         assert per.length <= 16
-        assert 1 <= per.period <= per.length
+        assert per.period == per.length - 3
         block = per.signature
         for k in range(len(block)):
             assert _min_rotation(block[k:] + block[:k]) == per.signature
@@ -438,6 +437,34 @@ def test_run_parabolic_sorts_its_seeds_and_reports_each_first_hit(monkeypatch, l
     for rep in detected:
         first.setdefault((rep.period, rep.signature), rep)
     assert report.periodic == tuple(first[key] for key in sorted(first))
+
+
+@pytest.mark.parametrize("lambda_max", range(1, 7))
+def test_period_test_agrees_with_the_full_scan(monkeypatch, lambda_max):
+    """Every chain run_parabolic tests for a period, at max_sides 5, 8, 16
+    and the default, has length >= 4, and comparing its newest window with
+    its seed window reports what ``engine_oracle.detect_period``'s scan of
+    every earlier window reports.  Each lambda has hits, and each lambda
+    >= 2 misses too (at lambda = 1 all 12 chains tested are periodic)."""
+    tested = []
+    detect = engine._detect_period
+
+    def recording(ch):
+        rep = detect(ch)
+        tested.append((ch, rep))
+        return rep
+
+    monkeypatch.setattr(engine, "_detect_period", recording)
+    for max_sides in (5, 8, 16, DEFAULT_MAX_SIDES):
+        run_parabolic(lambda_max, max_sides)
+    for ch, rep in tested:
+        assert ch.length >= 4, ch
+        assert rep == oracle.detect_period(ch), ch
+    hits = sum(rep is not None for _, rep in tested)
+    print(f"lambda {lambda_max}: {len(tested)} chains tested, {hits} periodic")
+    assert hits > 0
+    if lambda_max >= 2:
+        assert hits < len(tested)
 
 
 def test_catalog_polygons_have_a_radius_window():
@@ -547,13 +574,13 @@ def test_extend_step_rejects_mixed_or_closed_input(monkeypatch):
     step = engine.extend_step
     lengths = []
 
-    def checked(chains, lineage):
+    def checked(chains, lineage, periodic=None):
         m = chains[0].length
         assert all(ch.length == m and ch.pairings[m - 2] < -2 for ch in chains), m
         for ch, row, js in zip(chains, *lineage):
             assert all(0 <= j < len(chains) for j in js), m
             assert row == (None if m == 3 else _weyl_row(ch)), m
-        out, out_lineage, closing = step(chains, lineage)
+        out, out_lineage, closing = step(chains, lineage, periodic)
         assert partition_closed(out)[1] == out
         assert partition_closed(closing)[1] == []
         lengths.append(m)
@@ -733,7 +760,7 @@ def test_glue_candidates_have_rank_3():
     for seeds, parabolic in runs:
         _, ext = partition_closed(list(oracle.reached_chains(seeds, parabolic)))
         if parabolic:
-            ext = [ch for ch in ext if _detect_period(ch) is None]
+            ext = [ch for ch in ext if oracle.detect_period(ch) is None]
         for x, y in oracle.key_join(ext)[0]:
             m = x.length
             rho = _first_window_weyl(x).coords
