@@ -47,8 +47,11 @@ EXIT_ENGINE = 4
 EXIT_PIPE = 141
 
 # 64 took 0.68-1.15 s over 7 fresh-process runs on a shared 2-vCPU Xeon host
-# (Python 3.11); the cost grows about as lambda^2.1 from 24 to 64, so a far
-# larger value would not finish.
+# (Python 3.11).  A larger value finishes too, but past 64 the cost grows
+# faster than lambda^2: in later fresh-process runs on such a host, run_elliptic
+# took 3.7-3.8 s and 93 MB peak RSS at 128 (the same 60 records) against
+# 0.55 s and 36 MB at 64.  The ceiling stays at 64 until 128 costs at most
+# 4.5 times 64 and at most 50 MB.
 LAMBDA_MAX_CEILING = 64
 
 
@@ -146,6 +149,16 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _verdict(passed: bool, name: str, detail: str) -> int:
+    """Print one ``verify`` line, ``ok`` or ``FAIL`` padded to 4, then the name and detail.
+
+    The detail carries its own separator (``": ..."`` or ``" (...)"``), and
+    is empty where the line has none.  Returns 1 on a failure, else 0.
+    """
+    print(f"{'ok' if passed else 'FAIL':4s} {name}{detail}")
+    return 0 if passed else 1
+
+
 def cmd_verify(args) -> int:
     failures = 0
 
@@ -160,38 +173,27 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
 
     for check in self_check_catalog(golden_rows):
-        mark = "ok" if check.passed else "FAIL"
-        detail = f": {check.detail}" if check.detail else ""
-        print(f"{mark:4s} catalog/{check.name}{detail}")
-        failures += 0 if check.passed else 1
+        failures += _verdict(check.passed, f"catalog/{check.name}",
+                             check.detail and f": {check.detail}")
 
     for fixture in lattice_fixtures():
         report = verify_fixture(fixture)
-        mark = "ok" if report.valid else "FAIL"
-        detail = ""
-        if not report.valid:
-            detail = ": " + "; ".join(
-                f"{c.name} ({c.detail})" for c in report.failures()
-            )
-        print(f"{mark:4s} fixture/{fixture.name}{detail}")
-        failures += 0 if report.valid else 1
+        failures += _verdict(report.valid, f"fixture/{fixture.name}",
+                             "" if report.valid else f": {report.failure_text()}")
 
     if args.skip_engine:
         print("skip engine-vs-catalog cross-check")
     else:
         result = run_elliptic(6, DEFAULT_MAX_SIDES)
         report = cross_check(result.records, golden_rows)
-        if report.ok:
-            print(f"ok   engine/cross-check ({report.engine_count} records)")
-        else:
-            failures += 1
-            print("FAIL engine/cross-check")
-            for key in report.missing:
-                print(f"     missing from engine: {key}")
-            for key in report.extra:
-                print(f"     extra in engine: {key}")
-            for msg in report.mismatched:
-                print(f"     {msg}")
+        failures += _verdict(report.ok, "engine/cross-check",
+                             f" ({report.engine_count} records)" if report.ok else "")
+        for key in report.missing:
+            print(f"     missing from engine: {key}")
+        for key in report.extra:
+            print(f"     extra in engine: {key}")
+        for msg in report.mismatched:
+            print(f"     {msg}")
 
     print(f"{'PASS' if failures == 0 else 'FAIL'}: {failures} failing checks")
     return EXIT_OK if failures == 0 else EXIT_FAIL
@@ -229,18 +231,17 @@ def cmd_check(args) -> int:
     for index, (row, datum) in enumerate(data, start=1):
         report = verify_realization(datum)
         square = report.weyl_square
-        failures = report.failures()
-        # A Fraction's denominator is positive: its numerator carries the sign.
-        square_ok = square is None or square.numerator <= 0
-        valid = square_ok and not failures
+        # The report has a kind exactly when every check passed and r <= 0.
+        valid = report.flags.kind is not None
         lines = [f"block {index}: r = {row.r}: {'valid' if valid else 'INVALID'}"]
-        lines += [f"  FAIL {check.name}: {check.detail}" for check in failures]
+        lines += [f"  FAIL {check.name}: {check.detail}" for check in report.failures()]
         if square is not None:
             if square != row.r:
                 lines.append(
                     f"  note: recomputed Weyl square {square} differs from declared {row.r}"
                 )
-            if not square_ok:
+            # A Fraction's denominator is positive: its numerator carries the sign.
+            if square.numerator > 0:
                 lines.append(f"  FAIL weyl-square-positive: {square} > 0")
         if valid:
             flags = report.flags

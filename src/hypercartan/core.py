@@ -158,6 +158,10 @@ class RealizationReport(NamedTuple):
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple([c for c in self.checks if not c.passed])
 
+    def failure_text(self) -> str:
+        """The failed checks on one line, as ``name (detail); ...``; empty on a pass."""
+        return "; ".join([f"{c.name} ({c.detail})" for c in self.failures()])
+
 
 @lru_cache(maxsize=None)
 def dihedral_relabellers(n: int) -> tuple[Callable[[tuple], tuple], ...]:

@@ -584,7 +584,7 @@ def _record_from_canonical(key: tuple[int, tuple[int, ...]]) -> CatalogRecord:
     report = verify_realization(d)
     if not report.valid:
         raise InvariantViolation(
-            f"emitted datum fails verification: {report.failures()}"
+            f"emitted datum fails verification: {report.failure_text()}"
         )
     flags = report.flags
     return CatalogRecord(

@@ -278,7 +278,7 @@ def self_check_catalog(
             continue
         report = verify_realization(d)
         if not report.valid:
-            bad.append(f"row {idx} (r={row.r}): {report.failures()}")
+            bad.append(f"row {idx} (r={row.r}): {report.failure_text()}")
         elif report.weyl_square != row.r:
             bad.append(
                 f"row {idx}: recomputed square {report.weyl_square} != {row.r}"

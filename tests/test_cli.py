@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from hypercartan import cli, engine
 from hypercartan.cli import _matrix_block, main
 from hypercartan.core import (
+    CheckResult,
     PolygonDatum,
+    RealizationReport,
     _products,
     _symcartan,
     canonical_key,
@@ -376,6 +378,20 @@ def test_check_streams_valid_invalid_and_misdeclared_blocks(capsys, tmp_path):
     assert (code, out, err) == (1, CHECK_MIXED_OUTPUT, "")
 
 
+def test_check_takes_validity_from_the_report_kind(capsys, tmp_path, monkeypatch):
+    """A report whose checks all pass but whose kind is None reads INVALID."""
+    report = verify_realization(_UNTWISTED_ROW.datum())
+    undecorated = RealizationReport(
+        report.checks, report.weyl_square, report.flags._replace(kind=None)
+    )
+    assert undecorated.valid and undecorated.weyl_square < 0
+    monkeypatch.setattr(cli, "verify_realization", lambda d: undecorated)
+    path = tmp_path / "row.txt"
+    path.write_text(format_golden_block(_UNTWISTED_ROW.r, _UNTWISTED_ROW.table) + "\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out, err) == (1, f"block 1: r = {_UNTWISTED_ROW.r}: INVALID\n", "")
+
+
 def test_check_prints_twisted_cartan(capsys, tmp_path):
     path = tmp_path / "r22.txt"
     path.write_text("r = -22\n2 1 1\n0 1 2\n")
@@ -510,6 +526,44 @@ def test_verify_catalog_with_undecodable_row_fails_cleanly(capsys, tmp_path, tex
     assert lines[-1].startswith("FAIL: ")
 
 
+def test_verify_catalog_names_the_failed_checks_of_a_decodable_row(capsys, tmp_path):
+    """A row that decodes but fails reads as its failed checks, each with its detail."""
+    from hypercartan.goldens import _data_text
+
+    text = _data_text("catalog.txt")  # as the workflow corrupts it: lambda row 1 of block 1
+    bad = text.replace("\n1 2 2\n", "\n2 2 2\n", 1)
+    assert bad != text
+    path = tmp_path / "catalog-bad.txt"
+    path.write_text(bad)
+    code, out, err = run_cli(capsys, "verify", "--skip-engine", "--catalog", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:2] == [
+        "ok   catalog/catalog-size",
+        "FAIL catalog/rows-valid: row 1 (r=-59/2): coprime-lambda (gcd(lambda) = 2)",
+    ]
+
+
+def test_verify_prints_a_failing_fixture_as_its_failed_checks(capsys, monkeypatch):
+    """A fixture whose lattice determinant is off by one: one FAIL line, exit 1."""
+    from hypercartan.goldens import lattice_fixtures
+
+    fixtures = list(lattice_fixtures())
+    fx = fixtures[5]
+    fixtures[5] = fx._replace(expected_det=fx.expected_det + 1)
+    monkeypatch.setattr(cli, "lattice_fixtures", lambda: tuple(fixtures))
+    code, out, err = run_cli(capsys, "verify", "--skip-engine")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[4:] == [
+        *(f"ok   fixture/{f.name}" for f in fixtures[:5]),
+        f"FAIL fixture/{fx.name}: lattice-determinant "
+        f"(det {fx.expected_det}, expected {fx.expected_det + 1} ({fx.lattice}))",
+        *(f"ok   fixture/{f.name}" for f in fixtures[6:]),
+        "skip engine-vs-catalog cross-check",
+        "FAIL: 1 failing checks",
+    ]
+
+
 def test_verify_non_utf8_catalog_is_usage_error(capsys, tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_bytes(b"r = -59/2\n1 2 2\n0 1 2\xff\n")
@@ -541,6 +595,22 @@ def test_engine_invariant_failure_is_one_line_exit_4(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--jobs", "1")
     assert code == 4
     assert err == "error: engine invariant violated: extend_step received a closed chain\n"
+
+
+def test_emitted_datum_failing_verification_is_one_line_exit_4(capsys, monkeypatch):
+    """An emitted datum whose report fails names its failed checks on one line."""
+    failing = RealizationReport(
+        (CheckResult("rank", False, "Gram rank is 4, need 3"),
+         CheckResult("weyl-vector", True)),
+        None,
+    )
+    monkeypatch.setattr(engine, "verify_realization", lambda d: failing)
+    message = "emitted datum fails verification: rank (Gram rank is 4, need 3)"
+    with pytest.raises(InvariantViolation) as info:
+        engine.run_elliptic(1)
+    assert str(info.value) == message
+    code, out, err = run_cli(capsys, "enumerate", "--lambda-max", "1")
+    assert (code, out, err) == (4, "", f"error: engine invariant violated: {message}\n")
 
 
 def test_verify_prints_each_cross_check_mismatch(capsys, monkeypatch):
