@@ -72,26 +72,15 @@ def _record_json(rec: CatalogRecord) -> str:
     return json.dumps(payload)
 
 
-def _emit_records(records, fmt: str, out) -> None:
-    if fmt == "records":
-        for rec in records:
-            out.write(_record_json(rec) + "\n")
-    else:
-        blocks = [format_golden_block(rec.r, rec.table) for rec in records]
-        if blocks:
-            out.write("\n\n".join(blocks) + "\n")
-
-
-def _filtered(records, untwisted_only: bool, noncompact_only: bool):
-    out = records
-    if untwisted_only:
-        out = [r for r in out if r.untwisted]
-    if noncompact_only:
-        out = [r for r in out if not r.compact]
-    return list(out)
-
-
 def cmd_enumerate(args) -> int:
+    """Run the search, then write its stdout lines and after them its warnings.
+
+    Elliptic mode writes one JSON record per line (``--format records``)
+    or the golden blocks separated by one blank line (``table``), and
+    warns once per radius whose chains hit ``--max-sides``.  Parabolic
+    mode writes one periodic chain class per line, and warns once if any
+    chain was truncated.  Exit 3 means at least one warning was written.
+    """
     r_filter = None
     if args.r is not None:
         try:
@@ -99,26 +88,29 @@ def cmd_enumerate(args) -> int:
         except GoldenFormatError:
             print(f"error: bad rational for --r: {args.r!r}", file=sys.stderr)
             return EXIT_USAGE
-    out = sys.stdout
     if args.mode == "elliptic":
         result = run_elliptic(args.lambda_max, args.max_sides, r_filter=r_filter)
-        records = _filtered(result.records, args.untwisted_only, args.noncompact_only)
-        _emit_records(records, args.format, out)
-        for r in result.cap_events:
-            print(f"warning: chain cap {args.max_sides} hit at r={r}", file=sys.stderr)
-        return EXIT_CAP if result.cap_events else EXIT_OK
-
-    if r_filter not in (None, Fraction(0)):
-        print("error: parabolic mode runs at r = 0 only", file=sys.stderr)
-        return EXIT_USAGE
-    if args.untwisted_only or args.noncompact_only:
-        print("error: --untwisted-only and --noncompact-only filter elliptic "
-              "records; parabolic mode emits none", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_parabolic(args.lambda_max, args.max_sides)
-    if args.format == "records":
-        for per in report.periodic:
-            out.write(
+        records = [rec for rec in result.records
+                   if not (args.untwisted_only and not rec.untwisted
+                           or args.noncompact_only and rec.compact)]
+        if args.format == "records":
+            lines = [_record_json(rec) for rec in records]
+        else:
+            blocks = (format_golden_block(rec.r, rec.table) for rec in records)
+            lines = "\n\n".join(blocks).splitlines()
+        warnings = [f"warning: chain cap {args.max_sides} hit at r={r}"
+                    for r in result.cap_events]
+    else:
+        if r_filter not in (None, Fraction(0)):
+            print("error: parabolic mode runs at r = 0 only", file=sys.stderr)
+            return EXIT_USAGE
+        if args.untwisted_only or args.noncompact_only:
+            print("error: --untwisted-only and --noncompact-only filter elliptic "
+                  "records; parabolic mode emits none", file=sys.stderr)
+            return EXIT_USAGE
+        report = run_parabolic(args.lambda_max, args.max_sides)
+        if args.format == "records":
+            lines = [
                 json.dumps(
                     {
                         "periodic": {
@@ -130,23 +122,20 @@ def cmd_enumerate(args) -> int:
                         }
                     }
                 )
-                + "\n"
-            )
-    else:
-        for per in report.periodic:
-            out.write(
+                for per in report.periodic
+            ]
+        else:
+            lines = [
                 f"# periodic: period={per.period} detected_at={per.length} "
                 f"lambda={','.join(str(l) for l in per.lam)} "
-                f"signature={per.signature}\n"
-            )
-    if report.capped_chains:
-        print(
-            f"warning: {report.capped_chains} chains truncated at "
-            f"{args.max_sides} sides",
-            file=sys.stderr,
-        )
-        return EXIT_CAP
-    return EXIT_OK
+                f"signature={per.signature}"
+                for per in report.periodic
+            ]
+        warnings = [f"warning: {report.capped_chains} chains truncated at "
+                    f"{args.max_sides} sides"] if report.capped_chains else []
+    sys.stdout.writelines(line + "\n" for line in lines)
+    sys.stderr.writelines(line + "\n" for line in warnings)
+    return EXIT_CAP if warnings else EXIT_OK
 
 
 def _verdict(passed: bool, name: str, detail: str) -> int:

@@ -358,6 +358,10 @@ def seed_triples(r: Fraction | int, lambda_max: int) -> list[ChainState]:
     target = Fraction(r)
     if target > 0:
         raise ValueError("the Weyl square of a seed window is never positive")
+    try:
+        float(target)
+    except OverflowError:  # a window's square is num / det of small integers
+        return []
     key = (target.numerator, target.denominator)
     return _add_seeds({key: []}, _windows(lambda_max))[key]
 

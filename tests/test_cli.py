@@ -75,6 +75,21 @@ def test_enumerate_noncompact_filter(capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 12
+    # Each filter drops what it names, alone and together: of the 60
+    # records at lambda-max 6, 16 are untwisted, 12 of them non-compact.
+    for flags, count in (
+        (("--untwisted-only",), 16),
+        (("--untwisted-only", "--noncompact-only"), 12),
+    ):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--lambda-max", "6", "--format", "records", *flags
+        )
+        assert (code, err) == (0, "")
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert len(recs) == count
+        assert all(rec["untwisted"] for rec in recs)
+        if "--noncompact-only" in flags:
+            assert not any(rec["compact"] for rec in recs)
 
 
 def test_enumerate_single_radius_pentagon(capsys):
@@ -96,6 +111,11 @@ def test_enumerate_single_radius_pentagon(capsys):
 def test_enumerate_table_output_feeds_check(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "enumerate", "--lambda-max", "1")
     assert code == 0
+    # Exactly one blank line between blocks, and one newline at the end.
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    blocks = out[:-1].split("\n\n")
+    assert len(blocks) == 16
+    assert all(block.startswith("r = ") for block in blocks)
     path = tmp_path / "catalog.txt"
     path.write_text(out)
     code, out, _ = run_cli(capsys, "check", str(path))
@@ -125,6 +145,12 @@ def test_enumerate_cap_exit_code(capsys):
         "-5/22", "-1/6", "-4/25", "-1/8", "-2/23", "-1/14", "-1/24",
     )
     assert err.splitlines() == [f"warning: chain cap 4 hit at r={r}" for r in radii]
+    # Parabolic mode warns once, however many chains the cap truncated.
+    code, out, err = run_cli(
+        capsys, "enumerate", "--mode", "parabolic", "--lambda-max", "2", "--max-sides", "4"
+    )
+    assert (code, len(out.splitlines())) == (3, 6)
+    assert err == "warning: 16 chains truncated at 4 sides\n"
 
 
 def test_enumerate_parabolic_mode(capsys):
@@ -147,6 +173,12 @@ def test_enumerate_parabolic_table_output(capsys):
     )
     assert code == 0
     assert "# periodic:" in out
+    code, out, err = run_cli(capsys, "enumerate", "--mode", "parabolic", "--lambda-max", "1")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == ("# periodic: period=1 detected_at=4 lambda=1,1,1,1 "
+                        "signature=((-2, -14, -2, 1, 1, 1),)")
 
 
 def test_enumerate_parabolic_rejects_record_filters(capsys):
@@ -166,6 +198,20 @@ def test_enumerate_parabolic_rejects_nonzero_r(capsys):
     )
     assert code == 2
     assert "r = 0" in err
+
+
+# A square far below every radius, and one whose float overflows: every
+# window's square is num / det of small integers, so neither is one.
+NO_RADIUS = ("-100000", "-1" + "0" * 309)
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+@pytest.mark.parametrize("r", NO_RADIUS, ids=["below-every-radius", "past-float-range"])
+def test_enumerate_prints_nothing_for_an_r_that_is_no_radius(capsys, r, fmt):
+    code, out, err = run_cli(
+        capsys, "enumerate", "--lambda-max", "6", "--r", r, "--format", fmt
+    )
+    assert (code, out, err) == (0, "", "")
 
 
 def test_enumerate_rejects_bad_r(capsys):

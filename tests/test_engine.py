@@ -120,6 +120,8 @@ def test_seed_triples_twisted_triangle():
 
 def test_seed_triples_empty_below_minimum():
     assert seed_triples(Fraction(-100000), 1) == []
+    # No window's square overflows a float, so such a target has no seed.
+    assert seed_triples(Fraction(-10**400), 1) == []
 
 
 def test_seed_triples_rejects_positive_target():
