@@ -48,10 +48,11 @@ EXIT_PIPE = 141
 
 # 64 took 0.68-1.15 s over 7 fresh-process runs on a shared 2-vCPU Xeon host
 # (Python 3.11).  A larger value finishes too, but past 64 the cost grows
-# faster than lambda^2: in later fresh-process runs on such a host, run_elliptic
-# took 3.7-3.8 s and 93 MB peak RSS at 128 (the same 60 records) against
-# 0.55 s and 36 MB at 64.  The ceiling stays at 64 until 128 costs at most
-# 4.5 times 64 and at most 50 MB.
+# faster than lambda^2: with seeds packed into ints, 5 fresh-process runs of
+# run_elliptic on such a host took 3.7-4.8 s (median 4.19) and 52.5-52.8 MB
+# peak RSS at 128 (the same 60 records; 93 MB before the packing) against a
+# median of 0.90 s and 25.4 MB at 64.  The ceiling stays at 64 until 128
+# costs at most 4.5 times 64 and at most 50 MB.
 LAMBDA_MAX_CEILING = 64
 
 

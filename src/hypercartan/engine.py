@@ -28,6 +28,15 @@ pair (p, q) in lowest terms with q > 0, reduced by one gcd per radius;
 a ``Fraction`` is built only for a record, a cap event, the ``r_filter``
 and the argument of ``seed_triples``.
 
+A seed is one int: its window (a, b, c, l1, l2, l3) packed from the top
+as b, l1, a, l2, c, l3, with lambda_max.bit_length() bits per lambda and
+2 bits each for a and c (see ``collect_radii``).  b goes on top, so it
+needs no width, and whether a seed closes at 3 sides is one comparison.
+Both passes file ints, each ``b << S | shape`` from a shape packed once
+by the window scan.  A seed becomes a ``ChainState`` only in
+``_join_seeds``, and only if it closes at 3 sides or takes part in a
+join: at lambda = 16 that is 616 and 2,802 of the 7,239 seeds.
+
 From the seeds the search repeatedly glues overlapping open chains.  The
 single unknown pairing (delta_1, delta_n) of a glued chain comes from
 one gluing equation at every length: the Weyl-vector equation
@@ -36,7 +45,8 @@ first window, which is always its seed window.  An exact division is
 the integrality test.  Gluing stops when every chain has closed or died.
 
 Seeds join on their 2-side overlap: x's sides 2, 3 against y's sides
-1, 2, one pairing and two lambdas, by a hash join within their radius.
+1, 2, one pairing and two lambdas, by a hash join within their radius
+on two bit fields of the seeds.
 Longer chains join by lineage.  A chain glued from x and y has x as its
 sides 1..m and y as its sides 2..m+1.  Within one radius no two live
 chains of one length are equal: the seeds are distinct windows, a glued
@@ -189,26 +199,41 @@ def _partners(lambda_max: int, a: int) -> list[tuple[int, ...]]:
     ]
 
 
-Window = tuple[int, int, int, tuple[int, int, int], tuple[int, int, int] | None, int, int]
+def _seed_layout(lambda_max: int) -> tuple[int, int]:
+    """(L, S) of the seed layout for lambdas <= lambda_max (see ``collect_radii``).
+
+    L = lambda_max.bit_length() bits hold one lambda, and a seed's long
+    pairing b sits above its lowest S = 3 L + 4 bits.
+    """
+    width = lambda_max.bit_length()
+    return width, 3 * width + 4
+
+
+# (b, seed, mirror, num, det) of a window: the seed's fields below b, and
+# the mirror's, or None (see ``_windows``).
+Window = tuple[int, int, int | None, int, int]
 
 
 def _windows(
     lambda_max: int, b_cap: int | None = None, b_min: int = 0
 ) -> Iterator[Window]:
-    """Admissible hyperbolic 3-windows (a, b, c, lam, mirror, num, det) of square r <= 0.
+    """Admissible hyperbolic 3-windows (b, seed, mirror, num, det) of square r <= 0.
 
     Adjacent pairings run over [0, ADJACENT_MAX], lambdas over
     [1, lambda_max]^3 with the twisting divisibility for every ordered
     pair, and the long pairing upward from ``b_min`` to the shape's
     bound, or to ``b_cap`` if that is smaller.  The Weyl square of a
-    window is num / det, with det < 0.
+    window is num / det, with det < 0.  ``seed`` is the window's shape
+    (a, c, l1, l2, l3) packed as its seed's fields below b, so the seed
+    is ``b << S | seed`` (see ``collect_radii``); it is packed once per
+    shape, after the shape's skip tests.
 
     Only one window of each mirror pair is yielded: the shapes with
     (a, l1) <= (c, l3).  The mirror (c, b, a, l3, l2, l1) of a window has
     the same num, det and stride, since each is symmetric under a <-> c,
     l1 <-> l3, and it is admissible exactly when the window is (the
-    partner relation is symmetric).  ``mirror`` is (l3, l2, l1), built
-    once per shape, or None when the window is its own mirror
+    partner relation is symmetric).  ``mirror`` is the mirror's shape,
+    packed as ``seed`` is, or None when the window is its own mirror
     (a == c, l1 == l3).
 
     Shapes are enumerated directly: l2 runs over the partners of l1
@@ -229,6 +254,7 @@ def _windows(
     constant second differences 2 n2 s^2 and -4 s^2, so each window costs
     a few additions.
     """
+    width, _ = _seed_layout(lambda_max)
     partners = [_partners(lambda_max, a) for a in range(ADJACENT_MAX + 1)]
     for a in range(ADJACENT_MAX + 1):
         across_a = partners[a]
@@ -244,6 +270,9 @@ def _windows(
             for l1 in range(1, lambda_max + 1):
                 l3_min = l1 if c == a else 1  # (a, l1) <= (c, l3)
                 for l2 in across_a[l1]:
+                    # the shape's fields above l3, and its mirror's below c
+                    shape_hi = (((l1 << 2 | a) << width | l2) << 2 | c) << width
+                    mirror_lo = (l2 << 2 | a) << width | l1
                     for l3 in across_c[l2]:
                         if l3 < l3_min:
                             continue
@@ -251,8 +280,6 @@ def _windows(
                         s = (l1 // g) * (l3 // g)
                         if s > s_max:
                             continue
-                        lam = (l1, l2, l3)
-                        mirror = None if c == a and l3 == l1 else (l3, l2, l1)
                         # num(b) = lam^T adj(g) lam with adj(g) =
                         # (4 - c^2, 2a + bc, ac + 2b, 4 - b^2, 2c + ab, 4 - a^2)
                         n2 = -l2 * l2
@@ -270,13 +297,16 @@ def _windows(
                         b_max = (n1 + isqrt(n1 * n1 - 4 * n2 * n0)) // (-2 * n2)
                         if b_cap is not None and b_max > b_cap:
                             b_max = b_cap
+                        seed = shape_hi | l3
+                        mirror = None if c == a and l3 == l1 else (
+                            (l3 << 2 | c) << (2 * width + 2) | mirror_lo)
                         t, ss = 2 * b0 + s, s * s  # f(b0 + s) - f(b0) = (f2 t + f1) s
                         dnum = (n2 * t + n1) * s
                         d, dd = (d1 - 2 * b0) * b0 + d0, (d1 - 2 * t) * s
                         ddnum, ddd = 2 * n2 * ss, -4 * ss
                         for b in range(b0, b_max + 1, s):
                             if d < 0:
-                                yield a, b, c, lam, mirror, num, d
+                                yield b, seed, mirror, num, d
                             num += dnum
                             dnum += ddnum
                             d += dd
@@ -286,7 +316,7 @@ def _windows(
 Radius = tuple[int, int]  # p / q in lowest terms, q > 0
 
 
-def collect_radii(lambda_max: int) -> dict[Radius, list[ChainState]]:
+def collect_radii(lambda_max: int) -> dict[Radius, list[int]]:
     """All Weyl squares r < 0 of a bounded admissible 3-window, each with those windows.
 
     The long pairing is scanned over [0, RADIUS_B_MAX], the one place
@@ -299,12 +329,23 @@ def collect_radii(lambda_max: int) -> dict[Radius, list[ChainState]]:
     one gcd per radius reduces its key; two squares sharing a float raise
     EngineError (see ``_add_seeds``: radii never do).  Sorted ascending by
     the float, which is exact for distinct floats.
+
+    A seed is one int, the window (a, b, c, l1, l2, l3) packed from the
+    top as b, l1, a, l2, c, l3, with L = lambda_max.bit_length() bits
+    for each lambda and 2 bits each for a and c (``_seed_layout``).  b
+    is on top because it alone has no bound known before the sweep: it
+    needs no width, and it sits above the lowest S = 3 L + 4 bits.  So
+    a seed is closed, b <= 2, exactly when it is below 3 << S.  Its
+    head (l1, a, l2) and its tail (l2, c, l3), the keys ``_join_seeds``
+    matches, are two bit fields of width 2 L + 2.  A seed becomes a
+    ``ChainState`` only in ``_join_seeds``, and only if it closes or
+    joins.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    new = tuple.__new__
-    by_float: dict[float, tuple[int, int, list[ChainState]]] = {}
-    for a, b, c, lam, mirror, num, d in _windows(lambda_max, RADIUS_B_MAX):
+    _, shift = _seed_layout(lambda_max)
+    by_float: dict[float, tuple[int, int, list[int]]] = {}
+    for b, seed, mirror, num, d in _windows(lambda_max, RADIUS_B_MAX):
         if num > 0:  # r = num/det with det < 0, so r < 0 iff num > 0
             r = num / d
             hit = by_float.get(r)
@@ -313,10 +354,11 @@ def collect_radii(lambda_max: int) -> dict[Radius, list[ChainState]]:
             elif hit[0] * d != num * hit[1]:
                 raise EngineError(f"squares {hit[0]}/{hit[1]} and {num}/{d} share a float")
             bucket = hit[2]
-            bucket.append(new(ChainState, (3, (-a, -b, -c), lam)))
+            b <<= shift
+            bucket.append(b | seed)
             if mirror is not None:
-                bucket.append(new(ChainState, (3, (-c, -b, -a), mirror)))
-    radii: dict[Radius, list[ChainState]] = {}
+                bucket.append(b | mirror)
+    radii: dict[Radius, list[int]] = {}
     for r in sorted(by_float):
         num, d, bucket = by_float[r]
         g = gcd(num, d)
@@ -325,10 +367,11 @@ def collect_radii(lambda_max: int) -> dict[Radius, list[ChainState]]:
 
 
 def _add_seeds(
-    seeds: dict[Radius, list[ChainState]], windows: Iterator[Window]
-) -> dict[Radius, list[ChainState]]:
+    seeds: dict[Radius, list[int]], windows: Iterator[Window], lambda_max: int
+) -> dict[Radius, list[int]]:
     """Add each of ``windows`` whose square is a key of ``seeds``, and its mirror, to seeds.
 
+    Each is filed as one int, ``b << S | seed`` (see ``collect_radii``).
     A window is looked up by the float num / d and accepted only if its
     square is exactly the key's, p d == num q.  int / int is correctly
     rounded, so equal squares give equal floats and no seed is missed.
@@ -336,25 +379,29 @@ def _add_seeds(
     their denominators divide some |det| <= 512 (b <= 14), so two of them
     differ by at least 1/512^2, far above a float step at their size.
     """
-    by_float: dict[float, tuple[int, int, list[ChainState]]] = {}
+    by_float: dict[float, tuple[int, int, list[int]]] = {}
     for (p, q), bucket in seeds.items():
         first = by_float.setdefault(p / q, (p, q, bucket))
         if first[2] is not bucket:
             raise EngineError(f"squares {first[0]}/{first[1]} and {p}/{q} share a float")
-    new = tuple.__new__
-    for a, b, c, lam, mirror, num, d in windows:
+    _, shift = _seed_layout(lambda_max)
+    for b, seed, mirror, num, d in windows:
         hit = by_float.get(num / d)
         if hit is not None:
             p, q, bucket = hit
             if p * d == num * q:
-                bucket.append(new(ChainState, (3, (-a, -b, -c), lam)))
+                b <<= shift
+                bucket.append(b | seed)
                 if mirror is not None:
-                    bucket.append(new(ChainState, (3, (-c, -b, -a), mirror)))
+                    bucket.append(b | mirror)
     return seeds
 
 
-def seed_triples(r: Fraction | int, lambda_max: int) -> list[ChainState]:
-    """All 3-windows whose Weyl square is exactly r (r <= 0: the sweep reaches no more)."""
+def seed_triples(r: Fraction | int, lambda_max: int) -> list[int]:
+    """All 3-windows whose Weyl square is exactly r (r <= 0: the sweep reaches no more).
+
+    Each is a seed, one int (see ``collect_radii``).
+    """
     target = Fraction(r)
     if target > 0:
         raise ValueError("the Weyl square of a seed window is never positive")
@@ -363,14 +410,14 @@ def seed_triples(r: Fraction | int, lambda_max: int) -> list[ChainState]:
     except OverflowError:  # a window's square is num / det of small integers
         return []
     key = (target.numerator, target.denominator)
-    return _add_seeds({key: []}, _windows(lambda_max))[key]
+    return _add_seeds({key: []}, _windows(lambda_max), lambda_max)[key]
 
 
-def _seed_map(lambda_max: int) -> dict[Radius, list[ChainState]]:
+def _seed_map(lambda_max: int) -> dict[Radius, list[int]]:
     """Seeds for every radius of collect_radii(lambda_max), each window visited once:
     collect_radii seeds the windows with b <= RADIUS_B_MAX, this the wider ones."""
     wide = _windows(lambda_max, b_min=RADIUS_B_MAX + 1)
-    return _add_seeds(collect_radii(lambda_max), wide)
+    return _add_seeds(collect_radii(lambda_max), wide, lambda_max)
 
 
 def partition_closed(
@@ -510,34 +557,58 @@ def extend_step(
 
 
 def _join_seeds(
-    seeds: dict[Radius, list[ChainState]], radii: list[Radius]
+    seeds: dict[Radius, list[int]],
+    radii: list[Radius],
+    lambda_max: int,
+    at_cap: bool = False,
 ) -> tuple[list[ChainState], Lineage, list[ChainState]]:
-    """The live seeds of ``radii``, popped from ``seeds``, their lineage and the closed seeds.
+    """The joining seeds of ``radii``, popped from ``seeds``, their lineage and the closed seeds.
 
     Radius by radius, seeds with (delta_1, delta_3) >= -2 are closed, and
-    the others are joined on x's (delta_2, delta_3), lambda_2, lambda_3
-    against y's (delta_1, delta_2), lambda_1, lambda_2 by a hash join
-    freed with the radius.
+    the others are joined on x's tail (delta_2, delta_3), lambda_2,
+    lambda_3 against y's head (delta_1, delta_2), lambda_1, lambda_2 by a
+    hash join freed with the radius.  Both keys are bit fields of the
+    seed (see ``collect_radii``).  Only a seed that closes or takes part
+    in a join, as x or as y, becomes a ``ChainState``: any other is glued
+    to nothing and nothing is glued to it.  With ``at_cap`` (a chain loop
+    capped at 3 sides, which caps every live seed) every live seed becomes
+    one.
     """
+    width, shift = _seed_layout(lambda_max)
+    lmask, kmask = (1 << width) - 1, (1 << 2 * width + 2) - 1
+    at_l2, at_a, at_l1 = width + 2, 2 * width + 2, 2 * width + 4
+    closes = 3 << shift  # b <= 2
+    new = tuple.__new__
     live: list[ChainState] = []
+    live_tails: list[int] = []
     partners: list[Sequence[int]] = []
     closing: list[ChainState] = []
     for r in radii:
+        found = seeds.pop(r)
+        heads = {w >> at_l2 & kmask for w in found if w >= closes}
+        tails = {w & kmask for w in found if w >= closes}
         first = len(live)
-        by_head: dict[tuple[int, int, int], list[int]] = {}
-        for x in seeds.pop(r):
-            _, p, lam = x
-            if p[1] >= -2:  # the closing pair (1, 3)
+        by_head: dict[int, list[int]] = {}
+        for w in found:
+            tail, head = w & kmask, w >> at_l2 & kmask
+            if w >= closes and not (at_cap or tail in heads or head in tails):
+                continue
+            x = new(ChainState, (
+                3,
+                (-(w >> at_a & 3), -(w >> shift), -(w >> width & 3)),
+                (w >> at_l1 & lmask, head & lmask, w & lmask),
+            ))
+            if w < closes:
                 closing.append(x)
                 continue
-            key = (p[0], lam[0], lam[1])
-            bucket = by_head.get(key)
+            bucket = by_head.get(head)
             if bucket is None:
-                by_head[key] = [len(live)]
+                by_head[head] = [len(live)]
             else:
                 bucket.append(len(live))
             live.append(x)
-        partners += [by_head.get((p[2], lam[1], lam[2]), ()) for _, p, lam in live[first:]]
+            live_tails.append(tail)
+        partners += [by_head.get(tail, ()) for tail in live_tails[first:]]
     return live, ([None] * len(live), partners), closing
 
 
@@ -550,12 +621,14 @@ _PASS_RADII = 128
 
 
 def _chain_loop(
-    seeds: dict[Radius, list[ChainState]],
+    seeds: dict[Radius, list[int]],
+    lambda_max: int,
     max_sides: int,
     periodic: dict[tuple, PeriodicChainReport] | None = None,
 ) -> tuple[list[PolygonDatum], list[ChainState]]:
     """Glue the seeds of every radius until each chain has closed or died, or reached max_sides.
 
+    ``seeds`` are packed for ``lambda_max`` (see ``collect_radii``).
     Returns the closed polygons and the chains alive at the cap, in
     order; ``seeds`` is emptied.  Radii go in passes (see the module
     docstring).  ``periodic`` (parabolic mode) goes to ``extend_step``,
@@ -564,8 +637,11 @@ def _chain_loop(
     closed: list[PolygonDatum] = []
     capped: list[ChainState] = []
     order = list(seeds)
+    at_cap = max_sides == 3
     for first in range(0, len(order), _PASS_RADII):
-        chains, lineage, closing = _join_seeds(seeds, order[first : first + _PASS_RADII])
+        chains, lineage, closing = _join_seeds(
+            seeds, order[first : first + _PASS_RADII], lambda_max, at_cap
+        )
         closed += partition_closed(closing)[0]
         while chains:
             if chains[0].length >= max_sides:
@@ -633,9 +709,10 @@ def run_elliptic(
         # of collect_radii exactly when one of them has b <= RADIUS_B_MAX.
         square = Fraction(r_filter)
         found = seed_triples(square, lambda_max) if square < 0 else []
-        narrow = any(-ch.pairings[1] <= RADIUS_B_MAX for ch in found)
+        _, shift = _seed_layout(lambda_max)
+        narrow = any(w >> shift <= RADIUS_B_MAX for w in found)
         seeds = {square.as_integer_ratio(): found} if narrow else {}
-    closed, capped = _chain_loop(seeds, max_sides)
+    closed, capped = _chain_loop(seeds, lambda_max, max_sides)
     records = sorted(map(_record_from_canonical, {canonical_key(poly) for poly in closed}))
     squares = dict.fromkeys(map(_seed_square, capped))
     return EnumerationResult(tuple(records), tuple(Fraction(*r) for r in squares))
@@ -712,9 +789,14 @@ def run_parabolic(
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
     seeds = seed_triples(0, lambda_max)
-    seeds.sort(key=lambda x: (-x.pairings[0], -x.pairings[2], *x.lam, -x.pairings[1]))
+    width, shift = _seed_layout(lambda_max)
+    lmask = (1 << width) - 1
+    seeds.sort(key=lambda w: (  # (a, c, l1, l2, l3, b)
+        w >> 2 * width + 2 & 3, w >> width & 3,
+        w >> 2 * width + 4 & lmask, w >> width + 2 & lmask, w & lmask, w >> shift,
+    ))
     periodic: dict[tuple, PeriodicChainReport] = {}
-    closed, capped = _chain_loop({(0, 1): seeds}, max_sides, periodic)
+    closed, capped = _chain_loop({(0, 1): seeds}, lambda_max, max_sides, periodic)
     if closed:
         raise InvariantViolation(f"a chain closed at r = 0: {closed[0]}")
     reports = tuple(periodic[key] for key in sorted(periodic))

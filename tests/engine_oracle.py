@@ -28,6 +28,13 @@ run against the same search run one radius at a time.
 ``trimmed_windows`` trims the window graph, and ``uncertified_squares``
 lists the trimmed squares that ``collect_radii`` misses: the certificate
 for assumption (N) at one lambda_max.
+
+The engine files each seed as one int.  ``seed_window`` reads one back
+field by field and ``pack_seed`` packs one, both from the documented
+layout; ``seed_chains`` and ``unpacked`` turn a list of seeds and a seed
+map into chains, and ``unpacked_windows`` reads the packed shapes of
+``engine._windows``.  ``seed_map`` builds the engine's seed map, in its
+order, from ``windows``.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from hypercartan.core import _window_adjugate, _window_det, pack_index
 from hypercartan.engine import (
     ADJACENT_MAX,
     DEFAULT_MAX_SIDES,
+    RADIUS_B_MAX,
     ChainState,
     EnumerationResult,
     PeriodicChainReport,
@@ -155,16 +163,70 @@ def half(stream) -> list:
     return [w for w in stream if (w[0], w[3][0]) <= (w[2], w[3][2])]
 
 
-def mirror_expanded(half_windows):
-    """engine._windows' windows (a, b, c, lam, mirror, num, det) as (a, b, c, lam, num, det).
+def seed_window(w: int, lambda_max: int) -> tuple[int, int, int, tuple[int, int, int]]:
+    """The window (a, b, c, lam) of an engine seed, read field by field from the bottom.
 
-    Each window is followed by its mirror (c, b, a, mirror, num, det) when
-    ``mirror`` is not None.
+    From the bottom a seed holds l3, c, l2, a and l1, each lambda in
+    lambda_max.bit_length() bits and a and c in 2 bits, and b above them.
     """
-    for a, b, c, lam, mirror, num, d in half_windows:
+    width = lambda_max.bit_length()
+    fields = []
+    for bits in (width, 2, width, 2, width):
+        w, field = divmod(w, 2**bits)
+        fields.append(field)
+    l3, c, l2, a, l1 = fields
+    return a, w, c, (l1, l2, l3)
+
+
+def pack_seed(a: int, b: int, c: int, lam: tuple[int, int, int], lambda_max: int) -> int:
+    """The engine seed of the window (a, b, c, lam): ``seed_window`` inverted."""
+    width = lambda_max.bit_length()
+    l1, l2, l3 = lam
+    w = b
+    for field, bits in ((l1, width), (a, 2), (l2, width), (c, 2), (l3, width)):
+        assert 0 <= field < 2**bits, (field, bits)
+        w = w * 2**bits + field
+    return w
+
+
+def seed_chains(seeds: list[int], lambda_max: int) -> list[ChainState]:
+    """Engine seeds as the chains of their windows, in order."""
+    chains = []
+    for w in seeds:
+        a, b, c, lam = seed_window(w, lambda_max)
+        chains.append(ChainState(3, (-a, -b, -c), lam))
+    return chains
+
+
+def unpacked(seed_map: dict, lambda_max: int) -> dict:
+    """An engine seed map with each radius's seeds as ``seed_chains``, radii and seeds in order."""
+    return {r: seed_chains(seeds, lambda_max) for r, seeds in seed_map.items()}
+
+
+def unpacked_windows(half_windows, lambda_max: int):
+    """engine._windows' windows (b, seed, mirror, num, det) as (a, b, c, lam, mirror, num, det).
+
+    The shape fields are read by ``seed_window`` under b; ``mirror`` is
+    read the same way as a window (a, b, c, lam), or stays None.
+    """
+    top = 2 ** (3 * lambda_max.bit_length() + 4)
+    for b, seed, mirror, num, d in half_windows:
+        window = seed_window(b * top + seed, lambda_max)
+        if mirror is not None:
+            mirror = seed_window(b * top + mirror, lambda_max)
+        yield (*window, mirror, num, d)
+
+
+def mirror_expanded(half_windows, lambda_max: int):
+    """engine._windows' windows as (a, b, c, lam, num, det), each followed by its mirror.
+
+    The mirror comes from the window's packed mirror field, when that is
+    not None.
+    """
+    for a, b, c, lam, mirror, num, d in unpacked_windows(half_windows, lambda_max):
         yield a, b, c, lam, num, d
         if mirror is not None:
-            yield c, b, a, mirror, num, d
+            yield (*mirror, num, d)
 
 
 def mirror_seed(ch: ChainState) -> ChainState:
@@ -181,6 +243,29 @@ def bucketed_seeds(radii, windows) -> dict:
         if bucket is not None:
             bucket.append(ChainState(3, (-a, -b, -c), lam))
     return {r: buckets[r.numerator, r.denominator] for r in radii}
+
+
+def seed_map(lambda_max: int) -> dict:
+    """engine._seed_map from ``windows``, as chains, radii and seeds in the engine's order.
+
+    The radii are the negative squares of the windows with b <= RADIUS_B_MAX,
+    ascending.  Each window of ``half`` the stream whose square is a radius
+    is a seed, followed by its ``mirror_seed`` unless it is its own mirror:
+    first those with b <= RADIUS_B_MAX, then the rest, each in stream order.
+    """
+    stream = half(windows(lambda_max, long_pairing_bound(Fraction(0))))
+    narrow = [w for w in stream if w[1] <= RADIUS_B_MAX]
+    wide = [w for w in stream if w[1] > RADIUS_B_MAX]
+    radii = sorted({Fraction(num, d) for *_, num, d in narrow if num > 0})
+    seeds: dict = {r: [] for r in radii}
+    for a, b, c, lam, num, d in narrow + wide:
+        bucket = seeds.get(Fraction(num, d))
+        if bucket is not None:
+            seed = ChainState(3, (-a, -b, -c), lam)
+            bucket.append(seed)
+            if (a, lam[0]) != (c, lam[2]):
+                bucket.append(mirror_seed(seed))
+    return seeds
 
 
 def rounds(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):

@@ -295,7 +295,8 @@ def test_criterion_9_parabolic_properties():
     for lam_max, cap in ((2, 16), (3, 14), (12, 32)):
         report = run_parabolic(lam_max, cap)
         periodic_total += len(report.periodic)
-        chains = engine_oracle.reached_chains(seed_triples(0, lam_max), True, cap)
+        seeds = engine_oracle.seed_chains(seed_triples(0, lam_max), lam_max)
+        chains = engine_oracle.reached_chains(seeds, True, cap)
         closing = sum(1 for ch in chains if ch.pairings[ch.length - 2] >= -2)
         if closing:
             problems.append(f"{closing} r=0 chains close at lambda<={lam_max}")

@@ -24,6 +24,7 @@ from hypercartan.core import (
 )
 from hypercartan.engine import EngineError, InvariantViolation
 from hypercartan.goldens import format_golden_block, golden_catalog
+import engine_oracle
 from reader_oracle import PackedDatum, dihedral_images
 from test_core import decodable, random_table
 
@@ -689,8 +690,10 @@ def test_verify_prints_each_cross_check_mismatch(capsys, monkeypatch):
 
 def test_parabolic_closed_polygon_exits_4(capsys, monkeypatch):
     # a closed r = 0 polygon cannot exist; fake one by seeding a closed window
-    closed = engine.ChainState(3, (0, -1, -2), (1, 1, 1))
-    monkeypatch.setattr(engine, "seed_triples", lambda r, lambda_max: [closed])
+    def closed(r, lambda_max):  # the window (0, 1, 2, (1, 1, 1)), packed
+        return [engine_oracle.pack_seed(0, 1, 2, (1, 1, 1), lambda_max)]
+
+    monkeypatch.setattr(engine, "seed_triples", closed)
     with pytest.raises(InvariantViolation, match="closed at r = 0"):
         engine.run_parabolic(1)
     code, out, err = run_cli(capsys, "enumerate", "--mode", "parabolic")

@@ -97,7 +97,7 @@ def test_collect_radii_monotone_in_lambda():
 
 
 def test_seed_triples_finds_base_triangle():
-    seeds = seed_triples(Fraction(-23, 2), 1)
+    seeds = oracle.seed_chains(seed_triples(Fraction(-23, 2), 1), 1)
     match = [
         s for s in seeds if s.pairings == (0, -1, -2) and s.lam == (1, 1, 1)
     ]
@@ -108,7 +108,7 @@ def test_seed_triples_finds_base_triangle():
 
 
 def test_seed_triples_twisted_triangle():
-    seeds = seed_triples(Fraction(-59, 2), 2)
+    seeds = oracle.seed_chains(seed_triples(Fraction(-59, 2), 2), 2)
     match = [
         s for s in seeds if s.pairings == (0, -2, -1) and s.lam == (1, 2, 2)
     ]
@@ -131,14 +131,14 @@ def test_seed_triples_rejects_positive_target():
 
 def test_seed_triples_matches_exhaustive_scan():
     for r in (Fraction(-23, 2), Fraction(-7), Fraction(-1, 2), Fraction(0)):
-        fast = [(s.pairings, s.lam) for s in seed_triples(r, 2)]
+        fast = [(s.pairings, s.lam) for s in oracle.seed_chains(seed_triples(r, 2), 2)]
         assert sorted(fast) == sorted(_exhaustive_seeds(r, 2))
 
 
 def test_seed_map_agrees_with_seed_triples():
-    buckets = _seed_map(2)
+    buckets = oracle.unpacked(_seed_map(2), 2)
     for r in (Fraction(-59, 2), Fraction(-22), Fraction(-7)):
-        direct = {(s.pairings, s.lam) for s in seed_triples(r, 2)}
+        direct = {(s.pairings, s.lam) for s in oracle.seed_chains(seed_triples(r, 2), 2)}
         bucketed = {(s.pairings, s.lam) for s in buckets[r.as_integer_ratio()]}
         assert direct == bucketed
 
@@ -153,21 +153,21 @@ def test_partition_closed():
     assert extendable == [open_chain]  # the non-coprime closed chain is dropped
 
 
-def _first_round(r, seeds):
-    """The seeds of square r alone, joined and glued once.
+def _first_round(r, seeds, lambda_max):
+    """The seeds of square r alone, packed for lambda_max, joined and glued once.
 
     Returns the live chains of length 4, the polygons closed at length 4
     and every extension, live or closed.
     """
     key = r.as_integer_ratio()
-    live, lineage, _ = engine._join_seeds({key: seeds}, [key])
+    live, lineage, _ = engine._join_seeds({key: seeds}, [key], lambda_max)
     chains4, _, closing = extend_step(live, lineage)
     return chains4, partition_closed(closing)[0], chains4 + closing
 
 
 def test_extend_step_reaches_seven_quadrangle():
     r = Fraction(-7)
-    live, closed, chains4 = _first_round(r, seed_triples(r, 3))
+    live, closed, chains4 = _first_round(r, seed_triples(r, 3), 3)
     assert chains4 and all(c.length == 4 for c in chains4)
     target = [
         c
@@ -187,12 +187,13 @@ def test_extend_step_rejects_fractional_pairing():
     x = ChainState(3, (0, -3, -1), (1, 3, 3))
     y = ChainState(3, (-1, -4, 0), (3, 3, 1))
     # overlap matches, but the Weyl equation gives (delta_1, delta_4) = -6/5
-    assert _first_round(Fraction(-1), [x, y]) == ([], [], [])
+    seeds = [oracle.pack_seed(-p[0], -p[1], -p[2], lam, 3) for _, p, lam in (x, y)]
+    assert _first_round(Fraction(-1), seeds, 3) == ([], [], [])
 
 
 def test_extended_chains_keep_weyl_consistency():
     r = Fraction(-7)
-    for chain in _first_round(r, seed_triples(r, 3))[2]:
+    for chain in _first_round(r, seed_triples(r, 3), 3)[2]:
         x = _first_window_weyl(chain).coords
         for j in range(1, chain.length + 1):
             paired = sum(x[i] * pair(chain, i + 1, j) for i in range(3))
@@ -281,7 +282,7 @@ def test_r_filter_skips_squares_that_are_not_radii(monkeypatch):
             wide.append(key)
     capping = [
         key for key in wide
-        if engine._chain_loop({key: seed_triples(Fraction(*key), 6)}, 4)[1]
+        if engine._chain_loop({key: seed_triples(Fraction(*key), 6)}, 6, 4)[1]
     ]
     assert len(capping) >= 10
     for key in capping[:10]:
@@ -303,11 +304,11 @@ def test_run_elliptic_cap_event():
         "-5/22", "-1/6", "-4/25", "-1/8", "-2/23", "-1/14", "-1/24",
     )))
     for r, seeds in _seed_map(1).items():
-        _, capped = engine._chain_loop({r: seeds}, 4)
+        _, capped = engine._chain_loop({r: seeds}, 1, 4)
         assert bool(capped) == (oracle.radius(r) in result.cap_events)
         # the chains alive at 4 sides, in order, as the per-radius loop
         # leaves them, each of square r
-        *_, (met, _, live, _) = oracle.rounds(seeds, False, 4)
+        *_, (met, _, live, _) = oracle.rounds(oracle.seed_chains(seeds, 1), False, 4)
         assert capped == (live if met[0].length == 4 else [])
         assert {oracle.first_window_square(x) for x in capped} <= {oracle.radius(r)}
     # radii whose chains were cut off report partial catalogs, so fewer records
@@ -347,7 +348,7 @@ def test_run_elliptic_does_not_depend_on_seed_order(monkeypatch, lambda_max, max
 def test_run_parabolic_properties():
     report = run_parabolic(2, 16)
     # no r = 0 chain reaches the closing threshold (see run_parabolic)
-    chains = list(oracle.reached_chains(seed_triples(0, 2), True))
+    chains = list(oracle.reached_chains(oracle.seed_chains(seed_triples(0, 2), 2), True))
     assert chains and all(ch.pairings[ch.length - 2] < -2 for ch in chains)
     assert report.capped_chains >= 0
     for per in report.periodic:
@@ -414,9 +415,9 @@ def test_run_parabolic_sorts_its_seeds_and_reports_each_first_hit(monkeypatch, l
     handed, detected = [], []
     loop, detect = engine._chain_loop, engine._detect_period
 
-    def recorded_loop(seeds, max_sides, periodic=None):
+    def recorded_loop(seeds, lm, max_sides, periodic=None):
         handed.append({r: found[:] for r, found in seeds.items()})
-        return loop(seeds, max_sides, periodic)
+        return loop(seeds, lm, max_sides, periodic)
 
     def recorded_detect(ch):
         rep = detect(ch)
@@ -433,7 +434,7 @@ def test_run_parabolic_sorts_its_seeds_and_reports_each_first_hit(monkeypatch, l
     [(r, seeds)] = handed[0].items()
     assert len(handed) == 1 and r == (0, 1)
     assert sorted(seeds) == sorted(seed_triples(0, lambda_max))
-    keys = list(map(window, seeds))
+    keys = list(map(window, oracle.seed_chains(seeds, lambda_max)))
     assert keys == sorted(set(keys))
     first = {}
     for rep in detected:
@@ -564,7 +565,7 @@ def test_extend_step_rejects_mixed_or_closed_input(monkeypatch):
     """
     key = (-7, 18)
     live, (rows, partners), _ = engine._join_seeds(
-        {key: seed_triples(Fraction(*key), 1)}, [key]
+        {key: seed_triples(Fraction(*key), 1)}, [key], 1
     )
     assert len(live) >= 2 and partition_closed(live)[1] == live
     with pytest.raises(EngineError, match="lineage"):
@@ -700,8 +701,7 @@ def _fraction_glue(x, y):
 
 def _head_buckets(lambda_max):
     """Every chain x the search extends, with the chains ys the oracle's key join pairs it with."""
-    for seeds in _seed_map(lambda_max).values():
-        chains = seeds
+    for chains in oracle.unpacked(_seed_map(lambda_max), lambda_max).values():
         while chains:
             _, ext = partition_closed(chains)
             pairs, glued = oracle.key_join(ext)
@@ -755,8 +755,8 @@ def test_glue_candidates_have_rank_3():
     the basis of x's first window, over the rationals; the rank is why
     _glue needs no rank check at any length.
     """
-    runs = [(seeds, False) for seeds in _seed_map(4).values()]
-    runs.append((seed_triples(0, 4), True))
+    runs = [(seeds, False) for seeds in oracle.unpacked(_seed_map(4), 4).values()]
+    runs.append((oracle.seed_chains(seed_triples(0, 4), 4), True))
     integral = fractional = 0
     lengths = set()
     for seeds, parabolic in runs:
@@ -823,7 +823,7 @@ def test_first_adjugate_coordinate_is_positive():
 # --- slow oracles for the packed-tuple chain kernel -------------------------
 
 
-def _loop_calls(monkeypatch, seed_map, max_sides=DEFAULT_MAX_SIDES, periodic=None):
+def _loop_calls(monkeypatch, seed_map, lambda_max, max_sides=DEFAULT_MAX_SIDES, periodic=None):
     """engine._chain_loop on a copy of seed_map, recording each _glue call.
 
     Returns the calls, each (x, the ys it is handed, its extensions), and
@@ -841,12 +841,12 @@ def _loop_calls(monkeypatch, seed_map, max_sides=DEFAULT_MAX_SIDES, periodic=Non
 
     with monkeypatch.context() as patched:
         patched.setattr(engine, "_glue", recorded_glue)
-        result = engine._chain_loop(dict(seed_map), max_sides, periodic)
+        result = engine._chain_loop(dict(seed_map), lambda_max, max_sides, periodic)
     return calls, result
 
 
-def _per_radius_loop(seed_map, parabolic, max_sides=DEFAULT_MAX_SIDES):
-    """``engine_oracle.rounds`` on every radius of seed_map, one radius at a time.
+def _per_radius_loop(seed_map, lambda_max, parabolic, max_sides=DEFAULT_MAX_SIDES):
+    """``engine_oracle.rounds`` on every radius of seed_map, unpacked, one radius at a time.
 
     Returns the radius of every chain it glues, its key join (pairs,
     extensions) per (radius, length) that joins a pair, the closed
@@ -855,7 +855,7 @@ def _per_radius_loop(seed_map, parabolic, max_sides=DEFAULT_MAX_SIDES):
     chains of one radius and length are equal.
     """
     radius_of, joins, closed, capped = {}, {}, {}, []
-    for r, seeds in seed_map.items():
+    for r, seeds in oracle.unpacked(seed_map, lambda_max).items():
         for _, done, live, joined in oracle.rounds(seeds, parabolic, max_sides):
             assert len(set(live)) == len(live), (r, live[0].length)
             if done:
@@ -897,14 +897,14 @@ def test_packed_keys_and_extension_match_pair_oracle(monkeypatch):
     runs = [(_seed_map(3), False), ({(0, 1): seed_triples(0, 3)}, True)]
     lengths = set()
     for seed_map, parabolic in runs:
-        calls, _ = _loop_calls(monkeypatch, seed_map, periodic={} if parabolic else None)
+        calls, _ = _loop_calls(monkeypatch, seed_map, 3, periodic={} if parabolic else None)
         for x, ys, out in calls:
             for ch in [x, *ys, *out]:
                 m = ch.length
                 lengths.add(m)
                 assert ch.pairings[m - 2] == pair(ch, 1, m), ch
                 assert _chain_windows(ch) == oracle.chain_windows(ch), ch
-        radius_of, joins, _, _ = _per_radius_loop(seed_map, parabolic)
+        radius_of, joins, _, _ = _per_radius_loop(seed_map, 3, parabolic)
         assert _joins_by_radius(calls, radius_of) == joins
     assert lengths == set(range(3, 13))
 
@@ -916,9 +916,10 @@ def test_lineage_join_is_the_key_join(monkeypatch):
     The oracle also checks that no two live chains of one radius and length
     are equal, the lemma that makes the lineage join the key join."""
     rounds_seen = lineage_rounds = 0
-    for _, seed_map, parabolic in _loop_runs():
-        radius_of, joins, _, _ = _per_radius_loop(seed_map, parabolic)
-        calls, _ = _loop_calls(monkeypatch, seed_map, periodic={} if parabolic else None)
+    for lambda_max, seed_map, parabolic in _loop_runs():
+        radius_of, joins, _, _ = _per_radius_loop(seed_map, lambda_max, parabolic)
+        periodic = {} if parabolic else None
+        calls, _ = _loop_calls(monkeypatch, seed_map, lambda_max, periodic=periodic)
         assert _joins_by_radius(calls, radius_of) == joins
         rounds_seen += len(joins)
         lineage_rounds += sum(m > 3 for _, m in joins)
@@ -945,7 +946,8 @@ def test_chain_loop_closes_and_caps_as_the_per_radius_loop():
     strictly ascending, as the chain loop leaves them."""
     capped_runs = 0
     for lambda_max, seed_map, parabolic in _loop_runs():
-        rounds = {r: list(oracle.rounds(seeds, parabolic)) for r, seeds in seed_map.items()}
+        chains = oracle.unpacked(seed_map, lambda_max)
+        rounds = {r: list(oracle.rounds(seeds, parabolic)) for r, seeds in chains.items()}
         for max_sides in (3, 4, 5, 6, 7, 8, DEFAULT_MAX_SIDES):
             closed, capped = {}, []
             for r, found in rounds.items():
@@ -957,7 +959,9 @@ def test_chain_loop_closes_and_caps_as_the_per_radius_loop():
                     if met[0].length == max_sides:
                         capped += [oracle.radius(r)] * len(live)
             periodic = {} if parabolic else None
-            got_closed, got_capped = engine._chain_loop(dict(seed_map), max_sides, periodic)
+            got_closed, got_capped = engine._chain_loop(
+                dict(seed_map), lambda_max, max_sides, periodic
+            )
             assert _by_square(got_closed) == closed
             assert list(map(oracle.first_window_square, got_capped)) == capped
             capped_runs += bool(capped)
@@ -977,17 +981,17 @@ def test_seed_square_is_the_radius_of_every_seed_closed_polygon_and_capped_chain
     leaves them under."""
     for lambda_max in range(1, 7):
         seed_map = _seed_map(lambda_max)
-        for key, seeds in seed_map.items():
+        for key, seeds in oracle.unpacked(seed_map, lambda_max).items():
             assert all(engine._seed_square(x) == key for x in seeds), key
-        _, _, filed, _ = _per_radius_loop(seed_map, False)
-        closed, _ = engine._chain_loop(dict(seed_map), DEFAULT_MAX_SIDES)
+        _, _, filed, _ = _per_radius_loop(seed_map, lambda_max, False)
+        closed, _ = engine._chain_loop(dict(seed_map), lambda_max, DEFAULT_MAX_SIDES)
         for poly in closed:
             assert oracle.first_window_square(poly) == verify_realization(poly).weyl_square, poly
         assert sorted((oracle.radius(r), p) for r, ps in filed.items() for p in ps) == sorted(
             (oracle.first_window_square(p), p) for p in closed
         )
-        *_, oracle_capped = _per_radius_loop(seed_map, False, 4)
-        _, capped = engine._chain_loop(dict(seed_map), 4)
+        *_, oracle_capped = _per_radius_loop(seed_map, lambda_max, False, 4)
+        _, capped = engine._chain_loop(dict(seed_map), lambda_max, 4)
         assert capped and list(map(engine._seed_square, capped)) == oracle_capped
 
 
@@ -1007,12 +1011,12 @@ def test_windows_match_unstrided_oracle():
 
     for lambda_max in range(1, 9):
         for b_cap, b_max in ((None, root), (RADIUS_B_MAX, capped)):
-            fast = list(_windows(lambda_max, b_cap))
+            fast = list(oracle.unpacked_windows(_windows(lambda_max, b_cap), lambda_max))
             expected = oracle.half(oracle.windows(lambda_max, b_max))
             assert [w[:4] + w[5:] for w in fast] == expected, lambda_max
-            for a, _, c, lam, mirror, *_ in fast:
+            for a, b, c, lam, mirror, *_ in fast:
                 self_mirror = (a, lam[0]) == (c, lam[2])
-                assert mirror == (None if self_mirror else lam[::-1]), (a, c, lam)
+                assert mirror == (None if self_mirror else (c, b, a, lam[::-1])), (a, c, lam)
             assert fast
 
 
@@ -1029,7 +1033,7 @@ def test_capped_windows_are_the_uncapped_stream_cut_at_the_cap():
         uncapped = list(_windows(lambda_max))
         for cap in (0, 1, 2, 3, RADIUS_B_MAX):
             capped = list(_windows(lambda_max, cap))
-            assert capped == [w for w in uncapped if w[1] <= cap], (lambda_max, cap)
+            assert capped == [w for w in uncapped if w[0] <= cap], (lambda_max, cap)
 
 
 def test_radii_integer_order_matches_fraction_sort():
@@ -1049,7 +1053,8 @@ def test_radii_integer_order_matches_fraction_sort():
         assert list(map(oracle.radius, radii)) == squares, lambda_max
         expected = oracle.bucketed_seeds(squares, narrow)
         for r in squares:
-            assert sorted(radii[r.as_integer_ratio()]) == sorted(expected[r]), (lambda_max, r)
+            found = oracle.seed_chains(radii[r.as_integer_ratio()], lambda_max)
+            assert sorted(found) == sorted(expected[r]), (lambda_max, r)
 
 
 def test_split_sweep_is_the_full_sweep():
@@ -1062,12 +1067,12 @@ def test_split_sweep_is_the_full_sweep():
     for lambda_max in range(1, 9):
         full = list(_windows(lambda_max))
         for cap in (0, 1, 2, 3, RADIUS_B_MAX):
-            assert list(_windows(lambda_max, cap)) == [w for w in full if w[1] <= cap]
+            assert list(_windows(lambda_max, cap)) == [w for w in full if w[0] <= cap]
             wide = list(_windows(lambda_max, b_min=cap + 1))
-            assert wide == [w for w in full if w[1] > cap], (lambda_max, cap)
+            assert wide == [w for w in full if w[0] > cap], (lambda_max, cap)
         for b_min in (5, 7, 16, 33):
             wide = list(_windows(lambda_max, b_min=b_min))
-            assert wide == [w for w in full if w[1] >= b_min], (lambda_max, b_min)
+            assert wide == [w for w in full if w[0] >= b_min], (lambda_max, b_min)
 
 
 def test_window_float_is_the_float_of_its_reduced_square():
@@ -1085,11 +1090,12 @@ def test_add_seeds_matches_exact_bucketing():
         keys = [*collect_radii(lambda_max), (0, 1)]
         radii = list(map(oracle.radius, keys))
         windows = list(_windows(lambda_max))
-        fast = _add_seeds({key: [] for key in keys}, iter(windows))
-        expected = oracle.bucketed_seeds(radii, oracle.mirror_expanded(windows))
+        fast = _add_seeds({key: [] for key in keys}, iter(windows), lambda_max)
+        expected = oracle.bucketed_seeds(radii, oracle.mirror_expanded(windows, lambda_max))
         assert list(fast) == keys
         for key, r in zip(keys, radii):
-            assert sorted(fast[key]) == sorted(expected[r]), (lambda_max, r)
+            found = oracle.seed_chains(fast[key], lambda_max)
+            assert sorted(found) == sorted(expected[r]), (lambda_max, r)
         assert fast[0, 1] and all(fast.values())
 
 
@@ -1099,27 +1105,31 @@ def test_add_seeds_checks_float_hits_exactly():
     near_third = (-1 / 3).as_integer_ratio()
     assert Fraction(*near_third) != Fraction(-1, 3) and near_third[0] / near_third[1] == -1 / 3
     with pytest.raises(EngineError, match="share a float"):
-        _add_seeds({(-1, 3): [], near_third: []}, iter(()))
-    third = (0, 0, 0, (1, 1, 1), None, 1, -3)  # num / det = -1/3
-    assert _add_seeds({near_third: []}, iter([third])) == {near_third: []}
-    assert _add_seeds({(-1, 3): []}, iter([third]))[-1, 3]
+        _add_seeds({(-1, 3): [], near_third: []}, iter(()), 1)
+    third = (0, oracle.pack_seed(0, 0, 0, (1, 1, 1), 1), None, 1, -3)  # num / det = -1/3
+    assert _add_seeds({near_third: []}, iter([third]), 1) == {near_third: []}
+    assert _add_seeds({(-1, 3): []}, iter([third]), 1)[-1, 3]
 
 
 def test_collect_radii_checks_float_hits_exactly(monkeypatch):
     """The narrow pass files windows of one square under one reduced key,
     and two squares sharing a float raise instead of merging."""
     near_third = (-1 / 3).as_integer_ratio()
-    third = (0, 0, 0, (1, 1, 1), None, 1, -3)  # num / det = -1/3
-    third_again = (0, 1, 0, (1, 2, 1), None, 2, -6)
-    close = (0, 2, 0, (1, 1, 1), None, -near_third[0], -near_third[1])
+
+    def window(b, lam, num, d):  # a = c = 0, its own mirror
+        return b, oracle.pack_seed(0, 0, 0, lam, 2), None, num, d
+
+    third = window(0, (1, 1, 1), 1, -3)  # num / det = -1/3
+    third_again = window(1, (1, 2, 1), 2, -6)
+    close = window(2, (1, 1, 1), -near_third[0], -near_third[1])
     windows = [third, third_again]
     monkeypatch.setattr(engine, "_windows", lambda *args: iter(windows))
-    radii = collect_radii(1)
+    radii = collect_radii(2)
     assert list(radii) == [(-1, 3)]
-    assert [s.lam for s in radii[-1, 3]] == [(1, 1, 1), (1, 2, 1)]
+    assert [s.lam for s in oracle.seed_chains(radii[-1, 3], 2)] == [(1, 1, 1), (1, 2, 1)]
     windows = [third, close]
     with pytest.raises(EngineError, match="share a float"):
-        collect_radii(1)
+        collect_radii(2)
 
 
 def test_radii_at_the_lambda_ceiling_have_distinct_floats_in_order():
@@ -1145,8 +1155,8 @@ def test_windows_are_exactly_the_non_positive_squares():
             if d < 0 and num >= 0 and oracle.long_divisible(b, lam[0], lam[2]):
                 brute.append((a, b, c, lam, num, d))
     fast = list(_windows(4))
-    assert sorted(oracle.mirror_expanded(fast)) == sorted(brute)
-    assert max(b for _, b, *_ in fast) < 100
+    assert sorted(oracle.mirror_expanded(fast, 4)) == sorted(brute)
+    assert max(b for b, *_ in fast) < 100
 
 
 def test_seed_map_matches_sweep_bounded_by_largest_radius():
@@ -1164,7 +1174,7 @@ def test_seed_map_matches_sweep_bounded_by_largest_radius():
             bucket = buckets.get(Fraction(num, d))
             if bucket is not None:
                 bucket.append(ChainState(3, (-a, -b, -c), lam))
-        seeds = _seed_map(lambda_max)
+        seeds = oracle.unpacked(_seed_map(lambda_max), lambda_max)
         assert list(map(oracle.radius, seeds)) == list(buckets), lambda_max
         for r in radii:
             assert sorted(seeds[r.as_integer_ratio()]) == sorted(buckets[r]), (lambda_max, r)
@@ -1178,7 +1188,64 @@ def test_half_sweep_and_its_mirrors_are_the_full_sweep():
     for lambda_max in range(1, 9):
         for cap in (None, 0, 1, 2, 3, RADIUS_B_MAX):
             b_max = root if cap is None else lambda *q, cap=cap: min(root(*q), cap)
-            expanded = sorted(oracle.mirror_expanded(_windows(lambda_max, cap)))
+            expanded = sorted(oracle.mirror_expanded(_windows(lambda_max, cap), lambda_max))
             assert expanded == sorted(oracle.windows(lambda_max, b_max)), (lambda_max, cap)
-        for r, seeds in _seed_map(lambda_max).items():
+        for r, seeds in oracle.unpacked(_seed_map(lambda_max), lambda_max).items():
             assert sorted(seeds) == sorted(map(oracle.mirror_seed, seeds)), (lambda_max, r)
+
+
+@pytest.mark.parametrize("lambda_max", [1, 2, 3, 4, 5, 6, 16])
+def test_packed_seed_map_is_the_oracle_seed_map_in_order(lambda_max):
+    """_seed_map, each seed unpacked, is the oracle's seed map: the seeds
+    built from engine_oracle.windows plus their mirrors, radius by radius
+    and in order."""
+    expected = oracle.seed_map(lambda_max)
+    seeds = oracle.unpacked(_seed_map(lambda_max), lambda_max)
+    assert list(map(oracle.radius, seeds)) == list(expected)
+    assert list(seeds.values()) == list(expected.values())
+
+
+@pytest.mark.parametrize("lambda_max", [64, 128, 1000])
+def test_seed_round_trip_at_the_widest_fields(lambda_max):
+    """A window with a = c = 2, every lambda lambda_max and b >= 2^20 packs
+    and unpacks exactly.  Its head (l1, a, l2) is its tail (l2, c, l3), so
+    _join_seeds joins it to itself and reads it back as a chain; with
+    b = 2, the largest closing b, it is read back as a closed seed."""
+    lam = (lambda_max,) * 3
+    key = (-1, 1)
+    for b in (2**20, 2**20 + 1, 2**40 + 5):
+        w = oracle.pack_seed(2, b, 2, lam, lambda_max)
+        assert oracle.seed_window(w, lambda_max) == (2, b, 2, lam)
+        live, (_, partners), closing = engine._join_seeds({key: [w]}, [key], lambda_max)
+        assert (live, partners, closing) == ([ChainState(3, (-2, -b, -2), lam)], [[0]], [])
+    w = oracle.pack_seed(2, 2, 2, lam, lambda_max)
+    live, _, closing = engine._join_seeds({key: [w]}, [key], lambda_max)
+    assert (live, closing) == ([], [ChainState(3, (-2, -2, -2), lam)])
+
+
+@pytest.mark.parametrize("lambda_max", [64, 128])
+def test_windows_pack_their_shapes_at_full_width(lambda_max):
+    """Every window of _windows(lambda_max, 2), read back by the oracle, has
+    the num and det of its fields, admissible lambdas, and its mirror's
+    fields; lambda_max itself is reached, so the top lambda bits are used."""
+    top = 0
+    for a, b, c, lam, mirror, num, d in oracle.unpacked_windows(
+        _windows(lambda_max, 2), lambda_max
+    ):
+        assert (num, d) == (oracle.window_square_num(a, b, c, *lam), _window_det(a, b, c))
+        assert oracle.adjacent_divisible(a, c, *lam) and oracle.long_divisible(b, lam[0], lam[2])
+        assert mirror in (None, (c, b, a, lam[::-1])), (a, b, c, lam)
+        top = max(top, *lam)
+    assert top == lambda_max
+
+
+def test_cap_at_three_sides_reports_every_radius_with_a_live_seed():
+    """At max_sides 3 every live seed is at the cap, though most seeds join
+    nothing and become no chain: the cap events are the radii of the
+    oracle's seed map that have a seed with b > 2, ascending, for lambda
+    <= 6; 434 of them at lambda 6."""
+    for lambda_max in range(1, 7):
+        seed_map = oracle.seed_map(lambda_max)
+        live = [r for r, seeds in seed_map.items() if partition_closed(seeds)[1]]
+        assert run_elliptic(lambda_max, 3).cap_events == tuple(live), lambda_max
+    assert len(live) == 434
