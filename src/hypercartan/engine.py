@@ -427,6 +427,13 @@ def partition_closed(
 
     Closed chains become polygons, kept only with coprime lambdas;
     the rest are returned for extension.
+
+    Every caller in this package passes closed chains only: the seeds that
+    ``_join_seeds`` closes and the extensions that ``extend_step`` closes.
+    So the second list is always empty there.  The two-list shape stays
+    until the benchmark's next change (ROADMAP item 1), because
+    ``perfbench/tracer.py`` wraps this function by name and reads the
+    chains passed in and the first list returned.
     """
     closed: list[PolygonDatum] = []
     extendable: list[ChainState] = []

@@ -238,12 +238,27 @@ def test_run_elliptic_monotone_in_lambda():
     assert keys1 <= keys2
 
 
-def test_run_elliptic_deterministic_across_jobs():
+def test_run_elliptic_repeats_and_every_radius_slice_agrees():
+    """Two runs at lambda 6 print the same records, and each radius searched alone gives its slice."""
     full = run_elliptic(6)
     assert oracle.radius_slice_mismatches(full, 6) == []
     assert [_record_json(rec) for rec in run_elliptic(6).records] == [
         _record_json(rec) for rec in full.records
     ]
+
+
+def test_records_pair_nonadjacent_sides_below_minus_two():
+    """Evidence for the closure lemma: in every record at lambda 16, two
+    sides that are not adjacent pair to less than -2, so a chain whose ends
+    pair to >= -2 has met its last side.  The largest such pairing is -3."""
+    nonadjacent = [
+        pair(rec, i, j)
+        for rec in run_elliptic(16).records
+        for i in range(1, rec.n + 1)
+        for j in range(i + 2, rec.n + 1)
+        if (i, j) != (1, rec.n)
+    ]
+    assert max(nonadjacent) == -3
 
 
 def test_run_elliptic_r_filter():
