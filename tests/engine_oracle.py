@@ -1,30 +1,47 @@
-"""Slow reference implementations for the chain kernel and window scan in ``engine``.
+"""Slow reference implementations for the window scan and chain loop in ``engine``.
+
+The tests compare the engine with these oracles at three seams, and one
+adapter here reads each seam from the engine, so a change of the
+engine's representation edits only that adapter:
+
+1. *The seeds.*  ``engine_seeds(lambda_max)`` reads ``engine._seed_map``
+   with each seed unpacked, against ``seed_map``, built from ``windows``.
+2. *The chains.*  ``engine_chain_loop(seeds, lambda_max, k)`` runs
+   ``engine._chain_loop`` on a packed seed map capped at k sides and
+   returns its closed polygons and the chains alive at the cap, against
+   ``rounds``, one radius at a time.
+3. *The records and cap events.*  ``run_elliptic`` and ``run_parabolic``
+   return them in public types, so this seam needs no adapter: the tests
+   check them against the goldens, the command pins (``pins.json``) and
+   ``radius_slice_mismatches``.
+
+Besides ``_seed_map`` and ``_chain_loop`` the tests name two private
+engine functions: ``_windows``, whose arguments (order, stride, cap and
+``b_min``, float keys, field widths) they pin against ``windows``, and
+``_detect_period``, which they wrap to compare with ``detect_period``.
+``test_engine.test_tests_name_four_private_engine_names`` fails when a
+test names any other.
 
 ``pair`` looks one pairing up by its side indices, as ``ChainState.pair``
 and ``PolygonDatum.pair`` did.  The join keys and the extended chain are
-rebuilt entry by entry through it, and ``key_join`` is one gluing round
-as a hash join on the whole overlap, as ``extend_step`` glued before it
-joined chains by lineage; ``rounds`` runs the chain loop of one radius on
-it, and ``reached_chains`` lists the chains that loop meets.
-``radius`` reads an engine radius key (p, q) as a ``Fraction``, checking
-that it is in lowest terms, and ``first_window_square`` is the square of a
-chain's or polygon's sides 1, 2, 3, the radius it belongs to.  The window
-scan walks every (a, c, lam) triple with
-a divisibility test per triple, every long pairing b with a divisibility
-test per b, and evaluates num and det per window from the closed forms,
-as the engine did before it enumerated admissible shapes directly and
-stepped the long pairing by second differences; its bound on b comes
-from a callback; it yields both windows of each mirror pair, and
+rebuilt entry by entry through it, ``glued`` glues one pair, and
+``key_join`` is one gluing round as a hash join on the whole overlap;
+``rounds`` runs the chain loop of one radius on it, splitting off the
+closed chains itself, and ``reached_chains`` lists the chains that loop
+meets.  ``radius`` reads an engine radius key (p, q) as a ``Fraction``,
+checking that it is in lowest terms, and ``first_window_square`` is the
+square of a chain's or polygon's sides 1, 2, 3, the radius it belongs to.
+The window scan walks every (a, c, lam) triple with a divisibility test
+per triple, every long pairing b with a divisibility test per b, and
+evaluates num and det per window from the closed forms; its bound on b
+comes from a callback; it yields both windows of each mirror pair, and
 ``half`` and ``mirror_expanded`` relate its stream to the engine's.
-``long_pairing_bound(r_max)`` bounds b for squares at
-most r_max, as the seed sweep did before it stopped at num's larger root
-(the same bound at r_max = 0).  ``bucketed_seeds`` files windows under
-their squares by an exact gcd-reduced key, as the seed sweep did before
-it looked windows up by float.  ``detect_period`` scans every earlier
-window of a chain for its newest one, as the period test did before it
-compared the newest window with the seed window alone.  The tests compare
-the fast paths against them.  ``radius_slice_mismatches`` compares a full
-run against the same search run one radius at a time.
+``long_pairing_bound(r_max)`` bounds b for squares at most r_max (at
+r_max = 0, num's larger root).  ``bucketed_seeds`` files windows under
+their squares by an exact gcd-reduced key.  ``detect_period`` scans every
+earlier window of a chain for its newest one, and ``min_rotation`` is a
+period block's least rotation.  ``radius_slice_mismatches`` compares a
+full run against the same search run one radius at a time.
 ``trimmed_windows`` trims the window graph, and ``uncertified_squares``
 lists the trimmed squares that ``collect_radii`` misses: the certificate
 for assumption (N) at one lambda_max.
@@ -33,8 +50,7 @@ The engine files each seed as one int.  ``seed_window`` reads one back
 field by field and ``pack_seed`` packs one, both from the documented
 layout; ``seed_chains`` and ``unpacked`` turn a list of seeds and a seed
 map into chains, and ``unpacked_windows`` reads the packed shapes of
-``engine._windows``.  ``seed_map`` builds the engine's seed map, in its
-order, from ``windows``.
+``engine._windows``.
 """
 
 from __future__ import annotations
@@ -44,7 +60,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable
 
-from hypercartan.core import _window_adjugate, _window_det, pack_index
+from hypercartan.core import PolygonDatum, _window_adjugate, _window_det, pack_index
 from hypercartan.engine import (
     ADJACENT_MAX,
     DEFAULT_MAX_SIDES,
@@ -52,8 +68,9 @@ from hypercartan.engine import (
     ChainState,
     EnumerationResult,
     PeriodicChainReport,
+    _chain_loop,
+    _seed_map,
     collect_radii,
-    partition_closed,
     run_elliptic,
 )
 
@@ -199,8 +216,25 @@ def seed_chains(seeds: list[int], lambda_max: int) -> list[ChainState]:
 
 
 def unpacked(seed_map: dict, lambda_max: int) -> dict:
-    """An engine seed map with each radius's seeds as ``seed_chains``, radii and seeds in order."""
-    return {r: seed_chains(seeds, lambda_max) for r, seeds in seed_map.items()}
+    """A packed seed map as {``radius``: ``seed_chains``}, radii and seeds in order."""
+    return {radius(key): seed_chains(seeds, lambda_max) for key, seeds in seed_map.items()}
+
+
+def engine_seeds(lambda_max: int) -> dict:
+    """Seam 1: ``engine._seed_map(lambda_max)``, ``unpacked``."""
+    return unpacked(_seed_map(lambda_max), lambda_max)
+
+
+def engine_chain_loop(
+    seed_map: dict, lambda_max: int, max_sides: int, parabolic: bool = False
+) -> tuple[list[PolygonDatum], list[ChainState]]:
+    """Seam 2: ``engine._chain_loop`` on a copy of a packed seed map, capped at max_sides.
+
+    Returns the closed polygons and the chains alive at the cap.  With
+    ``parabolic`` the loop sets periodic chains aside, as
+    ``run_parabolic`` runs it.
+    """
+    return _chain_loop(dict(seed_map), lambda_max, max_sides, {} if parabolic else None)
 
 
 def unpacked_windows(half_windows, lambda_max: int):
@@ -271,19 +305,25 @@ def seed_map(lambda_max: int) -> dict:
 def rounds(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):
     """The chain loop of one radius on these seeds, gluing by ``key_join``: one round per length.
 
-    Each round is (met, closed, live, joined): the chains of that length,
-    the polygons ``partition_closed`` builds from them, the chains left
-    after closure and, with ``parabolic``, after setting aside each chain
-    whose newest window state repeats, and ``key_join(live)``, the pairs
+    Each round is (met, closed, live, joined): the chains of that length;
+    the closed ones, (delta_1, delta_m) >= -2, as polygons, kept only with
+    coprime lambdas; the open ones, with ``parabolic`` less each chain
+    whose newest window state repeats; and ``key_join(live)``, the pairs
     glued and the next round's chains.  At ``max_sides`` the live chains
-    are alive at the cap and joined is ([], []).  This is the per-radius
-    loop the engine ran before it glued many radii per round.
+    are alive at the cap and joined is ([], []).  No two live chains of a
+    round are equal, the lemma that lets the engine join by lineage.
     """
     chains = seeds
     while chains:
-        closed, live = partition_closed(chains)
+        closed = [
+            PolygonDatum(ch.length, ch.pairings, ch.lam)
+            for ch in chains
+            if pair(ch, 1, ch.length) >= -2 and gcd(*ch.lam) == 1
+        ]
+        live = [ch for ch in chains if pair(ch, 1, ch.length) < -2]
         if parabolic:
             live = [ch for ch in live if detect_period(ch) is None]
+        assert len(set(live)) == len(live), live[0]
         joined = key_join(live) if live and live[0].length < max_sides else ([], [])
         yield chains, closed, live, joined
         chains = joined[1]
@@ -341,24 +381,27 @@ def weyl_pairing(x: ChainState, y: ChainState) -> Fraction:
     return Fraction(rhs, a11 * l1 + a12 * l2 + a13 * l3)
 
 
+def glued(x: ChainState, y: ChainState) -> list[ChainState]:
+    """x glued to y: [the extension] when its ``weyl_pairing`` is a non-positive
+    integer passing the divisibility against lambda_1 and lambda_n, else []."""
+    g1n = weyl_pairing(x, y)
+    if g1n.denominator == 1 and g1n <= 0 and long_divisible(int(g1n), x.lam[0], y.lam[-1]):
+        return [extended_chain(x, y, int(g1n))]
+    return []
+
+
 def key_join(chains: list[ChainState]) -> tuple[list[tuple], list[ChainState]]:
     """One gluing round by a hash join on the whole overlap: the pairs and the extensions.
 
     x and y join when tail_key(x) == head_key(y), in the order of x, then
-    of y in ``chains``.  A pair extends x when its ``weyl_pairing`` is a
-    non-positive integer passing the divisibility against lambda_1 and
-    lambda_n; the extensions come out in the order of the pairs.
+    of y in ``chains``; the extensions, ``glued``, come out in the order of
+    the pairs.
     """
     by_head: dict[tuple, list[ChainState]] = {}
     for y in chains:
         by_head.setdefault(head_key(y), []).append(y)
     pairs = [(x, y) for x in chains for y in by_head.get(tail_key(x), ())]
-    out = []
-    for x, y in pairs:
-        g1n = weyl_pairing(x, y)
-        if g1n.denominator == 1 and g1n <= 0 and long_divisible(int(g1n), x.lam[0], y.lam[-1]):
-            out.append(extended_chain(x, y, int(g1n)))
-    return pairs, out
+    return pairs, [ch for x, y in pairs for ch in glued(x, y)]
 
 
 def radius(key: tuple[int, int]) -> Fraction:
@@ -369,7 +412,7 @@ def radius(key: tuple[int, int]) -> Fraction:
 
 
 def chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
-    """engine._chain_windows through ``pair``."""
+    """The decorated 3-windows of ch, ((i, i+1), (i, i+2), (i+1, i+2), lambdas), through ``pair``."""
     return [
         (
             pair(ch, i, i + 1),
@@ -383,12 +426,16 @@ def chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
     ]
 
 
+def min_rotation(block: tuple) -> tuple:
+    """The least rotation of a period block."""
+    return min(block[k:] + block[:k] for k in range(len(block)))
+
+
 def detect_period(ch: ChainState) -> PeriodicChainReport | None:
     """engine._detect_period as a full scan: the newest window against every earlier one.
 
     The first earlier window equal to the newest starts the period's block,
-    the windows up to the newest; the signature is the block's least
-    rotation.
+    the windows up to the newest; the signature is its ``min_rotation``.
     """
     windows = chain_windows(ch)
     last = windows[-1]
@@ -397,7 +444,7 @@ def detect_period(ch: ChainState) -> PeriodicChainReport | None:
             block = tuple(windows[i:-1])
             return PeriodicChainReport(
                 period=len(windows) - 1 - i,
-                signature=min(block[k:] + block[:k] for k in range(len(block))),
+                signature=min_rotation(block),
                 length=ch.length,
                 lam=ch.lam,
                 pairings=ch.pairings,

@@ -31,6 +31,7 @@ every row in one process and exits 1 if any row fails.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -71,8 +72,11 @@ def run(row: dict) -> tuple[int, str, str]:
             path.write_text(_input_text(row["input"]), encoding="utf-8")
             argv = [str(path) if arg == "{input}" else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            gc.unfreeze()  # main freezes every object alive at its call
     return code, out.getvalue(), err.getvalue()
 
 

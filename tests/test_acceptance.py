@@ -14,13 +14,7 @@ import pytest
 
 from hypercartan.cli import _record_json
 from hypercartan.core import PolygonDatum, verify_realization
-from hypercartan.engine import (
-    _min_rotation,
-    collect_radii,
-    run_elliptic,
-    run_parabolic,
-    seed_triples,
-)
+from hypercartan.engine import collect_radii, run_elliptic, run_parabolic, seed_triples
 from hypercartan.goldens import (
     canonical_key,
     cross_check,
@@ -271,7 +265,7 @@ def test_criterion_7_oracle_equivalence():
     )
 
 
-def test_criterion_8_determinism_across_jobs(catalog6):
+def test_criterion_8_determinism_and_radius_slices(catalog6):
     result_ref, _ = catalog6
     mismatches = engine_oracle.radius_slice_mismatches(result_ref, 6)
     again = run_elliptic(6, 32)
@@ -306,7 +300,7 @@ def test_criterion_9_parabolic_properties():
                 problems.append("periodic chain exceeds max_sides")
             block = per.signature
             for k in range(len(block)):
-                if _min_rotation(block[k:] + block[:k]) != per.signature:
+                if engine_oracle.min_rotation(block[k:] + block[:k]) != per.signature:
                     problems.append("signature is not shift-invariant")
                     break
     if periodic_total == 0:

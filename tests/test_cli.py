@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import tempfile
@@ -29,8 +30,16 @@ from reader_oracle import PackedDatum, dihedral_images
 from test_core import decodable, random_table
 
 
+def run_main(argv):
+    """main(argv), then ``gc.unfreeze()``: main freezes every object alive at its call."""
+    try:
+        return main(argv)
+    finally:
+        gc.unfreeze()
+
+
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = run_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -308,7 +317,7 @@ def test_jobs_starts_no_worker_pool():
 
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--frobnicate"])
+        run_main(["enumerate", "--frobnicate"])
     assert exc.value.code == 2
 
 
@@ -877,7 +886,7 @@ def _check_blocks(blocks) -> tuple[int, str, str]:
         path.write_text("\n\n".join(format_golden_block(r, t) for r, t in blocks) + "\n")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check", str(path)])
+            code = run_main(["check", str(path)])
     return code, out.getvalue(), err.getvalue()
 
 

@@ -1,28 +1,24 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 
 from hypercartan import engine
-from hypercartan.cli import LAMBDA_MAX_CEILING, _record_json
-from hypercartan.core import _window_adjugate, _window_det, verify_realization
+from hypercartan.cli import LAMBDA_MAX_CEILING
+from hypercartan.core import PolygonDatum, _window_adjugate, _window_det, verify_realization
 from hypercartan.engine import (
     DEFAULT_MAX_SIDES,
     RADIUS_B_MAX,
     ChainState,
     EngineError,
     EnumerationResult,
-    _add_seeds,
-    _chain_windows,
-    _glue,
-    _min_rotation,
     _seed_map,
-    _weyl_row,
     _windows,
     collect_radii,
-    extend_step,
     partition_closed,
     run_elliptic,
     run_parabolic,
@@ -130,16 +126,24 @@ def test_seed_triples_rejects_positive_target():
 
 
 def test_seed_triples_matches_exhaustive_scan():
+    """seed_triples(r) finds the windows of square r that a scan of every
+    long pairing finds, and for r = 0 at lambda <= 8 those of the oracle's
+    sweep, filed by gcd-reduced keys; compared as multisets."""
     for r in (Fraction(-23, 2), Fraction(-7), Fraction(-1, 2), Fraction(0)):
         fast = [(s.pairings, s.lam) for s in oracle.seed_chains(seed_triples(r, 2), 2)]
         assert sorted(fast) == sorted(_exhaustive_seeds(r, 2))
+    for lambda_max in range(1, 9):
+        sweep = oracle.windows(lambda_max, oracle.long_pairing_bound(Fraction(0)))
+        [expected] = oracle.bucketed_seeds([Fraction(0)], sweep).values()
+        found = oracle.seed_chains(seed_triples(0, lambda_max), lambda_max)
+        assert expected and sorted(found) == sorted(expected), lambda_max
 
 
 def test_seed_map_agrees_with_seed_triples():
-    buckets = oracle.unpacked(_seed_map(2), 2)
+    buckets = oracle.engine_seeds(2)
     for r in (Fraction(-59, 2), Fraction(-22), Fraction(-7)):
         direct = {(s.pairings, s.lam) for s in oracle.seed_chains(seed_triples(r, 2), 2)}
-        bucketed = {(s.pairings, s.lam) for s in buckets[r.as_integer_ratio()]}
+        bucketed = {(s.pairings, s.lam) for s in buckets[r]}
         assert direct == bucketed
 
 
@@ -147,40 +151,31 @@ def test_partition_closed():
     closed_chain = ChainState(3, (0, -1, -2), (1, 1, 1))
     open_chain = ChainState(3, (0, -3, -1), (1, 3, 3))
     scaled = ChainState(3, (-2, -2, -2), (2, 2, 2))
-    closed, extendable = partition_closed([closed_chain, open_chain, scaled])
-    assert [d.n for d in closed] == [3]
-    assert closed[0].pairings == (0, -1, -2)
-    assert extendable == [open_chain]  # the non-coprime closed chain is dropped
+    closed, _ = partition_closed([closed_chain, open_chain, scaled])
+    # the open chain is not closed, and the non-coprime closed chain is dropped
+    assert [(d.n, d.pairings) for d in closed] == [(3, (0, -1, -2))]
 
 
 def _first_round(r, seeds, lambda_max):
-    """The seeds of square r alone, packed for lambda_max, joined and glued once.
+    """The seeds of square r alone, packed for lambda_max, glued once.
 
-    Returns the live chains of length 4, the polygons closed at length 4
-    and every extension, live or closed.
+    Returns the chains alive at 4 sides and the polygons closed at 4
+    sides: the chain loop capped at 4 sides less the one capped at 3.
     """
-    key = r.as_integer_ratio()
-    live, lineage, _ = engine._join_seeds({key: seeds}, [key], lambda_max)
-    chains4, _, closing = extend_step(live, lineage)
-    return chains4, partition_closed(closing)[0], chains4 + closing
+    seed_map = {r.as_integer_ratio(): seeds}
+    closed3, _ = oracle.engine_chain_loop(seed_map, lambda_max, 3)
+    closed4, live = oracle.engine_chain_loop(seed_map, lambda_max, 4)
+    return live, closed4[len(closed3):]
 
 
 def test_extend_step_reaches_seven_quadrangle():
     r = Fraction(-7)
-    live, closed, chains4 = _first_round(r, seed_triples(r, 3), 3)
-    assert chains4 and all(c.length == 4 for c in chains4)
-    target = [
-        c
-        for c in chains4
-        if c.pairings == (0, -3, -1, -1, -3, 0) and c.lam == (1, 3, 3, 1)
-    ]
-    assert len(target) == 1
+    live, closed = _first_round(r, seed_triples(r, 3), 3)
+    assert closed and all(len(c.lam) == 4 for c in live + closed)
+    target = ((0, -3, -1, -1, -3, 0), (1, 3, 3, 1))
     # (delta_1, delta_4) = -1 closes it: it is filed as a polygon, not glued on
-    assert target[0] not in live
-    assert any(
-        d.pairings == (0, -3, -1, -1, -3, 0) and d.lam == (1, 3, 3, 1)
-        for d in closed
-    )
+    assert [(d.pairings, d.lam) for d in closed].count(target) == 1
+    assert target not in [(c.pairings, c.lam) for c in live]
 
 
 def test_extend_step_rejects_fractional_pairing():
@@ -188,14 +183,16 @@ def test_extend_step_rejects_fractional_pairing():
     y = ChainState(3, (-1, -4, 0), (3, 3, 1))
     # overlap matches, but the Weyl equation gives (delta_1, delta_4) = -6/5
     seeds = [oracle.pack_seed(-p[0], -p[1], -p[2], lam, 3) for _, p, lam in (x, y)]
-    assert _first_round(Fraction(-1), seeds, 3) == ([], [], [])
+    assert _first_round(Fraction(-1), seeds, 3) == ([], [])
 
 
 def test_extended_chains_keep_weyl_consistency():
     r = Fraction(-7)
-    for chain in _first_round(r, seed_triples(r, 3), 3)[2]:
+    live, closed = _first_round(r, seed_triples(r, 3), 3)
+    assert closed
+    for chain in live + closed:
         x = _first_window_weyl(chain).coords
-        for j in range(1, chain.length + 1):
+        for j in range(1, len(chain.lam) + 1):
             paired = sum(x[i] * pair(chain, i + 1, j) for i in range(3))
             assert paired == -chain.lam[j - 1]
         # solving on the shifted window gives the same vector
@@ -217,8 +214,6 @@ def test_run_elliptic_lambda_one():
 
 
 def _as_polygon(rec):
-    from hypercartan.core import PolygonDatum
-
     return PolygonDatum(rec.n, rec.pairings, rec.lam)
 
 
@@ -236,15 +231,6 @@ def test_run_elliptic_monotone_in_lambda():
     keys1 = {(r.n, r.body) for r in run_elliptic(1).records}
     keys2 = {(r.n, r.body) for r in run_elliptic(2).records}
     assert keys1 <= keys2
-
-
-def test_run_elliptic_repeats_and_every_radius_slice_agrees():
-    """Two runs at lambda 6 print the same records, and each radius searched alone gives its slice."""
-    full = run_elliptic(6)
-    assert oracle.radius_slice_mismatches(full, 6) == []
-    assert [_record_json(rec) for rec in run_elliptic(6).records] == [
-        _record_json(rec) for rec in full.records
-    ]
 
 
 def test_records_pair_nonadjacent_sides_below_minus_two():
@@ -297,7 +283,7 @@ def test_r_filter_skips_squares_that_are_not_radii(monkeypatch):
             wide.append(key)
     capping = [
         key for key in wide
-        if engine._chain_loop({key: seed_triples(Fraction(*key), 6)}, 6, 4)[1]
+        if oracle.engine_chain_loop({key: seed_triples(Fraction(*key), 6)}, 6, 4)[1]
     ]
     assert len(capping) >= 10
     for key in capping[:10]:
@@ -318,14 +304,6 @@ def test_run_elliptic_cap_event():
         "-1/2", "-5/11", "-7/18", "-11/32", "-3/10", "-1/4", "-13/54",
         "-5/22", "-1/6", "-4/25", "-1/8", "-2/23", "-1/14", "-1/24",
     )))
-    for r, seeds in _seed_map(1).items():
-        _, capped = engine._chain_loop({r: seeds}, 1, 4)
-        assert bool(capped) == (oracle.radius(r) in result.cap_events)
-        # the chains alive at 4 sides, in order, as the per-radius loop
-        # leaves them, each of square r
-        *_, (met, _, live, _) = oracle.rounds(oracle.seed_chains(seeds, 1), False, 4)
-        assert capped == (live if met[0].length == 4 else [])
-        assert {oracle.first_window_square(x) for x in capped} <= {oracle.radius(r)}
     # radii whose chains were cut off report partial catalogs, so fewer records
     assert len(result.records) < 16
 
@@ -361,22 +339,20 @@ def test_run_elliptic_does_not_depend_on_seed_order(monkeypatch, lambda_max, max
 
 
 def test_run_parabolic_properties():
+    """At lambda 2 and cap 16 some r = 0 chains are periodic, none is alive
+    at the cap, and each signature is the least rotation of its block."""
     report = run_parabolic(2, 16)
     # no r = 0 chain reaches the closing threshold (see run_parabolic)
     chains = list(oracle.reached_chains(oracle.seed_chains(seed_triples(0, 2), 2), True))
     assert chains and all(ch.pairings[ch.length - 2] < -2 for ch in chains)
-    assert report.capped_chains >= 0
+    assert report.capped_chains == 0
+    assert report.periodic
     for per in report.periodic:
         assert per.length <= 16
         assert per.period == per.length - 3
         block = per.signature
         for k in range(len(block)):
-            assert _min_rotation(block[k:] + block[:k]) == per.signature
-
-
-def test_run_parabolic_periodic_chains_exist():
-    report = run_parabolic(2, 16)
-    assert report.periodic
+            assert oracle.min_rotation(block[k:] + block[:k]) == per.signature
 
 
 @pytest.mark.parametrize("lambda_max", [1, 2, 3, 6])
@@ -573,41 +549,33 @@ def test_weyl_square_strictly_monotone_in_long_pairing():
 def test_extend_step_rejects_mixed_or_closed_input(monkeypatch):
     """extend_step takes the open chains of one length and their lineage.
 
-    It raises on a lineage that is not one entry per chain.  The chain
-    loop hands it only open chains of one length, each past the seeds with
-    its Weyl row, and partners inside the round; it hands nothing closed
-    on.
+    The chain loop hands it only open chains of one length, with partners
+    inside the round, and it hands nothing closed on.  It raises on a
+    lineage that is not one entry per chain.
     """
-    key = (-7, 18)
-    live, (rows, partners), _ = engine._join_seeds(
-        {key: seed_triples(Fraction(*key), 1)}, [key], 1
-    )
-    assert len(live) >= 2 and partition_closed(live)[1] == live
-    with pytest.raises(EngineError, match="lineage"):
-        extend_step(live, (rows[1:], partners))
-    with pytest.raises(EngineError, match="lineage"):
-        extend_step(live, (rows, partners[1:]))
-    with pytest.raises(EngineError, match="lineage"):
-        extend_step(live[1:], (rows, partners))
     step = engine.extend_step
-    lengths = []
+    calls = []
 
     def checked(chains, lineage, periodic=None):
         m = chains[0].length
-        assert all(ch.length == m and ch.pairings[m - 2] < -2 for ch in chains), m
-        for ch, row, js in zip(chains, *lineage):
-            assert all(0 <= j < len(chains) for j in js), m
-            assert row == (None if m == 3 else _weyl_row(ch)), m
+        assert all(ch.length == m and pair(ch, 1, m) < -2 for ch in chains), m
+        assert all(0 <= j < len(chains) for js in lineage[1] for j in js), m
         out, out_lineage, closing = step(chains, lineage, periodic)
-        assert partition_closed(out)[1] == out
-        assert partition_closed(closing)[1] == []
-        lengths.append(m)
+        assert all(pair(ch, 1, m + 1) < -2 for ch in out), m
+        assert all(pair(ch, 1, m + 1) >= -2 for ch in closing), m
+        calls.append((chains, lineage))
         return out, out_lineage, closing
 
     monkeypatch.setattr(engine, "extend_step", checked)
     run_elliptic(3)
     run_parabolic(2, 16)
-    assert set(lengths) == set(range(3, 12))
+    assert {chains[0].length for chains, _ in calls} == set(range(3, 12))
+    live, (rows, partners) = next(call for call in calls if len(call[0]) >= 2)
+    for chains, lineage in (
+        (live, (rows[1:], partners)), (live, (rows, partners[1:])), (live[1:], (rows, partners))
+    ):
+        with pytest.raises(EngineError, match="lineage"):
+            step(chains, lineage)
 
 
 def test_run_elliptic_r_filter_unattained():
@@ -662,7 +630,8 @@ def _window_gram(p12, p13, p23):
 
 
 def _fraction_glue(x, y):
-    """engine._glue over Fractions, with linear solves: the slow reference."""
+    """x glued to y over Fractions, with linear solves: the slow reference
+    for ``engine_oracle.glued``."""
     m = x.length
     l1 = x.lam[0]
     ln = y.lam[-1]
@@ -714,53 +683,19 @@ def _fraction_glue(x, y):
     return [oracle.extended_chain(x, y, g1n)]
 
 
-def _head_buckets(lambda_max):
-    """Every chain x the search extends, with the chains ys the oracle's key join pairs it with."""
-    for chains in oracle.unpacked(_seed_map(lambda_max), lambda_max).values():
-        while chains:
-            _, ext = partition_closed(chains)
-            pairs, glued = oracle.key_join(ext)
-            for _, group in itertools.groupby(pairs, key=lambda xy: id(xy[0])):
-                group = list(group)
-                yield group[0][0], [y for _, y in group]
-            if not ext or ext[0].length >= DEFAULT_MAX_SIDES:
-                break
-            chains = glued
-
-
-def _glued(x, ys):
-    """_glue(x, its Weyl row, ys, every index of ys): the extensions, each ending with a y.
-
-    A live extension comes with the index of its y, in increasing order;
-    a closed one, (delta_1, delta_n) >= -2, with None.
-    """
-    items = _glue(x, _weyl_row(x), ys, range(len(ys)))
-    js = [j for _, j in items if j is not None]
-    assert js == sorted(set(js)), x
-    for ch, j in items:
-        assert (j is None) == (ch.pairings[ch.length - 2] >= -2), ch
-        tails = [y for y in ys if ch.lam[1:] == y.lam and ch.pairings[-len(y.pairings):] == y.pairings]
-        assert tails if j is None else ys[j] in tails, ch
-    return [ch for ch, _ in items]
-
-
 def test_glue_matches_fraction_oracle():
+    """Each pair the key join glues, at every radius for lambda <= 3, extends
+    as the Fraction solve extends it."""
     outcomes = set()
-    shared = 0
-    for x, ys in _head_buckets(3):
-        per_y = []
-        for y in ys:
-            fast = _glued(x, [y])
-            assert fast == _fraction_glue(x, y), (x, y)
-            outcomes.add((x.length == 3, bool(fast)))
-            per_y.extend(fast)
-        # one Weyl row of x serves all its partners, in their order
-        assert _glued(x, ys) == per_y, x
-        shared += len(ys) >= 2 and len(per_y) >= 2
+    for seeds in oracle.engine_seeds(3).values():
+        for *_, (pairs, _) in oracle.rounds(seeds, False):
+            for x, y in pairs:
+                fast = oracle.glued(x, y)
+                assert fast == _fraction_glue(x, y), (x, y)
+                outcomes.add((x.length == 3, bool(fast)))
     # both branches of the oracle (length 3, and the composition across
     # y's first window beyond), each seen accepting and rejecting
     assert len(outcomes) == 4
-    assert shared
 
 
 def test_glue_candidates_have_rank_3():
@@ -768,31 +703,29 @@ def test_glue_candidates_have_rank_3():
 
     The candidate solves the Weyl equation (rho, delta_n) = -lambda_n in
     the basis of x's first window, over the rationals; the rank is why
-    _glue needs no rank check at any length.
+    gluing needs no rank check at any length.
     """
-    runs = [(seeds, False) for seeds in oracle.unpacked(_seed_map(4), 4).values()]
+    runs = [(seeds, False) for seeds in oracle.engine_seeds(4).values()]
     runs.append((oracle.seed_chains(seed_triples(0, 4), 4), True))
     integral = fractional = 0
     lengths = set()
     for seeds, parabolic in runs:
-        _, ext = partition_closed(list(oracle.reached_chains(seeds, parabolic)))
-        if parabolic:
-            ext = [ch for ch in ext if oracle.detect_period(ch) is None]
-        for x, y in oracle.key_join(ext)[0]:
-            m = x.length
-            rho = _first_window_weyl(x).coords
-            g2n, g3n = pair(y, 1, m), pair(y, 2, m)
-            g1n = (-y.lam[-1] - rho[1] * g2n - rho[2] * g3n) / rho[0]
-            glued = oracle.extended_chain(x, y, g1n)
-            gram = QMatrix.from_rows(
-                [[pair(glued, i, j) for j in range(1, m + 2)] for i in range(1, m + 2)]
-            )
-            assert rank(gram) == 3, (x, y)
-            lengths.add(m)
-            if g1n.denominator == 1:
-                integral += 1
-            else:
-                fractional += 1
+        for *_, (pairs, _) in oracle.rounds(seeds, parabolic):
+            for x, y in pairs:
+                m = x.length
+                rho = _first_window_weyl(x).coords
+                g2n, g3n = pair(y, 1, m), pair(y, 2, m)
+                g1n = (-y.lam[-1] - rho[1] * g2n - rho[2] * g3n) / rho[0]
+                glued = oracle.extended_chain(x, y, g1n)
+                gram = QMatrix.from_rows(
+                    [[pair(glued, i, j) for j in range(1, m + 2)] for i in range(1, m + 2)]
+                )
+                assert rank(gram) == 3, (x, y)
+                lengths.add(m)
+                if g1n.denominator == 1:
+                    integral += 1
+                else:
+                    fractional += 1
     assert integral and fractional
     assert {3, 4, 5} <= lengths
 
@@ -835,111 +768,14 @@ def test_first_adjugate_coordinate_is_positive():
                 assert a11 * lam[0] + a12 * lam[1] + a13 * lam[2] > 0, (a, b, c, lam)
 
 
-# --- slow oracles for the packed-tuple chain kernel -------------------------
-
-
-def _loop_calls(monkeypatch, seed_map, lambda_max, max_sides=DEFAULT_MAX_SIDES, periodic=None):
-    """engine._chain_loop on a copy of seed_map, recording each _glue call.
-
-    Returns the calls, each (x, the ys it is handed, its extensions), and
-    the loop's (closed, capped).
-    """
-    calls = []
-    glue = engine._glue
-
-    def recorded_glue(x, row, chains, js):
-        assert js, x  # _glue only sees chains with partners
-        assert row == _weyl_row(x), x
-        items = glue(x, row, chains, js)
-        calls.append((x, [chains[j] for j in js], [ch for ch, _ in items]))
-        return items
-
-    with monkeypatch.context() as patched:
-        patched.setattr(engine, "_glue", recorded_glue)
-        result = engine._chain_loop(dict(seed_map), lambda_max, max_sides, periodic)
-    return calls, result
-
-
-def _per_radius_loop(seed_map, lambda_max, parabolic, max_sides=DEFAULT_MAX_SIDES):
-    """``engine_oracle.rounds`` on every radius of seed_map, unpacked, one radius at a time.
-
-    Returns the radius of every chain it glues, its key join (pairs,
-    extensions) per (radius, length) that joins a pair, the closed
-    polygons of each radius that closes one, in order, and the radius of
-    each chain alive at max_sides, in order.  Checks that no two live
-    chains of one radius and length are equal.
-    """
-    radius_of, joins, closed, capped = {}, {}, {}, []
-    for r, seeds in oracle.unpacked(seed_map, lambda_max).items():
-        for _, done, live, joined in oracle.rounds(seeds, parabolic, max_sides):
-            assert len(set(live)) == len(live), (r, live[0].length)
-            if done:
-                closed.setdefault(r, []).extend(done)
-            if joined[0]:
-                joins[r, live[0].length] = joined
-                radius_of.update(dict.fromkeys(live, r))
-            elif live and live[0].length >= max_sides:
-                capped += [r] * len(live)
-    return radius_of, joins, closed, capped
-
-
-def _joins_by_radius(calls, radius_of):
-    """The recorded _glue calls as (pairs, extensions) per (radius, length), in call order."""
-    joins = {}
-    for x, ys, out in calls:
-        pairs, glued = joins.setdefault((radius_of[x], x.length), ([], []))
-        pairs.extend((x, y) for y in ys)
-        glued.extend(out)
-    return joins
+# --- the chain seam: the chain loop against the per-radius key join --------
 
 
 def _loop_runs():
-    """(lambda_max, seed map, parabolic): every radius for lambda <= 6, and
-    r = 0 with the period filter for lambda <= 2."""
+    """(lambda_max, packed seed map, parabolic): every radius for lambda <= 6,
+    and r = 0 with the period filter for lambda <= 2."""
     runs = [(lm, _seed_map(lm), False) for lm in range(1, 7)]
     return runs + [(lm, {(0, 1): seed_triples(0, lm)}, True) for lm in (1, 2)]
-
-
-def test_packed_keys_and_extension_match_pair_oracle(monkeypatch):
-    """Packed offsets, the pairs _glue is handed and the extensions agree with pair().
-
-    Every chain the loop glues or makes has its closing pair at offset
-    m - 2 and the windows pair() reads.  Per radius and length, the
-    (x, y) pairs glued are the oracle's key join on the whole overlap, in
-    order, and the extensions are the oracle's extensions of those pairs,
-    each the concatenation pair() builds.
-    """
-    runs = [(_seed_map(3), False), ({(0, 1): seed_triples(0, 3)}, True)]
-    lengths = set()
-    for seed_map, parabolic in runs:
-        calls, _ = _loop_calls(monkeypatch, seed_map, 3, periodic={} if parabolic else None)
-        for x, ys, out in calls:
-            for ch in [x, *ys, *out]:
-                m = ch.length
-                lengths.add(m)
-                assert ch.pairings[m - 2] == pair(ch, 1, m), ch
-                assert _chain_windows(ch) == oracle.chain_windows(ch), ch
-        radius_of, joins, _, _ = _per_radius_loop(seed_map, 3, parabolic)
-        assert _joins_by_radius(calls, radius_of) == joins
-    assert lengths == set(range(3, 13))
-
-
-def test_lineage_join_is_the_key_join(monkeypatch):
-    """At every radius for lambda <= 6, and at r = 0 with the period filter
-    for lambda <= 2, the chain loop glues, per radius and round, the pairs
-    of the oracle's key join, in order, and makes its extensions in order.
-    The oracle also checks that no two live chains of one radius and length
-    are equal, the lemma that makes the lineage join the key join."""
-    rounds_seen = lineage_rounds = 0
-    for lambda_max, seed_map, parabolic in _loop_runs():
-        radius_of, joins, _, _ = _per_radius_loop(seed_map, lambda_max, parabolic)
-        periodic = {} if parabolic else None
-        calls, _ = _loop_calls(monkeypatch, seed_map, lambda_max, periodic=periodic)
-        assert _joins_by_radius(calls, radius_of) == joins
-        rounds_seen += len(joins)
-        lineage_rounds += sum(m > 3 for _, m in joins)
-    print(f"{rounds_seen} rounds joined, {lineage_rounds} by lineage")
-    assert rounds_seen > 1000 and lineage_rounds > 100
 
 
 def _by_square(chains):
@@ -951,63 +787,54 @@ def _by_square(chains):
 
 
 def test_chain_loop_closes_and_caps_as_the_per_radius_loop():
-    """Per radius, the chain loop closes the polygons the per-radius loop
-    closes, in order, and at max_sides 3 to 8 (and the default) leaves
-    chains of the same squares alive at the cap, in order: every radius for
-    lambda <= 6, and r = 0 with the period filter for lambda <= 2.  The
-    loop's one list of closed polygons is grouped by square to compare.  A
-    loop that stops at max_sides is the uncapped one cut there, so one
-    oracle run serves all.  run_elliptic's cap events are those squares,
-    strictly ascending, as the chain loop leaves them."""
+    """At every cap k from 3 sides to one past the longest chain, the chain
+    loop leaves alive at the cap, in order, the live chains of length k of
+    ``engine_oracle.rounds`` run radius by radius in ascending order, and
+    closes each radius's polygons of at most k sides in the oracle's order:
+    every radius for lambda <= 6, and r = 0 with the period filter for
+    lambda <= 2.  The loop's one list of closed polygons is grouped by
+    square to compare; each has its radius as its verified Weyl square.
+    run_elliptic's cap events are the squares of the capped chains, in
+    order, each once."""
     capped_runs = 0
     for lambda_max, seed_map, parabolic in _loop_runs():
-        chains = oracle.unpacked(seed_map, lambda_max)
-        rounds = {r: list(oracle.rounds(seeds, parabolic)) for r, seeds in chains.items()}
-        for max_sides in (3, 4, 5, 6, 7, 8, DEFAULT_MAX_SIDES):
+        found = {
+            r: list(oracle.rounds(seeds, parabolic))
+            for r, seeds in oracle.unpacked(seed_map, lambda_max).items()
+        }
+        longest = max(met[0].length for rounds in found.values() for met, *_ in rounds)
+        for k in range(3, longest + 2):
             closed, capped = {}, []
-            for r, found in rounds.items():
-                for met, done, live, _ in found:
-                    if met[0].length > max_sides:
+            for r, rounds in found.items():
+                for met, done, live, _ in rounds:
+                    if met[0].length > k:
                         break
                     if done:
-                        closed.setdefault(oracle.radius(r), []).extend(done)
-                    if met[0].length == max_sides:
-                        capped += [oracle.radius(r)] * len(live)
-            periodic = {} if parabolic else None
-            got_closed, got_capped = engine._chain_loop(
-                dict(seed_map), lambda_max, max_sides, periodic
-            )
-            assert _by_square(got_closed) == closed
-            assert list(map(oracle.first_window_square, got_capped)) == capped
+                        closed.setdefault(r, []).extend(done)
+                    if met[0].length == k:
+                        capped += live
+            got_closed, got_capped = oracle.engine_chain_loop(seed_map, lambda_max, k, parabolic)
+            assert got_capped == capped, (lambda_max, k)
+            assert _by_square(got_closed) == closed, (lambda_max, k)
             capped_runs += bool(capped)
             if not parabolic:
-                events = run_elliptic(lambda_max, max_sides).cap_events
-                assert all(r < s for r, s in zip(events, events[1:])), (lambda_max, max_sides)
-                assert set(events) == set(capped)
-    assert capped_runs >= 6 * 6
+                squares = dict.fromkeys(map(oracle.first_window_square, capped))
+                assert run_elliptic(lambda_max, k).cap_events == tuple(squares), (lambda_max, k)
+        for r, polygons in closed.items():
+            assert all(verify_realization(p).weyl_square == r for p in polygons), r
+    assert capped_runs >= 50
 
 
-def test_seed_square_is_the_radius_of_every_seed_closed_polygon_and_capped_chain():
-    """For lambda <= 6, ``_seed_square`` of each seed is its ``_seed_map``
-    key; each polygon the chain loop closes has its first window's square
-    (closed form) equal to its verified Weyl square and to the radius the
-    per-radius loop files it under; and at max_sides 4 the squares of the
-    chains alive at the cap are, in order, the radii the per-radius loop
-    leaves them under."""
+def test_cap_at_three_sides_reports_every_radius_with_a_live_seed():
+    """At max_sides 3 every live seed is at the cap, though most seeds join
+    nothing and become no chain: the cap events are the radii of the
+    oracle's seed map that have a seed with b > 2, ascending, for lambda
+    <= 6; 434 of them at lambda 6."""
     for lambda_max in range(1, 7):
-        seed_map = _seed_map(lambda_max)
-        for key, seeds in oracle.unpacked(seed_map, lambda_max).items():
-            assert all(engine._seed_square(x) == key for x in seeds), key
-        _, _, filed, _ = _per_radius_loop(seed_map, lambda_max, False)
-        closed, _ = engine._chain_loop(dict(seed_map), lambda_max, DEFAULT_MAX_SIDES)
-        for poly in closed:
-            assert oracle.first_window_square(poly) == verify_realization(poly).weyl_square, poly
-        assert sorted((oracle.radius(r), p) for r, ps in filed.items() for p in ps) == sorted(
-            (oracle.first_window_square(p), p) for p in closed
-        )
-        *_, oracle_capped = _per_radius_loop(seed_map, lambda_max, False, 4)
-        _, capped = engine._chain_loop(dict(seed_map), lambda_max, 4)
-        assert capped and list(map(engine._seed_square, capped)) == oracle_capped
+        seed_map = oracle.seed_map(lambda_max)
+        live = [r for r, seeds in seed_map.items() if any(pair(s, 1, 3) < -2 for s in seeds)]
+        assert run_elliptic(lambda_max, 3).cap_events == tuple(live), lambda_max
+    assert len(live) == 434
 
 
 def test_windows_match_unstrided_oracle():
@@ -1035,22 +862,6 @@ def test_windows_match_unstrided_oracle():
             assert fast
 
 
-def test_capped_windows_are_the_uncapped_stream_cut_at_the_cap():
-    """_windows(lam, cap) is _windows(lam) without the windows of b > cap.
-
-    The capped sweep skips a shape whose stride passes the cap when det(0)
-    >= 0; only b = 0 would be left, and it is no window.  When det(0) < 0
-    the adjacent lambdas differ by a factor of at most 2, so the stride is
-    at most 4: only caps below 4 reach a shape whose b = 0 window the skip
-    must keep.
-    """
-    for lambda_max in (*range(1, 9), 16):
-        uncapped = list(_windows(lambda_max))
-        for cap in (0, 1, 2, 3, RADIUS_B_MAX):
-            capped = list(_windows(lambda_max, cap))
-            assert capped == [w for w in uncapped if w[0] <= cap], (lambda_max, cap)
-
-
 def test_radii_integer_order_matches_fraction_sort():
     """collect_radii is the sorted set of negative squares of the oracle's windows,
     each with exactly the oracle's windows of that square as its seeds.
@@ -1076,13 +887,19 @@ def test_split_sweep_is_the_full_sweep():
     """_windows(lam, cap) and _windows(lam, b_min=cap + 1) split _windows(lam)
     at the cap, each half in sweep order; so does a lower bound alone.
 
-    A lower bound such as 15 is a multiple of few strides, so most shapes
-    start at the first multiple above it, from the closed forms there.
+    The capped sweep skips a shape whose stride passes the cap when det(0)
+    >= 0; only b = 0 would be left, and it is no window.  When det(0) < 0
+    the adjacent lambdas differ by a factor of at most 2, so the stride is
+    at most 4: only caps below 4 reach a shape whose b = 0 window the skip
+    must keep.  A lower bound such as 15 is a multiple of few strides, so
+    most shapes start at the first multiple above it, from the closed
+    forms there.
     """
-    for lambda_max in range(1, 9):
+    for lambda_max in (*range(1, 9), 16):
         full = list(_windows(lambda_max))
         for cap in (0, 1, 2, 3, RADIUS_B_MAX):
-            assert list(_windows(lambda_max, cap)) == [w for w in full if w[0] <= cap]
+            capped = list(_windows(lambda_max, cap))
+            assert capped == [w for w in full if w[0] <= cap], (lambda_max, cap)
             wide = list(_windows(lambda_max, b_min=cap + 1))
             assert wide == [w for w in full if w[0] > cap], (lambda_max, cap)
         for b_min in (5, 7, 16, 33):
@@ -1098,38 +915,14 @@ def test_window_float_is_the_float_of_its_reduced_square():
             assert num / d == r.numerator / r.denominator, (num, d)
 
 
-def test_add_seeds_matches_exact_bucketing():
-    """_add_seeds files the windows under the same squares as gcd-reduced keys
-    do, r = 0 included, compared as multisets."""
-    for lambda_max in range(1, 9):
-        keys = [*collect_radii(lambda_max), (0, 1)]
-        radii = list(map(oracle.radius, keys))
-        windows = list(_windows(lambda_max))
-        fast = _add_seeds({key: [] for key in keys}, iter(windows), lambda_max)
-        expected = oracle.bucketed_seeds(radii, oracle.mirror_expanded(windows, lambda_max))
-        assert list(fast) == keys
-        for key, r in zip(keys, radii):
-            found = oracle.seed_chains(fast[key], lambda_max)
-            assert sorted(found) == sorted(expected[r]), (lambda_max, r)
-        assert fast[0, 1] and all(fast.values())
-
-
-def test_add_seeds_checks_float_hits_exactly():
-    """Two keys sharing a float raise; a window whose float matches a key
-    but whose square differs from it is not a seed of that key."""
-    near_third = (-1 / 3).as_integer_ratio()
-    assert Fraction(*near_third) != Fraction(-1, 3) and near_third[0] / near_third[1] == -1 / 3
-    with pytest.raises(EngineError, match="share a float"):
-        _add_seeds({(-1, 3): [], near_third: []}, iter(()), 1)
-    third = (0, oracle.pack_seed(0, 0, 0, (1, 1, 1), 1), None, 1, -3)  # num / det = -1/3
-    assert _add_seeds({near_third: []}, iter([third]), 1) == {near_third: []}
-    assert _add_seeds({(-1, 3): []}, iter([third]), 1)[-1, 3]
-
-
 def test_collect_radii_checks_float_hits_exactly(monkeypatch):
     """The narrow pass files windows of one square under one reduced key,
-    and two squares sharing a float raise instead of merging."""
+    and two squares sharing a float raise instead of merging.  The wide
+    pass and ``seed_triples`` look windows up by float: two radii sharing
+    a float raise, and a window whose float matches a radius but whose
+    square differs from it is not its seed."""
     near_third = (-1 / 3).as_integer_ratio()
+    assert Fraction(*near_third) != Fraction(-1, 3) and near_third[0] / near_third[1] == -1 / 3
 
     def window(b, lam, num, d):  # a = c = 0, its own mirror
         return b, oracle.pack_seed(0, 0, 0, lam, 2), None, num, d
@@ -1138,13 +931,19 @@ def test_collect_radii_checks_float_hits_exactly(monkeypatch):
     third_again = window(1, (1, 2, 1), 2, -6)
     close = window(2, (1, 1, 1), -near_third[0], -near_third[1])
     windows = [third, third_again]
-    monkeypatch.setattr(engine, "_windows", lambda *args: iter(windows))
+    monkeypatch.setattr(engine, "_windows", lambda *args, **kwargs: iter(windows))
     radii = collect_radii(2)
     assert list(radii) == [(-1, 3)]
     assert [s.lam for s in oracle.seed_chains(radii[-1, 3], 2)] == [(1, 1, 1), (1, 2, 1)]
+    windows = [third]
+    assert seed_triples(Fraction(-1, 3), 2) == [third[1]]
+    assert seed_triples(Fraction(*near_third), 2) == []
     windows = [third, close]
     with pytest.raises(EngineError, match="share a float"):
         collect_radii(2)
+    monkeypatch.setattr(engine, "collect_radii", lambda lm: {(-1, 3): [], near_third: []})
+    with pytest.raises(EngineError, match="share a float"):
+        _seed_map(2)
 
 
 def test_radii_at_the_lambda_ceiling_have_distinct_floats_in_order():
@@ -1189,10 +988,10 @@ def test_seed_map_matches_sweep_bounded_by_largest_radius():
             bucket = buckets.get(Fraction(num, d))
             if bucket is not None:
                 bucket.append(ChainState(3, (-a, -b, -c), lam))
-        seeds = oracle.unpacked(_seed_map(lambda_max), lambda_max)
-        assert list(map(oracle.radius, seeds)) == list(buckets), lambda_max
+        seeds = oracle.engine_seeds(lambda_max)
+        assert list(seeds) == list(buckets), lambda_max
         for r in radii:
-            assert sorted(seeds[r.as_integer_ratio()]) == sorted(buckets[r]), (lambda_max, r)
+            assert sorted(seeds[r]) == sorted(buckets[r]), (lambda_max, r)
 
 
 def test_half_sweep_and_its_mirrors_are_the_full_sweep():
@@ -1205,7 +1004,7 @@ def test_half_sweep_and_its_mirrors_are_the_full_sweep():
             b_max = root if cap is None else lambda *q, cap=cap: min(root(*q), cap)
             expanded = sorted(oracle.mirror_expanded(_windows(lambda_max, cap), lambda_max))
             assert expanded == sorted(oracle.windows(lambda_max, b_max)), (lambda_max, cap)
-        for r, seeds in oracle.unpacked(_seed_map(lambda_max), lambda_max).items():
+        for r, seeds in oracle.engine_seeds(lambda_max).items():
             assert sorted(seeds) == sorted(map(oracle.mirror_seed, seeds)), (lambda_max, r)
 
 
@@ -1215,27 +1014,35 @@ def test_packed_seed_map_is_the_oracle_seed_map_in_order(lambda_max):
     built from engine_oracle.windows plus their mirrors, radius by radius
     and in order."""
     expected = oracle.seed_map(lambda_max)
-    seeds = oracle.unpacked(_seed_map(lambda_max), lambda_max)
-    assert list(map(oracle.radius, seeds)) == list(expected)
-    assert list(seeds.values()) == list(expected.values())
+    assert list(oracle.engine_seeds(lambda_max).items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("lambda_max", [64, 128, 1000])
 def test_seed_round_trip_at_the_widest_fields(lambda_max):
     """A window with a = c = 2, every lambda lambda_max and b >= 2^20 packs
-    and unpacks exactly.  Its head (l1, a, l2) is its tail (l2, c, l3), so
-    _join_seeds joins it to itself and reads it back as a chain; with
-    b = 2, the largest closing b, it is read back as a closed seed."""
+    and unpacks exactly, and the chain loop capped at 3 sides reads it back
+    as a live chain.  Its head (l1, a, l2) is its tail (l2, c, l3), so the
+    loop capped at 4 sides joins it to itself and glues what the key join
+    glues: one chain for even b.  With b = 2, the largest closing b, and
+    coprime lambdas (lambda_max, 1, lambda_max), it is read back as a
+    polygon."""
     lam = (lambda_max,) * 3
     key = (-1, 1)
+    glued = 0
     for b in (2**20, 2**20 + 1, 2**40 + 5):
         w = oracle.pack_seed(2, b, 2, lam, lambda_max)
         assert oracle.seed_window(w, lambda_max) == (2, b, 2, lam)
-        live, (_, partners), closing = engine._join_seeds({key: [w]}, [key], lambda_max)
-        assert (live, partners, closing) == ([ChainState(3, (-2, -b, -2), lam)], [[0]], [])
+        x = ChainState(3, (-2, -b, -2), lam)
+        assert oracle.engine_chain_loop({key: [w]}, lambda_max, 3) == ([], [x])
+        pairs, extensions = oracle.key_join([x])
+        assert pairs == [(x, x)]
+        assert oracle.engine_chain_loop({key: [w]}, lambda_max, 4) == ([], extensions)
+        glued += len(extensions)
+    assert glued == 1
+    lam = (lambda_max, 1, lambda_max)
     w = oracle.pack_seed(2, 2, 2, lam, lambda_max)
-    live, _, closing = engine._join_seeds({key: [w]}, [key], lambda_max)
-    assert (live, closing) == ([], [ChainState(3, (-2, -2, -2), lam)])
+    closed, capped = oracle.engine_chain_loop({key: [w]}, lambda_max, 3)
+    assert (closed, capped) == ([PolygonDatum(3, (-2, -2, -2), lam)], [])
 
 
 @pytest.mark.parametrize("lambda_max", [64, 128])
@@ -1254,13 +1061,38 @@ def test_windows_pack_their_shapes_at_full_width(lambda_max):
     assert top == lambda_max
 
 
-def test_cap_at_three_sides_reports_every_radius_with_a_live_seed():
-    """At max_sides 3 every live seed is at the cap, though most seeds join
-    nothing and become no chain: the cap events are the radii of the
-    oracle's seed map that have a seed with b > 2, ascending, for lambda
-    <= 6; 434 of them at lambda 6."""
-    for lambda_max in range(1, 7):
-        seed_map = oracle.seed_map(lambda_max)
-        live = [r for r, seeds in seed_map.items() if partition_closed(seeds)[1]]
-        assert run_elliptic(lambda_max, 3).cap_events == tuple(live), lambda_max
-    assert len(live) == 434
+def _private_engine_names(source: str) -> set[str]:
+    """The private ``hypercartan.engine`` names a test module imports, reads as
+    attributes of the module, or hands to ``setattr`` on it."""
+    tree = ast.parse(source)
+    modules = {"hypercartan.engine"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "hypercartan":
+            modules |= {a.asname or a.name for a in node.names if a.name == "engine"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "hypercartan.engine" and a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "hypercartan.engine":
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules:
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            target, name = node.args[:2]
+            if ast.unparse(target) in modules and isinstance(name, ast.Constant):
+                names.add(str(name.value))
+    return {name for name in names if name.startswith("_")}
+
+
+def test_tests_name_four_private_engine_names():
+    """The tests reach the engine's representation through four private
+    names: the window scan, the seed map, the chain loop and the period
+    test (see ``engine_oracle``'s three seams)."""
+    named = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        named |= _private_engine_names(path.read_text(encoding="utf-8"))
+    assert named <= {"_windows", "_seed_map", "_chain_loop", "_detect_period"}, sorted(named)
+    assert _private_engine_names(
+        "from hypercartan import engine as e\nfrom hypercartan.engine import _glue, run_elliptic\n"
+        "e._weyl_row(x)\nmonkeypatch.setattr(e, '_join_seeds', f)\n"
+    ) == {"_glue", "_weyl_row", "_join_seeds"}
