@@ -7,7 +7,8 @@ window's Gram determinant and num = lam^T adj(g) lam.  The search
 visits each window once: a narrow pass over the windows whose long
 pairing b is within assumption (N) below collects every square r < 0
 with its windows as seeds, and a wide pass over larger b adds the
-windows of those squares.  Both passes run one window scan.  It
+windows of those squares; an ``r_filter`` keeps one of them before
+the wide pass (``_seed_map``).  Both passes run one window scan.  It
 enumerates the admissible shapes (a, c, lam) directly, from a table of
 the lambdas allowed next to each lambda across an adjacent pairing.
 Read from its other end, a window (a, b, c, l1, l2, l3) is its mirror
@@ -25,8 +26,8 @@ differences.  Both passes find a window's radius by the float num / det,
 checked exactly by cross-multiplication; distinct radii have distinct
 floats, so sorting by them is exact.  A radius p / q is the integer
 pair (p, q) in lowest terms with q > 0, reduced by one gcd per radius;
-a ``Fraction`` is built only for a record, a cap event, the ``r_filter``
-and the argument of ``seed_triples``.
+a ``Fraction`` is built only for a record and a cap event, and an
+``r_filter`` is read only for its sign and its key (p, q).
 
 A seed is one int: its window (a, b, c, l1, l2, l3) packed from the top
 as b, l1, a, l2, c, l3, with lambda_max.bit_length() bits per lambda and
@@ -113,9 +114,11 @@ from .core import (
 #       -(delta_1, delta_3) <= RADIUS_B_MAX.
 # (N) is not proven here.  Its likely source is the bound on the narrow
 # part of a polygon in Nikulin's method, as used by Gritsenko and Nikulin
-# (arXiv alg-geom/9610022).  Only ``collect_radii`` depends on it.  The
-# tests check that every catalog polygon has such a window and that a
-# larger bound changes no record at lambda <= 6.
+# (arXiv alg-geom/9610022).  Only ``collect_radii`` depends on it:
+# ``_seed_map`` splits its two passes at it, the narrow one up to it and
+# the wide one past it, so that each window is visited once.  The tests
+# check that every catalog polygon has such a window and that a larger
+# bound changes no record at lambda <= 6.
 ADJACENT_MAX = 2
 RADIUS_B_MAX = 14
 
@@ -397,27 +400,43 @@ def _add_seeds(
     return seeds
 
 
-def seed_triples(r: Fraction | int, lambda_max: int) -> list[int]:
-    """All 3-windows whose Weyl square is exactly r (r <= 0: the sweep reaches no more).
+def seed_triples(lambda_max: int) -> list[int]:
+    """The 3-windows of Weyl square 0, the seeds of ``run_parabolic``, sorted.
 
-    Each is a seed, one int (see ``collect_radii``).
+    Each is a seed, one int (see ``collect_radii``), and they are sorted
+    by window (a, c, l1, l2, l3, b): the order of a full sweep, which
+    ``run_parabolic`` needs (see there).
     """
-    target = Fraction(r)
-    if target > 0:
-        raise ValueError("the Weyl square of a seed window is never positive")
-    try:
-        float(target)
-    except OverflowError:  # a window's square is num / det of small integers
-        return []
-    key = (target.numerator, target.denominator)
-    return _add_seeds({key: []}, _windows(lambda_max), lambda_max)[key]
+    found = _add_seeds({(0, 1): []}, _windows(lambda_max), lambda_max)[0, 1]
+    width, shift = _seed_layout(lambda_max)
+    lmask = (1 << width) - 1
+    found.sort(key=lambda w: (  # (a, c, l1, l2, l3, b)
+        w >> 2 * width + 2 & 3, w >> width & 3,
+        w >> 2 * width + 4 & lmask, w >> width + 2 & lmask, w & lmask, w >> shift,
+    ))
+    return found
 
 
-def _seed_map(lambda_max: int) -> dict[Radius, list[int]]:
-    """Seeds for every radius of collect_radii(lambda_max), each window visited once:
-    collect_radii seeds the windows with b <= RADIUS_B_MAX, this the wider ones."""
-    wide = _windows(lambda_max, b_min=RADIUS_B_MAX + 1)
-    return _add_seeds(collect_radii(lambda_max), wide, lambda_max)
+def _seed_map(lambda_max: int, r_filter: Fraction | None = None) -> dict[Radius, list[int]]:
+    """Seeds for every radius of collect_radii(lambda_max), or for r_filter's alone.
+
+    Two passes split at RADIUS_B_MAX visit each window once: the narrow
+    pass, ``collect_radii``, finds the radii and seeds the windows with
+    b <= RADIUS_B_MAX, and the wide pass, ``_add_seeds``, adds the wider
+    windows of the radii kept.  With ``r_filter`` only its key is kept,
+    or none when it is no radius, and the map for it is the full map's
+    entry, seed for seed; r_filter >= 0 is never a radius, so then no
+    window is scanned.
+    """
+    if r_filter is not None and r_filter >= 0:
+        return {}
+    seeds = collect_radii(lambda_max)
+    if r_filter is not None:
+        key = r_filter.as_integer_ratio()
+        seeds = {key: seeds[key]} if key in seeds else {}
+    if seeds:
+        _add_seeds(seeds, _windows(lambda_max, b_min=RADIUS_B_MAX + 1), lambda_max)
+    return seeds
 
 
 def partition_closed(
@@ -703,23 +722,15 @@ def run_elliptic(
     and the catalog is sorted by (r, n, canonical body).  When a live
     chain hits ``max_sides``, its seed window's square is listed in
     ``cap_events``, ascending as the chain loop leaves them, and that
-    radius's output is partial.  ``r_filter`` searches that square alone.
+    radius's output is partial.  ``r_filter`` searches that square alone,
+    as the full run does (see ``_seed_map``), and finds nothing when it is
+    no radius.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
-    if r_filter is None:
-        seeds = _seed_map(lambda_max)
-    else:
-        # One sweep finds every window of square r < 0, and r is a radius
-        # of collect_radii exactly when one of them has b <= RADIUS_B_MAX.
-        square = Fraction(r_filter)
-        found = seed_triples(square, lambda_max) if square < 0 else []
-        _, shift = _seed_layout(lambda_max)
-        narrow = any(w >> shift <= RADIUS_B_MAX for w in found)
-        seeds = {square.as_integer_ratio(): found} if narrow else {}
-    closed, capped = _chain_loop(seeds, lambda_max, max_sides)
+    closed, capped = _chain_loop(_seed_map(lambda_max, r_filter), lambda_max, max_sides)
     records = sorted(map(_record_from_canonical, {canonical_key(poly) for poly in closed}))
     squares = dict.fromkeys(map(_seed_square, capped))
     return EnumerationResult(tuple(records), tuple(Fraction(*r) for r in squares))
@@ -781,9 +792,9 @@ def run_parabolic(
     itself is out of scope here.
 
     Each (period, signature) reports its least chain, the shortest, then
-    by windows (a, c, l1, l2, l3, b), whatever order ``seed_triples``
-    finds seeds in: sorted seeds give sorted rounds (see the module
-    docstring), so ``extend_step`` meets each key's least chain first.
+    by windows (a, c, l1, l2, l3, b): ``seed_triples`` sorts the seeds
+    so, and sorted seeds give sorted rounds (see the module docstring),
+    so ``extend_step`` meets each key's least chain first.
 
     No r = 0 chain ever closes.  A closed polygon bounds a cone
     {x : (x, delta_i) <= 0 for all i} whose interior vectors all have
@@ -795,15 +806,9 @@ def run_parabolic(
         raise ValueError("lambda_max must be >= 1")
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
-    seeds = seed_triples(0, lambda_max)
-    width, shift = _seed_layout(lambda_max)
-    lmask = (1 << width) - 1
-    seeds.sort(key=lambda w: (  # (a, c, l1, l2, l3, b)
-        w >> 2 * width + 2 & 3, w >> width & 3,
-        w >> 2 * width + 4 & lmask, w >> width + 2 & lmask, w & lmask, w >> shift,
-    ))
     periodic: dict[tuple, PeriodicChainReport] = {}
-    closed, capped = _chain_loop({(0, 1): seeds}, lambda_max, max_sides, periodic)
+    seeds = {(0, 1): seed_triples(lambda_max)}
+    closed, capped = _chain_loop(seeds, lambda_max, max_sides, periodic)
     if closed:
         raise InvariantViolation(f"a chain closed at r = 0: {closed[0]}")
     reports = tuple(periodic[key] for key in sorted(periodic))

@@ -4,8 +4,9 @@ The tests compare the engine with these oracles at three seams, and one
 adapter here reads each seam from the engine, so a change of the
 engine's representation edits only that adapter:
 
-1. *The seeds.*  ``engine_seeds(lambda_max)`` reads ``engine._seed_map``
-   with each seed unpacked, against ``seed_map``, built from ``windows``.
+1. *The seeds.*  ``engine_seeds(lambda_max, r)`` reads ``engine._seed_map``
+   with each seed unpacked, against ``seed_map``, built from ``windows``,
+   and for one r against the full map's entry.
 2. *The chains.*  ``engine_chain_loop(seeds, lambda_max, k)`` runs
    ``engine._chain_loop`` on a packed seed map capped at k sides and
    returns its closed polygons and the chains alive at the cap, against
@@ -220,9 +221,9 @@ def unpacked(seed_map: dict, lambda_max: int) -> dict:
     return {radius(key): seed_chains(seeds, lambda_max) for key, seeds in seed_map.items()}
 
 
-def engine_seeds(lambda_max: int) -> dict:
-    """Seam 1: ``engine._seed_map(lambda_max)``, ``unpacked``."""
-    return unpacked(_seed_map(lambda_max), lambda_max)
+def engine_seeds(lambda_max: int, r_filter: Fraction | None = None) -> dict:
+    """Seam 1: ``engine._seed_map(lambda_max, r_filter)``, ``unpacked``."""
+    return unpacked(_seed_map(lambda_max, r_filter), lambda_max)
 
 
 def engine_chain_loop(

@@ -5,7 +5,6 @@ verdict per criterion.
 """
 
 import itertools
-import json
 import time
 from collections import Counter
 from fractions import Fraction
@@ -19,7 +18,6 @@ from hypercartan.goldens import (
     canonical_key,
     cross_check,
     lattice_fixtures,
-    golden_catalog,
     verify_fixture,
 )
 
@@ -289,7 +287,7 @@ def test_criterion_9_parabolic_properties():
     for lam_max, cap in ((2, 16), (3, 14), (12, 32)):
         report = run_parabolic(lam_max, cap)
         periodic_total += len(report.periodic)
-        seeds = engine_oracle.seed_chains(seed_triples(0, lam_max), lam_max)
+        seeds = engine_oracle.seed_chains(seed_triples(lam_max), lam_max)
         chains = engine_oracle.reached_chains(seeds, True, cap)
         closing = sum(1 for ch in chains if ch.pairings[ch.length - 2] >= -2)
         if closing:

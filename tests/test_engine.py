@@ -57,7 +57,7 @@ def _exhaustive_seeds(r, lambda_max, b_to=200):
     """Every admissible window of square r with long pairing <= b_to.
 
     A full scan of the long pairing, with no bound worked out in advance;
-    the slow reference for seed_triples.
+    the slow reference for the seeds of one square.
     """
     out = []
     for a in range(3):
@@ -93,7 +93,7 @@ def test_collect_radii_monotone_in_lambda():
 
 
 def test_seed_triples_finds_base_triangle():
-    seeds = oracle.seed_chains(seed_triples(Fraction(-23, 2), 1), 1)
+    [seeds] = oracle.engine_seeds(1, Fraction(-23, 2)).values()
     match = [
         s for s in seeds if s.pairings == (0, -1, -2) and s.lam == (1, 1, 1)
     ]
@@ -104,7 +104,7 @@ def test_seed_triples_finds_base_triangle():
 
 
 def test_seed_triples_twisted_triangle():
-    seeds = oracle.seed_chains(seed_triples(Fraction(-59, 2), 2), 2)
+    [seeds] = oracle.engine_seeds(2, Fraction(-59, 2)).values()
     match = [
         s for s in seeds if s.pairings == (0, -2, -1) and s.lam == (1, 2, 2)
     ]
@@ -114,37 +114,35 @@ def test_seed_triples_twisted_triangle():
     assert chain.pairings[chain.length - 2] == -2  # closed at the boundary value
 
 
-def test_seed_triples_empty_below_minimum():
-    assert seed_triples(Fraction(-100000), 1) == []
-    # No window's square overflows a float, so such a target has no seed.
-    assert seed_triples(Fraction(-10**400), 1) == []
-
-
-def test_seed_triples_rejects_positive_target():
-    with pytest.raises(ValueError):
-        seed_triples(Fraction(1, 2), 1)
-
-
 def test_seed_triples_matches_exhaustive_scan():
-    """seed_triples(r) finds the windows of square r that a scan of every
-    long pairing finds, and for r = 0 at lambda <= 8 those of the oracle's
+    """seed_triples finds the windows of square 0 that a scan of every long
+    pairing finds at lambda 2, and at lambda <= 8 those of the oracle's
     sweep, filed by gcd-reduced keys; compared as multisets."""
-    for r in (Fraction(-23, 2), Fraction(-7), Fraction(-1, 2), Fraction(0)):
-        fast = [(s.pairings, s.lam) for s in oracle.seed_chains(seed_triples(r, 2), 2)]
-        assert sorted(fast) == sorted(_exhaustive_seeds(r, 2))
+    fast = [(s.pairings, s.lam) for s in oracle.seed_chains(seed_triples(2), 2)]
+    assert sorted(fast) == sorted(_exhaustive_seeds(Fraction(0), 2))
     for lambda_max in range(1, 9):
         sweep = oracle.windows(lambda_max, oracle.long_pairing_bound(Fraction(0)))
         [expected] = oracle.bucketed_seeds([Fraction(0)], sweep).values()
-        found = oracle.seed_chains(seed_triples(0, lambda_max), lambda_max)
+        found = oracle.seed_chains(seed_triples(lambda_max), lambda_max)
         assert expected and sorted(found) == sorted(expected), lambda_max
 
 
-def test_seed_map_agrees_with_seed_triples():
-    buckets = oracle.engine_seeds(2)
-    for r in (Fraction(-59, 2), Fraction(-22), Fraction(-7)):
-        direct = {(s.pairings, s.lam) for s in oracle.seed_chains(seed_triples(r, 2), 2)}
-        bucketed = {(s.pairings, s.lam) for s in buckets[r]}
-        assert direct == bucketed
+def test_seed_map_of_one_square_is_its_entry_of_the_full_map():
+    """_seed_map(lambda_max, r) is {r: the full map's seeds at r}, seed for
+    seed, at every radius for lambda <= 4, and at lambda 2 its seeds are
+    the windows of square r that a scan of every long pairing finds.  It
+    is empty when r is no radius: a square no window has, -3/22 (at lambda
+    6 only windows past RADIUS_B_MAX have it), a square whose float
+    overflows, and r > 0."""
+    for lambda_max in range(1, 5):
+        for r, seeds in oracle.engine_seeds(lambda_max).items():
+            assert oracle.engine_seeds(lambda_max, r) == {r: seeds}, (lambda_max, r)
+    for r in (Fraction(-23, 2), Fraction(-7), Fraction(-1, 2)):
+        [seeds] = oracle.engine_seeds(2, r).values()
+        fast = [(s.pairings, s.lam) for s in seeds]
+        assert sorted(fast) == sorted(_exhaustive_seeds(r, 2)), r
+    for r in (Fraction(-100000), Fraction(-3, 22), Fraction(-10**400), Fraction(1, 2)):
+        assert oracle.engine_seeds(6, r) == {}, r
 
 
 def test_partition_closed():
@@ -156,21 +154,19 @@ def test_partition_closed():
     assert [(d.n, d.pairings) for d in closed] == [(3, (0, -1, -2))]
 
 
-def _first_round(r, seeds, lambda_max):
-    """The seeds of square r alone, packed for lambda_max, glued once.
+def _first_round(seed_map, lambda_max):
+    """A packed seed map for lambda_max, glued once.
 
     Returns the chains alive at 4 sides and the polygons closed at 4
     sides: the chain loop capped at 4 sides less the one capped at 3.
     """
-    seed_map = {r.as_integer_ratio(): seeds}
     closed3, _ = oracle.engine_chain_loop(seed_map, lambda_max, 3)
     closed4, live = oracle.engine_chain_loop(seed_map, lambda_max, 4)
     return live, closed4[len(closed3):]
 
 
 def test_extend_step_reaches_seven_quadrangle():
-    r = Fraction(-7)
-    live, closed = _first_round(r, seed_triples(r, 3), 3)
+    live, closed = _first_round(_seed_map(3, Fraction(-7)), 3)
     assert closed and all(len(c.lam) == 4 for c in live + closed)
     target = ((0, -3, -1, -1, -3, 0), (1, 3, 3, 1))
     # (delta_1, delta_4) = -1 closes it: it is filed as a polygon, not glued on
@@ -183,12 +179,11 @@ def test_extend_step_rejects_fractional_pairing():
     y = ChainState(3, (-1, -4, 0), (3, 3, 1))
     # overlap matches, but the Weyl equation gives (delta_1, delta_4) = -6/5
     seeds = [oracle.pack_seed(-p[0], -p[1], -p[2], lam, 3) for _, p, lam in (x, y)]
-    assert _first_round(Fraction(-1), seeds, 3) == ([], [])
+    assert _first_round({(-1, 1): seeds}, 3) == ([], [])
 
 
 def test_extended_chains_keep_weyl_consistency():
-    r = Fraction(-7)
-    live, closed = _first_round(r, seed_triples(r, 3), 3)
+    live, closed = _first_round(_seed_map(3, Fraction(-7)), 3)
     assert closed
     for chain in live + closed:
         x = _first_window_weyl(chain).coords
@@ -257,7 +252,7 @@ def test_run_elliptic_r_filter():
 @pytest.mark.parametrize("max_sides", [DEFAULT_MAX_SIDES, 5])
 def test_r_filter_searches_its_own_square(max_sides):
     """At every radius for lambda <= 6, run_elliptic(r_filter=r), which
-    sweeps for square r alone, gives the full run's records and cap events
+    seeds square r alone, gives the full run's records and cap events
     at r."""
     for lambda_max in range(1, 7):
         full = run_elliptic(lambda_max, max_sides)
@@ -273,26 +268,29 @@ def test_r_filter_searches_its_own_square(max_sides):
 def test_r_filter_skips_squares_that_are_not_radii(monkeypatch):
     """A square that only windows past RADIUS_B_MAX reach is no radius:
     filtering on it gives nothing, though its seeds glue chains to the
-    cap.  r = 0 and r > 0 give nothing without a sweep."""
+    cap.  r = 0 and r > 0 give nothing without a window scan."""
     radii = set(collect_radii(6))
-    wide = []
-    for *_, num, d in _windows(6, b_min=RADIUS_B_MAX + 1):
+    wide = {}  # each such square's windows, all past RADIUS_B_MAX, as seeds
+    for a, b, c, lam, mirror, num, d in oracle.unpacked_windows(
+        _windows(6, b_min=RADIUS_B_MAX + 1), 6
+    ):
         g = gcd(num, d)
         key = (-num // g, -d // g)
-        if num > 0 and key not in radii and key not in wide:
-            wide.append(key)
+        if num > 0 and key not in radii:
+            wide.setdefault(key, []).extend(
+                oracle.pack_seed(*w, 6) for w in ((a, b, c, lam), mirror) if w
+            )
     capping = [
-        key for key in wide
-        if oracle.engine_chain_loop({key: seed_triples(Fraction(*key), 6)}, 6, 4)[1]
+        key for key, seeds in wide.items() if oracle.engine_chain_loop({key: seeds}, 6, 4)[1]
     ]
     assert len(capping) >= 10
     for key in capping[:10]:
         assert run_elliptic(6, 4, r_filter=Fraction(*key)) == EnumerationResult((), ())
 
-    def no_sweep(r, lambda_max):
-        raise AssertionError(f"swept for r = {r}")
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned windows")
 
-    monkeypatch.setattr(engine, "seed_triples", no_sweep)
+    monkeypatch.setattr(engine, "_windows", no_scan)
     for r in (Fraction(0), Fraction(1, 2), Fraction(3)):
         assert run_elliptic(6, 4, r_filter=r) == EnumerationResult((), ())
 
@@ -320,14 +318,14 @@ def test_run_elliptic_does_not_depend_on_seed_order(monkeypatch, lambda_max, max
     seed_map = engine._seed_map
     ran = []
 
-    def reversed_seeds(lm):
+    def reversed_seeds(lm, r_filter):
         ran.append("reversed")
-        return {r: found[::-1] for r, found in seed_map(lm).items()}
+        return {r: found[::-1] for r, found in seed_map(lm, r_filter).items()}
 
-    def shuffled_seeds(lm):
+    def shuffled_seeds(lm, r_filter):
         ran.append("shuffled")
         rng = random.Random(lambda_max)
-        found = seed_map(lm)
+        found = seed_map(lm, r_filter)
         for bucket in found.values():
             rng.shuffle(bucket)
         return found
@@ -343,7 +341,7 @@ def test_run_parabolic_properties():
     at the cap, and each signature is the least rotation of its block."""
     report = run_parabolic(2, 16)
     # no r = 0 chain reaches the closing threshold (see run_parabolic)
-    chains = list(oracle.reached_chains(oracle.seed_chains(seed_triples(0, 2), 2), True))
+    chains = list(oracle.reached_chains(oracle.seed_chains(seed_triples(2), 2), True))
     assert chains and all(ch.pairings[ch.length - 2] < -2 for ch in chains)
     assert report.capped_chains == 0
     assert report.periodic
@@ -357,14 +355,14 @@ def test_run_parabolic_properties():
 
 @pytest.mark.parametrize("lambda_max", [1, 2, 3, 6])
 def test_run_parabolic_does_not_depend_on_seed_order(monkeypatch, lambda_max):
-    """Reversed and shuffled r = 0 seeds give the same reports: each
+    """A reversed and a shuffled window scan give the same reports: each
     (period, signature) keeps its least chain, not the first to arrive."""
     expected = run_parabolic(lambda_max)
-    seeds = seed_triples(0, lambda_max)
-    shuffled = seeds[:]
+    windows = list(_windows(lambda_max))
+    shuffled = windows[:]
     random.Random(lambda_max).shuffle(shuffled)
-    for order in (seeds[::-1], shuffled):
-        monkeypatch.setattr(engine, "seed_triples", lambda r, lm, order=order: order)
+    for order in (windows[::-1], shuffled):
+        monkeypatch.setattr(engine, "_windows", lambda *args, order=order: iter(order))
         assert run_parabolic(lambda_max) == expected
 
 
@@ -424,7 +422,7 @@ def test_run_parabolic_sorts_its_seeds_and_reports_each_first_hit(monkeypatch, l
     report = run_parabolic(lambda_max)
     [(r, seeds)] = handed[0].items()
     assert len(handed) == 1 and r == (0, 1)
-    assert sorted(seeds) == sorted(seed_triples(0, lambda_max))
+    assert seeds == seed_triples(lambda_max)
     keys = list(map(window, oracle.seed_chains(seeds, lambda_max)))
     assert keys == sorted(set(keys))
     first = {}
@@ -706,7 +704,7 @@ def test_glue_candidates_have_rank_3():
     gluing needs no rank check at any length.
     """
     runs = [(seeds, False) for seeds in oracle.engine_seeds(4).values()]
-    runs.append((oracle.seed_chains(seed_triples(0, 4), 4), True))
+    runs.append((oracle.seed_chains(seed_triples(4), 4), True))
     integral = fractional = 0
     lengths = set()
     for seeds, parabolic in runs:
@@ -775,7 +773,7 @@ def _loop_runs():
     """(lambda_max, packed seed map, parabolic): every radius for lambda <= 6,
     and r = 0 with the period filter for lambda <= 2."""
     runs = [(lm, _seed_map(lm), False) for lm in range(1, 7)]
-    return runs + [(lm, {(0, 1): seed_triples(0, lm)}, True) for lm in (1, 2)]
+    return runs + [(lm, {(0, 1): seed_triples(lm)}, True) for lm in (1, 2)]
 
 
 def _by_square(chains):
@@ -918,9 +916,9 @@ def test_window_float_is_the_float_of_its_reduced_square():
 def test_collect_radii_checks_float_hits_exactly(monkeypatch):
     """The narrow pass files windows of one square under one reduced key,
     and two squares sharing a float raise instead of merging.  The wide
-    pass and ``seed_triples`` look windows up by float: two radii sharing
-    a float raise, and a window whose float matches a radius but whose
-    square differs from it is not its seed."""
+    pass looks windows up by float: two radii sharing a float raise, and
+    a window whose float matches a radius but whose square differs from
+    it is not its seed."""
     near_third = (-1 / 3).as_integer_ratio()
     assert Fraction(*near_third) != Fraction(-1, 3) and near_third[0] / near_third[1] == -1 / 3
 
@@ -935,12 +933,13 @@ def test_collect_radii_checks_float_hits_exactly(monkeypatch):
     radii = collect_radii(2)
     assert list(radii) == [(-1, 3)]
     assert [s.lam for s in oracle.seed_chains(radii[-1, 3], 2)] == [(1, 1, 1), (1, 2, 1)]
-    windows = [third]
-    assert seed_triples(Fraction(-1, 3), 2) == [third[1]]
-    assert seed_triples(Fraction(*near_third), 2) == []
     windows = [third, close]
     with pytest.raises(EngineError, match="share a float"):
         collect_radii(2)
+    windows = [third]
+    for key, filed in (((-1, 3), [third[1]]), (near_third, [])):
+        monkeypatch.setattr(engine, "collect_radii", lambda lm, key=key: {key: []})
+        assert _seed_map(2) == {key: filed}, key
     monkeypatch.setattr(engine, "collect_radii", lambda lm: {(-1, 3): [], near_third: []})
     with pytest.raises(EngineError, match="share a float"):
         _seed_map(2)
