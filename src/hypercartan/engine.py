@@ -8,7 +8,10 @@ visits each window once: a narrow pass over the windows whose long
 pairing b is within assumption (N) below collects every square r < 0
 with its windows as seeds, and a wide pass over larger b adds the
 windows of those squares; an ``r_filter`` keeps one of them before
-the wide pass (``_seed_map``).  Both passes run one window scan.  It
+the wide pass (``_seed_map``).  Neither pass files a window whose
+lambdas share a prime power that its det lacks: it lies on no polygon
+with coprime lambdas (see ``_windows``), though the narrow pass still
+collects its square.  Both passes run one window scan.  It
 enumerates the admissible shapes (a, c, lam) directly, from a table of
 the lambdas allowed next to each lambda across an adjacent pairing.
 Read from its other end, a window (a, b, c, l1, l2, l3) is its mirror
@@ -36,7 +39,8 @@ needs no width, and whether a seed closes at 3 sides is one comparison.
 Both passes file ints, each ``b << S | shape`` from a shape packed once
 by the window scan.  A seed becomes a ``ChainState`` only in
 ``_join_seeds``, and only if it closes at 3 sides or takes part in a
-join: at lambda = 16 that is 616 and 2,802 of the 7,239 seeds.
+join: at lambda = 16 that is 218 and 1,598 of the 5,300 seeds (7,239
+windows of a radius, less 1,939 pruned).
 
 From the seeds the search repeatedly glues overlapping open chains.  The
 single unknown pairing (delta_1, delta_n) of a glued chain comes from
@@ -213,12 +217,12 @@ def _seed_layout(lambda_max: int) -> tuple[int, int]:
 
 
 # (b, seed, mirror, num, det) of a window: the seed's fields below b, and
-# the mirror's, or None (see ``_windows``).
-Window = tuple[int, int, int | None, int, int]
+# the mirror's, or None; both None for a pruned window (see ``_windows``).
+Window = tuple[int, int | None, int | None, int, int]
 
 
 def _windows(
-    lambda_max: int, b_cap: int | None = None, b_min: int = 0
+    lambda_max: int, b_cap: int | None = None, b_min: int = 0, coprime: bool = False
 ) -> Iterator[Window]:
     """Admissible hyperbolic 3-windows (b, seed, mirror, num, det) of square r <= 0.
 
@@ -256,6 +260,25 @@ def _windows(
     Along that stride num and det are quadratics in the step count with
     constant second differences 2 n2 s^2 and -4 s^2, so each window costs
     a few additions.
+
+    With ``coprime`` (elliptic mode) a window whose det is not a multiple
+    of h = gcd(l1, l2, l3) is pruned: it is yielded with seed and mirror
+    None, so that the narrow pass still finds its square, and no pass
+    files it.  Such a window lies on no polygon with coprime lambdas.
+    Proof: let the window's sides W have Gram det D < 0, adjugate A and
+    lambdas lam_W.  As D != 0 they are a basis of the rank-3 space; in
+    it, for every side delta_n of a polygon with window W,
+    (rho, delta_n) = -lambda_n reads
+        lambda_n D = (A lam_W) . ((delta_1, delta_n), (delta_2, delta_n),
+                                  (delta_3, delta_n)),
+    the equation ``_glue`` solves.  If D mod h != 0, some prime power p^k
+    divides h but not D.  p^k divides lam_W, so it divides the integer
+    vector A lam_W and hence lambda_n D; as p^k does not divide D, p
+    divides lambda_n.  So p divides every lambda of the polygon, and
+    ``partition_closed`` drops it.  Every window of a glued chain is a
+    seed, so no record is lost.  D = 8 - 2(a^2 + b^2 + c^2) - 2abc is
+    even, so p = 2 prunes only from 4 | h.  Parabolic reports keep
+    lambdas with a common factor, so ``seed_triples`` does not prune.
     """
     width, _ = _seed_layout(lambda_max)
     partners = [_partners(lambda_max, a) for a in range(ADJACENT_MAX + 1)]
@@ -301,6 +324,7 @@ def _windows(
                         if b_cap is not None and b_max > b_cap:
                             b_max = b_cap
                         seed = shape_hi | l3
+                        h = gcd(g, l2) if coprime else 1  # det % h: pruned
                         mirror = None if c == a and l3 == l1 else (
                             (l3 << 2 | c) << (2 * width + 2) | mirror_lo)
                         t, ss = 2 * b0 + s, s * s  # f(b0 + s) - f(b0) = (f2 t + f1) s
@@ -309,7 +333,10 @@ def _windows(
                         ddnum, ddd = 2 * n2 * ss, -4 * ss
                         for b in range(b0, b_max + 1, s):
                             if d < 0:
-                                yield b, seed, mirror, num, d
+                                if d % h:
+                                    yield b, None, None, num, d
+                                else:
+                                    yield b, seed, mirror, num, d
                             num += dnum
                             dnum += ddnum
                             d += dd
@@ -325,7 +352,9 @@ def collect_radii(lambda_max: int) -> dict[Radius, list[int]]:
     The long pairing is scanned over [0, RADIUS_B_MAX], the one place
     assumption (N) enters; adjacent pairings over [0, 2]; lambdas over
     [1, lambda_max]^3 with the twisting divisibility for every ordered
-    pair.  Each window, and its mirror, is a seed of its square.  A
+    pair.  Each window, and its mirror, is a seed of its square, unless
+    ``_windows`` prunes it; a pruned window's square is a radius all the
+    same, so the radii do not depend on the prune.  A
     radius r = p / q is keyed by the integer pair (p, q) in lowest terms
     with q > 0.  A window is filed under its float num / det and checked
     exactly against the first window of that float, num d' == num' d, so
@@ -348,7 +377,7 @@ def collect_radii(lambda_max: int) -> dict[Radius, list[int]]:
         raise ValueError("lambda_max must be >= 1")
     _, shift = _seed_layout(lambda_max)
     by_float: dict[float, tuple[int, int, list[int]]] = {}
-    for b, seed, mirror, num, d in _windows(lambda_max, RADIUS_B_MAX):
+    for b, seed, mirror, num, d in _windows(lambda_max, RADIUS_B_MAX, coprime=True):
         if num > 0:  # r = num/det with det < 0, so r < 0 iff num > 0
             r = num / d
             hit = by_float.get(r)
@@ -356,6 +385,8 @@ def collect_radii(lambda_max: int) -> dict[Radius, list[int]]:
                 hit = by_float[r] = (num, d, [])
             elif hit[0] * d != num * hit[1]:
                 raise EngineError(f"squares {hit[0]}/{hit[1]} and {num}/{d} share a float")
+            if seed is None:  # pruned, but its square is a radius
+                continue
             bucket = hit[2]
             b <<= shift
             bucket.append(b | seed)
@@ -374,7 +405,8 @@ def _add_seeds(
 ) -> dict[Radius, list[int]]:
     """Add each of ``windows`` whose square is a key of ``seeds``, and its mirror, to seeds.
 
-    Each is filed as one int, ``b << S | seed`` (see ``collect_radii``).
+    Each is filed as one int, ``b << S | seed`` (see ``collect_radii``);
+    a pruned window (seed None, see ``_windows``) is not filed.
     A window is looked up by the float num / d and accepted only if its
     square is exactly the key's, p d == num q.  int / int is correctly
     rounded, so equal squares give equal floats and no seed is missed.
@@ -392,7 +424,7 @@ def _add_seeds(
         hit = by_float.get(num / d)
         if hit is not None:
             p, q, bucket = hit
-            if p * d == num * q:
+            if p * d == num * q and seed is not None:
                 b <<= shift
                 bucket.append(b | seed)
                 if mirror is not None:
@@ -423,10 +455,10 @@ def _seed_map(lambda_max: int, r_filter: Fraction | None = None) -> dict[Radius,
     Two passes split at RADIUS_B_MAX visit each window once: the narrow
     pass, ``collect_radii``, finds the radii and seeds the windows with
     b <= RADIUS_B_MAX, and the wide pass, ``_add_seeds``, adds the wider
-    windows of the radii kept.  With ``r_filter`` only its key is kept,
-    or none when it is no radius, and the map for it is the full map's
-    entry, seed for seed; r_filter >= 0 is never a radius, so then no
-    window is scanned.
+    windows of the radii kept; neither files a pruned window (see
+    ``_windows``).  With ``r_filter`` only its key is kept, or none when
+    it is no radius, and the map for it is the full map's entry, seed for
+    seed; r_filter >= 0 is never a radius, so then no window is scanned.
     """
     if r_filter is not None and r_filter >= 0:
         return {}
@@ -435,7 +467,8 @@ def _seed_map(lambda_max: int, r_filter: Fraction | None = None) -> dict[Radius,
         key = r_filter.as_integer_ratio()
         seeds = {key: seeds[key]} if key in seeds else {}
     if seeds:
-        _add_seeds(seeds, _windows(lambda_max, b_min=RADIUS_B_MAX + 1), lambda_max)
+        wide = _windows(lambda_max, b_min=RADIUS_B_MAX + 1, coprime=True)
+        _add_seeds(seeds, wide, lambda_max)
     return seeds
 
 

@@ -42,7 +42,11 @@ r_max = 0, num's larger root).  ``bucketed_seeds`` files windows under
 their squares by an exact gcd-reduced key.  ``detect_period`` scans every
 earlier window of a chain for its newest one, and ``min_rotation`` is a
 period block's least rotation.  ``radius_slice_mismatches`` compares a
-full run against the same search run one radius at a time.
+full run against the same search run one radius at a time, and
+``cyclic_windows`` lists a polygon's windows around it.
+``lies_on_no_coprime_polygon`` is the prune lemma's hypothesis, tested
+prime power by prime power, with which ``seed_map`` drops seeds as the
+engine's window scan does.
 ``trimmed_windows`` trims the window graph, and ``uncertified_squares``
 lists the trimmed squares that ``collect_radii`` misses: the certificate
 for assumption (N) at one lambda_max.
@@ -280,13 +284,44 @@ def bucketed_seeds(radii, windows) -> dict:
     return {r: buckets[r.numerator, r.denominator] for r in radii}
 
 
-def seed_map(lambda_max: int) -> dict:
+def prime_powers(n: int) -> list[int]:
+    """The prime powers p^k exactly dividing n > 0, by trial division."""
+    found = []
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+        if q > 1:
+            found.append(q)
+        p += 1
+    return found
+
+
+def lies_on_no_coprime_polygon(a: int, b: int, c: int, lam: tuple[int, int, int]) -> bool:
+    """The prune lemma's hypothesis: some prime power divides every lambda of
+    the window (a, b, c, lam) and not its det.
+
+    Every side delta_n of a polygon with this window then has lambda_n det =
+    (adj(g) lam) . ((delta_1, delta_n), (delta_2, delta_n), (delta_3, delta_n)),
+    so that prime divides every lambda_n.
+    """
+    det = _window_det(a, b, c)
+    return any(det % q for q in prime_powers(gcd(*lam)))
+
+
+def seed_map(lambda_max: int, pruned: bool = True) -> dict:
     """engine._seed_map from ``windows``, as chains, radii and seeds in the engine's order.
 
     The radii are the negative squares of the windows with b <= RADIUS_B_MAX,
     ascending.  Each window of ``half`` the stream whose square is a radius
     is a seed, followed by its ``mirror_seed`` unless it is its own mirror:
     first those with b <= RADIUS_B_MAX, then the rest, each in stream order.
+    With ``pruned``, as in the engine, a window that
+    ``lies_on_no_coprime_polygon`` is no seed, though its square is a radius.
     """
     stream = half(windows(lambda_max, long_pairing_bound(Fraction(0))))
     narrow = [w for w in stream if w[1] <= RADIUS_B_MAX]
@@ -295,7 +330,7 @@ def seed_map(lambda_max: int) -> dict:
     seeds: dict = {r: [] for r in radii}
     for a, b, c, lam, num, d in narrow + wide:
         bucket = seeds.get(Fraction(num, d))
-        if bucket is not None:
+        if bucket is not None and not (pruned and lies_on_no_coprime_polygon(a, b, c, lam)):
             seed = ChainState(3, (-a, -b, -c), lam)
             bucket.append(seed)
             if (a, lam[0]) != (c, lam[2]):
@@ -425,6 +460,17 @@ def chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
         )
         for i in range(1, ch.length - 1)
     ]
+
+
+def cyclic_windows(d: PolygonDatum) -> list[tuple]:
+    """The n windows (a, b, c, lam) of a polygon's sides i, i+1, i+2, indices mod n."""
+    n = d.n
+    out = []
+    for i in range(1, n + 1):
+        j, k = i % n + 1, (i + 1) % n + 1
+        a, b, c = -pair(d, i, j), -pair(d, i, k), -pair(d, j, k)
+        out.append((a, b, c, (d.lam[i - 1], d.lam[j - 1], d.lam[k - 1])))
+    return out
 
 
 def min_rotation(block: tuple) -> tuple:

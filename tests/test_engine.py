@@ -9,7 +9,13 @@ import pytest
 
 from hypercartan import engine
 from hypercartan.cli import LAMBDA_MAX_CEILING
-from hypercartan.core import PolygonDatum, _window_adjugate, _window_det, verify_realization
+from hypercartan.core import (
+    PolygonDatum,
+    _window_adjugate,
+    _window_det,
+    canonical_key,
+    verify_realization,
+)
 from hypercartan.engine import (
     DEFAULT_MAX_SIDES,
     RADIUS_B_MAX,
@@ -508,14 +514,7 @@ def test_window_graph_certifies_assumption_n():
 def test_catalog_windows_survive_window_graph_trimming():
     """Each of the catalog's 328 cyclic windows is a trimmed window at lambda 6."""
     kept = {w[:4] for w in oracle.trimmed_windows(6)}
-    cyclic = []
-    for row in golden_catalog():
-        d = row.datum()
-        n = d.n
-        for i in range(1, n + 1):
-            j, k = i % n + 1, (i + 1) % n + 1
-            a, b, c = -pair(d, i, j), -pair(d, i, k), -pair(d, j, k)
-            cyclic.append((a, b, c, (d.lam[i - 1], d.lam[j - 1], d.lam[k - 1])))
+    cyclic = [w for row in golden_catalog() for w in oracle.cyclic_windows(row.datum())]
     assert len(cyclic) == 328
     assert [w for w in cyclic if w not in kept] == []
 
@@ -826,13 +825,15 @@ def test_chain_loop_closes_and_caps_as_the_per_radius_loop():
 def test_cap_at_three_sides_reports_every_radius_with_a_live_seed():
     """At max_sides 3 every live seed is at the cap, though most seeds join
     nothing and become no chain: the cap events are the radii of the
-    oracle's seed map that have a seed with b > 2, ascending, for lambda
-    <= 6; 434 of them at lambda 6."""
+    oracle's pruned seed map that have a seed with b > 2, ascending, for
+    lambda <= 6; 339 of them at lambda 6, where the unpruned map has 434."""
     for lambda_max in range(1, 7):
         seed_map = oracle.seed_map(lambda_max)
         live = [r for r, seeds in seed_map.items() if any(pair(s, 1, 3) < -2 for s in seeds)]
         assert run_elliptic(lambda_max, 3).cap_events == tuple(live), lambda_max
-    assert len(live) == 434
+    assert len(live) == 339
+    unpruned = oracle.seed_map(6, pruned=False).values()
+    assert sum(any(pair(s, 1, 3) < -2 for s in seeds) for seeds in unpruned) == 434
 
 
 def test_windows_match_unstrided_oracle():
@@ -862,7 +863,8 @@ def test_windows_match_unstrided_oracle():
 
 def test_radii_integer_order_matches_fraction_sort():
     """collect_radii is the sorted set of negative squares of the oracle's windows,
-    each with exactly the oracle's windows of that square as its seeds.
+    each with exactly the oracle's windows of that square as its seeds,
+    less those that ``lies_on_no_coprime_polygon``.
 
     The oracle scans every long pairing up to RADIUS_B_MAX, with no root
     bound, and yields both windows of each mirror pair; the seeds are
@@ -875,7 +877,8 @@ def test_radii_integer_order_matches_fraction_sort():
         squares = sorted({Fraction(num, d) for *_, num, d in narrow})
         radii = collect_radii(lambda_max)
         assert list(map(oracle.radius, radii)) == squares, lambda_max
-        expected = oracle.bucketed_seeds(squares, narrow)
+        kept = [w for w in narrow if not oracle.lies_on_no_coprime_polygon(*w[:4])]
+        expected = oracle.bucketed_seeds(squares, kept)
         for r in squares:
             found = oracle.seed_chains(radii[r.as_integer_ratio()], lambda_max)
             assert sorted(found) == sorted(expected[r]), (lambda_max, r)
@@ -977,7 +980,8 @@ def test_seed_map_matches_sweep_bounded_by_largest_radius():
 
     That bound is the one the seed sweep used before it stopped at num's
     larger root; every seed has square <= max(radii), so both find the
-    same windows at each radius, compared as multisets.
+    same windows at each radius, less those that
+    ``lies_on_no_coprime_polygon``, compared as multisets.
     """
     for lambda_max in range(1, 9):
         radii = list(map(oracle.radius, collect_radii(lambda_max)))
@@ -985,7 +989,7 @@ def test_seed_map_matches_sweep_bounded_by_largest_radius():
         sweep = oracle.windows(lambda_max, oracle.long_pairing_bound(max(radii)))
         for a, b, c, lam, num, d in sweep:
             bucket = buckets.get(Fraction(num, d))
-            if bucket is not None:
+            if bucket is not None and not oracle.lies_on_no_coprime_polygon(a, b, c, lam):
                 bucket.append(ChainState(3, (-a, -b, -c), lam))
         seeds = oracle.engine_seeds(lambda_max)
         assert list(seeds) == list(buckets), lambda_max
@@ -1009,11 +1013,46 @@ def test_half_sweep_and_its_mirrors_are_the_full_sweep():
 
 @pytest.mark.parametrize("lambda_max", [1, 2, 3, 4, 5, 6, 16])
 def test_packed_seed_map_is_the_oracle_seed_map_in_order(lambda_max):
-    """_seed_map, each seed unpacked, is the oracle's seed map: the seeds
-    built from engine_oracle.windows plus their mirrors, radius by radius
-    and in order."""
-    expected = oracle.seed_map(lambda_max)
+    """_seed_map, each seed unpacked, is the oracle's pruned seed map: the
+    seeds built from engine_oracle.windows plus their mirrors, less those
+    that lie on no coprime polygon, radius by radius and in order."""
+    expected = oracle.seed_map(lambda_max, pruned=True)
     assert list(oracle.engine_seeds(lambda_max).items()) == list(expected.items())
+
+
+# The lambda_max at which the prune lemma is checked against the unpruned
+# oracle: the largest that tier-1 certifies (N) at, where the check takes
+# about a second.  Its windows include those of every smaller lambda_max.
+PRUNE_LEMMA_LAMBDA_MAX = 16
+
+
+def test_pruned_windows_lie_on_no_coprime_polygon():
+    """The prune lemma (``engine._windows``) at PRUNE_LEMMA_LAMBDA_MAX,
+    against the unpruned oracle: no window that the prune drops is a cyclic
+    window of a coprime polygon that ``rounds`` closes from the unpruned
+    seeds; those polygons are the ones closed from the pruned seeds, radius
+    by radius and in order; and their dihedral classes are run_elliptic's
+    records.  At lambda 16 the prune drops 1,939 of 7,239 seeds."""
+    lambda_max = PRUNE_LEMMA_LAMBDA_MAX
+    full = oracle.seed_map(lambda_max, pruned=False)
+    pruned = oracle.seed_map(lambda_max, pruned=True)
+    assert list(full) == list(pruned)
+    closed_full, closed_pruned = (
+        {r: [p for _, done, *_ in oracle.rounds(seeds, False) for p in done]
+         for r, seeds in seed_map.items()}
+        for seed_map in (full, pruned)
+    )
+    assert closed_full == closed_pruned
+    polygons = [p for found in closed_full.values() for p in found]
+    assert len(polygons) == 283
+    dropped = [w for w in oracle.windows(lambda_max, oracle.long_pairing_bound(Fraction(0)))
+               if oracle.lies_on_no_coprime_polygon(*w[:4])]
+    windows = {w for p in polygons for w in oracle.cyclic_windows(p)}
+    assert dropped and [w[:4] for w in dropped if w[:4] in windows] == []
+    counts = [sum(map(len, seed_map.values())) for seed_map in (full, pruned)]
+    assert counts == [7239, 5300]
+    records = {(rec.n, rec.body) for rec in run_elliptic(lambda_max).records}
+    assert set(map(canonical_key, polygons)) == records
 
 
 @pytest.mark.parametrize("lambda_max", [64, 128, 1000])
