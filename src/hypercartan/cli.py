@@ -46,13 +46,13 @@ EXIT_CAP = 3
 EXIT_ENGINE = 4
 EXIT_PIPE = 141
 
-# 64 took 0.68-1.15 s over 7 fresh-process runs on a shared 2-vCPU Xeon host
-# (Python 3.11).  A larger value finishes too, but past 64 the cost grows
-# faster than lambda^2: with seeds packed into ints, 5 fresh-process runs of
-# run_elliptic on such a host took 3.7-4.8 s (median 4.19) and 52.5-52.8 MB
-# peak RSS at 128 (the same 60 records; 93 MB before the packing) against a
-# median of 0.90 s and 25.4 MB at 64.  The ceiling stays at 64 until 128
-# costs at most 4.5 times 64 and at most 50 MB.
+# 64 took 0.52-0.89 s (median 0.58) and 23.6-23.8 MB peak RSS over 11
+# fresh-process runs on a shared 2-vCPU Xeon host (Python 3.11).  A larger
+# value finishes too, but past 64 the cost grows faster than lambda^2: 9
+# fresh-process runs of run_elliptic(128) on that host took 3.2-4.9 s
+# (median 3.87) and 46.2-46.5 MB peak RSS, for the same 60 records.  The
+# ceiling stays at 64 until 128 costs at most 4.5 times 64 and at most
+# 50 MB: the memory bound holds, the time bound (6.6 times) does not.
 LAMBDA_MAX_CEILING = 64
 
 

@@ -7,8 +7,9 @@ window's Gram determinant and num = lam^T adj(g) lam.  The search
 visits each window once: a narrow pass over the windows whose long
 pairing b is within assumption (N) below collects every square r < 0
 with its windows as seeds, and a wide pass over larger b adds the
-windows of those squares; an ``r_filter`` keeps one of them before
-the wide pass (``_seed_map``).  Neither pass files a window whose
+windows of those squares to the same map; an ``r_filter`` keeps one of
+them before the wide pass, and a square left with no seed is dropped
+after it (``_seed_map``).  Neither pass files a window whose
 lambdas share a prime power that its det lacks: it lies on no polygon
 with coprime lambdas (see ``_windows``), though the narrow pass still
 collects its square.  Both passes run one window scan.  It
@@ -26,11 +27,12 @@ wide pass needs no other bound.  b steps over the multiples of
 (l1/g)(l3/g), g = gcd(l1, l3), which are exactly the values that pass
 the twisting divisibility, and num and det follow it by constant second
 differences.  Both passes find a window's radius by the float num / det,
-checked exactly by cross-multiplication; distinct radii have distinct
-floats, so sorting by them is exact.  A radius p / q is the integer
-pair (p, q) in lowest terms with q > 0, reduced by one gcd per radius;
-a ``Fraction`` is built only for a record and a cap event, and an
-``r_filter`` is read only for its sign and its key (p, q).
+checked exactly by cross-multiplication against the (num, det) of the
+radius's first window.  Distinct radii have distinct floats, so one map
+keyed by the float runs from the narrow pass to the chain loop, and
+sorting by the float is exact.  No radius is reduced to lowest terms: a
+``Fraction`` is built only for a record and a cap event, and an
+``r_filter`` is read for its sign and its float, then checked exactly.
 
 A seed is one int: its window (a, b, c, l1, l2, l3) packed from the top
 as b, l1, a, l2, c, l3, with lambda_max.bit_length() bits per lambda and
@@ -343,10 +345,7 @@ def _windows(
                             dd += ddd
 
 
-Radius = tuple[int, int]  # p / q in lowest terms, q > 0
-
-
-def collect_radii(lambda_max: int) -> dict[Radius, list[int]]:
+def collect_radii(lambda_max: int) -> dict[float, tuple[int, int, list[int]]]:
     """All Weyl squares r < 0 of a bounded admissible 3-window, each with those windows.
 
     The long pairing is scanned over [0, RADIUS_B_MAX], the one place
@@ -354,12 +353,13 @@ def collect_radii(lambda_max: int) -> dict[Radius, list[int]]:
     [1, lambda_max]^3 with the twisting divisibility for every ordered
     pair.  Each window, and its mirror, is a seed of its square, unless
     ``_windows`` prunes it; a pruned window's square is a radius all the
-    same, so the radii do not depend on the prune.  A
-    radius r = p / q is keyed by the integer pair (p, q) in lowest terms
-    with q > 0.  A window is filed under its float num / det and checked
-    exactly against the first window of that float, num d' == num' d, so
-    one gcd per radius reduces its key; two squares sharing a float raise
-    EngineError (see ``_add_seeds``: radii never do).  Sorted ascending by
+    same, so the radii do not depend on the prune.  A radius r is keyed
+    by its float num / det, with the (num, det) of its first window and
+    its seeds; every later window of that float is checked exactly
+    against that first one, num d' == num' d, and two squares sharing a
+    float raise EngineError.  Radii never do: their denominators divide
+    some |det| <= 512 (b <= 14), so two of them differ by at least
+    1/512^2, far above a float step at their size.  Sorted ascending by
     the float, which is exact for distinct floats.
 
     A seed is one int, the window (a, b, c, l1, l2, l3) packed from the
@@ -392,44 +392,7 @@ def collect_radii(lambda_max: int) -> dict[Radius, list[int]]:
             bucket.append(b | seed)
             if mirror is not None:
                 bucket.append(b | mirror)
-    radii: dict[Radius, list[int]] = {}
-    for r in sorted(by_float):
-        num, d, bucket = by_float[r]
-        g = gcd(num, d)
-        radii[-num // g, -d // g] = bucket
-    return radii
-
-
-def _add_seeds(
-    seeds: dict[Radius, list[int]], windows: Iterator[Window], lambda_max: int
-) -> dict[Radius, list[int]]:
-    """Add each of ``windows`` whose square is a key of ``seeds``, and its mirror, to seeds.
-
-    Each is filed as one int, ``b << S | seed`` (see ``collect_radii``);
-    a pruned window (seed None, see ``_windows``) is not filed.
-    A window is looked up by the float num / d and accepted only if its
-    square is exactly the key's, p d == num q.  int / int is correctly
-    rounded, so equal squares give equal floats and no seed is missed.
-    Two distinct keys sharing a float raise EngineError; radii never do:
-    their denominators divide some |det| <= 512 (b <= 14), so two of them
-    differ by at least 1/512^2, far above a float step at their size.
-    """
-    by_float: dict[float, tuple[int, int, list[int]]] = {}
-    for (p, q), bucket in seeds.items():
-        first = by_float.setdefault(p / q, (p, q, bucket))
-        if first[2] is not bucket:
-            raise EngineError(f"squares {first[0]}/{first[1]} and {p}/{q} share a float")
-    _, shift = _seed_layout(lambda_max)
-    for b, seed, mirror, num, d in windows:
-        hit = by_float.get(num / d)
-        if hit is not None:
-            p, q, bucket = hit
-            if p * d == num * q and seed is not None:
-                b <<= shift
-                bucket.append(b | seed)
-                if mirror is not None:
-                    bucket.append(b | mirror)
-    return seeds
+    return {r: by_float[r] for r in sorted(by_float)}
 
 
 def seed_triples(lambda_max: int) -> list[int]:
@@ -439,8 +402,14 @@ def seed_triples(lambda_max: int) -> list[int]:
     by window (a, c, l1, l2, l3, b): the order of a full sweep, which
     ``run_parabolic`` needs (see there).
     """
-    found = _add_seeds({(0, 1): []}, _windows(lambda_max), lambda_max)[0, 1]
     width, shift = _seed_layout(lambda_max)
+    found = []
+    for b, seed, mirror, num, _ in _windows(lambda_max):
+        if num == 0:
+            b <<= shift
+            found.append(b | seed)
+            if mirror is not None:
+                found.append(b | mirror)
     lmask = (1 << width) - 1
     found.sort(key=lambda w: (  # (a, c, l1, l2, l3, b)
         w >> 2 * width + 2 & 3, w >> width & 3,
@@ -449,27 +418,46 @@ def seed_triples(lambda_max: int) -> list[int]:
     return found
 
 
-def _seed_map(lambda_max: int, r_filter: Fraction | None = None) -> dict[Radius, list[int]]:
-    """Seeds for every radius of collect_radii(lambda_max), or for r_filter's alone.
+def _seed_map(lambda_max: int, r_filter: Fraction | None = None) -> dict[float, list[int]]:
+    """Seeds for every radius of collect_radii(lambda_max) that has any, or for r_filter's alone.
 
     Two passes split at RADIUS_B_MAX visit each window once: the narrow
     pass, ``collect_radii``, finds the radii and seeds the windows with
-    b <= RADIUS_B_MAX, and the wide pass, ``_add_seeds``, adds the wider
-    windows of the radii kept; neither files a pruned window (see
-    ``_windows``).  With ``r_filter`` only its key is kept, or none when
-    it is no radius, and the map for it is the full map's entry, seed for
-    seed; r_filter >= 0 is never a radius, so then no window is scanned.
+    b <= RADIUS_B_MAX, and the wide pass adds the wider windows of the
+    radii kept.  Neither files a pruned window (see ``_windows``).  The
+    wide pass looks a window up by its float num / d and files it only if
+    its square is exactly the radius's, num' d == num d'.  int / int is
+    correctly rounded, so equal squares give equal floats and no seed is
+    missed.  With ``r_filter`` only the radius of its float is kept, if
+    r_filter is exactly that radius, and the map for it is the full map's
+    entry, seed for seed; a rational past float range is no radius, and
+    r_filter >= 0 is never one, so then no window is scanned.  The map is
+    keyed by the radii's floats, ascending, and a radius with no seed is
+    left out.
     """
-    if r_filter is not None and r_filter >= 0:
-        return {}
-    seeds = collect_radii(lambda_max)
     if r_filter is not None:
-        key = r_filter.as_integer_ratio()
-        seeds = {key: seeds[key]} if key in seeds else {}
-    if seeds:
-        wide = _windows(lambda_max, b_min=RADIUS_B_MAX + 1, coprime=True)
-        _add_seeds(seeds, wide, lambda_max)
-    return seeds
+        if r_filter >= 0:
+            return {}
+        p, q = r_filter.as_integer_ratio()
+        try:
+            key = p / q
+        except OverflowError:  # past float range: no radius
+            return {}
+    radii = collect_radii(lambda_max)
+    if r_filter is not None:
+        hit = radii.get(key)
+        radii = {key: hit} if hit is not None and hit[0] * q == p * hit[1] else {}
+    if radii:
+        _, shift = _seed_layout(lambda_max)
+        for b, seed, mirror, num, d in _windows(lambda_max, b_min=RADIUS_B_MAX + 1, coprime=True):
+            hit = radii.get(num / d)
+            if hit is not None and seed is not None and hit[0] * d == num * hit[1]:
+                bucket = hit[2]
+                b <<= shift
+                bucket.append(b | seed)
+                if mirror is not None:
+                    bucket.append(b | mirror)
+    return {r: seeds for r, (_, _, seeds) in radii.items() if seeds}
 
 
 def partition_closed(
@@ -524,12 +512,10 @@ def _weyl_row(x: ChainState) -> WeylRow:
     )
 
 
-def _seed_square(x: ChainState) -> Radius:
+def _seed_square(x: ChainState) -> Fraction:
     """The radius of x: its seed window's Weyl square, which every window of x shares."""
     a1, a2, a3, det, l1, _ = _weyl_row(x)
-    num = l1 * a1 + x.lam[1] * a2 + x.lam[2] * a3
-    g = gcd(num, det)  # det < 0, so the key has q = -det / g > 0
-    return -num // g, -det // g
+    return Fraction(l1 * a1 + x.lam[1] * a2 + x.lam[2] * a3, det)
 
 
 def _glue(
@@ -616,8 +602,8 @@ def extend_step(
 
 
 def _join_seeds(
-    seeds: dict[Radius, list[int]],
-    radii: list[Radius],
+    seeds: dict[float, list[int]],
+    radii: list[float],
     lambda_max: int,
     at_cap: bool = False,
 ) -> tuple[list[ChainState], Lineage, list[ChainState]]:
@@ -680,7 +666,7 @@ _PASS_RADII = 128
 
 
 def _chain_loop(
-    seeds: dict[Radius, list[int]],
+    seeds: dict[float, list[int]],
     lambda_max: int,
     max_sides: int,
     periodic: dict[tuple, PeriodicChainReport] | None = None,
@@ -766,7 +752,7 @@ def run_elliptic(
     closed, capped = _chain_loop(_seed_map(lambda_max, r_filter), lambda_max, max_sides)
     records = sorted(map(_record_from_canonical, {canonical_key(poly) for poly in closed}))
     squares = dict.fromkeys(map(_seed_square, capped))
-    return EnumerationResult(tuple(records), tuple(Fraction(*r) for r in squares))
+    return EnumerationResult(tuple(records), tuple(squares))
 
 
 def _chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
@@ -840,7 +826,7 @@ def run_parabolic(
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
     periodic: dict[tuple, PeriodicChainReport] = {}
-    seeds = {(0, 1): seed_triples(lambda_max)}
+    seeds = {0.0: seed_triples(lambda_max)}
     closed, capped = _chain_loop(seeds, lambda_max, max_sides, periodic)
     if closed:
         raise InvariantViolation(f"a chain closed at r = 0: {closed[0]}")

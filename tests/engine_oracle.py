@@ -29,9 +29,10 @@ rebuilt entry by entry through it, ``glued`` glues one pair, and
 ``key_join`` is one gluing round as a hash join on the whole overlap;
 ``rounds`` runs the chain loop of one radius on it, splitting off the
 closed chains itself, and ``reached_chains`` lists the chains that loop
-meets.  ``radius`` reads an engine radius key (p, q) as a ``Fraction``,
-checking that it is in lowest terms, and ``first_window_square`` is the
-square of a chain's or polygon's sides 1, 2, 3, the radius it belongs to.
+meets.  ``radii`` reads the radii of ``collect_radii`` as ``Fraction``s
+from the (num, det) each float key holds, and ``first_window_square`` is
+the square of a chain's or polygon's sides 1, 2, 3, the radius it
+belongs to.
 The window scan walks every (a, c, lam) triple with a divisibility test
 per triple, every long pairing b with a divisibility test per b, and
 evaluates num and det per window from the closed forms; its bound on b
@@ -54,7 +55,8 @@ for assumption (N) at one lambda_max.
 The engine files each seed as one int.  ``seed_window`` reads one back
 field by field and ``pack_seed`` packs one, both from the documented
 layout; ``seed_chains`` and ``unpacked`` turn a list of seeds and a seed
-map into chains, and ``unpacked_windows`` reads the packed shapes of
+map into chains, ``unpacked`` keying each radius by the square of its
+seeds, and ``unpacked_windows`` reads the packed shapes of
 ``engine._windows``.
 """
 
@@ -221,8 +223,18 @@ def seed_chains(seeds: list[int], lambda_max: int) -> list[ChainState]:
 
 
 def unpacked(seed_map: dict, lambda_max: int) -> dict:
-    """A packed seed map as {``radius``: ``seed_chains``}, radii and seeds in order."""
-    return {radius(key): seed_chains(seeds, lambda_max) for key, seeds in seed_map.items()}
+    """A packed seed map as {radius: ``seed_chains``}, radii and seeds in order.
+
+    Each key's radius is the one ``first_window_square`` of all its seeds,
+    and the key must be that radius's float.
+    """
+    found = {}
+    for key, seeds in seed_map.items():
+        chains = seed_chains(seeds, lambda_max)
+        [r] = set(map(first_window_square, chains))
+        assert key == float(r), (key, r)
+        found[r] = chains
+    return found
 
 
 def engine_seeds(lambda_max: int, r_filter: Fraction | None = None) -> dict:
@@ -321,7 +333,8 @@ def seed_map(lambda_max: int, pruned: bool = True) -> dict:
     is a seed, followed by its ``mirror_seed`` unless it is its own mirror:
     first those with b <= RADIUS_B_MAX, then the rest, each in stream order.
     With ``pruned``, as in the engine, a window that
-    ``lies_on_no_coprime_polygon`` is no seed, though its square is a radius.
+    ``lies_on_no_coprime_polygon`` is no seed, though its square is a radius;
+    a radius left with no seed is left out, as the engine leaves it out.
     """
     stream = half(windows(lambda_max, long_pairing_bound(Fraction(0))))
     narrow = [w for w in stream if w[1] <= RADIUS_B_MAX]
@@ -335,7 +348,7 @@ def seed_map(lambda_max: int, pruned: bool = True) -> dict:
             bucket.append(seed)
             if (a, lam[0]) != (c, lam[2]):
                 bucket.append(mirror_seed(seed))
-    return seeds
+    return {r: found for r, found in seeds.items() if found}
 
 
 def rounds(seeds, parabolic: bool, max_sides: int = DEFAULT_MAX_SIDES):
@@ -440,11 +453,19 @@ def key_join(chains: list[ChainState]) -> tuple[list[tuple], list[ChainState]]:
     return pairs, [ch for x, y in pairs for ch in glued(x, y)]
 
 
-def radius(key: tuple[int, int]) -> Fraction:
-    """The square p / q of an engine radius key (p, q), which must be in lowest terms with q > 0."""
-    p, q = key
-    assert type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1, key
-    return Fraction(p, q)
+def radii(lambda_max: int) -> list[Fraction]:
+    """The radii num / det of collect_radii(lambda_max) as Fractions, in its order.
+
+    Each is read from the (num, det) its key holds, which must have
+    det < 0 < num, and the key must be its float.
+    """
+    found = []
+    for key, (num, d, _) in collect_radii(lambda_max).items():
+        assert type(num) is int and type(d) is int and d < 0 < num, (key, num, d)
+        r = Fraction(num, d)
+        assert key == float(r), (key, r)
+        found.append(r)
+    return found
 
 
 def chain_windows(ch: ChainState) -> list[tuple[int, ...]]:
@@ -512,8 +533,7 @@ def radius_slice_mismatches(
     ascending order.
     """
     with_records = sorted({rec.r for rec in full.records})
-    radii = map(radius, collect_radii(lambda_max))
-    empty = next(r for r in radii if r not in with_records)
+    empty = next(r for r in radii(lambda_max) if r not in with_records)
     mismatches: list = []
     concatenated: list = []
     for r in with_records + [empty]:
@@ -561,10 +581,10 @@ def uncertified_squares(lambda_max: int) -> list[Fraction]:
     A trimmed window's square num / det is matched to the radius p / q of
     its float and checked exactly, p det == num q.
     """
-    radii = {p / q: (p, q) for p, q in collect_radii(lambda_max)}
+    by_float = {float(r): r for r in radii(lambda_max)}
     missed = set()
     for *_, num, d in trimmed_windows(lambda_max):
-        hit = radii.get(num / d)
-        if hit is None or hit[0] * d != num * hit[1]:
+        hit = by_float.get(num / d)
+        if hit is None or hit.numerator * d != num * hit.denominator:
             missed.add(Fraction(num, d))
     return sorted(missed)

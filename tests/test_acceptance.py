@@ -13,7 +13,7 @@ import pytest
 
 from hypercartan.cli import _record_json
 from hypercartan.core import PolygonDatum, verify_realization
-from hypercartan.engine import collect_radii, run_elliptic, run_parabolic, seed_triples
+from hypercartan.engine import run_elliptic, run_parabolic, seed_triples
 from hypercartan.goldens import (
     canonical_key,
     cross_check,
@@ -211,7 +211,7 @@ def _oracle_catalog(bound=60):
     to 2, and keeps the dihedral classes that verify with a Weyl square
     in the admissible radius set.
     """
-    targets = set(map(engine_oracle.radius, collect_radii(2)))
+    targets = set(engine_oracle.radii(2))
     found: dict[tuple, Fraction] = {}
 
     for pairings in itertools.product(range(-2, 1), repeat=3):

@@ -2,7 +2,7 @@ import ast
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -81,7 +81,7 @@ def _exhaustive_seeds(r, lambda_max, b_to=200):
 
 
 def test_collect_radii_contains_known_values():
-    radii = list(map(oracle.radius, collect_radii(2)))
+    radii = oracle.radii(2)
     assert Fraction(-59, 2) in radii
     assert Fraction(-22) in radii
     assert all(r < 0 for r in radii)
@@ -89,13 +89,13 @@ def test_collect_radii_contains_known_values():
 
 
 def test_collect_radii_untwisted_values():
-    radii = list(map(oracle.radius, collect_radii(1)))
+    radii = oracle.radii(1)
     for r in SYMMETRIC_NONCOMPACT_RADII[:5] + [Fraction(-23, 2), Fraction(-4)]:
         assert r in radii
 
 
 def test_collect_radii_monotone_in_lambda():
-    assert set(map(oracle.radius, collect_radii(1))) <= set(map(oracle.radius, collect_radii(2)))
+    assert set(oracle.radii(1)) <= set(oracle.radii(2))
 
 
 def test_seed_triples_finds_base_triangle():
@@ -138,8 +138,8 @@ def test_seed_map_of_one_square_is_its_entry_of_the_full_map():
     seed, at every radius for lambda <= 4, and at lambda 2 its seeds are
     the windows of square r that a scan of every long pairing finds.  It
     is empty when r is no radius: a square no window has, -3/22 (at lambda
-    6 only windows past RADIUS_B_MAX have it), a square whose float
-    overflows, and r > 0."""
+    6 only windows past RADIUS_B_MAX have it), a square whose float is the
+    radius -23/2's, a square whose float overflows, and r > 0."""
     for lambda_max in range(1, 5):
         for r, seeds in oracle.engine_seeds(lambda_max).items():
             assert oracle.engine_seeds(lambda_max, r) == {r: seeds}, (lambda_max, r)
@@ -147,7 +147,9 @@ def test_seed_map_of_one_square_is_its_entry_of_the_full_map():
         [seeds] = oracle.engine_seeds(2, r).values()
         fast = [(s.pairings, s.lam) for s in seeds]
         assert sorted(fast) == sorted(_exhaustive_seeds(r, 2)), r
-    for r in (Fraction(-100000), Fraction(-3, 22), Fraction(-10**400), Fraction(1, 2)):
+    near = Fraction(-23, 2) + Fraction(1, 10**30)
+    assert float(near) == -23 / 2
+    for r in (Fraction(-100000), Fraction(-3, 22), near, Fraction(-10**400), Fraction(1, 2)):
         assert oracle.engine_seeds(6, r) == {}, r
 
 
@@ -262,8 +264,7 @@ def test_r_filter_searches_its_own_square(max_sides):
     at r."""
     for lambda_max in range(1, 7):
         full = run_elliptic(lambda_max, max_sides)
-        for key in collect_radii(lambda_max):
-            r = oracle.radius(key)
+        for r in oracle.radii(lambda_max):
             expected = EnumerationResult(
                 tuple(rec for rec in full.records if rec.r == r),
                 tuple(ev for ev in full.cap_events if ev == r),
@@ -274,30 +275,30 @@ def test_r_filter_searches_its_own_square(max_sides):
 def test_r_filter_skips_squares_that_are_not_radii(monkeypatch):
     """A square that only windows past RADIUS_B_MAX reach is no radius:
     filtering on it gives nothing, though its seeds glue chains to the
-    cap.  r = 0 and r > 0 give nothing without a window scan."""
-    radii = set(collect_radii(6))
+    cap.  r = 0, r > 0 and an r whose float overflows give nothing
+    without a window scan."""
+    radii = set(oracle.radii(6))
     wide = {}  # each such square's windows, all past RADIUS_B_MAX, as seeds
     for a, b, c, lam, mirror, num, d in oracle.unpacked_windows(
         _windows(6, b_min=RADIUS_B_MAX + 1), 6
     ):
-        g = gcd(num, d)
-        key = (-num // g, -d // g)
-        if num > 0 and key not in radii:
-            wide.setdefault(key, []).extend(
+        r = Fraction(num, d)
+        if num > 0 and r not in radii:
+            wide.setdefault(r, []).extend(
                 oracle.pack_seed(*w, 6) for w in ((a, b, c, lam), mirror) if w
             )
     capping = [
-        key for key, seeds in wide.items() if oracle.engine_chain_loop({key: seeds}, 6, 4)[1]
+        r for r, seeds in wide.items() if oracle.engine_chain_loop({float(r): seeds}, 6, 4)[1]
     ]
     assert len(capping) >= 10
-    for key in capping[:10]:
-        assert run_elliptic(6, 4, r_filter=Fraction(*key)) == EnumerationResult((), ())
+    for r in capping[:10]:
+        assert run_elliptic(6, 4, r_filter=r) == EnumerationResult((), ())
 
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned windows")
 
     monkeypatch.setattr(engine, "_windows", no_scan)
-    for r in (Fraction(0), Fraction(1, 2), Fraction(3)):
+    for r in (Fraction(0), Fraction(1, 2), Fraction(3), Fraction(-10**400)):
         assert run_elliptic(6, 4, r_filter=r) == EnumerationResult((), ())
 
 
@@ -427,7 +428,7 @@ def test_run_parabolic_sorts_its_seeds_and_reports_each_first_hit(monkeypatch, l
     monkeypatch.setattr(engine, "_detect_period", recorded_detect)
     report = run_parabolic(lambda_max)
     [(r, seeds)] = handed[0].items()
-    assert len(handed) == 1 and r == (0, 1)
+    assert len(handed) == 1 and r == 0
     assert seeds == seed_triples(lambda_max)
     keys = list(map(window, oracle.seed_chains(seeds, lambda_max)))
     assert keys == sorted(set(keys))
@@ -736,7 +737,7 @@ def _all_shapes(lambda_max):
 
 
 def test_long_pairing_bound_matches_brute_force_scan():
-    r_maxes = {max(map(oracle.radius, collect_radii(k))) for k in range(1, 5)}
+    r_maxes = {max(oracle.radii(k)) for k in range(1, 5)}
     r_maxes |= {Fraction(0), Fraction(-1), Fraction(-59, 2), Fraction(-1, 24)}
     for r_max in r_maxes:
         p, q = r_max.numerator, r_max.denominator
@@ -772,7 +773,7 @@ def _loop_runs():
     """(lambda_max, packed seed map, parabolic): every radius for lambda <= 6,
     and r = 0 with the period filter for lambda <= 2."""
     runs = [(lm, _seed_map(lm), False) for lm in range(1, 7)]
-    return runs + [(lm, {(0, 1): seed_triples(lm)}, True) for lm in (1, 2)]
+    return runs + [(lm, {0.0: seed_triples(lm)}, True) for lm in (1, 2)]
 
 
 def _by_square(chains):
@@ -875,12 +876,12 @@ def test_radii_integer_order_matches_fraction_sort():
             w for w in oracle.windows(lambda_max, lambda *_: RADIUS_B_MAX) if w[4] > 0
         ]
         squares = sorted({Fraction(num, d) for *_, num, d in narrow})
+        assert oracle.radii(lambda_max) == squares, lambda_max
         radii = collect_radii(lambda_max)
-        assert list(map(oracle.radius, radii)) == squares, lambda_max
         kept = [w for w in narrow if not oracle.lies_on_no_coprime_polygon(*w[:4])]
         expected = oracle.bucketed_seeds(squares, kept)
         for r in squares:
-            found = oracle.seed_chains(radii[r.as_integer_ratio()], lambda_max)
+            found = oracle.seed_chains(radii[float(r)][2], lambda_max)
             assert sorted(found) == sorted(expected[r]), (lambda_max, r)
 
 
@@ -917,11 +918,11 @@ def test_window_float_is_the_float_of_its_reduced_square():
 
 
 def test_collect_radii_checks_float_hits_exactly(monkeypatch):
-    """The narrow pass files windows of one square under one reduced key,
-    and two squares sharing a float raise instead of merging.  The wide
-    pass looks windows up by float: two radii sharing a float raise, and
-    a window whose float matches a radius but whose square differs from
-    it is not its seed."""
+    """The narrow pass files windows of one square under its float, with the
+    (num, det) of its first window, and two squares sharing a float raise
+    instead of merging.  The wide pass looks windows up by float: a window
+    whose float matches a radius but whose square differs from it is not
+    its seed, and the radius, left with no seed, is left out."""
     near_third = (-1 / 3).as_integer_ratio()
     assert Fraction(*near_third) != Fraction(-1, 3) and near_third[0] / near_third[1] == -1 / 3
 
@@ -934,26 +935,24 @@ def test_collect_radii_checks_float_hits_exactly(monkeypatch):
     windows = [third, third_again]
     monkeypatch.setattr(engine, "_windows", lambda *args, **kwargs: iter(windows))
     radii = collect_radii(2)
-    assert list(radii) == [(-1, 3)]
-    assert [s.lam for s in oracle.seed_chains(radii[-1, 3], 2)] == [(1, 1, 1), (1, 2, 1)]
+    assert list(radii) == [-1 / 3] and radii[-1 / 3][:2] == (1, -3)
+    assert [s.lam for s in oracle.seed_chains(radii[-1 / 3][2], 2)] == [(1, 1, 1), (1, 2, 1)]
     windows = [third, close]
     with pytest.raises(EngineError, match="share a float"):
         collect_radii(2)
     windows = [third]
-    for key, filed in (((-1, 3), [third[1]]), (near_third, [])):
-        monkeypatch.setattr(engine, "collect_radii", lambda lm, key=key: {key: []})
-        assert _seed_map(2) == {key: filed}, key
-    monkeypatch.setattr(engine, "collect_radii", lambda lm: {(-1, 3): [], near_third: []})
-    with pytest.raises(EngineError, match="share a float"):
-        _seed_map(2)
+    for first, filed in ((third[3:], {-1 / 3: [third[1]]}), (close[3:], {})):
+        monkeypatch.setattr(engine, "collect_radii", lambda lm, nd=first: {-1 / 3: (*nd, [])})
+        assert _seed_map(2) == filed, first
 
 
 def test_radii_at_the_lambda_ceiling_have_distinct_floats_in_order():
+    """collect_radii's float keys ascend strictly, and so do the radii read
+    from their (num, det), each key its radius's float."""
     keys = list(collect_radii(LAMBDA_MAX_CEILING))
-    radii = list(map(oracle.radius, keys))
-    floats = [p / q for p, q in keys]
-    assert radii == sorted(radii)
-    assert all(x < y for x, y in zip(floats, floats[1:]))
+    radii = oracle.radii(LAMBDA_MAX_CEILING)
+    assert radii == sorted(radii) and keys == list(map(float, radii))
+    assert all(x < y for x, y in zip(keys, keys[1:]))
 
 
 def test_windows_are_exactly_the_non_positive_squares():
@@ -981,10 +980,11 @@ def test_seed_map_matches_sweep_bounded_by_largest_radius():
     That bound is the one the seed sweep used before it stopped at num's
     larger root; every seed has square <= max(radii), so both find the
     same windows at each radius, less those that
-    ``lies_on_no_coprime_polygon``, compared as multisets.
+    ``lies_on_no_coprime_polygon``, compared as multisets; the radii left
+    with no seed are left out.
     """
     for lambda_max in range(1, 9):
-        radii = list(map(oracle.radius, collect_radii(lambda_max)))
+        radii = oracle.radii(lambda_max)
         buckets = {r: [] for r in radii}
         sweep = oracle.windows(lambda_max, oracle.long_pairing_bound(max(radii)))
         for a, b, c, lam, num, d in sweep:
@@ -992,8 +992,8 @@ def test_seed_map_matches_sweep_bounded_by_largest_radius():
             if bucket is not None and not oracle.lies_on_no_coprime_polygon(a, b, c, lam):
                 bucket.append(ChainState(3, (-a, -b, -c), lam))
         seeds = oracle.engine_seeds(lambda_max)
-        assert list(seeds) == list(buckets), lambda_max
-        for r in radii:
+        assert list(seeds) == [r for r in radii if buckets[r]], lambda_max
+        for r in seeds:
             assert sorted(seeds[r]) == sorted(buckets[r]), (lambda_max, r)
 
 
@@ -1032,14 +1032,16 @@ def test_pruned_windows_lie_on_no_coprime_polygon():
     window of a coprime polygon that ``rounds`` closes from the unpruned
     seeds; those polygons are the ones closed from the pruned seeds, radius
     by radius and in order; and their dihedral classes are run_elliptic's
-    records.  At lambda 16 the prune drops 1,939 of 7,239 seeds."""
+    records.  At lambda 16 the prune drops 1,939 of 7,239 seeds, and
+    leaves 464 of the 1,841 radii with none."""
     lambda_max = PRUNE_LEMMA_LAMBDA_MAX
     full = oracle.seed_map(lambda_max, pruned=False)
     pruned = oracle.seed_map(lambda_max, pruned=True)
-    assert list(full) == list(pruned)
+    assert [len(full), len(pruned)] == [1841, 1841 - 464]
+    assert [r for r in full if r in pruned] == list(pruned)
     closed_full, closed_pruned = (
-        {r: [p for _, done, *_ in oracle.rounds(seeds, False) for p in done]
-         for r, seeds in seed_map.items()}
+        {r: closed for r, seeds in seed_map.items()
+         if (closed := [p for _, done, *_ in oracle.rounds(seeds, False) for p in done])}
         for seed_map in (full, pruned)
     )
     assert closed_full == closed_pruned
@@ -1065,7 +1067,7 @@ def test_seed_round_trip_at_the_widest_fields(lambda_max):
     coprime lambdas (lambda_max, 1, lambda_max), it is read back as a
     polygon."""
     lam = (lambda_max,) * 3
-    key = (-1, 1)
+    key = -1.0
     glued = 0
     for b in (2**20, 2**20 + 1, 2**40 + 5):
         w = oracle.pack_seed(2, b, 2, lam, lambda_max)
